@@ -40,7 +40,7 @@ struct Metric {
 /// Steps a loaded network `cycles` times and returns flits delivered
 /// (the same inner loop the criterion benches time).
 fn run_cycles(cfg: &NetworkConfig, rate: f64, cycles: u64) -> u64 {
-    run_cycles_engine(cfg, rate, cycles, EngineMode::from_env())
+    run_cycles_engine(cfg, rate, cycles, EngineMode::Sparse)
 }
 
 /// Draws the injection events of a uniform-traffic run once, so the

@@ -1,7 +1,7 @@
 //! Durable-checkpoint behavior across shard counts. The owner
 //! fingerprint is the first line of defense, but fingerprints collide
 //! by design when a caller reuses one across engine settings — so the
-//! network image's own frame (engine tag + topology shape + shard
+//! network image's own identity (topology shape + shard
 //! count) must catch a shard-count change, and [`run_checkpointed`]
 //! must degrade that typed mismatch into a clean cycle-0 replay
 //! rather than an error or silent corruption.

@@ -1,8 +1,8 @@
 //! Mid-run checkpoints of an [`Experiment`](crate::Experiment).
 //!
 //! A [`RunCheckpoint`] captures *everything* a run needs to continue
-//! bit-identically: the network snapshot
-//! ([`Network::snapshot`](orion_sim::Network::snapshot)), the workload
+//! bit-identically: the network snapshot (including the watchdog's
+//! livelock clock), the workload
 //! RNG stream, traffic-pattern and trace cursors, the measurement
 //! phase and tagged-packet budget, backlog samples and the invariant
 //! auditor's energy baseline. The contract — pinned by tests in
@@ -25,8 +25,11 @@ use orion_sim::SnapshotError;
 use crate::config::ConfigError;
 use crate::report::Report;
 
-/// Version of the [`RunCheckpoint`] byte encoding.
-pub const RUN_CHECKPOINT_VERSION: u32 = 1;
+/// Version of the [`RunCheckpoint`] byte encoding. Version 2: the
+/// `net` image is the engine's own self-identifying snapshot (no
+/// monolithic/sharded frame around it), so a version-1 checkpoint is a
+/// typed [`SnapshotError::WrongVersion`], never a mis-restore.
+pub const RUN_CHECKPOINT_VERSION: u32 = 2;
 
 /// Which phase of the §4.1 measurement discipline a checkpoint was
 /// taken in.
@@ -65,7 +68,9 @@ pub struct RunCheckpoint {
     pub trace_cursor: usize,
     /// The invariant auditor's energy-monotonicity baseline.
     pub auditor_energy: f64,
-    /// The network state image ([`orion_sim::Network::snapshot`]).
+    /// The network state image (`orion_shard::ShardedNetwork::snapshot`:
+    /// topology identity, shard plan, then every shard engine's
+    /// [`orion_sim::Network::snapshot`] and the boundary mailboxes).
     pub net: Vec<u8>,
 }
 

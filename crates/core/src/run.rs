@@ -19,14 +19,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use orion_net::{FaultSchedule, NodeId, TopologyKind, TraceTraffic, TrafficPattern};
-use orion_obs::{NodeState, ObsSink, Prober};
+use orion_net::{FaultSchedule, NodeId, TraceTraffic, TrafficPattern};
+use orion_obs::{ObsSink, Prober};
 use orion_shard::ShardedNetwork;
-use orion_sim::snapshot::{ByteReader, ByteWriter};
-use orion_sim::{
-    AuditViolation, Component, EngineMode, InvariantAuditor, Network, NetworkSpec, SimStats,
-    SnapshotError, StallDiagnostics, StallKind,
-};
+use orion_sim::{AuditViolation, Component, EngineMode, InvariantAuditor, SnapshotError};
 use orion_tech::Joules;
 
 use crate::checkpoint::{RunCheckpoint, RunControl, RunError, RunHook, RunPhase, RunResult};
@@ -84,7 +80,7 @@ pub struct Experiment {
     audit_every: u64,
     observe: Option<ObserveOptions>,
     shards: usize,
-    engine: Option<EngineMode>,
+    engine: EngineMode,
 }
 
 /// Default watchdog window: a full millennium of cycles with no flit
@@ -114,7 +110,7 @@ impl Experiment {
             audit_every: 0,
             observe: None,
             shards: 1,
-            engine: None,
+            engine: EngineMode::Sparse,
         }
     }
 
@@ -218,8 +214,9 @@ impl Experiment {
     /// and `docs/SCALING.md`): contiguous node ranges each run their
     /// own engine, exchanging boundary flits through deterministic
     /// mailboxes. Results are **bit-identical** for every shard count;
-    /// `1` (the default) runs the monolithic engine. Counts outside
-    /// `1..=num_nodes` are rejected as [`ConfigError::InvalidShards`].
+    /// `1` (the default) *is* the monolithic engine — one shard owning
+    /// every node, no second code path. Counts outside `1..=num_nodes`
+    /// are rejected as [`ConfigError::InvalidShards`].
     pub fn shards(mut self, n: usize) -> Experiment {
         self.shards = n;
         self
@@ -229,11 +226,9 @@ impl Experiment {
     /// the default) or [`EngineMode::DenseReference`] (every router
     /// visited every cycle). The two are **bit-identical** — the dense
     /// engine exists for differential testing and the CI
-    /// `sparse-identity` job. Unset, the engine follows the
-    /// `ORION_ENGINE` environment variable (see
-    /// [`EngineMode::from_env`]).
+    /// `sparse-identity` job.
     pub fn engine(mut self, mode: EngineMode) -> Experiment {
-        self.engine = Some(mode);
+        self.engine = mode;
         self
     }
 
@@ -293,11 +288,11 @@ impl Experiment {
         resume: Option<RunCheckpoint>,
     ) -> Result<RunResult, RunError> {
         self.config.validate()?;
-        let num_nodes = self.config.topology.num_nodes();
-        if self.shards == 0 || self.shards > num_nodes {
+        let nodes: Vec<NodeId> = self.config.topology.nodes().collect();
+        if self.shards == 0 || self.shards > nodes.len() {
             return Err(ConfigError::InvalidShards {
                 shards: self.shards,
-                nodes: num_nodes,
+                nodes: nodes.len(),
             }
             .into());
         }
@@ -312,31 +307,21 @@ impl Experiment {
             ports as f64 * models.buffer.leakage_power().0
                 + models.crossbar.leakage_power().0
                 + ports as f64 * models.arbiter.leakage_power().0
-                + models
-                    .central
-                    .as_ref()
-                    .map(|c| c.leakage_power().0)
-                    .unwrap_or(0.0),
+                + models.central.as_ref().map_or(0.0, |c| c.leakage_power().0),
         );
-        let mut net = if self.shards > 1 {
-            SimNet::Sharded(ShardedNetwork::new(spec, models, self.shards))
-        } else {
-            SimNet::Mono(Network::new(spec, models))
-        };
-        if let Some(mode) = self.engine {
-            net.set_engine_mode(mode);
-        }
+        // One engine type at every shard count: a 1-shard
+        // `ShardedNetwork` *is* the monolithic engine.
+        let mut net = ShardedNetwork::new(spec, models, self.shards);
+        net.set_engine_mode(self.engine);
         if let Some(schedule) = &self.fault_schedule {
             net.set_fault_schedule(schedule.clone());
         }
-        let nodes: Vec<NodeId> = self.config.topology.nodes().collect();
 
         // Observability (opt-in): the sink is attached at the start of
         // the *measured* phase so its metrics cover the same window as
         // SimStats, and the prober samples node state on its stride.
         // Everything here is read-only with respect to the simulation.
-        let observe_opts = self.observe.clone();
-        let mut pending_sink = observe_opts.as_ref().map(|o| {
+        let mut pending_sink = self.observe.as_ref().map(|o| {
             let sink = ObsSink::new();
             if o.trace_packets > 0 {
                 sink.with_tracer(o.trace_packets)
@@ -344,323 +329,192 @@ impl Experiment {
                 sink
             }
         });
-        let mut prober = observe_opts.as_ref().map(|o| Prober::new(o.sample_every));
-        fn probe_tick(net: &SimNet, prober: &mut Option<Prober>) {
-            if let Some(p) = prober.as_mut() {
-                if p.due(net.cycle()) {
-                    p.record(net.cycle(), &net.node_states());
-                }
+        let mut prober = self.observe.as_ref().map(|o| Prober::new(o.sample_every));
+
+        // Trace cycles are absolute, so a replay is a zero-length
+        // warm-up: the whole of it is measured.
+        let (mut workload, warmup) = match self.trace {
+            Some(trace) => (Workload::Trace(trace), 0),
+            None => {
+                let pattern = match self.workload {
+                    Some(p) => p,
+                    None => {
+                        if !(0.0..=1.0).contains(&self.rate) {
+                            return Err(ConfigError::InvalidRate(self.rate).into());
+                        }
+                        TrafficPattern::uniform(&self.config.topology, self.rate)
+                            .expect("rate validated above")
+                    }
+                };
+                let rng = StdRng::seed_from_u64(self.seed);
+                (Workload::Synthetic { pattern, rng }, self.warmup)
             }
-        }
+        };
+        let offered_rate = workload.offered_rate(nodes.len());
 
         // The watchdog window: no flit movement (deadlock) or no
         // delivery (livelock) for a full window stops the run with
         // diagnostics instead of burning the cycle budget. The same
         // window paces source-backlog sampling for the saturation
-        // divergence check.
-        let window = self.watchdog;
+        // divergence check (synthetic traffic only: a trace offers a
+        // fixed packet set, its backlog cannot diverge).
+        let mut strides = [0; 4];
+        strides[Periodic::Probe as usize] = prober.as_ref().map_or(0, Prober::sample_every);
+        strides[Periodic::Audit as usize] = self.audit_every;
+        strides[Periodic::Checkpoint as usize] = hook.as_ref().map_or(0, |h| h.every());
+        if matches!(workload, Workload::Synthetic { .. }) {
+            strides[Periodic::Backlog as usize] = self.watchdog;
+        }
+        let bounds = Boundaries {
+            strides,
+            max_cycles: self.max_cycles,
+        };
+
+        let mut phase = RunPhase::Warmup { done: 0 };
         let mut tagged_budget = self.sample_packets;
-        let mut stall: Option<StallDiagnostics> = None;
+        let mut measure_start = 0;
+        let mut backlog_samples: Vec<usize> = Vec::new();
         // Invariant auditing (opt-in): checked on a cycle stride during
         // the measured phase, plus once at run end. The first failing
         // audit stops the run — numbers past that point are garbage.
-        let audit_every = self.audit_every;
         let mut auditor = InvariantAuditor::new();
-        let mut corrupted: Option<(Vec<AuditViolation>, u64)> = None;
-        let mut saturated_early = false;
-        let mut backlog_samples: Vec<usize> = Vec::new();
-        let finished;
-        let offered_rate;
-        let measure_start;
 
-        // Checkpoint cadence (0 = no hook or hook disabled).
-        let stride = hook.as_ref().map(|h| h.every()).unwrap_or(0);
-        // Resume: re-hydrate every piece of run state the checkpoint
-        // carries. Workload-specific state (RNG, pattern cursors, trace
-        // position) is restored inside the branches below.
-        let resume_phase = resume.as_ref().map(|ck| ck.phase);
-        if let Some(ck) = &resume {
+        // Resume: re-hydrate every piece of run state the checkpoint carries.
+        if let Some(ck) = resume {
             net.restore(&ck.net).map_err(RunError::Resume)?;
-            auditor = InvariantAuditor::with_baseline(ck.auditor_energy);
-            tagged_budget = ck.tagged_budget;
-            backlog_samples = ck.backlog_samples.clone();
-            if let RunPhase::Warmup { done } = ck.phase {
-                if done > self.warmup {
-                    return Err(RunError::Resume(SnapshotError::Mismatch("warm-up length")));
-                }
+            if matches!(ck.phase, RunPhase::Warmup { done } if done > warmup) {
+                return Err(RunError::Resume(SnapshotError::Mismatch("warm-up length")));
             }
+            workload.restore(&ck).map_err(RunError::Resume)?;
+            phase = ck.phase;
+            tagged_budget = ck.tagged_budget;
+            measure_start = ck.measure_start;
+            backlog_samples = ck.backlog_samples;
+            auditor = InvariantAuditor::with_baseline(ck.auditor_energy);
         }
 
-        // True when the last BACKLOG_SAMPLES window samples grow
-        // strictly and by at least two packets per node overall: the
-        // offered load is above capacity and the backlog diverges.
-        let diverging = |samples: &[usize], nodes: usize| {
-            samples.len() >= BACKLOG_SAMPLES && {
-                let recent = &samples[samples.len() - BACKLOG_SAMPLES..];
-                recent.windows(2).all(|w| w[1] > w[0])
-                    && recent[BACKLOG_SAMPLES - 1] - recent[0] >= 2 * nodes
-            }
-        };
-
-        if let Some(mut trace) = self.trace {
-            // Trace replay: absolute cycles, no warm-up, measure
-            // everything, run the trace to exhaustion and drain.
-            let span = trace.events().last().map(|e| e.cycle + 1).unwrap_or(1);
-            offered_rate = trace.events().len() as f64 / (span as f64 * nodes.len() as f64);
-            if let Some(ck) = &resume {
-                if !matches!(ck.phase, RunPhase::Measure) {
-                    return Err(RunError::Resume(SnapshotError::Mismatch(
-                        "trace checkpoint phase",
-                    )));
-                }
-                if !trace.seek(ck.trace_cursor) {
-                    return Err(RunError::Resume(SnapshotError::Mismatch("trace cursor")));
-                }
-                measure_start = ck.measure_start;
-            } else {
-                measure_start = net.cycle();
-            }
-            if let Some(sink) = pending_sink.take() {
-                net.set_obs(sink);
-            }
-            // The farthest an idle skip may jump without eliding a
-            // stride firing the dense path would have produced: the
-            // last cycle before `s`'s next boundary strictly after
-            // `cycle` (post-step cycles in the gap are `cycle+1..=t`).
-            let stride_clamp = |cycle: u64, s: u64| (cycle + 1).div_ceil(s) * s - 1;
-            while (!trace.is_exhausted() || !net.is_drained()) && net.cycle() < self.max_cycles {
-                // Dead-air fast-forward: a drained engine stepping
-                // toward the next trace burst does provably nothing
-                // per cycle (replay uses no RNG), so jump the clock.
-                // The engine clamps to its next wheel event; the run
-                // loop clamps to the next probe/audit/checkpoint
-                // stride boundary so every periodic action in the gap
-                // still fires at its exact cycle — the skip is
-                // bit-identical to stepping, which the differential
-                // tests and the CI `sparse-identity` job enforce.
-                if net.is_drained() {
-                    if let Some(next) = trace.next_cycle() {
-                        let mut target = next.min(self.max_cycles);
-                        if let Some(o) = &observe_opts {
-                            target = target.min(stride_clamp(net.cycle(), o.sample_every.max(1)));
-                        }
-                        if audit_every > 0 {
-                            target = target.min(stride_clamp(net.cycle(), audit_every));
-                        }
-                        if stride > 0 {
-                            target = target.min(stride_clamp(net.cycle(), stride));
-                        }
-                        net.skip_idle_cycles(target);
-                    }
-                }
-                let pairs: Vec<(NodeId, NodeId)> = trace.injections_at(net.cycle()).collect();
-                for (src, dst) in pairs {
-                    let tag = tagged_budget > 0;
-                    if tag {
-                        tagged_budget -= 1;
-                    }
-                    net.enqueue_packet(src, dst, tag);
-                }
-                net.step();
-                probe_tick(&net, &mut prober);
-                if window > 0 {
-                    if let Some(kind) = net.check_stall(window) {
-                        stall = Some(net.stall_diagnostics(kind, window));
-                        break;
-                    }
-                }
-                if audit_every > 0 && net.cycle().is_multiple_of(audit_every) {
-                    let violations = net.audit(&mut auditor);
-                    if !violations.is_empty() {
-                        corrupted = Some((violations, net.cycle()));
-                        break;
-                    }
-                }
-                if stride > 0 && net.cycle().is_multiple_of(stride) {
-                    let ck = capture(
-                        RunPhase::Measure,
-                        measure_start,
-                        tagged_budget,
-                        &backlog_samples,
-                        None,
-                        None,
-                        trace.position(),
-                        &auditor,
-                        &net,
-                    );
-                    if let Some(h) = hook.as_mut() {
-                        if h.on_checkpoint(&ck) == RunControl::Stop {
-                            return Ok(RunResult::Aborted(Box::new(ck)));
-                        }
-                    }
-                }
-            }
-            finished = trace.is_exhausted() && net.is_drained() && stall.is_none();
-        } else {
-            let mut pattern = match self.workload {
-                Some(p) => p,
-                None => {
-                    if !(0.0..=1.0).contains(&self.rate) {
-                        return Err(ConfigError::InvalidRate(self.rate).into());
-                    }
-                    TrafficPattern::uniform(&self.config.topology, self.rate)
-                        .expect("rate validated above")
-                }
-            };
-            let mut rng = match &resume {
-                Some(ck) => {
-                    if !pattern.restore_cursors(&ck.traffic_cursors) {
-                        return Err(RunError::Resume(SnapshotError::Mismatch("traffic cursors")));
-                    }
-                    StdRng::from_state(ck.rng)
-                }
-                None => StdRng::seed_from_u64(self.seed),
-            };
-            offered_rate = pattern.total_injection_rate() / nodes.len() as f64;
-
-            let inject = |net: &mut SimNet,
-                          pattern: &mut TrafficPattern,
-                          rng: &mut StdRng,
-                          tagged_budget: &mut u64| {
-                for &node in &nodes {
-                    if pattern.should_inject(node, rng) {
-                        if let Some(dst) = pattern.destination(node, rng) {
-                            let tag = *tagged_budget > 0;
-                            if tag {
-                                *tagged_budget -= 1;
-                            }
-                            net.enqueue_packet(node, dst, tag);
-                        }
-                    }
-                }
-            };
-
-            // Warm-up phase: untagged traffic, energy discarded
-            // afterwards. A resume into the measured phase skips both
-            // the loop and the measurement reset (they already
-            // happened before the checkpoint).
-            if matches!(resume_phase, Some(RunPhase::Measure)) {
-                measure_start = resume
-                    .as_ref()
-                    .expect("measure phase implies a checkpoint")
-                    .measure_start;
-            } else {
-                let warmup_start = match resume_phase {
-                    Some(RunPhase::Warmup { done }) => done,
-                    _ => 0,
-                };
-                let mut no_tags = 0u64;
-                for done in warmup_start..self.warmup {
-                    inject(&mut net, &mut pattern, &mut rng, &mut no_tags);
-                    net.step();
-                    if stride > 0 && net.cycle().is_multiple_of(stride) {
-                        let ck = capture(
-                            RunPhase::Warmup { done: done + 1 },
-                            0,
-                            tagged_budget,
-                            &backlog_samples,
-                            Some(&rng),
-                            Some(&pattern),
-                            0,
-                            &auditor,
-                            &net,
-                        );
-                        if let Some(h) = hook.as_mut() {
-                            if h.on_checkpoint(&ck) == RunControl::Stop {
-                                return Ok(RunResult::Aborted(Box::new(ck)));
-                            }
-                        }
-                    }
-                }
+        // The one run loop: every cycle is `skip? → inject → step →
+        // periodic actions`, whatever the workload and phase. It breaks
+        // with the outcome as far as the loop can tell it.
+        let mut outcome = loop {
+            if phase == (RunPhase::Warmup { done: warmup }) {
+                // Warm-up energy and counters are discarded; packets in
+                // flight stay in flight.
                 net.reset_measurement();
                 measure_start = net.cycle();
+                phase = RunPhase::Measure;
+                if let Some(sink) = pending_sink.take() {
+                    net.set_obs(sink);
+                }
             }
-            if let Some(sink) = pending_sink.take() {
-                net.set_obs(sink);
+            let measuring = phase == RunPhase::Measure;
+            let mut drained = false;
+            if measuring {
+                // A synthetic run measures until its tagged sample has
+                // all ejected or dropped (injection continues); a replay
+                // until the trace is exhausted and the network drains.
+                // `is_drained` is O(nodes): once per iteration, replays only.
+                let work_left = match &workload {
+                    Workload::Synthetic { pattern, .. } => {
+                        pattern.total_injection_rate() > 0.0
+                            && (tagged_budget > 0 || net.tagged_outstanding() > 0)
+                    }
+                    Workload::Trace(trace) => {
+                        drained = net.is_drained();
+                        !trace.is_exhausted() || !drained
+                    }
+                };
+                if !work_left {
+                    break RunOutcome::Completed;
+                }
+                if net.cycle() >= bounds.max_cycles {
+                    break RunOutcome::BudgetExhausted;
+                }
             }
 
-            // Measurement phase: tag the next `sample_packets` packets
-            // and run until they all eject or drop (injection continues
-            // throughout).
-            if pattern.total_injection_rate() > 0.0 {
-                while (tagged_budget > 0 || net.tagged_outstanding() > 0)
-                    && net.cycle() < self.max_cycles
-                {
-                    inject(&mut net, &mut pattern, &mut rng, &mut tagged_budget);
-                    net.step();
-                    probe_tick(&net, &mut prober);
-                    if window > 0 {
-                        if let Some(kind) = net.check_stall(window) {
-                            stall = Some(net.stall_diagnostics(kind, window));
-                            break;
-                        }
-                        if net.cycle().is_multiple_of(window) {
-                            backlog_samples.push(net.source_backlog());
-                            if diverging(&backlog_samples, nodes.len()) {
-                                saturated_early = true;
-                                break;
-                            }
-                        }
+            // Dead-air fast-forward: a drained engine stepping toward
+            // the next trace burst does provably nothing per cycle
+            // (replay uses no RNG), so jump the clock — as far as the
+            // engine's next wheel event and `Boundaries::next_after`
+            // allow, which keeps the skip bit-identical to stepping.
+            if let (true, Workload::Trace(trace)) = (drained, &workload) {
+                if let Some(next) = trace.next_cycle() {
+                    net.skip_idle_cycles(bounds.next_after(net.cycle(), next));
+                }
+            }
+
+            let mut untagged = 0;
+            let budget = if measuring {
+                &mut tagged_budget
+            } else {
+                &mut untagged
+            };
+            workload.inject(&mut net, &nodes, budget);
+            net.step();
+            let cycle = net.cycle();
+
+            if let RunPhase::Warmup { done } = &mut phase {
+                *done += 1;
+            } else {
+                if let Some(p) = prober.as_mut() {
+                    if bounds.due(Periodic::Probe, cycle) {
+                        p.record(cycle, &net.node_states());
                     }
-                    if audit_every > 0 && net.cycle().is_multiple_of(audit_every) {
-                        let violations = net.audit(&mut auditor);
-                        if !violations.is_empty() {
-                            corrupted = Some((violations, net.cycle()));
-                            break;
-                        }
+                }
+                if let Some(kind) = net.check_stall(self.watchdog) {
+                    break RunOutcome::Deadlocked(net.stall_diagnostics(kind, self.watchdog));
+                }
+                if bounds.due(Periodic::Backlog, cycle) {
+                    backlog_samples.push(net.source_backlog());
+                    if diverging(&backlog_samples, nodes.len()) {
+                        break RunOutcome::Saturated;
                     }
-                    if stride > 0 && net.cycle().is_multiple_of(stride) {
-                        let ck = capture(
-                            RunPhase::Measure,
-                            measure_start,
-                            tagged_budget,
-                            &backlog_samples,
-                            Some(&rng),
-                            Some(&pattern),
-                            0,
-                            &auditor,
-                            &net,
-                        );
-                        if let Some(h) = hook.as_mut() {
-                            if h.on_checkpoint(&ck) == RunControl::Stop {
-                                return Ok(RunResult::Aborted(Box::new(ck)));
-                            }
-                        }
+                }
+                if bounds.due(Periodic::Audit, cycle) {
+                    let violations = audit(&net, &mut auditor);
+                    if !violations.is_empty() {
+                        break RunOutcome::Corrupted { violations, cycle };
                     }
                 }
             }
-            finished = (tagged_budget == 0 && net.tagged_outstanding() == 0
-                || pattern.total_injection_rate() == 0.0)
-                && stall.is_none()
-                && !saturated_early;
-        }
+            if bounds.due(Periodic::Checkpoint, cycle) {
+                let (rng, traffic_cursors, trace_cursor) = workload.cursors();
+                let ck = RunCheckpoint {
+                    phase,
+                    cycle,
+                    measure_start,
+                    tagged_budget,
+                    backlog_samples: backlog_samples.clone(),
+                    rng,
+                    traffic_cursors,
+                    trace_cursor,
+                    auditor_energy: auditor.baseline(),
+                    net: net.snapshot(),
+                };
+                if let Some(h) = hook.as_mut() {
+                    if h.on_checkpoint(&ck) == RunControl::Stop {
+                        return Ok(RunResult::Aborted(Box::new(ck)));
+                    }
+                }
+            }
+        };
 
         // One final audit at run end, whatever the cycle stride: a
         // corruption that appeared after the last periodic check must
         // not escape into a published record.
-        if audit_every > 0 && corrupted.is_none() {
-            let violations = net.audit(&mut auditor);
+        if self.audit_every > 0 && !matches!(outcome, RunOutcome::Corrupted { .. }) {
+            let violations = audit(&net, &mut auditor);
             if !violations.is_empty() {
-                corrupted = Some((violations, net.cycle()));
+                let cycle = net.cycle();
+                outcome = RunOutcome::Corrupted { violations, cycle };
             }
         }
-
-        let outcome = if let Some((violations, cycle)) = corrupted {
-            RunOutcome::Corrupted { violations, cycle }
-        } else if let Some(diag) = stall {
-            RunOutcome::Deadlocked(diag)
-        } else if saturated_early {
-            RunOutcome::Saturated
-        } else if !finished {
-            RunOutcome::BudgetExhausted
-        } else if net.packets_dropped() > 0 {
-            RunOutcome::Faulted {
+        if outcome == RunOutcome::Completed && net.packets_dropped() > 0 {
+            outcome = RunOutcome::Faulted {
                 delivered: net.packets_delivered(),
                 dropped: net.packets_dropped(),
-            }
-        } else {
-            RunOutcome::Completed
-        };
+            };
+        }
 
         // For a deadlocked run, average power over the live portion of
         // the window (a frozen network dissipates no dynamic power and
@@ -674,13 +528,7 @@ impl Experiment {
         };
 
         let energy: Vec<[Joules; 5]> = (0..nodes.len())
-            .map(|n| {
-                let mut e = [Joules::ZERO; 5];
-                for (i, &c) in Component::ALL.iter().enumerate() {
-                    e[i] = net.node_energy(n, c);
-                }
-                e
-            })
+            .map(|n| Component::ALL.map(|c| net.node_energy(n, c)))
             .collect();
         let link_static_per_node =
             self.config.link_model().static_power() * self.config.links_per_node() as f64;
@@ -691,17 +539,15 @@ impl Experiment {
         // Freeze what the observer collected: one final probe sample at
         // run end (whatever the stride), then the metrics snapshot,
         // probe rows and completed spans travel on the report.
-        let observations = net.take_obs().zip(observe_opts).map(|(obs, o)| {
-            let mut observations = obs.into_observations(o.sample_every.max(1));
-            if let Some(mut p) = prober.take() {
-                p.record(net.cycle(), &net.node_states());
-                observations.probes = p.into_rows();
-            }
+        let observations = net.take_obs().zip(prober).map(|(obs, mut p)| {
+            let mut observations = obs.into_observations(p.sample_every());
+            p.record(net.cycle(), &net.node_states());
+            observations.probes = p.into_rows();
             observations
         });
 
         let mut report = Report::new(
-            net.stats_owned(),
+            net.stats_merged(),
             energy,
             measured_cycles.max(1),
             self.config.f_clk,
@@ -719,311 +565,153 @@ impl Experiment {
     }
 }
 
-/// The engine behind a run: one monolithic [`Network`], or a
-/// [`ShardedNetwork`] partitioning the same topology across shards
-/// (bit-identical to the monolithic engine by construction; see
-/// `docs/SCALING.md`). The runner drives either through this common
-/// surface and never branches on the engine kind itself. Exactly one
-/// value exists per run, so the variant size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum SimNet {
-    Mono(Network),
-    Sharded(ShardedNetwork),
+/// What feeds packets into a run each cycle.
+enum Workload {
+    /// A seeded synthetic pattern drawing its RNG every cycle.
+    Synthetic {
+        pattern: TrafficPattern,
+        rng: StdRng,
+    },
+    /// A recorded trace replayed at its absolute cycles.
+    Trace(TraceTraffic),
 }
 
-/// Network-image frame tag: the snapshot was written by the
-/// monolithic engine.
-const IMAGE_MONO: u8 = 1;
-/// Network-image frame tag: the snapshot was written by the sharded
-/// engine.
-const IMAGE_SHARDED: u8 = 2;
-
-impl SimNet {
-    fn spec(&self) -> &NetworkSpec {
+impl Workload {
+    /// Offered load in packets/cycle/node.
+    fn offered_rate(&self, nodes: usize) -> f64 {
         match self {
-            SimNet::Mono(n) => n.spec(),
-            SimNet::Sharded(n) => n.spec(),
-        }
-    }
-
-    fn shards(&self) -> u32 {
-        match self {
-            SimNet::Mono(_) => 1,
-            SimNet::Sharded(n) => n.shards() as u32,
-        }
-    }
-
-    fn cycle(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.cycle(),
-            SimNet::Sharded(n) => n.cycle(),
-        }
-    }
-
-    fn step(&mut self) {
-        match self {
-            SimNet::Mono(n) => n.step(),
-            SimNet::Sharded(n) => n.step(),
-        }
-    }
-
-    fn set_engine_mode(&mut self, mode: EngineMode) {
-        match self {
-            SimNet::Mono(n) => n.set_engine_mode(mode),
-            SimNet::Sharded(n) => n.set_engine_mode(mode),
-        }
-    }
-
-    fn skip_idle_cycles(&mut self, target: u64) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.skip_idle_cycles(target),
-            SimNet::Sharded(n) => n.skip_idle_cycles(target),
-        }
-    }
-
-    fn is_drained(&self) -> bool {
-        match self {
-            SimNet::Mono(n) => n.is_drained(),
-            SimNet::Sharded(n) => n.is_drained(),
-        }
-    }
-
-    fn enqueue_packet(&mut self, src: NodeId, dst: NodeId, tagged: bool) {
-        match self {
-            SimNet::Mono(n) => {
-                n.enqueue_packet(src, dst, tagged);
-            }
-            SimNet::Sharded(n) => {
-                n.enqueue_packet(src, dst, tagged);
+            Workload::Synthetic { pattern, .. } => pattern.total_injection_rate() / nodes as f64,
+            Workload::Trace(trace) => {
+                let span = trace.events().last().map(|e| e.cycle + 1).unwrap_or(1);
+                trace.events().len() as f64 / (span as f64 * nodes as f64)
             }
         }
     }
 
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        match self {
-            SimNet::Mono(n) => n.set_fault_schedule(schedule),
-            SimNet::Sharded(n) => n.set_fault_schedule(schedule),
-        }
-    }
-
-    fn set_obs(&mut self, obs: ObsSink) {
-        match self {
-            SimNet::Mono(n) => n.set_obs(obs),
-            SimNet::Sharded(n) => n.set_obs(obs),
-        }
-    }
-
-    fn take_obs(&mut self) -> Option<ObsSink> {
-        match self {
-            SimNet::Mono(n) => n.take_obs(),
-            SimNet::Sharded(n) => n.take_obs(),
-        }
-    }
-
-    fn node_states(&self) -> Vec<NodeState> {
-        match self {
-            SimNet::Mono(n) => n.node_states(),
-            SimNet::Sharded(n) => n.node_states(),
-        }
-    }
-
-    fn check_stall(&self, window: u64) -> Option<StallKind> {
-        match self {
-            SimNet::Mono(n) => n.check_stall(window),
-            SimNet::Sharded(n) => n.check_stall(window),
-        }
-    }
-
-    fn stall_diagnostics(&self, kind: StallKind, window: u64) -> StallDiagnostics {
-        match self {
-            SimNet::Mono(n) => n.stall_diagnostics(kind, window),
-            SimNet::Sharded(n) => n.stall_diagnostics(kind, window),
-        }
-    }
-
-    fn source_backlog(&self) -> usize {
-        match self {
-            SimNet::Mono(n) => n.source_backlog(),
-            SimNet::Sharded(n) => n.source_backlog(),
-        }
-    }
-
-    fn tagged_outstanding(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().tagged_outstanding(),
-            SimNet::Sharded(n) => n.tagged_outstanding(),
-        }
-    }
-
-    fn packets_delivered(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().packets_delivered,
-            SimNet::Sharded(n) => n.packets_delivered(),
-        }
-    }
-
-    fn packets_dropped(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().packets_dropped,
-            SimNet::Sharded(n) => n.packets_dropped(),
-        }
-    }
-
-    /// The run's statistics in monolithic form: a clone for the single
-    /// engine, the deterministic cross-shard merge for the sharded one
-    /// (identical to the clone a single engine would have produced).
-    fn stats_owned(&self) -> SimStats {
-        match self {
-            SimNet::Mono(n) => n.stats().clone(),
-            SimNet::Sharded(n) => n.stats_merged(),
-        }
-    }
-
-    fn reset_measurement(&mut self) {
-        match self {
-            SimNet::Mono(n) => n.reset_measurement(),
-            SimNet::Sharded(n) => n.reset_measurement(),
-        }
-    }
-
-    fn last_progress_cycle(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.last_progress_cycle(),
-            SimNet::Sharded(n) => n.last_progress_cycle(),
-        }
-    }
-
-    fn node_energy(&self, node: usize, component: Component) -> Joules {
-        match self {
-            SimNet::Mono(n) => n.ledger().energy(node, component),
-            SimNet::Sharded(n) => n.node_energy(node, component),
-        }
-    }
-
-    fn link_flits(&self, node: usize, out_port: usize) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.link_flits(node, out_port),
-            SimNet::Sharded(n) => n.link_flits(node, out_port),
-        }
-    }
-
-    /// Runs the invariant audit appropriate to the engine: the
-    /// monolithic auditor walks the network directly; the sharded
-    /// engine audits each shard plus whole-network conservation
-    /// (mailbox flits included), with the energy-monotonicity check
-    /// applied to the deterministically summed total.
-    fn audit(&self, auditor: &mut InvariantAuditor) -> Vec<AuditViolation> {
-        match self {
-            SimNet::Mono(n) => auditor.check(n),
-            SimNet::Sharded(n) => {
-                let mut violations = n.audit();
-                auditor.check_energy(n.total_energy_j(), &mut violations);
-                violations
+    /// Enqueues this cycle's packets, tagging them while
+    /// `tagged_budget` lasts.
+    fn inject(&mut self, net: &mut ShardedNetwork, nodes: &[NodeId], tagged_budget: &mut u64) {
+        let cycle = net.cycle();
+        let mut enqueue = |src, dst| {
+            let tag = *tagged_budget > 0;
+            if tag {
+                *tagged_budget -= 1;
             }
-        }
-    }
-
-    /// Serializes the engine state framed with its identity: engine
-    /// kind, topology shape and shard count, then the engine's own
-    /// versioned image. The frame is what lets a resume reject a
-    /// snapshot taken under a different `--shards` or topology as a
-    /// typed mismatch instead of undefined behaviour.
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        let topo = &self.spec().topology;
-        w.u8(match self {
-            SimNet::Mono(_) => IMAGE_MONO,
-            SimNet::Sharded(_) => IMAGE_SHARDED,
-        });
-        w.u8(match topo.kind() {
-            TopologyKind::Torus => 0,
-            TopologyKind::Mesh => 1,
-        });
-        w.u8(topo.dims() as u8);
-        for dim in 0..topo.dims() {
-            w.u32(topo.radix(dim));
-        }
-        w.u32(self.shards());
-        let payload = match self {
-            SimNet::Mono(n) => n.snapshot(),
-            SimNet::Sharded(n) => n.snapshot(),
+            net.enqueue_packet(src, dst, tag);
         };
-        w.usize(payload.len());
-        w.bytes(&payload);
-        w.into_vec()
-    }
-
-    /// Restores a [`SimNet::snapshot`] image, validating the frame
-    /// against this engine's identity first: a snapshot taken under a
-    /// different engine kind, topology or shard count is a
-    /// [`SnapshotError::Mismatch`] before any state is touched.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.u8()?;
-        let expected_tag = match self {
-            SimNet::Mono(_) => IMAGE_MONO,
-            SimNet::Sharded(_) => IMAGE_SHARDED,
-        };
-        if tag != expected_tag {
-            return Err(SnapshotError::Mismatch(
-                "engine shard mode (monolithic vs sharded image)",
-            ));
-        }
-        let topo = &self.spec().topology;
-        let kind = match topo.kind() {
-            TopologyKind::Torus => 0,
-            TopologyKind::Mesh => 1,
-        };
-        if r.u8()? != kind {
-            return Err(SnapshotError::Mismatch("topology kind"));
-        }
-        if r.u8()? != topo.dims() as u8 {
-            return Err(SnapshotError::Mismatch("topology dimensions"));
-        }
-        for dim in 0..topo.dims() {
-            if r.u32()? != topo.radix(dim) {
-                return Err(SnapshotError::Mismatch("topology radix"));
+        match self {
+            Workload::Synthetic { pattern, rng } => {
+                for &node in nodes {
+                    if pattern.should_inject(node, rng) {
+                        if let Some(dst) = pattern.destination(node, rng) {
+                            enqueue(node, dst);
+                        }
+                    }
+                }
+            }
+            Workload::Trace(trace) => {
+                for (src, dst) in trace.injections_at(cycle) {
+                    enqueue(src, dst);
+                }
             }
         }
-        if r.u32()? != self.shards() {
-            return Err(SnapshotError::Mismatch("shard count"));
-        }
-        let len = r.usize()?;
-        let payload = r.take_bytes(len)?;
+    }
+
+    /// The resumable position as `RunCheckpoint`'s `(rng,
+    /// traffic_cursors, trace_cursor)`; the fields the other workload
+    /// kind owns stay zero/empty.
+    fn cursors(&self) -> ([u64; 4], Vec<usize>, usize) {
         match self {
-            SimNet::Mono(n) => n.restore(payload),
-            SimNet::Sharded(n) => n.restore(payload),
+            Workload::Synthetic { pattern, rng } => (rng.state(), pattern.cursors().to_vec(), 0),
+            Workload::Trace(trace) => ([0; 4], Vec::new(), trace.position()),
         }
+    }
+
+    /// Moves this workload to the position `ck` recorded.
+    fn restore(&mut self, ck: &RunCheckpoint) -> Result<(), SnapshotError> {
+        match self {
+            Workload::Synthetic { pattern, rng } => {
+                if !pattern.restore_cursors(&ck.traffic_cursors) {
+                    return Err(SnapshotError::Mismatch("traffic cursors"));
+                }
+                *rng = StdRng::from_state(ck.rng);
+            }
+            Workload::Trace(trace) => {
+                if ck.phase != RunPhase::Measure {
+                    return Err(SnapshotError::Mismatch("trace checkpoint phase"));
+                }
+                if !trace.seek(ck.trace_cursor) {
+                    return Err(SnapshotError::Mismatch("trace cursor"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-/// Builds a [`RunCheckpoint`] from the live run state at a cycle
-/// boundary. `rng`/`pattern` are `None` for trace replays (which use
-/// neither), `trace_cursor` is 0 for synthetic workloads.
-#[allow(clippy::too_many_arguments)]
-fn capture(
-    phase: RunPhase,
-    measure_start: u64,
-    tagged_budget: u64,
-    backlog_samples: &[usize],
-    rng: Option<&StdRng>,
-    pattern: Option<&TrafficPattern>,
-    trace_cursor: usize,
-    auditor: &InvariantAuditor,
-    net: &SimNet,
-) -> RunCheckpoint {
-    RunCheckpoint {
-        phase,
-        cycle: net.cycle(),
-        measure_start,
-        tagged_budget,
-        backlog_samples: backlog_samples.to_vec(),
-        rng: rng.map(|r| r.state()).unwrap_or([0; 4]),
-        traffic_cursors: pattern.map(|p| p.cursors().to_vec()).unwrap_or_default(),
-        trace_cursor,
-        auditor_energy: auditor.baseline(),
-        net: net.snapshot(),
+/// The periodic actions of a run, each on its own cycle stride.
+#[derive(Debug, Clone, Copy)]
+enum Periodic {
+    /// Observer probe sample.
+    Probe,
+    /// Invariant audit.
+    Audit,
+    /// Checkpoint capture offered to the hook.
+    Checkpoint,
+    /// Source-backlog sample for saturation divergence (the watchdog
+    /// window).
+    Backlog,
+}
+
+/// Every cycle boundary a run must not step or skip past: the stride
+/// of each [`Periodic`] action (`0` = off) and the cycle budget.
+#[derive(Debug, Clone, Copy)]
+struct Boundaries {
+    /// Indexed by `Periodic as usize`.
+    strides: [u64; 4],
+    max_cycles: u64,
+}
+
+impl Boundaries {
+    /// Whether `kind` fires at (post-step) `cycle`.
+    fn due(&self, kind: Periodic, cycle: u64) -> bool {
+        let stride = self.strides[kind as usize];
+        stride > 0 && cycle.is_multiple_of(stride)
     }
+
+    /// The farthest an idle skip from `cycle` toward the workload's
+    /// next event at `event` may jump: never past the budget, and never
+    /// eliding a firing stepping would have produced — the post-step
+    /// cycles in the gap are `cycle + 1 ..= target`, so each active
+    /// stride clamps the target to the last cycle before its next
+    /// multiple strictly after `cycle`.
+    fn next_after(&self, cycle: u64, event: u64) -> u64 {
+        self.strides
+            .iter()
+            .filter(|&&s| s > 0)
+            .map(|&s| (cycle + 1).div_ceil(s) * s - 1)
+            .fold(event.min(self.max_cycles), u64::min)
+    }
+}
+
+/// True when the last [`BACKLOG_SAMPLES`] window samples grow strictly
+/// and by at least two packets per node overall: the offered load is
+/// above capacity and the backlog diverges.
+fn diverging(samples: &[usize], nodes: usize) -> bool {
+    samples.len() >= BACKLOG_SAMPLES && {
+        let recent = &samples[samples.len() - BACKLOG_SAMPLES..];
+        recent.windows(2).all(|w| w[1] > w[0])
+            && recent[BACKLOG_SAMPLES - 1] - recent[0] >= 2 * nodes
+    }
+}
+
+/// Every shard's local invariants plus whole-network flit conservation
+/// (mailbox flits included), with the energy-monotonicity check applied
+/// to the deterministically summed total.
+fn audit(net: &ShardedNetwork, auditor: &mut InvariantAuditor) -> Vec<AuditViolation> {
+    let mut violations = net.audit();
+    auditor.check_energy(net.total_energy_j(), &mut violations);
+    violations
 }
 
 #[cfg(test)]
@@ -1503,6 +1191,159 @@ mod tests {
             "a ~{}-cycle run on a 50-cycle stride takes checkpoints",
             hooked.measured_cycles()
         );
+
+        // Every boundary kind at once on a replay with an idle hole:
+        // audit and checkpoint strides clamp the skip, and a budget
+        // that divides by neither ends it either past the trace (7777)
+        // or inside the hole (2503). The report must not notice.
+        for max_cycles in [7777, 2503] {
+            let replay = || gapped_trace_experiment(5000).max_cycles(max_cycles);
+            let plain = replay().run().unwrap();
+            let mut hook = CollectHook::new(53, None);
+            let RunResult::Finished(busy) = replay()
+                .audit_every(37)
+                .run_with_hook(&mut hook, None)
+                .unwrap()
+            else {
+                panic!("hook never stops, run must finish")
+            };
+            assert_eq!(fingerprint(&busy), fingerprint(&plain));
+            assert_eq!(busy.outcome(), plain.outcome());
+            assert_eq!(
+                hook.checkpoints.len() as u64,
+                plain.measured_cycles() / 53,
+                "one checkpoint per stride boundary, skipped or stepped"
+            );
+        }
+    }
+
+    /// Two 40-packet bursts `hole` cycles apart: the network drains
+    /// and sits idle in between, far longer than the watchdog window.
+    fn gapped_trace_experiment(hole: u64) -> Experiment {
+        use orion_net::{TraceEvent, TraceTraffic};
+        let events: Vec<TraceEvent> = (0..80u64)
+            .map(|i| TraceEvent {
+                cycle: if i < 40 { i * 2 } else { hole + i * 2 },
+                src: NodeId((i % 16) as usize),
+                dst: NodeId(((i + 5) % 16) as usize),
+            })
+            .collect();
+        Experiment::new(presets::vc16_onchip())
+            .trace(TraceTraffic::new(events))
+            .max_cycles(50_000)
+    }
+
+    #[test]
+    fn first_packet_after_a_quiet_gap_is_not_a_livelock() {
+        // About one packet per 6000 cycles network-wide: every packet
+        // arrives after a silence longer than the default window.
+        let r = Experiment::new(presets::vc64_onchip())
+            .injection_rate(1e-5)
+            .seed(7)
+            .warmup(0)
+            .sample_packets(5)
+            .run()
+            .unwrap();
+        assert_eq!(r.outcome(), &RunOutcome::Completed);
+        assert_eq!(r.stats().sample_count(), 5);
+    }
+
+    #[test]
+    fn trace_with_a_long_hole_completes_at_any_shard_count_and_across_resume() {
+        let baseline = gapped_trace_experiment(5000).run().unwrap();
+        assert_eq!(baseline.outcome(), &RunOutcome::Completed);
+        assert_eq!(baseline.stats().packets_delivered, 80);
+        let sharded = gapped_trace_experiment(5000).shards(2).run().unwrap();
+        assert_eq!(fingerprint(&sharded), fingerprint(&baseline));
+        assert_eq!(sharded.outcome(), &RunOutcome::Completed);
+        // Stop in the middle of the hole (drained, mid-skip) and resume:
+        // the livelock clock travels in the network image.
+        for shards in [1, 2] {
+            let mut hook = CollectHook::new(1000, Some(3000));
+            let RunResult::Aborted(ck) = gapped_trace_experiment(5000)
+                .shards(shards)
+                .run_with_hook(&mut hook, None)
+                .unwrap()
+            else {
+                panic!("the replay reaches cycle 3000")
+            };
+            assert_eq!(ck.cycle, 3000);
+            let ck = RunCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+            let mut quiet = CollectHook::new(1000, None);
+            let RunResult::Finished(resumed) = gapped_trace_experiment(5000)
+                .shards(shards)
+                .run_with_hook(&mut quiet, Some(ck))
+                .unwrap()
+            else {
+                panic!("resume runs to completion")
+            };
+            assert_eq!(fingerprint(&resumed), fingerprint(&baseline));
+            assert_eq!(resumed.outcome(), &RunOutcome::Completed);
+        }
+    }
+
+    #[test]
+    fn boundaries_never_skip_past_a_due_stride() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..2000 {
+            let mut strides = [0u64; 4];
+            for s in &mut strides {
+                // Off about a third of the time, else small or large.
+                *s = match rng.gen_range(0..3u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..8u64),
+                    _ => rng.gen_range(1..5000u64),
+                };
+            }
+            let bounds = Boundaries {
+                strides,
+                max_cycles: rng.gen_range(1..20_000u64),
+            };
+            let cycle = rng.gen_range(0..10_000u64);
+            let event = cycle + rng.gen_range(0..10_000u64);
+
+            // `due` is `is_multiple_of` on the kind's own stride.
+            for (kind, stride) in [
+                Periodic::Probe,
+                Periodic::Audit,
+                Periodic::Checkpoint,
+                Periodic::Backlog,
+            ]
+            .into_iter()
+            .zip(strides)
+            {
+                assert_eq!(
+                    bounds.due(kind, cycle),
+                    stride > 0 && cycle.is_multiple_of(stride)
+                );
+            }
+
+            // `next_after` is the minimum the run loop used to compute
+            // by hand: event, budget, and one clamp per active stride.
+            let target = bounds.next_after(cycle, event);
+            let mut by_hand = event.min(bounds.max_cycles);
+            for s in strides.into_iter().filter(|&s| s > 0) {
+                by_hand = by_hand.min((cycle + 1).div_ceil(s) * s - 1);
+            }
+            assert_eq!(target, by_hand);
+            // Skipping to `target` steps over no post-step cycle at
+            // which anything is due...
+            for post in cycle + 1..=target {
+                for s in strides.into_iter().filter(|&s| s > 0) {
+                    assert!(!post.is_multiple_of(s), "{post} elided (stride {s})");
+                }
+            }
+            // ...and stops for a reason: the event, the budget, or a
+            // stride due right after the next step.
+            assert!(
+                target == event
+                    || target == bounds.max_cycles
+                    || strides
+                        .iter()
+                        .any(|&s| s > 0 && (target + 1).is_multiple_of(s))
+            );
+        }
     }
 
     #[test]
@@ -1588,6 +1429,18 @@ mod tests {
             .run_with_hook(&mut quiet, Some(bad))
             .unwrap_err();
         assert!(matches!(err, RunError::Resume(_)), "got {err}");
+        // An image behind a leading engine-kind tag, as 0.8.0 framed
+        // it, reads as an unknown version — never as a shifted image.
+        let mut old_frame = (*ck).clone();
+        old_frame.net.insert(0, 1);
+        let mut quiet = CollectHook::new(0, None);
+        let err = ckpt_experiment()
+            .run_with_hook(&mut quiet, Some(old_frame))
+            .unwrap_err();
+        assert!(
+            matches!(err, RunError::Resume(SnapshotError::WrongVersion(_))),
+            "got {err}"
+        );
         // A checkpoint from a different experiment shape too.
         let mut quiet = CollectHook::new(0, None);
         let err = Experiment::new(presets::wh64_onchip())

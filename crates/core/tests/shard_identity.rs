@@ -4,9 +4,10 @@
 //! to `f64::to_bits` — on both the paper's 4×4 presets (pinned against
 //! the golden grid in `differential_identity.rs`) and a 16×16 torus
 //! that actually exercises many-router shards. Checkpoints taken from
-//! a sharded run must resume bit-identically, and a snapshot captured
-//! at one shard count must be a *typed* error — never silent
-//! corruption — when restored at another.
+//! any run (one shard *is* the monolithic engine) must resume
+//! bit-identically, and a snapshot captured at one shard count or
+//! topology must be a *typed* error — never silent corruption — when
+//! restored at another.
 
 use orion_core::{
     presets, ConfigError, Experiment, NetworkConfig, Report, RunCheckpoint, RunControl, RunError,
@@ -134,37 +135,40 @@ fn report_of(result: RunResult) -> Report {
 }
 
 #[test]
-fn sharded_checkpoint_resumes_bit_identically() {
+fn checkpoint_resumes_bit_identically_at_any_shard_count() {
     let cfg = presets::vc16_onchip();
-    let baseline = report_of(
-        experiment(&cfg, 2)
-            .run_with_hook(&mut Passive, None)
-            .expect("valid"),
-    );
+    // One shard is the monolithic engine: same type, same image frame.
+    for shards in [1usize, 2] {
+        let baseline = report_of(
+            experiment(&cfg, shards)
+                .run_with_hook(&mut Passive, None)
+                .expect("valid"),
+        );
 
-    // Interrupt a two-shard run mid-flight, then resume it.
-    let mut stopper = StopAtFirst {
-        every: 120,
-        taken: None,
-    };
-    match experiment(&cfg, 2)
-        .run_with_hook(&mut stopper, None)
-        .expect("valid")
-    {
-        RunResult::Aborted(_) => {}
-        RunResult::Finished(_) => panic!("run finished before the first checkpoint"),
+        // Interrupt the run mid-flight, then resume it.
+        let mut stopper = StopAtFirst {
+            every: 120,
+            taken: None,
+        };
+        match experiment(&cfg, shards)
+            .run_with_hook(&mut stopper, None)
+            .expect("valid")
+        {
+            RunResult::Aborted(_) => {}
+            RunResult::Finished(_) => panic!("run finished before the first checkpoint"),
+        }
+        let checkpoint = stopper.taken.expect("hook captured a checkpoint");
+        let resumed = report_of(
+            experiment(&cfg, shards)
+                .run_with_hook(&mut Passive, Some(checkpoint))
+                .expect("resume"),
+        );
+        assert_eq!(
+            fingerprint(&baseline),
+            fingerprint(&resumed),
+            "interrupt + resume perturbed a {shards}-shard run"
+        );
     }
-    let checkpoint = stopper.taken.expect("hook captured a checkpoint");
-    let resumed = report_of(
-        experiment(&cfg, 2)
-            .run_with_hook(&mut Passive, Some(checkpoint))
-            .expect("resume"),
-    );
-    assert_eq!(
-        fingerprint(&baseline),
-        fingerprint(&resumed),
-        "interrupt + resume perturbed a sharded run"
-    );
 }
 
 #[test]
@@ -179,26 +183,36 @@ fn checkpoint_shard_count_mismatch_is_typed() {
         .expect("valid");
     let foreign = stopper.taken.expect("hook captured a checkpoint");
 
-    // A 4-shard image offered to a single-engine run: the frame's
-    // engine tag disagrees before any state is touched.
-    match experiment(&cfg, 1).run_with_hook(&mut Passive, Some(foreign.clone())) {
-        Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
-            assert!(
-                what.contains("shard"),
-                "mismatch should name the shard frame, got: {what}"
-            );
+    // A 4-shard image offered to a 1- or 2-shard run: the image's
+    // recorded shard count disagrees before any state is touched.
+    for shards in [1usize, 2] {
+        match experiment(&cfg, shards).run_with_hook(&mut Passive, Some(foreign.clone())) {
+            Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
+                assert_eq!(what, "shard count", "at {shards} shard(s)");
+            }
+            other => panic!("expected a typed resume mismatch, got {other:?}"),
         }
-        other => panic!("expected a typed resume mismatch, got {other:?}"),
     }
+}
 
-    // And at a *different* sharded count: engine tags agree, the
-    // recorded shard count does not.
-    match experiment(&cfg, 2).run_with_hook(&mut Passive, Some(foreign)) {
+#[test]
+fn torus_checkpoint_rejected_by_same_size_mesh() {
+    // Same node count, same ports per router: only the image's own
+    // topology identity tells the two apart.
+    let torus = presets::vc16_onchip();
+    let mut mesh = torus.clone();
+    mesh.topology = Topology::mesh(&[4, 4]).expect("4x4 mesh is valid");
+    let mut stopper = StopAtFirst {
+        every: 120,
+        taken: None,
+    };
+    experiment(&torus, 1)
+        .run_with_hook(&mut stopper, None)
+        .expect("valid");
+    let torus_ck = stopper.taken.expect("hook captured a checkpoint");
+    match experiment(&mesh, 1).run_with_hook(&mut Passive, Some(torus_ck)) {
         Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
-            assert!(
-                what.contains("shard count"),
-                "mismatch should name the shard count, got: {what}"
-            );
+            assert_eq!(what, "topology kind");
         }
         other => panic!("expected a typed resume mismatch, got {other:?}"),
     }

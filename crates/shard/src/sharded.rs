@@ -11,7 +11,7 @@
 //! for the argument, and this crate's tests for the proof by
 //! comparison).
 
-use orion_net::{FaultSchedule, NodeId};
+use orion_net::{FaultSchedule, NodeId, TopologyKind};
 use orion_obs::{NodeState, ObsEvent, ObsSink};
 use orion_sim::energy::Component;
 use orion_sim::network::{EngineMode, Network, NetworkSpec};
@@ -62,8 +62,15 @@ pub struct ShardedNetwork {
     /// The single global packet-id sequence, threaded through
     /// whichever shard injects next.
     next_packet: u64,
-    /// The master observer; shard engines carry recorder sinks whose
-    /// events are replayed into it in canonical order.
+    /// Cycle of the last enqueue that found the whole network empty —
+    /// where the livelock clock restarts after a quiet gap. Kept here,
+    /// from network-wide counts, because a shard's own counters cannot
+    /// tell (a boundary packet is enqueued in one shard and ejected in
+    /// another).
+    busy_since: u64,
+    /// The master observer of a multi-shard network; shard engines
+    /// carry recorder sinks whose events are replayed into it in
+    /// canonical order. (A lone engine holds the master sink itself.)
     obs: Option<Box<ObsSink>>,
     parallel: bool,
 }
@@ -107,6 +114,7 @@ impl ShardedNetwork {
             plan,
             spec,
             next_packet: 0,
+            busy_since: 0,
             obs: None,
             parallel: std::thread::available_parallelism()
                 .map(|n| n.get() > 1)
@@ -266,6 +274,10 @@ impl ShardedNetwork {
         len: u32,
         tagged: bool,
     ) -> PacketId {
+        let (enqueued, ejected, dropped) = self.audit_counters();
+        if enqueued == ejected + dropped {
+            self.busy_since = self.cycle();
+        }
         let s = self.plan.shard_of(src.0);
         let cell = &mut self.cells[s];
         cell.net.set_next_packet(self.next_packet);
@@ -286,9 +298,14 @@ impl ShardedNetwork {
         id
     }
 
-    /// Attaches the master observer; every shard engine gets a
-    /// recorder sink feeding it.
+    /// Attaches the master observer. Shard engines get recorder sinks
+    /// feeding it; a lone engine already emits events in canonical
+    /// order, so it carries the master sink itself and nothing is
+    /// recorded or replayed.
     pub fn set_obs(&mut self, obs: ObsSink) {
+        if let [solo] = &mut self.cells[..] {
+            return solo.net.set_obs(obs);
+        }
         self.obs = Some(Box::new(obs));
         for cell in &mut self.cells {
             cell.net.set_obs(ObsSink::recorder());
@@ -297,17 +314,26 @@ impl ShardedNetwork {
 
     /// The attached master observer, if any.
     pub fn obs(&self) -> Option<&ObsSink> {
-        self.obs.as_deref()
+        match &self.cells[..] {
+            [solo] => solo.net.obs(),
+            _ => self.obs.as_deref(),
+        }
     }
 
     /// Mutable access to the master observer.
     pub fn obs_mut(&mut self) -> Option<&mut ObsSink> {
-        self.obs.as_deref_mut()
+        match &mut self.cells[..] {
+            [solo] => solo.net.obs_mut(),
+            _ => self.obs.as_deref_mut(),
+        }
     }
 
     /// Detaches and returns the master observer, dropping the shard
     /// recorders.
     pub fn take_obs(&mut self) -> Option<ObsSink> {
+        if let [solo] = &mut self.cells[..] {
+            return solo.net.take_obs();
+        }
         self.replay_obs();
         for cell in &mut self.cells {
             cell.net.take_obs();
@@ -442,26 +468,25 @@ impl ShardedNetwork {
             .expect("at least one shard")
     }
 
-    /// Whole-network watchdog check, mirroring
-    /// [`Network::check_stall`] over the merged progress clocks.
+    /// Whole-network watchdog check: [`Network::check_stall`] over the
+    /// merged progress clocks and network-wide packet counts, so the
+    /// verdict is the same at every shard count.
     pub fn check_stall(&self, window: u64) -> Option<StallKind> {
         if window == 0 || self.is_drained() {
             return None;
         }
         let cycle = self.cycle();
-        if cycle - self.last_progress_cycle() >= window {
-            return Some(StallKind::Deadlock);
-        }
         let injected: u64 = self
             .cells
             .iter()
             .map(|c| c.net.stats().packets_injected)
             .sum();
         let undelivered = injected > self.packets_delivered() + self.packets_dropped();
-        if undelivered && cycle - self.last_delivery_cycle() >= window {
-            return Some(StallKind::Livelock);
-        }
-        None
+        StallKind::classify(
+            window,
+            cycle - self.last_progress_cycle(),
+            undelivered.then(|| cycle - self.last_delivery_cycle().max(self.busy_since)),
+        )
     }
 
     /// Whole-network stall diagnostics: merged progress clocks plus
@@ -488,18 +513,21 @@ impl ShardedNetwork {
         }
     }
 
+    /// The monotone flit counters `(enqueued, ejected, dropped)` summed
+    /// over shards (see [`Network::audit_counters`]).
+    fn audit_counters(&self) -> (u64, u64, u64) {
+        self.cells.iter().fold((0, 0, 0), |acc, cell| {
+            let (e, j, d) = cell.net.audit_counters();
+            (acc.0 + e, acc.1 + j, acc.2 + d)
+        })
+    }
+
     /// Runs every stateless invariant check: whole-network flit
     /// conservation (boundary flits in transit count as in flight),
     /// then each shard's local checks in shard order.
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
-        let (mut enqueued, mut ejected, mut dropped) = (0u64, 0u64, 0u64);
-        for cell in &self.cells {
-            let (e, j, d) = cell.net.audit_counters();
-            enqueued += e;
-            ejected += j;
-            dropped += d;
-        }
+        let (enqueued, ejected, dropped) = self.audit_counters();
         let in_flight = self.flits_in_flight() as u64;
         if enqueued != ejected + dropped + in_flight {
             violations.push(AuditViolation::FlitConservation {
@@ -556,16 +584,25 @@ impl ShardedNetwork {
         }
     }
 
-    /// Serialises the complete sharded state: plan, packet sequence,
-    /// every shard engine's payload, and the boundary mailboxes.
+    /// Serialises the complete sharded state: the network's identity
+    /// (topology kind, dimensions, radices and the shard plan), packet
+    /// sequence, watchdog clock, every shard engine's payload, and the
+    /// boundary mailboxes.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(SNAPSHOT_VERSION);
+        let topo = &self.spec.topology;
+        w.u8(topology_kind_tag(topo.kind()));
+        w.u8(topo.dims() as u8);
+        for dim in 0..topo.dims() {
+            w.u32(topo.radix(dim));
+        }
         w.usize(self.plan.shards());
         for &b in self.plan.bounds() {
             w.usize(b);
         }
         w.u64(self.next_packet);
+        w.u64(self.busy_since);
         for cell in &self.cells {
             let payload = cell.net.snapshot();
             w.usize(payload.len());
@@ -577,14 +614,29 @@ impl ShardedNetwork {
 
     /// Restores state captured by [`ShardedNetwork::snapshot`] into
     /// this network, which must have been freshly built from the same
-    /// spec, models and plan. A snapshot taken at a different shard
-    /// count is a typed [`SnapshotError::Mismatch`], never a panic or
-    /// a silently wrong resume.
+    /// spec, models and plan. The image's identity is validated before
+    /// any state is touched: a snapshot taken on a different topology
+    /// kind or shape, or at a different shard count, is a typed
+    /// [`SnapshotError::Mismatch`], never a panic or a silently wrong
+    /// resume ([`Network::restore`] alone cannot tell a torus image
+    /// from a same-size mesh one).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::WrongVersion(version));
+        }
+        let topo = &self.spec.topology;
+        if r.u8()? != topology_kind_tag(topo.kind()) {
+            return Err(SnapshotError::Mismatch("topology kind"));
+        }
+        if r.u8()? != topo.dims() as u8 {
+            return Err(SnapshotError::Mismatch("topology dimensions"));
+        }
+        for dim in 0..topo.dims() {
+            if r.u32()? != topo.radix(dim) {
+                return Err(SnapshotError::Mismatch("topology radix"));
+            }
         }
         if r.usize()? != self.plan.shards() {
             return Err(SnapshotError::Mismatch("shard count"));
@@ -595,6 +647,7 @@ impl ShardedNetwork {
             }
         }
         let next_packet = r.u64()?;
+        let busy_since = r.u64()?;
         for cell in &mut self.cells {
             let len = r.count(1)?;
             let payload = r.take_bytes(len)?;
@@ -606,6 +659,14 @@ impl ShardedNetwork {
             return Err(SnapshotError::Invalid("shard cycles out of step"));
         }
         self.next_packet = next_packet;
+        self.busy_since = busy_since;
         Ok(())
+    }
+}
+
+fn topology_kind_tag(kind: TopologyKind) -> u8 {
+    match kind {
+        TopologyKind::Torus => 0,
+        TopologyKind::Mesh => 1,
     }
 }

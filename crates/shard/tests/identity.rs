@@ -15,7 +15,7 @@ use orion_power::{
 };
 use orion_shard::ShardedNetwork;
 use orion_sim::energy::Component;
-use orion_sim::{Network, NetworkSpec, PowerModels, RouterKind, VcRouterSpec};
+use orion_sim::{Network, NetworkSpec, PowerModels, RouterKind, StallKind, VcRouterSpec};
 use orion_tech::{Microns, ProcessNode, Technology};
 
 fn models(ports: u32) -> PowerModels {
@@ -92,11 +92,14 @@ fn drive<E: Engine>(net: &mut E, radices: &[u32], inject_cycles: u64, seed: u64)
     }
 }
 
-/// The minimal uniform surface `drive` needs over both network forms.
+/// The minimal uniform surface the comparisons need over both network
+/// forms.
 trait Engine {
     fn enqueue(&mut self, src: NodeId, dst: NodeId, tag: bool) -> u64;
     fn step_once(&mut self);
     fn drained(&self) -> bool;
+    fn skip_to(&mut self, target: u64);
+    fn stall(&self, window: u64) -> Option<StallKind>;
 }
 
 impl Engine for Network {
@@ -109,6 +112,12 @@ impl Engine for Network {
     fn drained(&self) -> bool {
         self.is_drained()
     }
+    fn skip_to(&mut self, target: u64) {
+        assert_eq!(self.skip_idle_cycles(target), target);
+    }
+    fn stall(&self, window: u64) -> Option<StallKind> {
+        self.check_stall(window)
+    }
 }
 
 impl Engine for ShardedNetwork {
@@ -120,6 +129,12 @@ impl Engine for ShardedNetwork {
     }
     fn drained(&self) -> bool {
         self.is_drained()
+    }
+    fn skip_to(&mut self, target: u64) {
+        assert_eq!(self.skip_idle_cycles(target), target);
+    }
+    fn stall(&self, window: u64) -> Option<StallKind> {
+        self.check_stall(window)
     }
 }
 
@@ -195,6 +210,45 @@ fn threaded_stepping_matches_mono() {
 #[test]
 fn shards_match_mono_on_8x8() {
     run_identity(&[8, 8], 2, 4, false);
+}
+
+/// Bursts separated by silences many watchdog windows long, with a
+/// window shorter than a packet's flight: every cycle's verdict.
+fn watchdog_verdicts<E: Engine>(net: &mut E, starts: &[u64]) -> Vec<Option<StallKind>> {
+    let mut verdicts = Vec::new();
+    for &start in starts {
+        net.skip_to(start);
+        // Corner to corner both ways: crosses every shard boundary.
+        net.enqueue(NodeId(0), NodeId(15), true);
+        net.enqueue(NodeId(15), NodeId(0), true);
+        while !net.drained() {
+            net.step_once();
+            verdicts.push(net.stall(4));
+        }
+    }
+    verdicts
+}
+
+#[test]
+fn watchdog_verdicts_match_mono_across_gaps_and_restores() {
+    let radices = [4u32, 4];
+    let mut mono = Network::new(spec(&radices, 2), models(5));
+    let expected = watchdog_verdicts(&mut mono, &[0, 300, 900]);
+    assert!(expected.contains(&Some(StallKind::Livelock)));
+    // No burst inherits the previous one's clock: all three read alike.
+    let third = expected.len() / 3;
+    assert_eq!(expected[..third], expected[third..2 * third]);
+    for shards in [1usize, 2, 4] {
+        let mut sharded = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        sharded.set_parallel(false);
+        let mut verdicts = watchdog_verdicts(&mut sharded, &[0, 300]);
+        // The livelock clock travels in the image: restore in the gap.
+        let mut restored = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        restored.set_parallel(false);
+        restored.restore(&sharded.snapshot()).expect("restore");
+        verdicts.extend(watchdog_verdicts(&mut restored, &[900]));
+        assert_eq!(verdicts, expected, "{shards} shard(s)");
+    }
 }
 
 #[test]

@@ -197,20 +197,6 @@ pub enum EngineMode {
     DenseReference,
 }
 
-impl EngineMode {
-    /// Engine mode from the `ORION_ENGINE` environment variable:
-    /// `dense` selects [`EngineMode::DenseReference`], anything else
-    /// (including unset) the default sparse engine. This is how the CI
-    /// identity jobs drive whole CLI runs under the reference engine
-    /// without a flag on every subcommand.
-    pub fn from_env() -> EngineMode {
-        match std::env::var("ORION_ENGINE").ok().as_deref() {
-            Some("dense") | Some("dense-reference") => EngineMode::DenseReference,
-            _ => EngineMode::Sparse,
-        }
-    }
-}
-
 /// An event was scheduled outside its wheel's fixed horizon — either
 /// past the last covered slot or before the wheel's base cycle. The
 /// wheels cover 4 cycles because the engine only ever schedules at
@@ -515,6 +501,10 @@ pub struct Network {
     last_delivery: u64,
     /// Last cycle at which a credit returned upstream.
     last_credit: u64,
+    /// Cycle of the last enqueue that found the engine empty — where
+    /// the livelock clock restarts after a quiet gap (see
+    /// [`StallKind::classify`]).
+    busy_since: u64,
     /// Injected faults consulted at routing time; None = all healthy.
     fault_schedule: Option<FaultSchedule>,
     /// wires[node * ports + out_port]; None for the local port.
@@ -661,13 +651,14 @@ impl Network {
             last_progress: 0,
             last_delivery: 0,
             last_credit: 0,
+            busy_since: 0,
             fault_schedule: None,
             wires,
             audit_enqueued: 0,
             audit_ejected: 0,
             audit_dropped: 0,
             obs: None,
-            engine: EngineMode::from_env(),
+            engine: EngineMode::default(),
             activity: Activity::new(hi - lo),
             spec,
         }
@@ -888,6 +879,9 @@ impl Network {
                 s.depth
             );
         }
+        if self.audit_enqueued == self.audit_ejected + self.audit_dropped {
+            self.busy_since = self.cycle;
+        }
         let id = PacketId(self.next_packet);
         self.next_packet += 1;
         self.stats.packets_injected += 1;
@@ -1001,7 +995,10 @@ impl Network {
     ///   `window` cycles (a resource cycle; §4.1's wormhole-torus
     ///   warning).
     /// * [`StallKind::Livelock`] — flits still move, but no packet has
-    ///   completed delivery for `window` cycles.
+    ///   completed delivery for `window` cycles, counted from the later
+    ///   of the last delivery and the last enqueue into an empty
+    ///   network (so the first packet after a long silence is not
+    ///   mistaken for a window without deliveries).
     ///
     /// [`StallKind::Saturation`] is never returned here: saturation is
     /// a *divergence* (deliveries continue while source backlog grows
@@ -1011,15 +1008,13 @@ impl Network {
         if window == 0 || self.is_drained() {
             return None;
         }
-        if self.cycles_since_progress() >= window {
-            return Some(StallKind::Deadlock);
-        }
         let undelivered =
             self.stats.packets_injected > self.stats.packets_delivered + self.stats.packets_dropped;
-        if undelivered && self.cycle - self.last_delivery >= window {
-            return Some(StallKind::Livelock);
-        }
-        None
+        StallKind::classify(
+            window,
+            self.cycle - self.last_progress,
+            undelivered.then(|| self.cycle - self.last_delivery.max(self.busy_since)),
+        )
     }
 
     /// Captures a [`StallDiagnostics`] snapshot: the progress clocks
@@ -1781,6 +1776,7 @@ impl Network {
         w.u64(self.last_progress);
         w.u64(self.last_delivery);
         w.u64(self.last_credit);
+        w.u64(self.busy_since);
         w.u64(self.audit_enqueued);
         w.u64(self.audit_ejected);
         w.u64(self.audit_dropped);
@@ -1931,6 +1927,7 @@ impl Network {
         let last_progress = r.u64()?;
         let last_delivery = r.u64()?;
         let last_credit = r.u64()?;
+        let busy_since = r.u64()?;
         let audit_enqueued = r.u64()?;
         let audit_ejected = r.u64()?;
         let audit_dropped = r.u64()?;
@@ -2152,6 +2149,7 @@ impl Network {
         self.last_progress = last_progress;
         self.last_delivery = last_delivery;
         self.last_credit = last_credit;
+        self.busy_since = busy_since;
         self.audit_enqueued = audit_enqueued;
         self.audit_ejected = audit_ejected;
         self.audit_dropped = audit_dropped;
@@ -2827,6 +2825,43 @@ mod tests {
         }
         assert!(net.is_drained());
         assert_eq!(net.check_stall(500), None, "drained network never stalls");
+    }
+
+    #[test]
+    fn livelock_clock_restarts_after_a_quiet_gap_but_still_trips() {
+        // A window shorter than one packet's flight time: movement
+        // without a delivery for a full window is the livelock shape.
+        const WINDOW: u64 = 4;
+        let mut verdicts = Vec::new();
+        let mut net = vc_net(2, 8);
+        for start in [0, 500] {
+            // The second packet arrives after a silence of many windows
+            // (stepped halfway, skipped the rest): its first cycles
+            // must read exactly like the first packet's.
+            while net.cycle() < start / 2 {
+                net.step();
+            }
+            net.skip_idle_cycles(start);
+            assert_eq!(net.cycle(), start);
+            net.enqueue_packet(NodeId(0), NodeId(10), true);
+            loop {
+                net.step();
+                if net.is_drained() {
+                    break;
+                }
+                verdicts.push((net.cycle() - start, net.check_stall(WINDOW)));
+            }
+        }
+        let (first, second) = verdicts.split_at(verdicts.len() / 2);
+        assert_eq!(first, second, "the gap changed the verdicts");
+        for &(age, verdict) in first {
+            let expected = (age >= WINDOW).then_some(StallKind::Livelock);
+            assert_eq!(verdict, expected, "{age} cycles after the enqueue");
+        }
+        assert!(
+            first.len() as u64 > WINDOW,
+            "the fixture outlives the window"
+        );
     }
 
     #[test]

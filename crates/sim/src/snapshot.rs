@@ -30,7 +30,7 @@ use std::fmt;
 
 /// Version byte leading every [`Network`](crate::network::Network)
 /// snapshot payload, bumped on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Error decoding or applying a state snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

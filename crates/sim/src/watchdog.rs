@@ -33,6 +33,32 @@ pub enum StallKind {
     Saturation,
 }
 
+impl StallKind {
+    /// The watchdog verdict for a network that still holds flits, from
+    /// its network-wide progress clocks: `since_progress` cycles since
+    /// any flit moved, and — when some injected packet is neither
+    /// delivered nor dropped — `since_delivery` cycles on the livelock
+    /// clock, which starts at the later of the last delivery and the
+    /// last enqueue into an empty network. One definition shared by
+    /// [`Network::check_stall`] and the sharded engine, so the verdict
+    /// cannot depend on the shard count.
+    ///
+    /// [`Network::check_stall`]: crate::network::Network::check_stall
+    pub fn classify(
+        window: u64,
+        since_progress: u64,
+        since_delivery: Option<u64>,
+    ) -> Option<StallKind> {
+        if since_progress >= window {
+            Some(StallKind::Deadlock)
+        } else if since_delivery.is_some_and(|quiet| quiet >= window) {
+            Some(StallKind::Livelock)
+        } else {
+            None
+        }
+    }
+}
+
 impl fmt::Display for StallKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
