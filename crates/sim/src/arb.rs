@@ -240,7 +240,7 @@ impl RoundRobinArbiter {
         };
         let mut flips = 0;
         if let Some(g) = winner {
-            let new_next = (g + 1) % self.requesters;
+            let new_next = if g + 1 == self.requesters { 0 } else { g + 1 };
             if new_next != self.next {
                 // One-hot token moved: two flops toggle.
                 flips = 2;
@@ -259,9 +259,15 @@ impl RoundRobinArbiter {
 
     /// Grants up to `max_grants` distinct requesters this round,
     /// rotating fairly (used for the central buffer's multi-ported
-    /// read/write allocation).
-    pub fn arbitrate_multi(&mut self, requests: u128, max_grants: usize) -> (Vec<usize>, Grant) {
-        let mut winners = Vec::new();
+    /// read/write allocation). `winners` is cleared and filled in grant
+    /// order — caller-owned so a per-cycle caller never allocates.
+    pub fn arbitrate_multi(
+        &mut self,
+        requests: u128,
+        max_grants: usize,
+        winners: &mut Vec<usize>,
+    ) -> Grant {
+        winners.clear();
         let mut remaining = requests;
         let mut last = Grant {
             winner: None,
@@ -284,7 +290,7 @@ impl RoundRobinArbiter {
         }
         last.winner = winners.first().copied();
         self.prev_requests = requests;
-        (winners, last)
+        last
     }
 
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
@@ -384,10 +390,11 @@ mod tests {
     #[test]
     fn multi_grant_caps_and_dedupes() {
         let mut a = RoundRobinArbiter::new(5);
-        let (winners, _) = a.arbitrate_multi(0b11111, 2);
+        let (mut winners, mut winners2) = (Vec::new(), Vec::new());
+        a.arbitrate_multi(0b11111, 2, &mut winners);
         assert_eq!(winners.len(), 2);
         assert_ne!(winners[0], winners[1]);
-        let (winners2, _) = a.arbitrate_multi(0b11111, 2);
+        a.arbitrate_multi(0b11111, 2, &mut winners2);
         // Fairness: the next grants differ from the first pair.
         assert!(winners2.iter().all(|w| !winners.contains(w)));
     }
@@ -395,10 +402,11 @@ mod tests {
     #[test]
     fn multi_grant_fewer_requesters_than_grants() {
         let mut a = RoundRobinArbiter::new(4);
-        let (winners, _) = a.arbitrate_multi(0b0010, 3);
+        let mut winners = Vec::new();
+        a.arbitrate_multi(0b0010, 3, &mut winners);
         assert_eq!(winners, vec![1]);
-        let (none, g) = a.arbitrate_multi(0, 2);
-        assert!(none.is_empty());
+        let g = a.arbitrate_multi(0, 2, &mut winners);
+        assert!(winners.is_empty());
         assert_eq!(g.winner, None);
     }
 

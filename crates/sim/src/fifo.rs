@@ -109,14 +109,19 @@ impl<T> FlitFifo<T> {
         self.ring[self.head].as_ref().map(|(item, _)| item)
     }
 
-    /// Ring index of the `offset`-th queued flit.
-    fn slot_index(&self, offset: usize) -> usize {
-        let i = self.head + offset;
+    /// `i` (below `2 * capacity`) wrapped into the ring — a compare
+    /// instead of `% capacity`: the flit-hop path never divides.
+    fn wrap(&self, i: usize) -> usize {
         if i >= self.capacity {
             i - self.capacity
         } else {
             i
         }
+    }
+
+    /// Ring index of the `offset`-th queued flit.
+    fn slot_index(&self, offset: usize) -> usize {
+        self.wrap(self.head + offset)
     }
 
     fn enqueue(&mut self, item: T, stored: bool) {
@@ -134,7 +139,7 @@ impl<T> FlitFifo<T> {
             switching_cells: scaled_hamming(payload, self.slots[self.wr_ptr], self.width),
         };
         self.slots[self.wr_ptr] = payload;
-        self.wr_ptr = (self.wr_ptr + 1) % self.capacity;
+        self.wr_ptr = self.wrap(self.wr_ptr + 1);
         self.last_bus = payload;
         activity
     }
@@ -187,7 +192,7 @@ impl<T> FlitFifo<T> {
             return None;
         }
         let entry = self.ring[self.head].take().expect("head slot is occupied");
-        self.head = (self.head + 1) % self.capacity;
+        self.head = self.wrap(self.head + 1);
         self.len -= 1;
         Some(entry)
     }

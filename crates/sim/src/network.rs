@@ -1693,28 +1693,21 @@ impl Network {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.credit_returned();
                 }
-                // The upstream router sits in the direction of this
-                // input port; its output port is the opposite one.
-                let port = Port::from_index(credit.in_port, self.spec.topology.dims() as u8);
-                let Port::Dir { dim, dir } = port else {
-                    unreachable!("non-zero input ports are directional")
-                };
-                let upstream = self
-                    .spec
-                    .topology
-                    .neighbor(NodeId(node), dim as usize, dir)
+                // Links are symmetric: the wire leaving through this
+                // input port's direction ends at the upstream router,
+                // on the very port that router sends to us from.
+                let Wire {
+                    dest: upstream,
+                    dest_in_port: out_port,
+                    ..
+                } = self.wires[node * ports + credit.in_port]
                     .expect("torus/mesh wiring exists for used ports");
-                let out_port = Port::Dir {
-                    dim,
-                    dir: dir.opposite(),
-                }
-                .index();
-                if upstream.0 < self.lo || upstream.0 >= self.hi {
+                if upstream < self.lo || upstream >= self.hi {
                     io.send_credit(
-                        self.shard_of(upstream.0),
+                        self.shard_of(upstream),
                         cycle + 1,
                         CreditMsg {
-                            dest: upstream.0,
+                            dest: upstream,
                             out_port,
                             vc: credit.vc,
                         },
@@ -1724,7 +1717,7 @@ impl Network {
                 self.credit_wheel.schedule(
                     cycle + 1,
                     CreditArrival {
-                        dest: upstream.0,
+                        dest: upstream,
                         out_port,
                         vc: credit.vc,
                     },

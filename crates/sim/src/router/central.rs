@@ -99,6 +99,8 @@ pub struct CentralRouter {
     occupancy: usize,
     write_arb: RoundRobinArbiter,
     read_arb: RoundRobinArbiter,
+    /// Read-port winners of the current cycle (reused scratch).
+    read_winners: Vec<usize>,
     /// Downstream credits per output port (input-FIFO slots of the next
     /// router).
     out_credits: Vec<u32>,
@@ -125,6 +127,7 @@ impl CentralRouter {
             occupancy: 0,
             write_arb: RoundRobinArbiter::new(spec.ports.max(2)),
             read_arb: RoundRobinArbiter::new(spec.ports.max(2)),
+            read_winners: Vec::with_capacity(spec.read_ports),
             out_credits: vec![downstream_depth as u32; spec.ports],
             write_bus_last: 0,
             read_bus_last: 0,
@@ -291,9 +294,12 @@ impl CentralRouter {
         if mask == 0 {
             return;
         }
-        let (winners, grant) = self.read_arb.arbitrate_multi(mask, self.spec.read_ports);
+        let grant =
+            self.read_arb
+                .arbitrate_multi(mask, self.spec.read_ports, &mut self.read_winners);
         ledger.arbitration(self.node, &grant.activity);
-        for out_port in winners {
+        for i in 0..self.read_winners.len() {
+            let out_port = self.read_winners[i];
             let staged = self.out_queues[out_port]
                 .pop_front()
                 .expect("granted queue has a flit");

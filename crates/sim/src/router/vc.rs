@@ -195,6 +195,55 @@ impl VcRouterSpec {
         );
         assert!(self.sa_iterations >= 1, "need at least one SA iteration");
     }
+
+    /// Whether a packet of dateline class `class` may be allocated
+    /// output VC `vc` under the configured discipline.
+    fn vc_allowed(&self, class: u8, vc: usize) -> bool {
+        match self.discipline {
+            VcDiscipline::Unrestricted => true,
+            VcDiscipline::Dateline => {
+                let half = self.vcs / 2;
+                if class == 0 {
+                    vc < half
+                } else {
+                    vc >= half
+                }
+            }
+            VcDiscipline::Escape => vc >= 2 || vc == class as usize,
+        }
+    }
+
+    /// Downstream credits a flit must see before its switch request is
+    /// eligible: body flits always need one slot; heads need more under
+    /// cut-through (the whole packet) and bubble flow control (the whole
+    /// packet, plus a packet-sized bubble when entering a new dimension
+    /// or injecting — the condition that breaks torus deadlock cycles).
+    fn required_credits(
+        &self,
+        is_head: bool,
+        packet_len: u32,
+        in_port: usize,
+        out_port: usize,
+    ) -> u32 {
+        if !is_head {
+            return 1;
+        }
+        match self.flow_control {
+            FlowControl::FlitLevel => 1,
+            FlowControl::CutThrough => packet_len,
+            FlowControl::Bubble => {
+                // Same-dimension continuation keeps the ring's bubble
+                // intact; any dimension entry must leave one behind.
+                let same_dim =
+                    in_port != 0 && out_port != 0 && (in_port - 1) / 2 == (out_port - 1) / 2;
+                if same_dim {
+                    packet_len
+                } else {
+                    2 * packet_len
+                }
+            }
+        }
+    }
 }
 
 /// Per-input-VC packet state.
@@ -211,6 +260,9 @@ enum VcState {
 
 #[derive(Debug, Clone)]
 struct InputVc {
+    /// The input port this VC belongs to (`r / vcs`, fixed at
+    /// construction so the per-cycle scans never divide).
+    port: u8,
     fifo: FlitFifo<FlitRef>,
     state: VcState,
     /// Earliest cycle the head flit may compete for SA (set by VA).
@@ -245,29 +297,42 @@ impl InputVc {
 
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    /// The input VC whose packet currently holds this output VC.
-    owner: Option<(usize, usize)>,
+    /// The input VC (flat index `port * vcs + vc`) whose packet
+    /// currently holds this output VC.
+    owner: Option<usize>,
     /// Free buffer slots in the downstream input VC.
     credits: u32,
 }
 
+/// An input VC's switch request: the output it bids for, and whether a
+/// grant also claims that output (wormhole late binding).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SwitchRequest {
+    out_port: u8,
+    out_vc: u8,
+    claims: bool,
+}
+
 /// Pre-sized scratch buffers for the VA/SA stages, owned by the router
-/// so the per-cycle hot path never allocates (stages borrow them via a
-/// `mem::take` dance around `&mut self`).
-#[derive(Debug, Clone, Default)]
+/// so the per-cycle hot path never allocates (stages borrow them beside
+/// the router state by destructuring `self`). Input VCs are addressed
+/// by flat index `r = port * vcs + vc` throughout.
+#[derive(Debug, Clone)]
 struct Scratch {
     /// VA: requesting input VCs binned by output port.
     requests_per_out: Vec<u128>,
     /// VA: dateline class per requesting input VC (only entries whose
     /// request bit is set this cycle are ever read).
     classes: Vec<u8>,
-    /// SA: matched input / output ports this cycle.
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
-    /// SA stage 1 nominations: `(in_vc, out_port, out_vc, claims)`.
-    nominees: Vec<Option<(usize, usize, usize, bool)>>,
-    /// SA stage 1 per-VC request metadata: `(out_port, out_vc, claims)`.
-    meta: Vec<Option<(usize, usize, bool)>>,
+    /// SA: each input VC's request (only entries whose bit is set in
+    /// this cycle's `live` mask are ever read).
+    cand: Vec<SwitchRequest>,
+    /// SA: requesting input VCs binned by output port.
+    targets: Vec<u128>,
+    /// SA stage 1: the input VC each input port nominated, and the
+    /// nominating input ports binned by output port — stage 2's masks.
+    nominee: Vec<usize>,
+    nom_by_out: Vec<u128>,
 }
 
 impl Scratch {
@@ -275,12 +340,52 @@ impl Scratch {
         Scratch {
             requests_per_out: vec![0; ports],
             classes: vec![0; ports * vcs],
-            in_matched: vec![false; ports],
-            out_matched: vec![false; ports],
-            nominees: vec![None; ports],
-            meta: vec![None; vcs],
+            cand: vec![SwitchRequest::default(); ports * vcs],
+            targets: vec![0; ports],
+            nominee: vec![0; ports],
+            nom_by_out: vec![0; ports],
         }
     }
+}
+
+/// The switch request of input VC `ivc`'s head flit at `cycle`, if it
+/// may bid.
+fn sa_candidate(
+    spec: &VcRouterSpec,
+    ivc: &InputVc,
+    outputs: &[OutputVc],
+    cycle: u64,
+) -> Option<SwitchRequest> {
+    if ivc.fifo.is_empty() || cycle < ivc.head_ready {
+        return None;
+    }
+    let (out_port, out_vc, claims) = match ivc.state {
+        VcState::Idle => return None,
+        // Wormhole only: heads bid for a free output port directly in SA.
+        VcState::Routing if spec.has_va_stage => return None,
+        VcState::Routing => (ivc.head_out_port as usize, 0, true),
+        VcState::Active { out_port, out_vc } => (out_port, out_vc, false),
+    };
+    let slot = &outputs[out_port * spec.vcs + out_vc];
+    if claims {
+        debug_assert!(ivc.head_is_head);
+        if slot.owner.is_some() {
+            return None;
+        }
+    } else if ivc.head_is_head && spec.has_va_stage && cycle < ivc.sa_ready {
+        return None;
+    }
+    let in_port = ivc.port as usize;
+    if out_port != 0
+        && slot.credits < spec.required_credits(ivc.head_is_head, ivc.head_len, in_port, out_port)
+    {
+        return None;
+    }
+    Some(SwitchRequest {
+        out_port: out_port as u8,
+        out_vc: out_vc as u8,
+        claims,
+    })
 }
 
 /// The input-buffered crossbar router.
@@ -288,8 +393,11 @@ impl Scratch {
 pub struct VcRouter {
     node: usize,
     spec: VcRouterSpec,
-    inputs: Vec<Vec<InputVc>>,
-    outputs: Vec<Vec<OutputVc>>,
+    /// Input VCs, flat: index `r = port * vcs + vc` (the bit numbering
+    /// of `occupied` and of every VA/SA mask).
+    inputs: Vec<InputVc>,
+    /// Output VCs, flat: index `out_port * vcs + out_vc`.
+    outputs: Vec<OutputVc>,
     /// Flits across all input VCs (kept in sync with the FIFOs so the
     /// per-cycle empty check is O(1) instead of an O(P·V) scan).
     buffered: usize,
@@ -318,32 +426,26 @@ impl VcRouter {
     /// docs).
     pub fn new(node: usize, spec: VcRouterSpec) -> VcRouter {
         spec.validate();
-        let inputs = (0..spec.ports)
-            .map(|_| {
-                (0..spec.vcs)
-                    .map(|_| InputVc {
-                        fifo: FlitFifo::new(spec.depth, spec.flit_bits),
-                        state: VcState::Idle,
-                        sa_ready: 0,
-                        head_ready: 0,
-                        head_out_port: 0,
-                        head_vc_class: 0,
-                        head_is_head: false,
-                        head_len: 0,
-                    })
-                    .collect()
+        let inputs = (0..spec.ports * spec.vcs)
+            .map(|r| InputVc {
+                port: (r / spec.vcs) as u8,
+                fifo: FlitFifo::new(spec.depth, spec.flit_bits),
+                state: VcState::Idle,
+                sa_ready: 0,
+                head_ready: 0,
+                head_out_port: 0,
+                head_vc_class: 0,
+                head_is_head: false,
+                head_len: 0,
             })
             .collect();
-        let outputs = (0..spec.ports)
-            .map(|_| {
-                (0..spec.vcs)
-                    .map(|_| OutputVc {
-                        owner: None,
-                        credits: spec.depth as u32,
-                    })
-                    .collect()
-            })
-            .collect();
+        let outputs = vec![
+            OutputVc {
+                owner: None,
+                credits: spec.depth as u32,
+            };
+            spec.ports * spec.vcs
+        ];
         let va_arbiters = (0..spec.ports)
             .map(|_| RoundRobinArbiter::new((spec.ports * spec.vcs).max(2)))
             .collect();
@@ -381,31 +483,30 @@ impl VcRouter {
         &self.spec
     }
 
+    /// Flat index of `(port, vc)` into `inputs` / `outputs`.
+    fn flat(&self, port: usize, vc: usize) -> usize {
+        port * self.spec.vcs + vc
+    }
+
     /// Free slots in input `(port, vc)` — used by the local source,
     /// which sees its own router's buffer occupancy directly.
     pub fn input_free(&self, port: usize, vc: usize) -> usize {
-        self.inputs[port][vc].fifo.free()
+        self.inputs[self.flat(port, vc)].fifo.free()
     }
 
     /// Total flits buffered in the router (for drain detection).
     pub fn buffered_flits(&self) -> usize {
         debug_assert_eq!(
             self.buffered,
-            self.inputs
-                .iter()
-                .flatten()
-                .map(|vc| vc.fifo.len())
-                .sum::<usize>(),
+            self.inputs.iter().map(|vc| vc.fifo.len()).sum::<usize>(),
             "buffered counter out of sync with FIFO occupancy"
         );
         #[cfg(debug_assertions)]
         {
             let mut expect = 0u128;
-            for (p, port) in self.inputs.iter().enumerate() {
-                for (v, ivc) in port.iter().enumerate() {
-                    if !ivc.fifo.is_empty() {
-                        expect |= 1 << (p * self.spec.vcs + v);
-                    }
+            for (r, ivc) in self.inputs.iter().enumerate() {
+                if !ivc.fifo.is_empty() {
+                    expect |= 1 << r;
                 }
             }
             debug_assert_eq!(self.occupied, expect, "occupied bitmask out of sync");
@@ -422,12 +523,11 @@ impl VcRouter {
         &'a self,
         arena: &'a FlitArena,
     ) -> impl Iterator<Item = (usize, usize, usize, &'a Flit, bool)> + 'a {
-        self.inputs.iter().enumerate().flat_map(move |(port, vcs)| {
-            vcs.iter().enumerate().filter_map(move |(vc, ivc)| {
-                ivc.fifo.head().map(|&head| {
-                    let waiting = !matches!(ivc.state, VcState::Active { .. });
-                    (port, vc, ivc.fifo.len(), arena.get(head), waiting)
-                })
+        let vcs = self.spec.vcs;
+        self.inputs.iter().enumerate().filter_map(move |(r, ivc)| {
+            ivc.fifo.head().map(|&head| {
+                let waiting = !matches!(ivc.state, VcState::Active { .. });
+                (r / vcs, r % vcs, ivc.fifo.len(), arena.get(head), waiting)
             })
         })
     }
@@ -458,9 +558,10 @@ impl VcRouter {
             f.is_head(),
             f.packet_len,
         );
+        let r = self.flat(port, vc);
         self.buffered += 1;
-        self.occupied |= 1 << (port * self.spec.vcs + vc);
-        let ivc = &mut self.inputs[port][vc];
+        self.occupied |= 1 << r;
+        let ivc = &mut self.inputs[r];
         let becomes_head = ivc.fifo.is_empty();
         if let Some(activity) = ivc.fifo.push(flit, payload) {
             ledger.buffer_write(self.node, &activity);
@@ -478,49 +579,61 @@ impl VcRouter {
 
     /// Adds one downstream credit to output `(port, vc)`.
     pub fn credit(&mut self, port: usize, vc: usize) {
-        self.outputs[port][vc].credits += 1;
+        let o = self.flat(port, vc);
+        self.outputs[o].credits += 1;
     }
 
     /// Downstream credits currently available at output `(port, vc)`.
     pub fn output_credits(&self, port: usize, vc: usize) -> u32 {
-        self.outputs[port][vc].credits
+        self.outputs[self.flat(port, vc)].credits
     }
 
-    /// Refreshes per-VC packet state from queue heads (occupied VCs
-    /// only — an empty VC is by definition `Idle` with nothing to do).
-    fn update_states(&mut self, arena: &FlitArena) {
-        let _ = arena;
-        let vcs = self.spec.vcs;
+    /// One pass over the occupied input VCs (an empty VC is by
+    /// definition `Idle` with nothing to do), in ascending `r` order:
+    /// starts packets (`Idle → Routing`), bins VA requests by output
+    /// port, and computes every switch request **once** — a request
+    /// depends only on the VC's own head/state and on its target output
+    /// VC, and a grant changes those only at the granted input port and
+    /// the granted output port, both of which leave the matching for the
+    /// rest of the cycle; VA touches only `Routing` VCs, which cannot
+    /// bid before the next cycle. Returns whether any VC requested VA,
+    /// and the `live` mask of VCs bidding for the switch.
+    fn collect_requests(&mut self, cycle: u64) -> (bool, u128) {
+        let Self {
+            spec,
+            inputs,
+            outputs,
+            scratch,
+            ..
+        } = self;
+        scratch.requests_per_out.fill(0);
+        scratch.targets.fill(0);
+        let (mut va_any, mut live) = (false, 0u128);
         let mut bits = self.occupied;
         while bits != 0 {
             let r = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let vc = &mut self.inputs[r / vcs][r % vcs];
-            if vc.state == VcState::Idle {
+            let ivc = &mut inputs[r];
+            if ivc.state == VcState::Idle {
                 debug_assert!(
-                    vc.fifo.head().is_some_and(|&h| arena.get(h).is_head()),
+                    ivc.head_is_head,
                     "queue head in Idle state must be a head flit"
                 );
-                vc.state = VcState::Routing;
+                ivc.state = VcState::Routing;
             }
-        }
-    }
-
-    /// Whether a packet of dateline class `class` may be allocated
-    /// output VC `vc` under the configured discipline.
-    fn vc_allowed(&self, class: u8, vc: usize) -> bool {
-        match self.spec.discipline {
-            VcDiscipline::Unrestricted => true,
-            VcDiscipline::Dateline => {
-                let half = self.spec.vcs / 2;
-                if class == 0 {
-                    vc < half
-                } else {
-                    vc >= half
+            if spec.has_va_stage && ivc.state == VcState::Routing {
+                if cycle >= ivc.head_ready {
+                    scratch.requests_per_out[ivc.head_out_port as usize] |= 1 << r;
+                    scratch.classes[r] = ivc.head_vc_class.min(1);
+                    va_any = true;
                 }
+            } else if let Some(req) = sa_candidate(spec, ivc, outputs, cycle) {
+                scratch.cand[r] = req;
+                scratch.targets[req.out_port as usize] |= 1 << r;
+                live |= 1 << r;
             }
-            VcDiscipline::Escape => vc >= 2 || vc == class as usize,
         }
+        (va_any, live)
     }
 
     /// Virtual-channel allocation stage: for each output port, walk its
@@ -529,61 +642,39 @@ impl VcRouter {
     /// per-VC rather than per-class).
     fn va_stage(
         &mut self,
-        scratch: &mut Scratch,
         cycle: u64,
         ledger: &mut EnergyLedger,
         mut obs: Option<&mut ObsSink>,
         arena: &FlitArena,
     ) {
-        let ports = self.spec.ports;
-        let vcs = self.spec.vcs;
-        // Single pass over the input VCs, binning requesters by output
-        // port (keeps the stage O(P·V) instead of O(P²·V)).
-        let requests_per_out = &mut scratch.requests_per_out;
-        let classes = &mut scratch.classes;
-        requests_per_out.fill(0);
-        // `classes` needs no reset: only entries whose request bit was
-        // set this cycle are read.
-        // Set-bit iteration visits VCs in the same ascending
-        // `port * vcs + vc` order as the nested loop it replaced.
-        let mut any = false;
-        let mut bits = self.occupied;
-        while bits != 0 {
-            let r = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let ivc = &self.inputs[r / vcs][r % vcs];
-            if ivc.state != VcState::Routing {
-                continue;
-            }
-            if cycle < ivc.head_ready {
-                continue;
-            }
-            requests_per_out[ivc.head_out_port as usize] |= 1 << r;
-            classes[r] = ivc.head_vc_class.min(1);
-            any = true;
-        }
-        if !any {
-            return;
-        }
-        for (out_port, &requested) in requests_per_out.iter().enumerate().take(ports) {
+        let Self {
+            spec,
+            inputs,
+            outputs,
+            va_arbiters,
+            scratch,
+            ..
+        } = self;
+        let node = self.node;
+        let vcs = spec.vcs;
+        let classes = &scratch.classes;
+        for (out_port, &requested) in scratch.requests_per_out.iter().enumerate() {
             let mut requesters = requested;
-            if requesters == 0 {
-                continue;
-            }
             for out_vc in 0..vcs {
                 // Every requester granted: the remaining free VCs would
                 // all see an empty eligibility mask.
                 if requesters == 0 {
                     break;
                 }
-                if self.outputs[out_port][out_vc].owner.is_some() {
+                let slot = &mut outputs[out_port * vcs + out_vc];
+                if slot.owner.is_some() {
                     continue;
                 }
                 // Unrestricted allocation admits every requester, so the
                 // eligibility mask IS the request mask — skip the per-VC
                 // class filter entirely (the dominant hot-path case; the
                 // filtered path walks set bits only).
-                let eligible = if self.spec.discipline == VcDiscipline::Unrestricted {
+                let eligible = if spec.discipline == VcDiscipline::Unrestricted {
                     requesters
                 } else {
                     let mut eligible = 0u128;
@@ -591,7 +682,7 @@ impl VcRouter {
                     while bits != 0 {
                         let r = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        if self.vc_allowed(classes[r], out_vc) {
+                        if spec.vc_allowed(classes[r], out_vc) {
                             eligible |= 1 << r;
                         }
                     }
@@ -600,18 +691,17 @@ impl VcRouter {
                 if eligible == 0 {
                     continue;
                 }
-                let grant = self.va_arbiters[out_port].arbitrate(eligible);
-                ledger.arbitration(self.node, &grant.activity);
+                let grant = va_arbiters[out_port].arbitrate(eligible);
+                ledger.arbitration(node, &grant.activity);
                 let Some(w) = grant.winner else { continue };
                 requesters &= !(1 << w);
-                let (in_port, in_vc) = (w / vcs, w % vcs);
+                let ivc = &mut inputs[w];
                 if let Some(o) = obs.as_deref_mut() {
-                    if let Some(&head) = self.inputs[in_port][in_vc].fifo.head() {
-                        o.va_grant(self.node, arena.get(head).packet.0, cycle);
+                    if let Some(&head) = ivc.fifo.head() {
+                        o.va_grant(node, arena.get(head).packet.0, cycle);
                     }
                 }
-                self.outputs[out_port][out_vc].owner = Some((in_port, in_vc));
-                let ivc = &mut self.inputs[in_port][in_vc];
+                slot.owner = Some(w);
                 ivc.state = VcState::Active { out_port, out_vc };
                 ivc.sa_ready = cycle + 1;
             }
@@ -619,252 +709,152 @@ impl VcRouter {
     }
 
     /// Switch allocation + crossbar traversal: iterative separable
-    /// matching (iSLIP-style). Each iteration, every unmatched input
-    /// port nominates one eligible VC whose output port is still
-    /// unmatched (stage 1), and every unmatched output port grants one
-    /// nominating input (stage 2). Additional iterations let an input
-    /// that lost an output re-bid a different VC — this is what gives
+    /// matching (iSLIP-style) over the `live` request mask. Each
+    /// iteration, every input port with a live VC nominates one (stage
+    /// 1), and every output port grants one nominating input (stage 2);
+    /// a grant retires the input port's VCs and every request for the
+    /// output port from `live`. Additional iterations let an input that
+    /// lost an output re-bid a different VC — this is what gives
     /// virtual-channel routers their higher switch utilisation relative
     /// to wormhole routers (Fig. 5a).
+    #[allow(clippy::needless_range_loop)] // indices double as port numbers
     fn sa_stage(
         &mut self,
-        scratch: &mut Scratch,
+        mut live: u128,
         cycle: u64,
         ledger: &mut EnergyLedger,
         out: &mut StepOutput,
         mut obs: Option<&mut ObsSink>,
         arena: &mut FlitArena,
     ) {
-        scratch.in_matched.fill(false);
-        scratch.out_matched.fill(false);
-        for _ in 0..self.spec.sa_iterations.max(1) {
-            if !self.sa_iteration(cycle, ledger, out, scratch, obs.as_deref_mut(), arena) {
+        let Self {
+            spec,
+            inputs,
+            outputs,
+            sa_input_arbiters,
+            sa_output_arbiters,
+            xb_in_last,
+            xb_out_last,
+            scratch,
+            ..
+        } = self;
+        let node = self.node;
+        let (ports, vcs) = (spec.ports, spec.vcs);
+        let vc_mask = (1u128 << vcs) - 1;
+        #[cfg(debug_assertions)]
+        let (mut granted_in, mut granted_out) = (0u32, 0u32);
+        for _ in 0..spec.sa_iterations {
+            if live == 0 {
                 break;
             }
-        }
-    }
-
-    /// One SA matching iteration; returns whether any grant was made.
-    #[allow(clippy::needless_range_loop)] // indices double as port numbers
-    fn sa_iteration(
-        &mut self,
-        cycle: u64,
-        ledger: &mut EnergyLedger,
-        out: &mut StepOutput,
-        scratch: &mut Scratch,
-        mut obs: Option<&mut ObsSink>,
-        arena: &mut FlitArena,
-    ) -> bool {
-        let ports = self.spec.ports;
-        let vcs = self.spec.vcs;
-        let Scratch {
-            in_matched,
-            out_matched,
-            nominees,
-            meta,
-            ..
-        } = scratch;
-
-        // Stage 1: each unmatched input port nominates one of its VCs
-        // whose target output port is still unmatched.
-        // nominee[in_port] = (in_vc, out_port, out_vc, claims_output)
-        nominees.fill(None);
-        let vc_mask = (1u128 << vcs) - 1;
-        for in_port in 0..ports {
-            if in_matched[in_port] {
-                continue;
-            }
-            let mut mask = 0u128;
-            // `meta` needs no reset: the winner's bit is set in `mask`,
-            // so its entry was written this round before being read.
-            let mut vc_bits = (self.occupied >> (in_port * vcs)) & vc_mask;
-            while vc_bits != 0 {
-                let in_vc = vc_bits.trailing_zeros() as usize;
-                vc_bits &= vc_bits - 1;
-                if let Some(req) = self.sa_candidate(in_port, in_vc, cycle) {
-                    if out_matched[req.0] {
-                        continue;
-                    }
-                    mask |= 1 << in_vc;
-                    meta[in_vc] = Some(req);
+            // The executable half of the invariance argument: a request
+            // re-derived now is unchanged if it is live, and sits at a
+            // granted input or output port if it is not.
+            #[cfg(debug_assertions)]
+            for (r, ivc) in inputs.iter().enumerate() {
+                let now = sa_candidate(spec, ivc, outputs, cycle);
+                if live >> r & 1 == 1 {
+                    assert_eq!(now, Some(scratch.cand[r]), "switch request {r} moved");
+                } else if let Some(req) = now {
+                    let retired = granted_in >> ivc.port | granted_out >> req.out_port;
+                    assert!(retired & 1 == 1, "switch request {r} appeared");
                 }
             }
-            if mask == 0 {
-                continue;
-            }
-            let in_vc = if vcs == 1 {
-                0
-            } else {
-                let grant = self.sa_input_arbiters[in_port].arbitrate(mask);
-                ledger.arbitration(self.node, &grant.activity);
-                grant.winner.expect("nonzero mask yields a winner")
-            };
-            let (out_port, out_vc, claims) = meta[in_vc].expect("nominee has metadata");
-            nominees[in_port] = Some((in_vc, out_port, out_vc, claims));
-        }
 
-        // Stage 2: each unmatched output port grants one input port.
-        let mut granted = false;
-        for out_port in 0..ports {
-            if out_matched[out_port] {
-                continue;
-            }
-            let mut mask = 0u128;
-            for (in_port, nominee) in nominees.iter().enumerate() {
-                if let Some((_, op, _, _)) = nominee {
-                    if *op == out_port {
-                        mask |= 1 << in_port;
-                    }
+            // Stage 1: each input port nominates one of its live VCs.
+            scratch.nom_by_out.fill(0);
+            for in_port in 0..ports {
+                let mask = (live >> (in_port * vcs)) & vc_mask;
+                if mask == 0 {
+                    continue;
                 }
-            }
-            if mask == 0 {
-                continue;
-            }
-            let grant = self.sa_output_arbiters[out_port].arbitrate(mask);
-            ledger.arbitration(self.node, &grant.activity);
-            let Some(in_port) = grant.winner else {
-                continue;
-            };
-            let (in_vc, _, out_vc, claims) = nominees[in_port].expect("granted nominee exists");
-            in_matched[in_port] = true;
-            out_matched[out_port] = true;
-            granted = true;
-
-            // Wormhole late binding: claim the output port at first grant.
-            if claims {
-                self.outputs[out_port][out_vc].owner = Some((in_port, in_vc));
-                self.inputs[in_port][in_vc].state = VcState::Active { out_port, out_vc };
-            }
-
-            let ivc = &mut self.inputs[in_port][in_vc];
-            let (flit, stored) = ivc.fifo.pop().expect("granted VC has a flit");
-            self.buffered -= 1;
-            if ivc.fifo.is_empty() {
-                self.occupied &= !(1u128 << (in_port * vcs + in_vc));
-            } else {
-                ivc.refresh_head(arena);
-            }
-            if stored {
-                ledger.buffer_read(self.node);
-            }
-            let f = arena.get_mut(flit);
-            f.target_vc = out_vc as u8;
-            let payload = f.payload;
-            let packet = f.packet;
-            let is_tail = f.is_tail();
-            if let Some(o) = obs.as_deref_mut() {
-                o.sa_grant(self.node, packet.0, cycle);
-            }
-
-            // Crossbar traversal with exact line-switching activity.
-            ledger.crossbar_traversal(
-                self.node,
-                self.xb_in_last[in_port],
-                self.xb_out_last[out_port],
-                payload,
-            );
-            self.xb_in_last[in_port] = payload;
-            self.xb_out_last[out_port] = payload;
-
-            // Credit back upstream for the freed slot (the network skips
-            // this for the local injection port).
-            out.credits.push(CreditReturn { in_port, vc: in_vc });
-
-            // Consume a downstream credit, except on ejection.
-            if out_port != 0 {
-                let ovc = &mut self.outputs[out_port][out_vc];
-                debug_assert!(ovc.credits > 0, "SA granted without credit");
-                ovc.credits -= 1;
-            }
-
-            if is_tail {
-                self.outputs[out_port][out_vc].owner = None;
-                ivc.state = VcState::Idle;
-            }
-
-            out.departures.push(Departure { out_port, flit });
-        }
-        granted
-    }
-
-    /// Downstream credits a flit must see before its switch request is
-    /// eligible: body flits always need one slot; heads need more under
-    /// cut-through (the whole packet) and bubble flow control (the whole
-    /// packet, plus a packet-sized bubble when entering a new dimension
-    /// or injecting — the condition that breaks torus deadlock cycles).
-    fn required_credits(
-        &self,
-        is_head: bool,
-        packet_len: u32,
-        in_port: usize,
-        out_port: usize,
-    ) -> u32 {
-        if !is_head {
-            return 1;
-        }
-        match self.spec.flow_control {
-            FlowControl::FlitLevel => 1,
-            FlowControl::CutThrough => packet_len,
-            FlowControl::Bubble => {
-                // Same-dimension continuation keeps the ring's bubble
-                // intact; any dimension entry must leave one behind.
-                let same_dim =
-                    in_port != 0 && out_port != 0 && (in_port - 1) / 2 == (out_port - 1) / 2;
-                if same_dim {
-                    packet_len
+                let in_vc = if vcs == 1 {
+                    0
                 } else {
-                    2 * packet_len
-                }
+                    let grant = sa_input_arbiters[in_port].arbitrate(mask);
+                    ledger.arbitration(node, &grant.activity);
+                    grant.winner.expect("nonzero mask yields a winner")
+                };
+                let r = in_port * vcs + in_vc;
+                scratch.nominee[in_port] = r;
+                scratch.nom_by_out[scratch.cand[r].out_port as usize] |= 1 << in_port;
             }
-        }
-    }
 
-    /// Whether input `(port, vc)`'s head flit may request the switch at
-    /// `cycle`; returns `(out_port, out_vc, claims_output)`.
-    fn sa_candidate(
-        &self,
-        in_port: usize,
-        in_vc: usize,
-        cycle: u64,
-    ) -> Option<(usize, usize, bool)> {
-        let ivc = &self.inputs[in_port][in_vc];
-        if ivc.fifo.is_empty() || cycle < ivc.head_ready {
-            return None;
-        }
-        match ivc.state {
-            VcState::Idle => None,
-            VcState::Routing => {
-                // Wormhole only: heads bid for a free output port
-                // directly in SA.
-                if self.spec.has_va_stage {
-                    return None;
+            // Stage 2: each nominated output port grants one input port.
+            for out_port in 0..ports {
+                let mask = scratch.nom_by_out[out_port];
+                if mask == 0 {
+                    continue;
                 }
-                debug_assert!(ivc.head_is_head);
-                let out_port = ivc.head_out_port as usize;
-                let out_vc = 0;
-                let slot = &self.outputs[out_port][out_vc];
-                if slot.owner.is_some() {
-                    return None;
-                }
-                if out_port != 0
-                    && slot.credits
-                        < self.required_credits(ivc.head_is_head, ivc.head_len, in_port, out_port)
+                let grant = sa_output_arbiters[out_port].arbitrate(mask);
+                ledger.arbitration(node, &grant.activity);
+                let in_port = grant.winner.expect("nonzero mask yields a winner");
+                let r = scratch.nominee[in_port];
+                let SwitchRequest { out_vc, claims, .. } = scratch.cand[r];
+                let out_vc = out_vc as usize;
+                live &= !(vc_mask << (in_port * vcs) | scratch.targets[out_port]);
+                #[cfg(debug_assertions)]
                 {
-                    return None;
+                    granted_in |= 1 << in_port;
+                    granted_out |= 1 << out_port;
                 }
-                Some((out_port, out_vc, true))
-            }
-            VcState::Active { out_port, out_vc } => {
-                if ivc.head_is_head && self.spec.has_va_stage && cycle < ivc.sa_ready {
-                    return None;
+
+                let ivc = &mut inputs[r];
+                let ovc = &mut outputs[out_port * vcs + out_vc];
+                // Wormhole late binding: claim the output port at first grant.
+                if claims {
+                    ovc.owner = Some(r);
+                    ivc.state = VcState::Active { out_port, out_vc };
                 }
-                if out_port != 0
-                    && self.outputs[out_port][out_vc].credits
-                        < self.required_credits(ivc.head_is_head, ivc.head_len, in_port, out_port)
-                {
-                    return None;
+
+                let (flit, stored) = ivc.fifo.pop().expect("granted VC has a flit");
+                self.buffered -= 1;
+                if ivc.fifo.is_empty() {
+                    self.occupied &= !(1u128 << r);
+                } else {
+                    ivc.refresh_head(arena);
                 }
-                Some((out_port, out_vc, false))
+                if stored {
+                    ledger.buffer_read(node);
+                }
+                let f = arena.get_mut(flit);
+                f.target_vc = out_vc as u8;
+                let payload = f.payload;
+                let packet = f.packet;
+                let is_tail = f.is_tail();
+                if let Some(o) = obs.as_deref_mut() {
+                    o.sa_grant(node, packet.0, cycle);
+                }
+
+                // Crossbar traversal with exact line-switching activity.
+                ledger.crossbar_traversal(
+                    node,
+                    xb_in_last[in_port],
+                    xb_out_last[out_port],
+                    payload,
+                );
+                xb_in_last[in_port] = payload;
+                xb_out_last[out_port] = payload;
+
+                // Credit back upstream for the freed slot (the network skips
+                // this for the local injection port).
+                out.credits.push(CreditReturn {
+                    in_port,
+                    vc: r - in_port * vcs,
+                });
+
+                // Consume a downstream credit, except on ejection.
+                if out_port != 0 {
+                    debug_assert!(ovc.credits > 0, "SA granted without credit");
+                    ovc.credits -= 1;
+                }
+
+                if is_tail {
+                    ovc.owner = None;
+                    ivc.state = VcState::Idle;
+                }
+
+                out.departures.push(Departure { out_port, flit });
             }
         }
     }
@@ -912,16 +902,11 @@ impl VcRouter {
         if self.buffered_flits() == 0 {
             return;
         }
-        self.update_states(arena);
-        // The scratch buffers can't be borrowed while `&mut self`
-        // methods run, so take them out and put them back (both moves
-        // are pointer swaps, no allocation).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if self.spec.has_va_stage {
-            self.va_stage(&mut scratch, cycle, ledger, obs.as_deref_mut(), arena);
+        let (va_any, live) = self.collect_requests(cycle);
+        if va_any {
+            self.va_stage(cycle, ledger, obs.as_deref_mut(), arena);
         }
-        self.sa_stage(&mut scratch, cycle, ledger, out, obs, arena);
-        self.scratch = scratch;
+        self.sa_stage(live, cycle, ledger, out, obs, arena);
     }
 
     /// Encodes the full router state (input VCs, output VC owners and
@@ -936,38 +921,35 @@ impl VcRouter {
     ) {
         w.usize(self.buffered);
         w.u128(self.occupied);
-        for port in &self.inputs {
-            for ivc in port {
-                ivc.fifo.encode_with(w, encode_ref);
-                match ivc.state {
-                    VcState::Idle => w.u8(0),
-                    VcState::Routing => w.u8(1),
-                    VcState::Active { out_port, out_vc } => {
-                        w.u8(2);
-                        w.usize(out_port);
-                        w.usize(out_vc);
-                    }
+        // Flat order is port-major, the order the nested layout wrote.
+        for ivc in &self.inputs {
+            ivc.fifo.encode_with(w, encode_ref);
+            match ivc.state {
+                VcState::Idle => w.u8(0),
+                VcState::Routing => w.u8(1),
+                VcState::Active { out_port, out_vc } => {
+                    w.u8(2);
+                    w.usize(out_port);
+                    w.usize(out_vc);
                 }
-                w.u64(ivc.sa_ready);
-                w.u64(ivc.head_ready);
-                w.u8(ivc.head_out_port);
-                w.u8(ivc.head_vc_class);
-                w.bool(ivc.head_is_head);
-                w.u32(ivc.head_len);
             }
+            w.u64(ivc.sa_ready);
+            w.u64(ivc.head_ready);
+            w.u8(ivc.head_out_port);
+            w.u8(ivc.head_vc_class);
+            w.bool(ivc.head_is_head);
+            w.u32(ivc.head_len);
         }
-        for port in &self.outputs {
-            for ovc in port {
-                match ovc.owner {
-                    Some((p, v)) => {
-                        w.bool(true);
-                        w.usize(p);
-                        w.usize(v);
-                    }
-                    None => w.bool(false),
+        for ovc in &self.outputs {
+            match ovc.owner {
+                Some(r) => {
+                    w.bool(true);
+                    w.usize(r / self.spec.vcs);
+                    w.usize(r % self.spec.vcs);
                 }
-                w.u32(ovc.credits);
+                None => w.bool(false),
             }
+            w.u32(ovc.credits);
         }
         for a in &self.va_arbiters {
             a.encode(w);
@@ -997,48 +979,44 @@ impl VcRouter {
         let vcs = self.spec.vcs;
         let buffered = r.usize()?;
         let occupied = r.u128()?;
-        for port in self.inputs.iter_mut() {
-            for ivc in port.iter_mut() {
-                ivc.fifo.decode_into_with(r, decode_ref)?;
-                ivc.state = match r.u8()? {
-                    0 => VcState::Idle,
-                    1 => VcState::Routing,
-                    2 => {
-                        let out_port = r.usize()?;
-                        let out_vc = r.usize()?;
-                        if out_port >= ports || out_vc >= vcs {
-                            return Err(SnapshotError::Invalid("vc state output"));
-                        }
-                        VcState::Active { out_port, out_vc }
+        for ivc in self.inputs.iter_mut() {
+            ivc.fifo.decode_into_with(r, decode_ref)?;
+            ivc.state = match r.u8()? {
+                0 => VcState::Idle,
+                1 => VcState::Routing,
+                2 => {
+                    let out_port = r.usize()?;
+                    let out_vc = r.usize()?;
+                    if out_port >= ports || out_vc >= vcs {
+                        return Err(SnapshotError::Invalid("vc state output"));
                     }
-                    _ => return Err(SnapshotError::Invalid("vc state tag")),
-                };
-                ivc.sa_ready = r.u64()?;
-                ivc.head_ready = r.u64()?;
-                ivc.head_out_port = r.u8()?;
-                ivc.head_vc_class = r.u8()?;
-                ivc.head_is_head = r.bool()?;
-                ivc.head_len = r.u32()?;
-            }
-        }
-        for port in self.outputs.iter_mut() {
-            for ovc in port.iter_mut() {
-                ovc.owner = if r.bool()? {
-                    let p = r.usize()?;
-                    let v = r.usize()?;
-                    if p >= ports || v >= vcs {
-                        return Err(SnapshotError::Invalid("output vc owner"));
-                    }
-                    Some((p, v))
-                } else {
-                    None
-                };
-                let credits = r.u32()?;
-                if credits as usize > self.spec.depth {
-                    return Err(SnapshotError::Invalid("output vc credits"));
+                    VcState::Active { out_port, out_vc }
                 }
-                ovc.credits = credits;
+                _ => return Err(SnapshotError::Invalid("vc state tag")),
+            };
+            ivc.sa_ready = r.u64()?;
+            ivc.head_ready = r.u64()?;
+            ivc.head_out_port = r.u8()?;
+            ivc.head_vc_class = r.u8()?;
+            ivc.head_is_head = r.bool()?;
+            ivc.head_len = r.u32()?;
+        }
+        for ovc in self.outputs.iter_mut() {
+            ovc.owner = if r.bool()? {
+                let p = r.usize()?;
+                let v = r.usize()?;
+                if p >= ports || v >= vcs {
+                    return Err(SnapshotError::Invalid("output vc owner"));
+                }
+                Some(p * vcs + v)
+            } else {
+                None
+            };
+            let credits = r.u32()?;
+            if credits as usize > self.spec.depth {
+                return Err(SnapshotError::Invalid("output vc credits"));
             }
+            ovc.credits = credits;
         }
         for a in self.va_arbiters.iter_mut() {
             a.decode_into(r)?;
