@@ -21,6 +21,7 @@ use std::time::Instant;
 
 use orion_core::{presets, NetworkConfig};
 use orion_net::TrafficPattern;
+use orion_obs::json::Json;
 use orion_shard::ShardedNetwork;
 use orion_sim::fifo::FlitFifo;
 use orion_sim::flit::{make_packet, PacketId};
@@ -307,15 +308,17 @@ fn measure(quick: bool) -> Vec<Metric> {
 }
 
 fn to_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    s.push_str("  \"bench\": \"cycle_loop\",\n");
-    s.push_str("  \"metrics\": {\n");
-    for (i, m) in metrics.iter().enumerate() {
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        s.push_str(&format!("    \"{}\": {:.1}{sep}\n", m.name, m.per_sec));
+    let mut s = String::new();
+    let mut o = Json::pretty(&mut s);
+    o.key("schema").str(SCHEMA);
+    o.key("bench").str("cycle_loop");
+    let mut rates = o.key("metrics").block();
+    for m in metrics {
+        rates.key(m.name).fixed(m.per_sec, 1);
     }
-    s.push_str("  }\n}\n");
+    rates.end();
+    o.end();
+    s.push('\n');
     s
 }
 

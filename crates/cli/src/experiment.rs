@@ -9,9 +9,9 @@
 //!     --threads 8 --cache-dir .exp-cache --out-dir experiments
 //! ```
 //!
-//! Unlike the component subcommands, `experiment run`/`explore` take a
-//! positional spec path, so they are dispatched before the option-only
-//! [`Args`](crate::args::Args) grammar. Exit codes follow the scheme
+//! Unlike the component subcommands, `experiment run`/`explore` declare
+//! a positional spec path in their [`Grammar`] and report failures on
+//! stdout. Exit codes follow the scheme
 //! in [`crate::run`]: 2 for bad input (spec errors, a cache directory
 //! locked by another live run), 1 for I/O failures, 3 when the run
 //! degraded (failed, crashed, timed-out or corrupted cells),
@@ -27,424 +27,235 @@
 //! determinism contract keys on both — see `docs/EXPLORATION.md`) and
 //! `--observe-dir` to dump the `explore_*` metrics snapshot.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec};
+use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec, SpecError};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
-use orion_serve::http::json_escape;
+use orion_obs::json::Json;
 
-use crate::args::ArgError;
+use crate::args::{Args, Grammar};
 use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
-/// An artifact path rendered for embedding in a JSON string literal:
-/// quotes and backslashes (e.g. Windows separators) escaped, so an
-/// `--out-dir` containing either still yields valid JSON.
-fn json_path(p: &std::path::Path) -> String {
-    json_escape(&p.display().to_string())
+const RUN: Grammar = Grammar(
+    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --retries N --cell-timeout-ms N \
+     --audit-every N --checkpoint-every CYCLES --shards N --json --quiet",
+);
+const EXPLORE: Grammar = Grammar(
+    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --seed N --budget N --retries N \
+     --cell-timeout-ms N --checkpoint-every CYCLES --shards N --observe-dir DIR --json --quiet",
+);
+
+/// Reads and validates the spec file named by the positional argument
+/// (unreadable or malformed: bad input).
+fn load_spec<S>(args: &Args, parse: fn(&str) -> Result<S, SpecError>) -> Result<S, CmdOutput> {
+    let path = args.positional().unwrap_or_default();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CmdOutput::failure(EXIT_BAD_INPUT, format!("cannot read `{path}`: {e}")))?;
+    parse(&text).map_err(|e| CmdOutput::failure(EXIT_BAD_INPUT, format!("{path}: {e}")))
 }
 
-/// Usage fragment shown on `experiment` argument errors.
-const EXPERIMENT_USAGE: &str = "usage: orion-power-cli experiment run <spec.toml> [--threads N] \
-     [--cache-dir DIR] [--out-dir DIR] [--retries N] [--cell-timeout-ms N] \
-     [--audit-every N] [--checkpoint-every CYCLES] [--shards N] [--json] [--quiet]\n       \
-     orion-power-cli experiment explore <spec.toml> [--threads N] \
-     [--cache-dir DIR] [--out-dir DIR] [--seed N] [--budget N] [--retries N] \
-     [--cell-timeout-ms N] [--checkpoint-every CYCLES] [--shards N] \
-     [--observe-dir DIR] [--json] [--quiet]";
-
-struct ExperimentArgs {
-    spec_path: PathBuf,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
-    out_dir: PathBuf,
-    retries: u32,
-    cell_timeout: Option<Duration>,
-    audit_every: Option<u64>,
-    checkpoint_every: u64,
-    shards: usize,
-    json: bool,
-    quiet: bool,
-}
-
-fn parse_args(tokens: &[String]) -> Result<ExperimentArgs, ArgError> {
-    let mut it = tokens.iter();
-    match it.next().map(String::as_str) {
-        Some("run") => {}
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown experiment subcommand `{other}`\n{EXPERIMENT_USAGE}"
-            )))
-        }
-        None => return Err(ArgError(format!("missing subcommand\n{EXPERIMENT_USAGE}"))),
+/// An engine-level failure: a cache directory locked by another live
+/// run is the caller's conflict (bad input), anything else is I/O.
+fn engine_failure(engine: &str, e: std::io::Error) -> CmdOutput {
+    if e.kind() == std::io::ErrorKind::AlreadyExists {
+        CmdOutput::failure(EXIT_BAD_INPUT, e)
+    } else {
+        CmdOutput::failure(EXIT_RUNTIME, format!("{engine} I/O failure: {e}"))
     }
+}
 
-    let mut spec_path: Option<PathBuf> = None;
-    let mut threads = 1usize;
-    let mut cache_dir = None;
-    let mut out_dir = PathBuf::from("experiments");
-    let mut retries = 0u32;
-    let mut cell_timeout = None;
-    let mut audit_every = None;
-    let mut checkpoint_every = 0u64;
-    let mut shards = 1usize;
-    let mut json = false;
-    let mut quiet = false;
+fn write_failure(what: &str, dir: &Path, e: std::io::Error) -> CmdOutput {
+    let dir = dir.display();
+    CmdOutput::failure(
+        EXIT_RUNTIME,
+        format!("cannot write {what} under `{dir}`: {e}"),
+    )
+}
 
-    let value = |it: &mut std::slice::Iter<String>, name: &str| -> Result<String, ArgError> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ArgError(format!("--{name} requires a value")))
+/// The supervision line both human summaries share.
+fn supervision_note(out: &mut String, crashed: u64, timed_out: u64, retried: u64) {
+    if crashed > 0 || timed_out > 0 || retried > 0 {
+        out.push_str(&format!(
+            "supervision: {crashed} crashed, {timed_out} timed out, {retried} recovered by retry\n"
+        ));
+    }
+}
+
+fn append_note(out: &mut String, error: &Option<String>, failures: impl std::fmt::Display) {
+    if let Some(e) = error {
+        out.push_str(&format!(
+            "warning: cache append broke mid-run ({failures} record(s) not cached): {e}\n"
+        ));
+    }
+}
+
+fn degraded_code(degraded: bool) -> u8 {
+    if degraded {
+        EXIT_DEGRADED
+    } else {
+        0
+    }
+}
+
+fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
+    let opts = EngineOptions {
+        threads: args.u64_or("threads", 1)? as usize,
+        cache_dir: args.path("cache-dir"),
+        progress: !args.flag("quiet") && !args.flag("json"),
+        max_retries: args.u32_or("retries", 0)?,
+        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
+        poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
+        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
+        shards: args.positive("shards")?.unwrap_or(1) as usize,
     };
-
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--threads" => {
-                let v = value(&mut it, "threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--threads expects an integer, got `{v}`")))?;
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value(&mut it, "cache-dir")?)),
-            "--out-dir" => out_dir = PathBuf::from(value(&mut it, "out-dir")?),
-            "--retries" => {
-                let v = value(&mut it, "retries")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--retries expects an integer, got `{v}`")))?;
-            }
-            "--cell-timeout-ms" => {
-                let v = value(&mut it, "cell-timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| {
-                    ArgError(format!("--cell-timeout-ms expects an integer, got `{v}`"))
-                })?;
-                if ms == 0 {
-                    return Err(ArgError("--cell-timeout-ms must be positive".into()));
-                }
-                cell_timeout = Some(Duration::from_millis(ms));
-            }
-            "--audit-every" => {
-                let v = value(&mut it, "audit-every")?;
-                audit_every = Some(v.parse().map_err(|_| {
-                    ArgError(format!("--audit-every expects an integer, got `{v}`"))
-                })?);
-            }
-            "--checkpoint-every" => {
-                let v = value(&mut it, "checkpoint-every")?;
-                checkpoint_every = v.parse().map_err(|_| {
-                    ArgError(format!("--checkpoint-every expects an integer, got `{v}`"))
-                })?;
-            }
-            "--shards" => {
-                let v = value(&mut it, "shards")?;
-                shards = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--shards expects an integer, got `{v}`")))?;
-                if shards == 0 {
-                    return Err(ArgError("--shards must be positive".into()));
-                }
-            }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            opt if opt.starts_with("--") => {
-                return Err(ArgError(format!(
-                    "unknown option `{opt}` for `experiment run`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-            path if spec_path.is_none() => spec_path = Some(PathBuf::from(path)),
-            extra => {
-                return Err(ArgError(format!(
-                    "unexpected positional argument `{extra}`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-        }
+    let audit_every = args.u64_opt("audit-every")?;
+    let out_dir = args
+        .path("out-dir")
+        .unwrap_or_else(|| PathBuf::from("experiments"));
+    let mut spec = load_spec(args, ExperimentSpec::parse)?;
+    if let Some(n) = audit_every {
+        spec.measure.audit_every = n;
     }
 
-    Ok(ExperimentArgs {
-        spec_path: spec_path
-            .ok_or_else(|| ArgError(format!("missing spec path\n{EXPERIMENT_USAGE}")))?,
-        threads,
-        cache_dir,
-        out_dir,
-        retries,
-        cell_timeout,
-        audit_every,
-        checkpoint_every,
-        shards,
-        json,
-        quiet,
+    let (records, summary) = run_spec(&spec, &opts).map_err(|e| engine_failure("engine", e))?;
+    let artifacts = write_artifacts(&out_dir, &spec.name, &records)
+        .map_err(|e| write_failure("artifacts", &out_dir, e))?;
+
+    let elapsed = summary.elapsed.as_secs_f64();
+    let mut out = String::new();
+    if args.flag("json") {
+        let mut o = Json::pretty(&mut out);
+        o.key("schema_version").num(JSON_SCHEMA_VERSION);
+        o.key("experiment").str(&spec.name);
+        o.key("cells").num(summary.total);
+        o.key("simulated").num(summary.simulated);
+        o.key("cache_hits").num(summary.cache_hits);
+        o.key("failed").num(summary.failed);
+        o.key("crashed").num(summary.crashed);
+        o.key("timed_out").num(summary.timed_out);
+        o.key("retried").num(summary.retried);
+        o.key("corrupted").num(summary.corrupted);
+        o.key("corrupt_cache_lines")
+            .num(summary.corrupt_cache_lines);
+        o.key("append_failures").num(summary.append_failures);
+        o.key("elapsed_s").fixed(elapsed, 3);
+        let mut files = o.key("artifacts").object();
+        files
+            .key("jsonl")
+            .str(&artifacts.jsonl.display().to_string());
+        files.key("csv").str(&artifacts.csv.display().to_string());
+        files.end();
+        o.end();
+        out.push('\n');
+    } else {
+        out = format!(
+            "experiment {}: {} cells, {} simulated, {} cached, {} failed in {:.1}s\n",
+            spec.name,
+            summary.total,
+            summary.simulated,
+            summary.cache_hits,
+            summary.failed,
+            elapsed,
+        );
+        supervision_note(
+            &mut out,
+            summary.crashed as u64,
+            summary.timed_out as u64,
+            summary.retried as u64,
+        );
+        if summary.corrupted > 0 {
+            out.push_str(&format!(
+                "warning: {} cell(s) failed the runtime invariant audit (outcome `corrupted`)\n",
+                summary.corrupted
+            ));
+        }
+        if summary.corrupt_cache_lines > 0 {
+            out.push_str(&format!(
+                "warning: skipped {} corrupt cache line(s); affected cells re-simulated\n",
+                summary.corrupt_cache_lines
+            ));
+        }
+        append_note(&mut out, &summary.append_error, summary.append_failures);
+        out.push_str(&format!(
+            "artifacts: {}, {}\n",
+            artifacts.jsonl.display(),
+            artifacts.csv.display()
+        ));
+    }
+    Ok(CmdOutput {
+        text: out,
+        code: degraded_code(summary.is_degraded()),
     })
 }
 
-struct ExploreArgs {
-    spec_path: PathBuf,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
-    out_dir: PathBuf,
-    seed: Option<u64>,
-    budget: Option<usize>,
-    retries: u32,
-    cell_timeout: Option<Duration>,
-    checkpoint_every: u64,
-    shards: usize,
-    observe_dir: Option<PathBuf>,
-    json: bool,
-    quiet: bool,
-}
-
-fn parse_explore_args(tokens: &[String]) -> Result<ExploreArgs, ArgError> {
-    let mut it = tokens.iter();
-    let mut spec_path: Option<PathBuf> = None;
-    let mut threads = 1usize;
-    let mut cache_dir = None;
-    let mut out_dir = PathBuf::from("experiments");
-    let mut seed = None;
-    let mut budget = None;
-    let mut retries = 0u32;
-    let mut cell_timeout = None;
-    let mut checkpoint_every = 0u64;
-    let mut shards = 1usize;
-    let mut observe_dir = None;
-    let mut json = false;
-    let mut quiet = false;
-
-    let value = |it: &mut std::slice::Iter<String>, name: &str| -> Result<String, ArgError> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ArgError(format!("--{name} requires a value")))
-    };
-
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--threads" => {
-                let v = value(&mut it, "threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--threads expects an integer, got `{v}`")))?;
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value(&mut it, "cache-dir")?)),
-            "--out-dir" => out_dir = PathBuf::from(value(&mut it, "out-dir")?),
-            "--observe-dir" => observe_dir = Some(PathBuf::from(value(&mut it, "observe-dir")?)),
-            "--seed" => {
-                let v = value(&mut it, "seed")?;
-                seed = Some(
-                    v.parse()
-                        .map_err(|_| ArgError(format!("--seed expects an integer, got `{v}`")))?,
-                );
-            }
-            "--budget" => {
-                let v = value(&mut it, "budget")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--budget expects an integer, got `{v}`")))?;
-                if n == 0 {
-                    return Err(ArgError("--budget must be positive".into()));
-                }
-                budget = Some(n);
-            }
-            "--retries" => {
-                let v = value(&mut it, "retries")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--retries expects an integer, got `{v}`")))?;
-            }
-            "--cell-timeout-ms" => {
-                let v = value(&mut it, "cell-timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| {
-                    ArgError(format!("--cell-timeout-ms expects an integer, got `{v}`"))
-                })?;
-                if ms == 0 {
-                    return Err(ArgError("--cell-timeout-ms must be positive".into()));
-                }
-                cell_timeout = Some(Duration::from_millis(ms));
-            }
-            "--checkpoint-every" => {
-                let v = value(&mut it, "checkpoint-every")?;
-                checkpoint_every = v.parse().map_err(|_| {
-                    ArgError(format!("--checkpoint-every expects an integer, got `{v}`"))
-                })?;
-            }
-            "--shards" => {
-                let v = value(&mut it, "shards")?;
-                shards = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--shards expects an integer, got `{v}`")))?;
-                if shards == 0 {
-                    return Err(ArgError("--shards must be positive".into()));
-                }
-            }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            opt if opt.starts_with("--") => {
-                return Err(ArgError(format!(
-                    "unknown option `{opt}` for `experiment explore`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-            path if spec_path.is_none() => spec_path = Some(PathBuf::from(path)),
-            extra => {
-                return Err(ArgError(format!(
-                    "unexpected positional argument `{extra}`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-        }
-    }
-
-    Ok(ExploreArgs {
-        spec_path: spec_path
-            .ok_or_else(|| ArgError(format!("missing spec path\n{EXPERIMENT_USAGE}")))?,
-        threads,
-        cache_dir,
-        out_dir,
-        seed,
-        budget,
-        retries,
-        cell_timeout,
-        checkpoint_every,
-        shards,
-        observe_dir,
-        json,
-        quiet,
-    })
-}
-
-fn execute_explore(tokens: &[String]) -> CmdOutput {
-    let args = match parse_explore_args(tokens) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
-    let text = match std::fs::read_to_string(&args.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    let spec = match ExploreSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {}: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
+fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
     let opts = ExploreOptions {
-        threads: args.threads,
-        cache_dir: args.cache_dir.clone(),
-        progress: !args.quiet && !args.json,
-        max_retries: args.retries,
-        cell_timeout: args.cell_timeout,
-        seed: args.seed,
-        budget: args.budget,
-        checkpoint_every: args.checkpoint_every,
-        shards: args.shards,
+        threads: args.u64_or("threads", 1)? as usize,
+        cache_dir: args.path("cache-dir"),
+        progress: !args.flag("quiet") && !args.flag("json"),
+        max_retries: args.u32_or("retries", 0)?,
+        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
+        seed: args.u64_opt("seed")?,
+        budget: args.positive("budget")?.map(|n| n as usize),
+        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
+        shards: args.positive("shards")?.unwrap_or(1) as usize,
     };
-    let report = match run_explore(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: explore I/O failure: {e}\n"),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    let artifacts = match write_explore_artifacts(&args.out_dir, &spec.name, &report.points) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write artifacts under `{}`: {e}\n",
-                    args.out_dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    if let Some(dir) = &args.observe_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(dir.join("metrics.json"), report.metrics.to_json())?;
-            std::fs::write(dir.join("metrics.csv"), report.metrics.to_csv())
-        }) {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write metrics under `{}`: {e}\n",
-                    dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            };
-        }
+    let out_dir = args
+        .path("out-dir")
+        .unwrap_or_else(|| PathBuf::from("experiments"));
+    let spec = load_spec(args, ExploreSpec::parse)?;
+
+    let report = run_explore(&spec, &opts).map_err(|e| engine_failure("explore", e))?;
+    let artifacts = write_explore_artifacts(&out_dir, &spec.name, &report.points)
+        .map_err(|e| write_failure("artifacts", &out_dir, e))?;
+    if let Some(dir) = args.path("observe-dir") {
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| {
+                std::fs::write(dir.join("metrics.json"), report.metrics.to_json())?;
+                std::fs::write(dir.join("metrics.csv"), report.metrics.to_csv())
+            })
+            .map_err(|e| write_failure("metrics", &dir, e))?;
     }
 
     let summary = &report.summary;
+    let stats = &summary.stats;
     let elapsed = summary.elapsed.as_secs_f64();
-    let text = if args.json {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema_version\": {},\n",
-                "  \"experiment\": \"{}\",\n",
-                "  \"strategy\": \"{}\",\n",
-                "  \"budget\": {},\n",
-                "  \"seed\": {},\n",
-                "  \"evaluations\": {},\n",
-                "  \"cells\": {},\n",
-                "  \"rounds\": {},\n",
-                "  \"frontier\": {},\n",
-                "  \"dominated\": {},\n",
-                "  \"cache_hits\": {},\n",
-                "  \"executed\": {},\n",
-                "  \"crashed\": {},\n",
-                "  \"timed_out\": {},\n",
-                "  \"retried\": {},\n",
-                "  \"failed\": {},\n",
-                "  \"append_failures\": {},\n",
-                "  \"elapsed_s\": {:.3},\n",
-                "  \"artifacts\": {{\"frontier_jsonl\": \"{}\", \"frontier_csv\": \"{}\", ",
-                "\"dominated_jsonl\": \"{}\", \"dominated_csv\": \"{}\"}}\n",
-                "}}\n"
-            ),
-            JSON_SCHEMA_VERSION,
-            spec.name,
-            summary.strategy,
-            summary.budget,
-            summary.seed,
-            summary.evaluations,
-            summary.cells,
-            summary.rounds,
-            summary.frontier_total(),
-            summary.dominated,
-            summary.stats.cache_hits,
-            summary.stats.executed,
-            summary.stats.crashed,
-            summary.stats.timed_out,
-            summary.stats.retried,
-            summary.stats.failed,
-            summary.stats.append_failures,
-            elapsed,
-            json_path(&artifacts.frontier_jsonl),
-            json_path(&artifacts.frontier_csv),
-            json_path(&artifacts.dominated_jsonl),
-            json_path(&artifacts.dominated_csv),
-        )
+    let mut out = String::new();
+    if args.flag("json") {
+        let mut o = Json::pretty(&mut out);
+        o.key("schema_version").num(JSON_SCHEMA_VERSION);
+        o.key("experiment").str(&spec.name);
+        o.key("strategy").str(summary.strategy);
+        o.key("budget").num(summary.budget);
+        o.key("seed").num(summary.seed);
+        o.key("evaluations").num(summary.evaluations);
+        o.key("cells").num(summary.cells);
+        o.key("rounds").num(summary.rounds);
+        o.key("frontier").num(summary.frontier_total());
+        o.key("dominated").num(summary.dominated);
+        o.key("cache_hits").num(stats.cache_hits);
+        o.key("executed").num(stats.executed);
+        o.key("crashed").num(stats.crashed);
+        o.key("timed_out").num(stats.timed_out);
+        o.key("retried").num(stats.retried);
+        o.key("failed").num(stats.failed);
+        o.key("append_failures").num(stats.append_failures);
+        o.key("elapsed_s").fixed(elapsed, 3);
+        let mut files = o.key("artifacts").object();
+        for (key, path) in [
+            ("frontier_jsonl", &artifacts.frontier_jsonl),
+            ("frontier_csv", &artifacts.frontier_csv),
+            ("dominated_jsonl", &artifacts.dominated_jsonl),
+            ("dominated_csv", &artifacts.dominated_csv),
+        ] {
+            files.key(key).str(&path.display().to_string());
+        }
+        files.end();
+        o.end();
+        out.push('\n');
     } else {
-        let mut out = format!(
+        out = format!(
             "explore {}: {} {} evaluations ({} budget, seed {}), {} rounds in {:.1}s\n",
             spec.name,
             summary.strategy,
@@ -459,208 +270,46 @@ fn execute_explore(tokens: &[String]) -> CmdOutput {
         }
         out.push_str(&format!(
             "cells: {} cached, {} simulated, {} dominated points\n",
-            summary.stats.cache_hits, summary.stats.executed, summary.dominated,
+            stats.cache_hits, stats.executed, summary.dominated,
         ));
-        if summary.stats.crashed > 0 || summary.stats.timed_out > 0 || summary.stats.retried > 0 {
-            out.push_str(&format!(
-                "supervision: {} crashed, {} timed out, {} recovered by retry\n",
-                summary.stats.crashed, summary.stats.timed_out, summary.stats.retried
-            ));
-        }
-        if let Some(e) = &summary.append_error {
-            out.push_str(&format!(
-                "warning: cache append broke mid-run ({} record(s) not cached): {e}\n",
-                summary.stats.append_failures
-            ));
-        }
+        supervision_note(&mut out, stats.crashed, stats.timed_out, stats.retried);
+        append_note(&mut out, &summary.append_error, stats.append_failures);
         out.push_str(&format!(
             "artifacts: {}, {}\n",
             artifacts.frontier_jsonl.display(),
             artifacts.dominated_jsonl.display(),
         ));
-        out
-    };
-
-    let code = if summary.is_degraded() {
-        EXIT_DEGRADED
-    } else {
-        0
-    };
-    CmdOutput { text, code }
+    }
+    Ok(CmdOutput {
+        text: out,
+        code: degraded_code(summary.is_degraded()),
+    })
 }
 
 /// Executes `experiment <tokens...>`, returning rendered output and
 /// the exit code (never panics; every failure maps to a coded result).
 pub fn execute(tokens: &[String]) -> CmdOutput {
-    if tokens.first().map(String::as_str) == Some("explore") {
-        return execute_explore(&tokens[1..]);
+    type Run = fn(&Args) -> Result<CmdOutput, CmdOutput>;
+    let (command, grammar, run): (_, _, Run) = match tokens.first().map(String::as_str) {
+        Some("run") => ("experiment run", &RUN, run_grid),
+        Some("explore") => ("experiment explore", &EXPLORE, run_search),
+        _ => {
+            let expected = "expected `experiment run|explore <spec.toml> [options]`";
+            return CmdOutput::failure(EXIT_BAD_INPUT, expected);
+        }
+    };
+    match Args::parse(command, &tokens[1..], grammar) {
+        Ok(args) => run(&args).unwrap_or_else(|failed| failed),
+        Err(e) => e.into(),
     }
-    let args = match parse_args(tokens) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
-    let text = match std::fs::read_to_string(&args.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    let mut spec = match ExperimentSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {}: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    if let Some(n) = args.audit_every {
-        spec.measure.audit_every = n;
-    }
-
-    let opts = EngineOptions {
-        threads: args.threads,
-        cache_dir: args.cache_dir.clone(),
-        progress: !args.quiet && !args.json,
-        max_retries: args.retries,
-        cell_timeout: args.cell_timeout,
-        poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
-        checkpoint_every: args.checkpoint_every,
-        shards: args.shards,
-    };
-    let (records, summary) = match run_spec(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: engine I/O failure: {e}\n"),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    let artifacts = match write_artifacts(&args.out_dir, &spec.name, &records) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write artifacts under `{}`: {e}\n",
-                    args.out_dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-
-    let elapsed = summary.elapsed.as_secs_f64();
-    let text = if args.json {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema_version\": {},\n",
-                "  \"experiment\": \"{}\",\n",
-                "  \"cells\": {},\n",
-                "  \"simulated\": {},\n",
-                "  \"cache_hits\": {},\n",
-                "  \"failed\": {},\n",
-                "  \"crashed\": {},\n",
-                "  \"timed_out\": {},\n",
-                "  \"retried\": {},\n",
-                "  \"corrupted\": {},\n",
-                "  \"corrupt_cache_lines\": {},\n",
-                "  \"append_failures\": {},\n",
-                "  \"elapsed_s\": {:.3},\n",
-                "  \"artifacts\": {{\"jsonl\": \"{}\", \"csv\": \"{}\"}}\n",
-                "}}\n"
-            ),
-            JSON_SCHEMA_VERSION,
-            spec.name,
-            summary.total,
-            summary.simulated,
-            summary.cache_hits,
-            summary.failed,
-            summary.crashed,
-            summary.timed_out,
-            summary.retried,
-            summary.corrupted,
-            summary.corrupt_cache_lines,
-            summary.append_failures,
-            elapsed,
-            json_path(&artifacts.jsonl),
-            json_path(&artifacts.csv),
-        )
-    } else {
-        let mut out = format!(
-            "experiment {}: {} cells, {} simulated, {} cached, {} failed in {:.1}s\n",
-            spec.name,
-            summary.total,
-            summary.simulated,
-            summary.cache_hits,
-            summary.failed,
-            elapsed,
-        );
-        if summary.crashed > 0 || summary.timed_out > 0 || summary.retried > 0 {
-            out.push_str(&format!(
-                "supervision: {} crashed, {} timed out, {} recovered by retry\n",
-                summary.crashed, summary.timed_out, summary.retried
-            ));
-        }
-        if summary.corrupted > 0 {
-            out.push_str(&format!(
-                "warning: {} cell(s) failed the runtime invariant audit (outcome `corrupted`)\n",
-                summary.corrupted
-            ));
-        }
-        if summary.corrupt_cache_lines > 0 {
-            out.push_str(&format!(
-                "warning: skipped {} corrupt cache line(s); affected cells re-simulated\n",
-                summary.corrupt_cache_lines
-            ));
-        }
-        if let Some(e) = &summary.append_error {
-            out.push_str(&format!(
-                "warning: cache append broke mid-run ({} record(s) not cached): {e}\n",
-                summary.append_failures
-            ));
-        }
-        out.push_str(&format!(
-            "artifacts: {}, {}\n",
-            artifacts.jsonl.display(),
-            artifacts.csv.display()
-        ));
-        out
-    };
-
-    let code = if summary.is_degraded() {
-        EXIT_DEGRADED
-    } else {
-        0
-    };
-    CmdOutput { text, code }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::toks;
     use std::fs;
     use std::path::Path;
-
-    fn toks(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("orion-cli-exp-{}-{tag}", std::process::id()));
@@ -705,6 +354,8 @@ rates = [0.02, 0.04]
             "run a.toml --cell-timeout-ms 0",  // zero budget
             "run a.toml --audit-every",        // value-less option
             "run a.toml --checkpoint-every x", // non-integer cadence
+            "run a.toml --json true",          // a switch takes no value
+            "run --quiet yes a.toml",          // ... in either position
         ] {
             let out = execute(&toks(line));
             assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
@@ -758,6 +409,35 @@ rates = [0.02, 0.04]
         assert_eq!(second.code, 0);
         assert!(second.text.contains("\"simulated\": 0"), "{}", second.text);
         assert!(second.text.contains("\"cache_hits\": 2"), "{}", second.text);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn duplicate_axis_values_run_one_cell() {
+        let dir = temp_dir("dup");
+        let spec = dir.join("dup.toml");
+        fs::write(
+            &spec,
+            "[experiment]\nname = \"dup\"\n[measure]\nwarmup = 100\nsample_packets = 100\n\
+             max_cycles = 20000\n[grid]\npresets = [\"vc64\", \"vc8x8\"]\n\
+             traffic = [\"uniform\", \"uniform\"]\nrates = [0.02, 0.02]\nseeds = [1, 1]\n",
+        )
+        .unwrap();
+        // Switches ahead of the positional: `--json` must not swallow
+        // the spec path.
+        let out = execute(&toks(&format!(
+            "run --quiet --json {} --cache-dir {} --out-dir {}",
+            spec.display(),
+            dir.join("cache").display(),
+            dir.join("out").display(),
+        )));
+        assert_eq!(out.code, 0, "{}", out.text);
+        assert!(out.text.contains("\"cells\": 1"), "{}", out.text);
+        assert!(out.text.contains("\"simulated\": 1"), "{}", out.text);
+        for file in ["out/dup.jsonl", "cache/orion-exp-cache.jsonl"] {
+            let text = fs::read_to_string(dir.join(file)).unwrap();
+            assert_eq!(text.lines().count(), 1, "{file}: {text}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -970,8 +650,64 @@ depths = [4, 8]
             "artifact paths must be JSON-escaped: {}",
             out.text
         );
+        let explore = execute(&toks(&format!(
+            "explore {} --out-dir {} --json --quiet",
+            write_explore_spec(&dir).display(),
+            out_dir.display(),
+        )));
+        assert_eq!(explore.code, 0, "{}", explore.text);
+        // Exact bytes, generated at `f3a1fbd`, with the two run-dependent
+        // values (wall-clock, temp directory) masked.
+        let masked = |text: &str| {
+            let elapsed = text.find("\"elapsed_s\": ").expect("elapsed_s") + 13;
+            let end = elapsed + text[elapsed..].find(',').expect("comma");
+            format!("{}T{}", &text[..elapsed], &text[end..])
+                .replace(&dir.display().to_string(), "DIR")
+        };
+        assert_eq!(masked(&out.text), GOLDEN_RUN_SUMMARY);
+        assert_eq!(masked(&explore.text), GOLDEN_EXPLORE_SUMMARY);
         let _ = fs::remove_dir_all(&dir);
     }
+
+    const GOLDEN_RUN_SUMMARY: &str = r#"{
+  "schema_version": 4,
+  "experiment": "cli-smoke",
+  "cells": 2,
+  "simulated": 2,
+  "cache_hits": 0,
+  "failed": 0,
+  "crashed": 0,
+  "timed_out": 0,
+  "retried": 0,
+  "corrupted": 0,
+  "corrupt_cache_lines": 0,
+  "append_failures": 0,
+  "elapsed_s": T,
+  "artifacts": {"jsonl": "DIR/ou\"t\\dir/cli-smoke.jsonl", "csv": "DIR/ou\"t\\dir/cli-smoke.csv"}
+}
+"#;
+    const GOLDEN_EXPLORE_SUMMARY: &str = r#"{
+  "schema_version": 4,
+  "experiment": "cli-explore",
+  "strategy": "grid-refine",
+  "budget": 4,
+  "seed": 1,
+  "evaluations": 4,
+  "cells": 4,
+  "rounds": 1,
+  "frontier": 1,
+  "dominated": 3,
+  "cache_hits": 0,
+  "executed": 4,
+  "crashed": 0,
+  "timed_out": 0,
+  "retried": 0,
+  "failed": 0,
+  "append_failures": 0,
+  "elapsed_s": T,
+  "artifacts": {"frontier_jsonl": "DIR/ou\"t\\dir/cli-explore.frontier.jsonl", "frontier_csv": "DIR/ou\"t\\dir/cli-explore.frontier.csv", "dominated_jsonl": "DIR/ou\"t\\dir/cli-explore.dominated.jsonl", "dominated_csv": "DIR/ou\"t\\dir/cli-explore.dominated.csv"}
+}
+"#;
 
     #[test]
     fn human_summary_mentions_artifacts() {

@@ -54,29 +54,21 @@ fn main() -> ExitCode {
         print!("{}", run::USAGE);
         return ExitCode::SUCCESS;
     }
-    // `experiment` takes a positional spec path, which the option-only
-    // Args grammar would reject — dispatch it on raw tokens.
-    if tokens[0] == "experiment" {
-        let out = experiment::execute(&tokens[1..]);
-        print!("{}", out.text);
-        return ExitCode::from(out.code);
-    }
-    // `serve` blocks until drained and installs signal handlers —
-    // dispatch it on raw tokens too.
-    if tokens[0] == "serve" {
-        let out = serve::execute(&tokens[1..]);
-        print!("{}", out.text);
-        return ExitCode::from(out.code);
-    }
-    match args::Args::parse(tokens).and_then(|a| run::run(&a)) {
-        Ok(output) => {
-            print!("{}", output.text);
-            ExitCode::from(output.code)
-        }
-        Err(e) => {
+    // `experiment` and `serve` report their own failures on stdout
+    // (scripts capture one stream); the option-only components report
+    // bad input on stderr.
+    let output = match tokens[0].as_str() {
+        "experiment" => experiment::execute(&tokens[1..]),
+        "serve" => serve::execute(&tokens[1..]),
+        _ => run::run(&tokens).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             eprintln!("run `orion-power-cli help` for usage");
-            ExitCode::from(run::EXIT_BAD_INPUT)
-        }
-    }
+            run::CmdOutput {
+                text: String::new(),
+                code: run::EXIT_BAD_INPUT,
+            }
+        }),
+    };
+    print!("{}", output.text);
+    ExitCode::from(output.code)
 }

@@ -6,11 +6,10 @@
 //! cannot be read, 2 when its contents are malformed or from an
 //! unknown schema version.
 
-use std::path::PathBuf;
-
 use orion_exp::record::parse_flat_object;
+use orion_obs::json::Json;
 
-use crate::args::{ArgError, Args};
+use crate::args::{ArgError, Args, Grammar};
 use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_RUNTIME};
 
 /// Version of the `powermap.jsonl` line layout written by
@@ -18,13 +17,31 @@ use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_RUNTIME};
 /// change.
 pub const POWERMAP_SCHEMA_VERSION: u32 = 1;
 
-/// One parsed `powermap.jsonl` line.
-struct NodeCell {
-    node: usize,
-    x: usize,
-    y: usize,
-    energy_j: f64,
-    power_w: f64,
+/// `powermap`: exactly one of the two locations.
+pub const GRAMMAR: Grammar = Grammar("--observe-dir DIR --file powermap.jsonl");
+
+/// One `powermap.jsonl` line: a node's position, energy and power.
+pub struct NodeCell {
+    pub node: usize,
+    pub x: usize,
+    pub y: usize,
+    pub energy_j: f64,
+    pub power_w: f64,
+}
+
+impl NodeCell {
+    /// Appends the line [`parse_line`] reads back (newline included).
+    pub fn write_line(&self, out: &mut String) {
+        let mut line = Json::compact(out);
+        line.key("schema_version").num(POWERMAP_SCHEMA_VERSION);
+        line.key("node").num(self.node);
+        line.key("x").num(self.x);
+        line.key("y").num(self.y);
+        line.key("total_energy_j").f64(self.energy_j);
+        line.key("power_w").f64(self.power_w);
+        line.end();
+        out.push('\n');
+    }
 }
 
 /// Runs `powermap --observe-dir DIR` (or `--file powermap.jsonl`),
@@ -36,10 +53,9 @@ struct NodeCell {
 /// Returns an [`ArgError`] for unknown options or a missing input
 /// location.
 pub fn powermap(args: &Args) -> Result<CmdOutput, ArgError> {
-    args.ensure_known(&["observe-dir", "file"])?;
-    let path = match (args.get("file"), args.get("observe-dir")) {
-        (Some(f), None) => PathBuf::from(f),
-        (None, Some(d)) => PathBuf::from(d).join("powermap.jsonl"),
+    let path = match (args.path("file"), args.path("observe-dir")) {
+        (Some(f), None) => f,
+        (None, Some(d)) => d.join("powermap.jsonl"),
         (None, None) => {
             return Err(ArgError(
                 "powermap needs --observe-dir DIR (or --file powermap.jsonl)".into(),
@@ -51,22 +67,14 @@ pub fn powermap(args: &Args) -> Result<CmdOutput, ArgError> {
             ))
         }
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            return Ok(CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", path.display()),
-                code: EXIT_RUNTIME,
-            })
-        }
-    };
-    match render(&text) {
-        Ok(rendered) => Ok(CmdOutput::ok(rendered)),
-        Err(e) => Ok(CmdOutput {
-            text: format!("error: {}: {e}\n", path.display()),
-            code: EXIT_BAD_INPUT,
-        }),
-    }
+    let shown = path.display();
+    Ok(match std::fs::read_to_string(&path) {
+        Err(e) => CmdOutput::failure(EXIT_RUNTIME, format!("cannot read `{shown}`: {e}")),
+        Ok(text) => match render(&text) {
+            Ok(rendered) => CmdOutput::ok(rendered),
+            Err(e) => CmdOutput::failure(EXIT_BAD_INPUT, format!("{shown}: {e}")),
+        },
+    })
 }
 
 fn parse_line(line: &str, number: usize) -> Result<NodeCell, String> {
@@ -168,13 +176,14 @@ mod tests {
     fn sample_jsonl() -> String {
         let mut s = String::new();
         for node in 0..4usize {
-            let (x, y) = (node % 2, node / 2);
-            let power = 0.1 + 0.1 * node as f64;
-            s.push_str(&format!(
-                "{{\"schema_version\":1,\"node\":{node},\"x\":{x},\"y\":{y},\
-                 \"total_energy_j\":{},\"power_w\":{power}}}\n",
-                1e-9 * (node + 1) as f64,
-            ));
+            let cell = NodeCell {
+                node,
+                x: node % 2,
+                y: node / 2,
+                energy_j: 1e-9 * (node + 1) as f64,
+                power_w: 0.1 + 0.1 * node as f64,
+            };
+            cell.write_line(&mut s);
         }
         s
     }
@@ -209,7 +218,7 @@ mod tests {
     }
 
     fn run_powermap(line: &str) -> Result<CmdOutput, ArgError> {
-        powermap(&Args::parse(line.split_whitespace().map(String::from)).unwrap())
+        crate::run::run(&crate::args::toks(line))
     }
 
     #[test]

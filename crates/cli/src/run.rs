@@ -7,7 +7,7 @@ use orion_power::{
 };
 use orion_tech::{Microns, ProcessNode, Technology, Volts, Watts};
 
-use crate::args::{ArgError, Args};
+use crate::args::{ArgError, Args, Grammar};
 use crate::report::Report;
 
 /// Usage text for `orion-power help`.
@@ -96,13 +96,6 @@ EXAMPLES:
 /// `dominated` and the four-file `artifacts` object).
 pub const JSON_SCHEMA_VERSION: u32 = 4;
 
-/// Version of the `serve` daemon's wire protocol (the `protocol`
-/// field of its framing and error lines), re-exported here so the
-/// three version constants the CLI ships — CLI JSON layouts, per-cell
-/// records ([`orion_exp::SCHEMA_VERSION`]), serve framing — live side
-/// by side. See `docs/SERVING.md` for the wire format.
-pub const SERVE_PROTOCOL_VERSION: u32 = orion_serve::SERVE_PROTOCOL_VERSION;
-
 /// Exit code for runtime I/O failures (cache/artifact files).
 pub const EXIT_RUNTIME: u8 = 1;
 /// Exit code for bad input: unknown options, malformed specs, invalid
@@ -126,9 +119,34 @@ impl CmdOutput {
     pub fn ok(text: String) -> CmdOutput {
         CmdOutput { text, code: 0 }
     }
+
+    /// A failure reported on stdout as `error: <message>` with `code`.
+    pub fn failure(code: u8, message: impl std::fmt::Display) -> CmdOutput {
+        let text = format!("error: {message}\n");
+        CmdOutput { text, code }
+    }
 }
 
-const COMMON: [&str; 2] = ["node", "vdd"];
+impl From<ArgError> for CmdOutput {
+    /// Bad input on the subcommands that report on stdout.
+    fn from(e: ArgError) -> CmdOutput {
+        CmdOutput::failure(EXIT_BAD_INPUT, e)
+    }
+}
+
+/// Component grammars: the model's parameters, then `--node`/`--vdd`
+/// to select the technology.
+const BUFFER: Grammar =
+    Grammar("--flits N --bits N --read-ports N --write-ports N --decoder --node NODE --vdd VOLTS");
+const CROSSBAR: Grammar = Grammar(
+    "--ports N --inputs N --outputs N --bits N --kind matrix|muxtree --node NODE --vdd VOLTS",
+);
+const ARBITER: Grammar =
+    Grammar("--requesters N --kind matrix|roundrobin|queuing --node NODE --vdd VOLTS");
+const LINK: Grammar =
+    Grammar("--length-mm X --bits N --chip2chip --watts X --node NODE --vdd VOLTS");
+const CENTRAL_BUFFER: Grammar =
+    Grammar("--banks N --rows N --bits N --read-ports N --write-ports N --node NODE --vdd VOLTS");
 
 fn technology(args: &Args) -> Result<Technology, ArgError> {
     let node = match args.get("node").unwrap_or("0.1um") {
@@ -158,44 +176,39 @@ fn model_err(e: orion_power::ModelError) -> ArgError {
     ArgError(e.to_string())
 }
 
-fn allowed(extra: &[&str]) -> Vec<&'static str> {
-    // Leaks are fine here: tiny, once per process.
-    let mut v: Vec<&'static str> = COMMON.to_vec();
-    for e in extra {
-        v.push(Box::leak(e.to_string().into_boxed_str()));
-    }
-    v
-}
-
-/// Executes a parsed command line, returning the rendered report and
-/// the exit code to use (`simulate` signals degraded outcomes via
-/// [`EXIT_DEGRADED`]).
+/// Executes an option-only subcommand line (`<component> [options]`):
+/// parses it against the component's declared grammar and returns the
+/// rendered report and the exit code to use (`simulate` signals
+/// degraded outcomes via [`EXIT_DEGRADED`]).
 ///
 /// # Errors
 ///
 /// Returns a human-readable [`ArgError`] for unknown components,
 /// unknown or malformed options, and invalid model parameters.
-pub fn run(args: &Args) -> Result<CmdOutput, ArgError> {
-    match args.command.as_str() {
-        "buffer" => buffer(args).map(CmdOutput::ok),
-        "crossbar" => crossbar(args).map(CmdOutput::ok),
-        "arbiter" => arbiter(args).map(CmdOutput::ok),
-        "link" => link(args).map(CmdOutput::ok),
-        "central-buffer" => central_buffer(args).map(CmdOutput::ok),
-        "simulate" => crate::simulate::simulate(args),
-        "powermap" => crate::powermap::powermap(args),
-        other => Err(ArgError(format!("unknown component `{other}`"))),
-    }
+pub fn run(tokens: &[String]) -> Result<CmdOutput, ArgError> {
+    let (command, rest) = tokens
+        .split_first()
+        .ok_or_else(|| ArgError("missing component; try `orion-power-cli help`".into()))?;
+    type Exec = fn(&Args) -> Result<CmdOutput, ArgError>;
+    let (grammar, exec): (&Grammar, Exec) = match command.as_str() {
+        "buffer" => (&BUFFER, |a| buffer(a).map(CmdOutput::ok)),
+        "crossbar" => (&CROSSBAR, |a| crossbar(a).map(CmdOutput::ok)),
+        "arbiter" => (&ARBITER, |a| arbiter(a).map(CmdOutput::ok)),
+        "link" => (&LINK, |a| link(a).map(CmdOutput::ok)),
+        "central-buffer" => (&CENTRAL_BUFFER, |a| central_buffer(a).map(CmdOutput::ok)),
+        "simulate" => (&crate::simulate::GRAMMAR, crate::simulate::simulate),
+        "powermap" => (&crate::powermap::GRAMMAR, crate::powermap::powermap),
+        option if option.starts_with("--") => {
+            return Err(ArgError(format!(
+                "expected a component name, found option `{option}`"
+            )))
+        }
+        other => return Err(ArgError(format!("unknown component `{other}`"))),
+    };
+    exec(&Args::parse(command, rest, grammar)?)
 }
 
 fn buffer(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&[
-        "flits",
-        "bits",
-        "read-ports",
-        "write-ports",
-        "decoder",
-    ]))?;
     let tech = technology(args)?;
     let flits = args.u32_required("flits")?;
     let bits = args.u32_required("bits")?;
@@ -236,7 +249,6 @@ fn buffer(args: &Args) -> Result<String, ArgError> {
 }
 
 fn crossbar(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["ports", "inputs", "outputs", "bits", "kind"]))?;
     let tech = technology(args)?;
     let bits = args.u32_required("bits")?;
     let (inputs, outputs) = match args.get("ports") {
@@ -272,7 +284,6 @@ fn crossbar(args: &Args) -> Result<String, ArgError> {
 }
 
 fn arbiter(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["requesters", "kind"]))?;
     let tech = technology(args)?;
     let requesters = args.u32_required("requesters")?;
     let kind = match args.get("kind").unwrap_or("matrix") {
@@ -302,7 +313,6 @@ fn arbiter(args: &Args) -> Result<String, ArgError> {
 }
 
 fn link(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["length-mm", "bits", "chip2chip", "watts"]))?;
     let tech = technology(args)?;
     let bits = args.u32_required("bits")?;
     if args.flag("chip2chip") {
@@ -335,13 +345,6 @@ fn link(args: &Args) -> Result<String, ArgError> {
 }
 
 fn central_buffer(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&[
-        "banks",
-        "rows",
-        "bits",
-        "read-ports",
-        "write-ports",
-    ]))?;
     let tech = technology(args)?;
     let banks = args.u32_required("banks")?;
     let rows = args.u32_required("rows")?;
@@ -376,10 +379,49 @@ mod tests {
     use super::*;
 
     fn run_line(line: &str) -> Result<String, ArgError> {
-        run(&Args::parse(line.split_whitespace().map(String::from)).unwrap()).map(|o| {
+        run(&crate::args::toks(line)).map(|o| {
             assert_eq!(o.code, 0, "component reports exit with success");
             o.text
         })
+    }
+
+    #[test]
+    fn design_md_version_table_matches_the_constants() {
+        let versions = [
+            ("MODEL_VERSION", orion_exp::fingerprint::MODEL_VERSION),
+            ("SCHEMA_VERSION", orion_exp::SCHEMA_VERSION),
+            (
+                "EXPLORE_SCHEMA_VERSION",
+                orion_explore::EXPLORE_SCHEMA_VERSION,
+            ),
+            ("JSON_SCHEMA_VERSION", JSON_SCHEMA_VERSION),
+            (
+                "POWERMAP_SCHEMA_VERSION",
+                crate::powermap::POWERMAP_SCHEMA_VERSION,
+            ),
+            ("PROBE_SCHEMA_VERSION", orion_obs::PROBE_SCHEMA_VERSION),
+            ("TRACE_SCHEMA_VERSION", orion_obs::TRACE_SCHEMA_VERSION),
+            ("METRICS_SCHEMA_VERSION", orion_obs::METRICS_SCHEMA_VERSION),
+            (
+                "SERVE_PROTOCOL_VERSION",
+                orion_serve::SERVE_PROTOCOL_VERSION,
+            ),
+            ("SNAPSHOT_VERSION", orion_sim::SNAPSHOT_VERSION),
+            ("RUN_CHECKPOINT_VERSION", orion_core::RUN_CHECKPOINT_VERSION),
+            ("CKPT_SCHEMA_VERSION", orion_ckpt::CKPT_SCHEMA_VERSION),
+        ];
+        let design = include_str!("../../../DESIGN.md");
+        // Table rows: | `CONSTANT` | crate | stamps | value | invalidates |
+        let documented: Vec<(&str, u32)> = design
+            .lines()
+            .filter_map(|row| {
+                let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+                let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((name, cells.get(4)?.parse().ok()?))
+            })
+            .filter(|(name, _)| name.ends_with("_VERSION"))
+            .collect();
+        assert_eq!(documented, versions, "DESIGN.md \"Format versions\" table");
     }
 
     #[test]

@@ -17,41 +17,26 @@
 //! the single `expect` in [`run_with_checkpoints`] asserts a caller
 //! invariant (at least one checkpoint path), not a runtime condition.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use orion_core::{presets, Experiment, NetworkConfig, ObserveOptions, Report, RunOutcome};
 use orion_net::{FaultConfig, FaultSchedule, NodeId, Topology, TopologyKind, TrafficPattern};
-use orion_sim::{Component, StallDiagnostics};
+use orion_obs::json::{Json, Value};
+use orion_sim::Component;
 
-use crate::args::{ArgError, Args};
-use crate::powermap::POWERMAP_SCHEMA_VERSION;
+use crate::args::{ArgError, Args, Grammar};
+use crate::powermap::NodeCell;
 use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
-const OPTIONS: [&str; 23] = [
-    "preset",
-    "topology",
-    "shards",
-    "rate",
-    "seed",
-    "warmup",
-    "sample",
-    "max-cycles",
-    "watchdog-cycles",
-    "audit-every",
-    "fault-links",
-    "fault-rate",
-    "fault-ports",
-    "fault-seed",
-    "traffic",
-    "traffic-src",
-    "observe-dir",
-    "sample-every",
-    "trace-packets",
-    "checkpoint-every",
-    "checkpoint-file",
-    "resume-from",
-    "json",
-];
+/// `simulate`: every option takes a value except the `--json` switch.
+pub const GRAMMAR: Grammar = Grammar(
+    "--preset wh64|vc16|vc64|vc128|xb|cb --topology KxK[xK][-mesh] --shards N --rate X \
+     --seed N --warmup N --sample N --max-cycles N --watchdog-cycles N --audit-every N \
+     --fault-links N --fault-rate X --fault-ports N --fault-seed N \
+     --traffic uniform|broadcast|transpose|tornado|bit-complement --traffic-src x,y \
+     --observe-dir DIR --sample-every N --trace-packets N --checkpoint-every N \
+     --checkpoint-file F --resume-from F --json",
+);
 
 /// Per-dimension radix ceiling for `--topology` (matches the design
 /// grammar's `MAX_RADIX`: keeps node counts, and therefore simulated
@@ -195,15 +180,6 @@ fn traffic_pattern(
 /// Returns an [`ArgError`] for unknown options, malformed numbers and
 /// configurations the runner rejects ([`orion_core::ConfigError`]).
 pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
-    args.ensure_known(&OPTIONS)?;
-    // Every simulate option except `--json` takes a value; a trailing
-    // `--rate` (parsed as a flag) must not silently fall back to the
-    // default.
-    for name in OPTIONS.iter().filter(|n| **n != "json") {
-        if args.flag(name) {
-            return Err(ArgError(format!("--{name} requires a value")));
-        }
-    }
     let preset_name = args.get("preset").unwrap_or("vc16").to_string();
     let mut config = preset(&preset_name)?;
     if let Some(spec) = args.get("topology") {
@@ -218,7 +194,7 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     let watchdog = args.u64_or("watchdog-cycles", 1000)?;
     let audit_every = args.u64_or("audit-every", 0)?;
 
-    let observe_dir = args.get("observe-dir").map(PathBuf::from);
+    let observe_dir = args.path("observe-dir");
     let sample_every = args.u64_or("sample-every", 100)?;
     let trace_packets = args.u64_or("trace-packets", 0)? as usize;
     if observe_dir.is_none() {
@@ -229,8 +205,8 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         }
     }
     let ckpt_every = args.u64_or("checkpoint-every", 0)?;
-    let ckpt_file = args.get("checkpoint-file").map(PathBuf::from);
-    let resume_from = args.get("resume-from").map(PathBuf::from);
+    let ckpt_file = args.path("checkpoint-file");
+    let resume_from = args.path("resume-from");
     if ckpt_every > 0 && ckpt_file.is_none() && resume_from.is_none() {
         return Err(ArgError(
             "--checkpoint-every requires --checkpoint-file (or --resume-from)".into(),
@@ -337,13 +313,11 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     };
     if let Some(dir) = &observe_dir {
         if let Err(e) = write_observations(dir, &config, &report) {
-            return Ok(CmdOutput {
-                text: format!(
-                    "error: cannot write observability artifacts under `{}`: {e}\n",
-                    dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            });
+            let dir = dir.display();
+            return Ok(CmdOutput::failure(
+                EXIT_RUNTIME,
+                format!("cannot write observability artifacts under `{dir}`: {e}"),
+            ));
         }
     }
     let text = if args.flag("json") {
@@ -455,30 +429,20 @@ fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
     let mut out = String::new();
     for node in 0..report.num_nodes() {
         let coords = config.topology.coords(NodeId(node));
-        let energy: f64 = Component::ALL
+        let energy_j: f64 = Component::ALL
             .iter()
             .map(|c| report.node_component_energy(node, *c).0)
             .sum();
-        out.push_str(&format!(
-            "{{\"schema_version\":{POWERMAP_SCHEMA_VERSION},\"node\":{node},\
-             \"x\":{},\"y\":{},\"total_energy_j\":{},\"power_w\":{}}}\n",
-            coords.first().copied().unwrap_or(0),
-            coords.get(1).copied().unwrap_or(0),
-            fmt_json_f64(energy),
-            fmt_json_f64(report.node_power(node).0),
-        ));
+        let cell = NodeCell {
+            node,
+            x: coords.first().copied().unwrap_or(0) as usize,
+            y: coords.get(1).copied().unwrap_or(0) as usize,
+            energy_j,
+            power_w: report.node_power(node).0,
+        };
+        cell.write_line(&mut out);
     }
     out
-}
-
-/// Full-precision JSON number (unlike the rounded [`json_f64`] used
-/// for report summaries); non-finite values become `null`.
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn render_human(preset: &str, rate: f64, report: &Report, faults: Option<(usize, u64)>) -> String {
@@ -513,106 +477,68 @@ fn render_human(preset: &str, rate: f64, report: &Report, faults: Option<(usize,
     out
 }
 
-/// JSON-safe number: JSON has no NaN, so an empty latency sample
-/// serializes as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The `p`-th latency percentile of the tagged sample as a JSON
-/// number, `null` when no tagged packet completed.
-fn percentile_json(stats: &orion_sim::SimStats, p: f64) -> String {
-    match stats.latency_percentile(p) {
-        Some(v) => format!("{v}"),
-        None => "null".to_string(),
-    }
-}
-
-fn json_diagnostics(diag: &StallDiagnostics) -> String {
-    format!(
-        concat!(
-            "{{\"kind\": \"{}\", \"cycle\": {}, \"window\": {}, ",
-            "\"cycles_since_flit_movement\": {}, \"cycles_since_delivery\": {}, ",
-            "\"flits_in_network\": {}, \"source_backlog\": {}, ",
-            "\"stalled_vcs\": {}, \"blocked_head_flits\": {}}}"
-        ),
-        diag.kind,
-        diag.cycle,
-        diag.window,
-        diag.cycles_since_flit_movement,
-        diag.cycles_since_delivery,
-        diag.flits_in_network,
-        diag.source_backlog,
-        diag.stalled_vcs.len(),
-        diag.blocked_head_flits(),
-    )
-}
-
+/// The `--json` report: report-summary floats are rounded to six
+/// places (artifacts keep full precision).
 fn render_json(preset: &str, rate: f64, report: &Report) -> String {
     let stats = report.stats();
-    let diagnostics = match report.outcome() {
-        RunOutcome::Deadlocked(diag) => json_diagnostics(diag),
-        _ => "null".to_string(),
-    };
-    let audit = match report.outcome() {
-        RunOutcome::Corrupted { violations, cycle } => {
-            let kinds: Vec<String> = violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.kind()))
-                .collect();
-            format!(
-                "{{\"cycle\": {cycle}, \"violations\": [{}]}}",
-                kinds.join(", ")
-            )
+    let mut out = String::new();
+    let mut o = Json::pretty(&mut out);
+    o.key("schema_version").num(JSON_SCHEMA_VERSION);
+    o.key("preset").str(preset);
+    o.key("offered_rate").fixed(rate, 6);
+    o.key("outcome").str(report.outcome().label());
+    o.key("saturated").bool(report.is_saturated());
+    o.key("avg_latency_cycles").fixed(report.avg_latency(), 6);
+    o.key("latency_p50_cycles")
+        .opt(stats.latency_percentile(50.0), Value::num);
+    o.key("latency_p99_cycles")
+        .opt(stats.latency_percentile(99.0), Value::num);
+    o.key("zero_load_latency_cycles")
+        .fixed(report.zero_load_latency(), 6);
+    o.key("measured_cycles").num(report.measured_cycles());
+    o.key("total_power_w").fixed(report.total_power().0, 6);
+    let mut packets = o.key("packets").object();
+    packets.key("injected").num(stats.packets_injected);
+    packets.key("delivered").num(stats.packets_delivered);
+    packets.key("dropped").num(stats.packets_dropped);
+    packets.key("detoured").num(stats.packets_detoured);
+    packets.end();
+    o.key("flits_delivered").num(stats.flits_delivered);
+    o.key("drop_rate").fixed(stats.drop_rate(), 6);
+    match report.outcome() {
+        RunOutcome::Deadlocked(diag) => {
+            let mut d = o.key("diagnostics").object();
+            d.key("kind").str(&diag.kind.to_string());
+            d.key("cycle").num(diag.cycle);
+            d.key("window").num(diag.window);
+            d.key("cycles_since_flit_movement")
+                .num(diag.cycles_since_flit_movement);
+            d.key("cycles_since_delivery")
+                .num(diag.cycles_since_delivery);
+            d.key("flits_in_network").num(diag.flits_in_network);
+            d.key("source_backlog").num(diag.source_backlog);
+            d.key("stalled_vcs").num(diag.stalled_vcs.len());
+            d.key("blocked_head_flits").num(diag.blocked_head_flits());
+            d.end();
         }
-        _ => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\n",
-            "  \"schema_version\": {schema_version},\n",
-            "  \"preset\": \"{preset}\",\n",
-            "  \"offered_rate\": {rate},\n",
-            "  \"outcome\": \"{outcome}\",\n",
-            "  \"saturated\": {saturated},\n",
-            "  \"avg_latency_cycles\": {latency},\n",
-            "  \"latency_p50_cycles\": {p50},\n",
-            "  \"latency_p99_cycles\": {p99},\n",
-            "  \"zero_load_latency_cycles\": {zero_load},\n",
-            "  \"measured_cycles\": {cycles},\n",
-            "  \"total_power_w\": {power},\n",
-            "  \"packets\": {{\"injected\": {injected}, \"delivered\": {delivered}, ",
-            "\"dropped\": {dropped}, \"detoured\": {detoured}}},\n",
-            "  \"flits_delivered\": {flits},\n",
-            "  \"drop_rate\": {drop_rate},\n",
-            "  \"diagnostics\": {diagnostics},\n",
-            "  \"audit\": {audit}\n",
-            "}}\n"
-        ),
-        schema_version = JSON_SCHEMA_VERSION,
-        preset = preset,
-        rate = json_f64(rate),
-        outcome = report.outcome().label(),
-        saturated = report.is_saturated(),
-        latency = json_f64(report.avg_latency()),
-        p50 = percentile_json(stats, 50.0),
-        p99 = percentile_json(stats, 99.0),
-        zero_load = json_f64(report.zero_load_latency()),
-        cycles = report.measured_cycles(),
-        power = json_f64(report.total_power().0),
-        injected = stats.packets_injected,
-        delivered = stats.packets_delivered,
-        dropped = stats.packets_dropped,
-        detoured = stats.packets_detoured,
-        flits = stats.flits_delivered,
-        drop_rate = json_f64(stats.drop_rate()),
-        diagnostics = diagnostics,
-        audit = audit,
-    )
+        _ => o.key("diagnostics").null(),
+    }
+    match report.outcome() {
+        RunOutcome::Corrupted { violations, cycle } => {
+            let mut audit = o.key("audit").object();
+            audit.key("cycle").num(cycle);
+            let mut kinds = audit.key("violations").array();
+            for v in violations {
+                kinds.item().str(v.kind());
+            }
+            kinds.end();
+            audit.end();
+        }
+        _ => o.key("audit").null(),
+    }
+    o.end();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -620,7 +546,7 @@ mod tests {
     use super::*;
 
     fn run_full(line: &str) -> Result<CmdOutput, ArgError> {
-        simulate(&Args::parse(line.split_whitespace().map(String::from)).unwrap())
+        crate::run::run(&crate::args::toks(line))
     }
 
     fn run_line(line: &str) -> Result<String, ArgError> {
@@ -659,7 +585,51 @@ mod tests {
         assert!(out.contains("\"audit\": null"), "{out}");
         assert!(out.contains("\"dropped\": 0"), "{out}");
         assert_eq!(out.matches('{').count(), out.matches('}').count());
+        assert_eq!(out, GOLDEN_COMPLETED);
     }
+
+    /// Exact `simulate --json` bytes, generated at `f3a1fbd`: a
+    /// completed run, a watchdog-stopped run (the `diagnostics`
+    /// object), and the first `powermap.jsonl` line of the former.
+    const GOLDEN_COMPLETED: &str = r#"{
+  "schema_version": 4,
+  "preset": "vc16",
+  "offered_rate": 0.030000,
+  "outcome": "completed",
+  "saturated": false,
+  "avg_latency_cycles": 16.620000,
+  "latency_p50_cycles": 16,
+  "latency_p99_cycles": 27,
+  "zero_load_latency_cycles": 15.533333,
+  "measured_cycles": 246,
+  "total_power_w": 2.351593,
+  "packets": {"injected": 110, "delivered": 111, "dropped": 0, "detoured": 0},
+  "flits_delivered": 548,
+  "drop_rate": 0.000000,
+  "diagnostics": null,
+  "audit": null
+}
+"#;
+    const GOLDEN_DEADLOCKED: &str = r#"{
+  "schema_version": 4,
+  "preset": "wh64",
+  "offered_rate": 0.500000,
+  "outcome": "livelocked",
+  "saturated": true,
+  "avg_latency_cycles": 447.361514,
+  "latency_p50_cycles": 445,
+  "latency_p99_cycles": 735,
+  "zero_load_latency_cycles": 12.400000,
+  "measured_cycles": 1095,
+  "total_power_w": 12.554632,
+  "packets": {"injected": 11786, "delivered": 2209, "dropped": 0, "detoured": 0},
+  "flits_delivered": 11027,
+  "drop_rate": 0.000000,
+  "diagnostics": {"kind": "livelock", "cycle": 1572, "window": 400, "cycles_since_flit_movement": 377, "cycles_since_delivery": 400, "flits_in_network": 2223, "source_backlog": 48642, "stalled_vcs": 36, "blocked_head_flits": 20},
+  "audit": null
+}
+"#;
+    const GOLDEN_POWERMAP_LINE: &str = r#"{"schema_version":1,"node":0,"x":0,"y":0,"total_energy_j":0.000000019761123414074402,"power_w":0.16065953995182441}"#;
 
     #[test]
     fn audit_passes_cleanly_and_changes_no_numbers() {
@@ -690,11 +660,13 @@ mod tests {
 
     #[test]
     fn deadlock_prone_run_renders_diagnostics() {
-        let out = run_full(
-            "simulate --preset wh64 --rate 0.5 --warmup 100 --sample 2000 \
-             --max-cycles 200000 --watchdog-cycles 400",
-        )
-        .unwrap();
+        let line = "simulate --preset wh64 --rate 0.5 --warmup 100 --sample 2000 \
+             --max-cycles 200000 --watchdog-cycles 400";
+        assert_eq!(
+            run_line(&format!("{line} --json")).unwrap(),
+            GOLDEN_DEADLOCKED
+        );
+        let out = run_full(line).unwrap();
         // A wormhole torus this deep past saturation either deadlocks
         // (diagnostics rendered) or is caught by backlog divergence.
         let text = &out.text;
@@ -751,6 +723,9 @@ mod tests {
         assert!(run_line("simulate --audit-every").is_err());
         assert!(run_line("simulate --audit-every many").is_err());
         assert!(run_line(&format!("simulate --rate 0.03 {QUICK} --json")).is_ok());
+        // A value after the switch must not quietly turn JSON off.
+        let e = run_line(&format!("simulate --rate 0.03 {QUICK} --json true")).unwrap_err();
+        assert!(e.0.contains("--json takes no value"), "{e}");
     }
 
     #[test]
@@ -842,6 +817,8 @@ mod tests {
         ] {
             assert!(dir.join(artifact).exists(), "missing {artifact}");
         }
+        let powermap = std::fs::read_to_string(dir.join("powermap.jsonl")).unwrap();
+        assert_eq!(powermap.lines().next(), Some(GOLDEN_POWERMAP_LINE));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -865,7 +842,7 @@ mod tests {
             let obj = orion_exp::record::parse_flat_object(line).expect("flat JSON line");
             assert_eq!(
                 obj.get("schema_version").and_then(|v| v.as_u64()),
-                Some(u64::from(POWERMAP_SCHEMA_VERSION))
+                Some(u64::from(crate::powermap::POWERMAP_SCHEMA_VERSION))
             );
             let node = obj.get("node").and_then(|v| v.as_u64()).unwrap() as usize;
             let energy = obj.get("total_energy_j").and_then(|v| v.as_f64()).unwrap();

@@ -69,7 +69,7 @@ where
 /// Renders a panic payload as a message. Most panics carry a `&str`
 /// (literal) or `String` (formatted); anything else gets a fixed tag
 /// so the caller still learns *that* the item crashed.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

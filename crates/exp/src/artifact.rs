@@ -49,12 +49,7 @@ fn normalized(r: &CellRecord) -> CellRecord {
 /// Renders records as JSONL bytes (execution provenance normalized —
 /// see [`write_artifacts`]).
 pub fn to_jsonl(records: &[CellRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&normalized(r).to_json_line());
-        out.push('\n');
-    }
-    out
+    orion_obs::json::lines(records, |r| normalized(r).to_json_line())
 }
 
 /// Renders records as CSV bytes (header included; execution

@@ -46,6 +46,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use orion_obs::json::Json;
+
 use crate::artifact::write_atomic;
 use crate::record::{parse_flat_object, CellRecord};
 
@@ -421,20 +423,13 @@ impl Manifest {
     ///
     /// Returns the underlying I/O error.
     pub fn write(&self, dir: &Path) -> std::io::Result<()> {
-        let mut name = String::new();
-        for c in self.spec_name.chars() {
-            match c {
-                '"' | '\\' => {
-                    name.push('\\');
-                    name.push(c);
-                }
-                c => name.push(c),
-            }
-        }
-        let json = format!(
-            "{{\"spec_name\":\"{}\",\"total_cells\":{},\"completed_cells\":{}}}\n",
-            name, self.total_cells, self.completed_cells,
-        );
+        let mut json = String::new();
+        let mut o = Json::compact(&mut json);
+        o.key("spec_name").str(&self.spec_name);
+        o.key("total_cells").num(self.total_cells);
+        o.key("completed_cells").num(self.completed_cells);
+        o.end();
+        json.push('\n');
         write_atomic(&dir.join(MANIFEST_FILE), json.as_bytes())
     }
 
@@ -551,11 +546,7 @@ impl ResultCache {
         }
         let mut recs: Vec<&CellRecord> = self.entries.values().collect();
         recs.sort_by(|a, b| a.cell.cmp(&b.cell));
-        let mut text = String::new();
-        for r in recs {
-            text.push_str(&r.to_json_line());
-            text.push('\n');
-        }
+        let text = orion_obs::json::lines(recs, CellRecord::to_json_line);
         write_atomic(&self.path, text.as_bytes())?;
         Ok(true)
     }
@@ -876,6 +867,10 @@ mod tests {
             completed_cells: 7,
         };
         m.write(&dir).unwrap();
+        assert_eq!(
+            fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(),
+            "{\"spec_name\":\"fig5\",\"total_cells\":16,\"completed_cells\":7}\n"
+        );
         assert_eq!(Manifest::read(&dir), Some(m));
         assert!(!dir.join(format!("{MANIFEST_FILE}.tmp")).exists());
         fs::write(dir.join(MANIFEST_FILE), "{torn").unwrap();

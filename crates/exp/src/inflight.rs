@@ -116,10 +116,11 @@ impl InflightMap {
     }
 }
 
-/// Locks a mutex, recovering the inner data from poisoning: flights
-/// carry plain data whose invariants hold at every await point, and a
-/// poisoned map would otherwise wedge every future claimant.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks a mutex, recovering the inner data from poisoning. Only for
+/// plain data whose invariants hold at every step of every update
+/// (flights, counters, append handles): a poisoned lock would
+/// otherwise wedge every future claimant.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

@@ -12,9 +12,9 @@
 //! would silently round.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use orion_core::Report;
+use orion_obs::json::{Json, Value};
 use orion_sim::Component;
 
 use crate::fingerprint;
@@ -123,25 +123,14 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Builds the record for a completed (or degraded) simulation.
+    /// Builds the record for a completed (or degraded) simulation: the
+    /// cell's identity (as [`CellRecord::from_error`] fills it) plus
+    /// everything the report measured.
     pub fn from_report(cell: &Cell, report: &Report) -> CellRecord {
         let zero = |x: f64| if x == 0.0 { 0.0 } else { x };
         CellRecord {
-            schema_version: SCHEMA_VERSION,
-            cell: cell.key(),
-            fingerprint: cell.fingerprint(),
-            preset: cell.preset.clone(),
-            traffic: cell.traffic.as_str().to_string(),
-            rate: cell.rate,
-            seed: cell.seed,
-            derived_seed: cell.derived_seed(),
-            flow_control: flow_control_name(cell.flow_control).to_string(),
-            vc_discipline: vc_discipline_name(cell.vc_discipline).to_string(),
-            packet_len: cell.packet_len,
             outcome: report.outcome().label().to_string(),
             error: None,
-            cell_outcome: "ok".to_string(),
-            attempts: 1,
             saturated: report.is_saturated(),
             avg_latency: report.avg_latency(),
             zero_load_latency: report.zero_load_latency(),
@@ -160,9 +149,7 @@ impl CellRecord {
             flits_delivered: report.stats().flits_delivered,
             latency_p50: percentile_or_nan(report, 50.0),
             latency_p99: percentile_or_nan(report, 99.0),
-            resumed_from_cycle: None,
-            checkpoints_written: 0,
-            cached: false,
+            ..CellRecord::from_error(cell, "")
         }
     }
 
@@ -277,54 +264,45 @@ impl CellRecord {
     /// is fixed; `cached` is deliberately omitted.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(512);
-        s.push('{');
-        push_num(&mut s, "schema_version", self.schema_version);
-        push_str(&mut s, "cell", &self.cell);
-        push_raw_str(
-            &mut s,
-            "fingerprint",
-            &fingerprint::to_hex(self.fingerprint),
-        );
-        push_str(&mut s, "preset", &self.preset);
-        push_str(&mut s, "traffic", &self.traffic);
-        push_f64(&mut s, "rate", self.rate);
-        push_num(&mut s, "seed", self.seed);
-        push_num(&mut s, "derived_seed", self.derived_seed);
-        push_str(&mut s, "flow_control", &self.flow_control);
-        push_str(&mut s, "vc_discipline", &self.vc_discipline);
-        push_num(&mut s, "packet_len", self.packet_len);
-        push_str(&mut s, "outcome", &self.outcome);
-        match &self.error {
-            Some(e) => push_str(&mut s, "error", e),
-            None => push_null(&mut s, "error"),
-        }
-        push_str(&mut s, "cell_outcome", &self.cell_outcome);
-        push_num(&mut s, "attempts", self.attempts);
-        push_bool(&mut s, "saturated", self.saturated);
-        push_f64(&mut s, "avg_latency", self.avg_latency);
-        push_f64(&mut s, "zero_load_latency", self.zero_load_latency);
-        push_num(&mut s, "measured_cycles", self.measured_cycles);
-        push_f64(&mut s, "throughput", self.throughput);
-        push_f64(&mut s, "total_power_w", self.total_power_w);
-        push_f64(&mut s, "buffer_w", self.buffer_w);
-        push_f64(&mut s, "crossbar_w", self.crossbar_w);
-        push_f64(&mut s, "arbiter_w", self.arbiter_w);
-        push_f64(&mut s, "link_w", self.link_w);
-        push_f64(&mut s, "central_w", self.central_w);
-        push_num(&mut s, "packets_injected", self.packets_injected);
-        push_num(&mut s, "packets_delivered", self.packets_delivered);
-        push_num(&mut s, "packets_dropped", self.packets_dropped);
-        push_num(&mut s, "packets_detoured", self.packets_detoured);
-        push_num(&mut s, "flits_delivered", self.flits_delivered);
-        push_f64(&mut s, "latency_p50", self.latency_p50);
-        push_f64(&mut s, "latency_p99", self.latency_p99);
-        match self.resumed_from_cycle {
-            Some(c) => push_num(&mut s, "resumed_from_cycle", c),
-            None => push_null(&mut s, "resumed_from_cycle"),
-        }
-        push_num(&mut s, "checkpoints_written", self.checkpoints_written);
-        s.pop(); // trailing comma
-        s.push('}');
+        let mut o = Json::compact(&mut s);
+        o.key("schema_version").num(self.schema_version);
+        o.key("cell").str(&self.cell);
+        o.key("fingerprint")
+            .str(&fingerprint::to_hex(self.fingerprint));
+        o.key("preset").str(&self.preset);
+        o.key("traffic").str(&self.traffic);
+        o.key("rate").f64(self.rate);
+        o.key("seed").num(self.seed);
+        o.key("derived_seed").num(self.derived_seed);
+        o.key("flow_control").str(&self.flow_control);
+        o.key("vc_discipline").str(&self.vc_discipline);
+        o.key("packet_len").num(self.packet_len);
+        o.key("outcome").str(&self.outcome);
+        o.key("error").opt(self.error.as_deref(), Value::str);
+        o.key("cell_outcome").str(&self.cell_outcome);
+        o.key("attempts").num(self.attempts);
+        o.key("saturated").bool(self.saturated);
+        o.key("avg_latency").f64(self.avg_latency);
+        o.key("zero_load_latency").f64(self.zero_load_latency);
+        o.key("measured_cycles").num(self.measured_cycles);
+        o.key("throughput").f64(self.throughput);
+        o.key("total_power_w").f64(self.total_power_w);
+        o.key("buffer_w").f64(self.buffer_w);
+        o.key("crossbar_w").f64(self.crossbar_w);
+        o.key("arbiter_w").f64(self.arbiter_w);
+        o.key("link_w").f64(self.link_w);
+        o.key("central_w").f64(self.central_w);
+        o.key("packets_injected").num(self.packets_injected);
+        o.key("packets_delivered").num(self.packets_delivered);
+        o.key("packets_dropped").num(self.packets_dropped);
+        o.key("packets_detoured").num(self.packets_detoured);
+        o.key("flits_delivered").num(self.flits_delivered);
+        o.key("latency_p50").f64(self.latency_p50);
+        o.key("latency_p99").f64(self.latency_p99);
+        o.key("resumed_from_cycle")
+            .opt(self.resumed_from_cycle, Value::num);
+        o.key("checkpoints_written").num(self.checkpoints_written);
+        o.end();
         s
     }
 
@@ -337,6 +315,11 @@ impl CellRecord {
         if schema_version != SCHEMA_VERSION {
             return None;
         }
+        // An empty latency sample is stored as `null` and read back NaN.
+        let nullable_f64 = |key| match obj.get(key)? {
+            JsonVal::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        };
         Some(CellRecord {
             schema_version,
             cell: obj.get("cell")?.as_str()?.to_string(),
@@ -357,10 +340,7 @@ impl CellRecord {
             cell_outcome: obj.get("cell_outcome")?.as_str()?.to_string(),
             attempts: obj.get("attempts")?.as_u64()?.try_into().ok()?,
             saturated: obj.get("saturated")?.as_bool()?,
-            avg_latency: match obj.get("avg_latency")? {
-                JsonVal::Null => f64::NAN,
-                v => v.as_f64()?,
-            },
+            avg_latency: nullable_f64("avg_latency")?,
             zero_load_latency: obj.get("zero_load_latency")?.as_f64()?,
             measured_cycles: obj.get("measured_cycles")?.as_u64()?,
             throughput: obj.get("throughput")?.as_f64()?,
@@ -375,14 +355,8 @@ impl CellRecord {
             packets_dropped: obj.get("packets_dropped")?.as_u64()?,
             packets_detoured: obj.get("packets_detoured")?.as_u64()?,
             flits_delivered: obj.get("flits_delivered")?.as_u64()?,
-            latency_p50: match obj.get("latency_p50")? {
-                JsonVal::Null => f64::NAN,
-                v => v.as_f64()?,
-            },
-            latency_p99: match obj.get("latency_p99")? {
-                JsonVal::Null => f64::NAN,
-                v => v.as_f64()?,
-            },
+            latency_p50: nullable_f64("latency_p50")?,
+            latency_p99: nullable_f64("latency_p99")?,
             resumed_from_cycle: match obj.get("resumed_from_cycle")? {
                 JsonVal::Null => None,
                 v => Some(v.as_u64()?),
@@ -464,62 +438,6 @@ fn percentile_or_nan(report: &Report, p: f64) -> f64 {
         .latency_percentile(p)
         .map(|v| v as f64)
         .unwrap_or(f64::NAN)
-}
-
-fn push_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn push_num<N: std::fmt::Display>(s: &mut String, key: &str, v: N) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    if v.is_finite() {
-        let _ = write!(s, "{v},");
-    } else {
-        s.push_str("null,");
-    }
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    push_key(s, key);
-    s.push_str(if v { "true," } else { "false," });
-}
-
-fn push_null(s: &mut String, key: &str) {
-    push_key(s, key);
-    s.push_str("null,");
-}
-
-fn push_raw_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    s.push_str(v);
-    s.push_str("\",");
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",");
 }
 
 /// A value in a flat JSON object. Numbers keep their **raw token**
@@ -717,17 +635,50 @@ mod tests {
         r
     }
 
+    /// One fixed record exercising every serializer branch: an error
+    /// string with a quote, backslash, newline, control and non-ASCII
+    /// character, a NaN latency (`null`), a set `resumed_from_cycle`.
+    fn golden_record() -> CellRecord {
+        let mut r = CellRecord::from_error(&sample_cell(), "q\" b\\ n\n c\u{1} \u{e9}");
+        r.fingerprint = 0xdead_beef; // fixed: the golden pins the format, not MODEL_VERSION
+        r.latency_p50 = 31.0;
+        r.total_power_w = 0.123456789012345;
+        r.throughput = 1e-7;
+        r.measured_cycles = 12345;
+        r.saturated = true;
+        r.resumed_from_cycle = Some(8192);
+        r.checkpoints_written = 7;
+        r
+    }
+
+    /// Exact bytes of [`golden_record`], generated at `f3a1fbd`.
+    const GOLDEN_LINE: &str = r#"{"schema_version":4,"cell":"vc16/uniform/r0.050000/s0000000001/fc-flit-level/vd-unrestricted/pl005","fingerprint":"00000000deadbeef","preset":"vc16","traffic":"uniform","rate":0.05,"seed":1,"derived_seed":17932260630409807447,"flow_control":"flit-level","vc_discipline":"unrestricted","packet_len":5,"outcome":"error","error":"q\" b\\ n\n c\u0001 é","cell_outcome":"ok","attempts":1,"saturated":true,"avg_latency":null,"zero_load_latency":0,"measured_cycles":12345,"throughput":0.0000001,"total_power_w":0.123456789012345,"buffer_w":0,"crossbar_w":0,"arbiter_w":0,"link_w":0,"central_w":0,"packets_injected":0,"packets_delivered":0,"packets_dropped":0,"packets_detoured":0,"flits_delivered":0,"latency_p50":31,"latency_p99":null,"resumed_from_cycle":8192,"checkpoints_written":7}"#;
+    const GOLDEN_CSV: &str = r#"4,vc16/uniform/r0.050000/s0000000001/fc-flit-level/vd-unrestricted/pl005,00000000deadbeef,vc16,uniform,0.05,1,17932260630409807447,flit-level,unrestricted,5,error,ok,1,true,,0,12345,0.0000001,0.123456789012345,0,0,0,0,0,0,0,0,0,0,31,,8192,7"#;
+
     #[test]
     fn json_roundtrip_exact() {
-        let rec = sample_record();
-        let line = rec.to_json_line();
-        let back = CellRecord::from_json_line(&line).expect("parses");
-        // `cached` flips on load; everything else must round-trip.
-        let mut expect = rec.clone();
-        expect.cached = true;
-        assert_eq!(back, expect);
-        // Serialization is canonical: re-serializing gives the same bytes.
-        assert_eq!(back.to_json_line(), line);
+        for rec in [sample_record(), golden_record()] {
+            let line = rec.to_json_line();
+            let back = CellRecord::from_json_line(&line).expect("parses");
+            // `cached` flips on load; everything else must round-trip
+            // (NaN fields compare by their serialized form).
+            assert!(back.cached);
+            // Serialization is canonical: re-serializing gives the same bytes.
+            assert_eq!(back.to_json_line(), line);
+            if !rec.avg_latency.is_nan() {
+                let mut expect = rec.clone();
+                expect.cached = true;
+                assert_eq!(back, expect);
+            }
+        }
+        assert_eq!(golden_record().to_json_line(), GOLDEN_LINE);
+        assert_eq!(golden_record().to_csv_row(), GOLDEN_CSV);
+        let mut fresh = golden_record();
+        fresh.resumed_from_cycle = None;
+        assert_eq!(
+            fresh.to_json_line(),
+            GOLDEN_LINE.replace("\"resumed_from_cycle\":8192", "\"resumed_from_cycle\":null")
+        );
     }
 
     #[test]

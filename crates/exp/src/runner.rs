@@ -33,7 +33,9 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheAppender, CacheLock, ResultCache};
 use crate::engine::{poison_matches, retry_seed, run_cell_checkpointed, run_cell_seeded};
-use crate::inflight::{Claim, InflightMap};
+use orion_core::exec::panic_message;
+
+use crate::inflight::{lock_unpoisoned, Claim, InflightMap};
 use crate::record::CellRecord;
 use crate::spec::Cell;
 
@@ -379,25 +381,5 @@ impl CellRunner {
         }
         self.counters.crashed.fetch_add(1, Ordering::Relaxed);
         CellRecord::from_crash(cell, &last_panic, sup.max_retries + 1)
-    }
-}
-
-/// Renders a panic payload as a message (same policy as
-/// `orion_core::exec`): `&str` and `String` payloads verbatim, a fixed
-/// tag otherwise.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }

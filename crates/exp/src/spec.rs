@@ -314,13 +314,6 @@ impl TrafficKind {
         }
     }
 
-    fn from_str(name: &str, line: usize) -> Result<TrafficKind, SpecError> {
-        TrafficKind::parse(name).ok_or_else(|| SpecError::UnknownTraffic {
-            name: name.to_string(),
-            line,
-        })
-    }
-
     /// Builds the pattern over `topology` at `rate`.
     pub fn pattern(
         self,
@@ -465,8 +458,9 @@ impl Cell {
     }
 }
 
-/// Spec-schema tables and keys (anything else is an [`SpecError::UnknownKey`]).
-const SECTIONS: [&str; 4] = ["", "experiment", "measure", "grid"];
+/// Keys of the two sections every spec kind shares; each kind adds its
+/// own sections through [`read_preamble`]'s table. Anything else is an
+/// [`SpecError::UnknownSection`] / [`SpecError::UnknownKey`].
 const EXPERIMENT_KEYS: [&str; 2] = ["name", "description"];
 const MEASURE_KEYS: [&str; 5] = [
     "warmup",
@@ -485,7 +479,8 @@ const GRID_KEYS: [&str; 7] = [
     "packet_len",
 ];
 
-fn wrong_type(
+/// The diagnostic for a value of the wrong TOML type.
+pub fn wrong_type(
     section: &str,
     key: &str,
     expected: &'static str,
@@ -501,107 +496,181 @@ fn wrong_type(
     }
 }
 
-fn get_u64(doc: &Document, section: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(default),
-        Some(e) => match &e.value {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            v => Err(wrong_type(
-                section,
-                key,
-                "a non-negative integer",
-                v,
-                e.line,
-            )),
-        },
+/// The diagnostic for an absent required key.
+pub fn missing(section: &str, key: &str) -> SpecError {
+    SpecError::MissingKey {
+        section: section.into(),
+        key: key.into(),
     }
 }
 
-fn get_str(doc: &Document, section: &str, key: &str) -> Result<Option<(String, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Str(s) => Ok(Some((s.clone(), e.line))),
-            v => Err(wrong_type(section, key, "a string", v, e.line)),
-        },
+/// How a TOML value is read as an `R`: what a type diagnostic calls an
+/// array of them, and the extractor (`None` for any other type).
+pub struct Items<R> {
+    expected: &'static str,
+    /// Reads one value.
+    pub read: fn(&Value) -> Option<R>,
+}
+
+/// Strings.
+pub const STRINGS: Items<String> = Items {
+    expected: "an array of strings",
+    read: |v| match v {
+        Value::Str(s) => Some(s.clone()),
+        _ => None,
+    },
+};
+/// Numbers (integers widen to `f64`).
+pub const NUMBERS: Items<f64> = Items {
+    expected: "an array of numbers",
+    read: |v| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    },
+};
+/// Integers.
+pub const INTEGERS: Items<i64> = Items {
+    expected: "an array of integers",
+    read: |v| match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    },
+};
+
+/// Reads the scalar `key` of `section` through `read`, with its line:
+/// `None` when absent, [`SpecError::WrongType`] (naming `expected`)
+/// when `read` declines the value.
+pub fn scalar<T>(
+    doc: &Document,
+    section: &str,
+    key: &str,
+    expected: &'static str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<(T, usize)>, SpecError> {
+    let Some(e) = doc.get(section, key) else {
+        return Ok(None);
+    };
+    match read(&e.value) {
+        Some(v) => Ok(Some((v, e.line))),
+        None => Err(wrong_type(section, key, expected, &e.value, e.line)),
     }
 }
 
-/// A string array axis; `None` when the key is absent.
-fn get_str_array(
+/// A non-negative integer key, `default` when absent.
+pub fn get_u64(doc: &Document, section: &str, key: &str, default: u64) -> Result<u64, SpecError> {
+    let natural = |v: &Value| (INTEGERS.read)(v).and_then(|i| u64::try_from(i).ok());
+    let found = scalar(doc, section, key, "a non-negative integer", natural)?;
+    Ok(found.map_or(default, |(v, _)| v))
+}
+
+/// Reads one axis: the array `key` of `section`, type-checked as a
+/// whole, rejected when empty, then each item mapped through `parse`
+/// (which gets the entry's line for its diagnostic). Repeated values
+/// collapse onto their first occurrence — compared *after* parsing, so
+/// aliases that canonicalise to one value are one grid point. `None`
+/// when the key is absent; [`SpecError::WrongType`],
+/// [`SpecError::EmptyAxis`] or `parse`'s own rejection otherwise.
+pub fn axis<R, T: PartialEq>(
     doc: &Document,
     section: &str,
     key: &'static str,
-) -> Result<Option<(Vec<String>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Str(s) => out.push(s.clone()),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of strings", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of strings", v, e.line)),
-        },
+    items: Items<R>,
+    parse: impl Fn(R, usize) -> Result<T, SpecError>,
+) -> Result<Option<Vec<T>>, SpecError> {
+    let Some(e) = doc.get(section, key) else {
+        return Ok(None);
+    };
+    let mistyped = |v: &Value| wrong_type(section, key, items.expected, v, e.line);
+    let Value::Array(values) = &e.value else {
+        return Err(mistyped(&e.value));
+    };
+    let raw = values
+        .iter()
+        .map(|v| (items.read)(v).ok_or_else(|| mistyped(v)))
+        .collect::<Result<Vec<R>, _>>()?;
+    if raw.is_empty() {
+        return Err(SpecError::EmptyAxis { key });
+    }
+    let mut out = Vec::with_capacity(raw.len());
+    for item in raw {
+        let value = parse(item, e.line)?;
+        if !out.contains(&value) {
+            out.push(value);
+        }
+    }
+    Ok(Some(out))
+}
+
+/// The `traffic` axis of `section` (default: uniform only); unknown
+/// names are [`SpecError::UnknownTraffic`].
+pub fn traffic_axis(doc: &Document, section: &str) -> Result<Vec<TrafficKind>, SpecError> {
+    let parse = |name: String, line| {
+        TrafficKind::parse(&name).ok_or(SpecError::UnknownTraffic { name, line })
+    };
+    Ok(
+        axis(doc, section, "traffic", STRINGS, parse)?
+            .unwrap_or_else(|| vec![TrafficKind::Uniform]),
+    )
+}
+
+impl MeasureSpec {
+    /// Reads the `[measure]` section, absent keys keeping their
+    /// [`Default`]; every key must be a non-negative integer.
+    pub fn from_document(doc: &Document) -> Result<MeasureSpec, SpecError> {
+        let defaults = MeasureSpec::default();
+        Ok(MeasureSpec {
+            warmup: get_u64(doc, "measure", "warmup", defaults.warmup)?,
+            sample_packets: get_u64(doc, "measure", "sample_packets", defaults.sample_packets)?,
+            max_cycles: get_u64(doc, "measure", "max_cycles", defaults.max_cycles)?,
+            watchdog_cycles: get_u64(doc, "measure", "watchdog_cycles", defaults.watchdog_cycles)?,
+            audit_every: get_u64(doc, "measure", "audit_every", defaults.audit_every)?,
+        })
     }
 }
 
-fn get_num_array(
+/// What every spec kind starts with: the schema guard (every section
+/// and key must be known — `sections` lists the kind's own, beside the
+/// shared `[experiment]` and `[measure]`), then the experiment name
+/// and description, then the measurement discipline.
+pub fn read_preamble(
     doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<f64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i as f64),
-                        Value::Float(f) => out.push(*f),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of numbers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of numbers", v, e.line)),
-        },
+    sections: &[(&str, &[&str])],
+) -> Result<(String, String, MeasureSpec), SpecError> {
+    let shared: [(&str, &[&str]); 3] = [
+        ("", &[]),
+        ("experiment", &EXPERIMENT_KEYS),
+        ("measure", &MEASURE_KEYS),
+    ];
+    for (section, entries) in &doc.sections {
+        let Some((_, allowed)) = shared.iter().chain(sections).find(|(s, _)| s == section) else {
+            return Err(SpecError::UnknownSection {
+                section: section.clone(),
+                line: doc.section_line(section),
+            });
+        };
+        if let Some((key, entry)) = entries.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(SpecError::UnknownKey {
+                section: section.clone(),
+                key: key.clone(),
+                line: entry.line,
+            });
+        }
     }
-}
 
-fn get_int_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<i64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of integers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of integers", v, e.line)),
-        },
+    let (name, _) = scalar(doc, "experiment", "name", "a string", STRINGS.read)?
+        .ok_or_else(|| missing("experiment", "name"))?;
+    if name.is_empty()
+        || !name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+    {
+        return Err(SpecError::BadName { name });
     }
+    let description = scalar(doc, "experiment", "description", "a string", STRINGS.read)?
+        .map(|(s, _)| s)
+        .unwrap_or_default();
+    Ok((name, description, MeasureSpec::from_document(doc)?))
 }
 
 impl ExperimentSpec {
@@ -635,203 +704,70 @@ impl ExperimentSpec {
     }
 
     fn from_document(doc: Document) -> Result<ExperimentSpec, SpecError> {
-        // Schema guard: every section and key must be known.
-        for (section, entries) in &doc.sections {
-            if !SECTIONS.contains(&section.as_str()) {
-                return Err(SpecError::UnknownSection {
-                    section: section.clone(),
-                    line: doc.section_line(section),
-                });
-            }
-            let allowed: &[&str] = match section.as_str() {
-                "experiment" => &EXPERIMENT_KEYS,
-                "measure" => &MEASURE_KEYS,
-                "grid" => &GRID_KEYS,
-                _ => &[],
-            };
-            for (key, entry) in entries {
-                if !allowed.contains(&key.as_str()) {
-                    return Err(SpecError::UnknownKey {
-                        section: section.clone(),
-                        key: key.clone(),
-                        line: entry.line,
-                    });
-                }
-            }
-        }
+        let (name, description, measure) = read_preamble(&doc, &[("grid", &GRID_KEYS)])?;
 
-        let (name, _) = get_str(&doc, "experiment", "name")?.ok_or(SpecError::MissingKey {
-            section: "experiment".into(),
-            key: "name".into(),
-        })?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(SpecError::BadName { name });
-        }
-        let description = get_str(&doc, "experiment", "description")?
-            .map(|(s, _)| s)
-            .unwrap_or_default();
-
-        let defaults = MeasureSpec::default();
-        let measure = MeasureSpec {
-            warmup: get_u64(&doc, "measure", "warmup", defaults.warmup)?,
-            sample_packets: get_u64(&doc, "measure", "sample_packets", defaults.sample_packets)?,
-            max_cycles: get_u64(&doc, "measure", "max_cycles", defaults.max_cycles)?,
-            watchdog_cycles: get_u64(&doc, "measure", "watchdog_cycles", defaults.watchdog_cycles)?,
-            audit_every: get_u64(&doc, "measure", "audit_every", defaults.audit_every)?,
-        };
-
-        let (presets, presets_line) =
-            get_str_array(&doc, "grid", "presets")?.ok_or(SpecError::MissingKey {
-                section: "grid".into(),
-                key: "presets".into(),
-            })?;
-        if presets.is_empty() {
-            return Err(SpecError::EmptyAxis { key: "presets" });
-        }
         // Canonicalise every name through the design codec so aliases
         // (`vc8x8`) address the same cells — and cache entries — as the
         // canonical form (`vc64`).
-        let presets = presets
-            .iter()
-            .map(|p| {
-                crate::design::canonical_design_name(p).ok_or(SpecError::UnknownPreset {
-                    name: p.clone(),
-                    line: presets_line,
-                })
+        let presets = axis(&doc, "grid", "presets", STRINGS, |name, line| {
+            crate::design::canonical_design_name(&name)
+                .ok_or(SpecError::UnknownPreset { name, line })
+        })?
+        .ok_or_else(|| missing("grid", "presets"))?;
+
+        // Rates are the same grid point only when their bits are:
+        // `0.0` and `-0.0` render different cell keys.
+        let rates = axis(&doc, "grid", "rates", NUMBERS, |rate, line| {
+            match (0.0..=1.0).contains(&rate) {
+                true => Ok(rate.to_bits()),
+                false => Err(SpecError::InvalidRate { rate, line }),
+            }
+        })?
+        .ok_or_else(|| missing("grid", "rates"))?;
+        let rates = rates.into_iter().map(f64::from_bits).collect();
+
+        // Integer axes with a sign constraint report the constraint in
+        // the type diagnostic.
+        let constrained = |key: &str, expected, line| SpecError::WrongType {
+            section: "grid".into(),
+            key: key.into(),
+            expected,
+            found: "integer",
+            line,
+        };
+        let seeds = axis(&doc, "grid", "seeds", INTEGERS, |seed, line| {
+            let expected = "an array of non-negative integers";
+            u64::try_from(seed).map_err(|_| constrained("seeds", expected, line))
+        })?
+        .unwrap_or_else(|| vec![1]);
+
+        let traffic = traffic_axis(&doc, "grid")?;
+
+        let flow_control = axis(&doc, "grid", "flow_control", STRINGS, |name, line| {
+            Ok(match name.as_str() {
+                "flit-level" => FlowControl::FlitLevel,
+                "cut-through" => FlowControl::CutThrough,
+                "bubble" => FlowControl::Bubble,
+                _ => return Err(SpecError::UnknownFlowControl { name, line }),
             })
-            .collect::<Result<Vec<_>, _>>()?;
+        })?;
 
-        let (rates, rates_line) =
-            get_num_array(&doc, "grid", "rates")?.ok_or(SpecError::MissingKey {
-                section: "grid".into(),
-                key: "rates".into(),
-            })?;
-        if rates.is_empty() {
-            return Err(SpecError::EmptyAxis { key: "rates" });
-        }
-        for &r in &rates {
-            if !(0.0..=1.0).contains(&r) {
-                return Err(SpecError::InvalidRate {
-                    rate: r,
-                    line: rates_line,
-                });
-            }
-        }
+        let vc_discipline = axis(&doc, "grid", "vc_discipline", STRINGS, |name, line| {
+            Ok(match name.as_str() {
+                "unrestricted" => VcDiscipline::Unrestricted,
+                "dateline" => VcDiscipline::Dateline,
+                "escape" => VcDiscipline::Escape,
+                _ => return Err(SpecError::UnknownVcDiscipline { name, line }),
+            })
+        })?;
 
-        let seeds = match get_int_array(&doc, "grid", "seeds")? {
-            None => vec![1u64],
-            Some((v, line)) => {
-                if v.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "seeds" });
-                }
-                let mut out = Vec::new();
-                for s in v {
-                    if s < 0 {
-                        return Err(SpecError::WrongType {
-                            section: "grid".into(),
-                            key: "seeds".into(),
-                            expected: "an array of non-negative integers",
-                            found: "integer",
-                            line,
-                        });
-                    }
-                    out.push(s as u64);
-                }
-                out
+        let packet_len = axis(&doc, "grid", "packet_len", INTEGERS, |len, line| {
+            let expected = "an array of positive integers";
+            match len > 0 {
+                true => Ok(len as u32),
+                false => Err(constrained("packet_len", expected, line)),
             }
-        };
-
-        let traffic = match get_str_array(&doc, "grid", "traffic")? {
-            None => vec![TrafficKind::Uniform],
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "traffic" });
-                }
-                names
-                    .iter()
-                    .map(|n| TrafficKind::from_str(n, line))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-
-        let flow_control = match get_str_array(&doc, "grid", "flow_control")? {
-            None => None,
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis {
-                        key: "flow_control",
-                    });
-                }
-                let mut out = Vec::new();
-                for n in &names {
-                    out.push(match n.as_str() {
-                        "flit-level" => FlowControl::FlitLevel,
-                        "cut-through" => FlowControl::CutThrough,
-                        "bubble" => FlowControl::Bubble,
-                        other => {
-                            return Err(SpecError::UnknownFlowControl {
-                                name: other.to_string(),
-                                line,
-                            })
-                        }
-                    });
-                }
-                Some(out)
-            }
-        };
-
-        let vc_discipline = match get_str_array(&doc, "grid", "vc_discipline")? {
-            None => None,
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis {
-                        key: "vc_discipline",
-                    });
-                }
-                let mut out = Vec::new();
-                for n in &names {
-                    out.push(match n.as_str() {
-                        "unrestricted" => VcDiscipline::Unrestricted,
-                        "dateline" => VcDiscipline::Dateline,
-                        "escape" => VcDiscipline::Escape,
-                        other => {
-                            return Err(SpecError::UnknownVcDiscipline {
-                                name: other.to_string(),
-                                line,
-                            })
-                        }
-                    });
-                }
-                Some(out)
-            }
-        };
-
-        let packet_len = match get_int_array(&doc, "grid", "packet_len")? {
-            None => None,
-            Some((v, line)) => {
-                if v.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "packet_len" });
-                }
-                let mut out = Vec::new();
-                for p in v {
-                    if p <= 0 {
-                        return Err(SpecError::WrongType {
-                            section: "grid".into(),
-                            key: "packet_len".into(),
-                            expected: "an array of positive integers",
-                            found: "integer",
-                            line,
-                        });
-                    }
-                    out.push(p as u32);
-                }
-                Some(out)
-            }
-        };
+        })?;
 
         Ok(ExperimentSpec {
             name,
@@ -948,6 +884,37 @@ flow_control = ["flit-level", "cut-through", "bubble"]
         let cells = spec.expand();
         assert_eq!(cells.len(), 6);
         assert!(cells.iter().any(|c| c.flow_control == FlowControl::Bubble));
+    }
+
+    #[test]
+    fn repeated_axis_values_collapse_to_one_grid_point() {
+        // `vc8x8` canonicalises to `vc64`: every axis below names one
+        // value twice, so the grid is one cell, not sixteen.
+        let spec = ExperimentSpec::parse(
+            r#"
+[experiment]
+name = "dup"
+[grid]
+presets = ["vc64", "vc8x8"]
+traffic = ["uniform", "uniform"]
+rates = [0.02, 0.02]
+seeds = [1, 1]
+"#,
+        )
+        .unwrap();
+        assert_eq!(spec.presets, vec!["vc64"]);
+        assert_eq!(spec.grid_size(), 1);
+        assert_eq!(spec.expand().len(), 1);
+        // First occurrences keep their order; `0.0` and `-0.0` are
+        // different bit patterns (and different cell keys).
+        let spec = ExperimentSpec::parse(
+            "[experiment]\nname = \"t\"\n[grid]\npresets = [\"vc16\"]\n\
+             rates = [0.05, 0.0, 0.05, -0.0]\npacket_len = [8, 5, 8]\n",
+        )
+        .unwrap();
+        assert_eq!(spec.rates.len(), 3);
+        assert_eq!(spec.rates[..2], [0.05, 0.0]);
+        assert_eq!(spec.packet_len, Some(vec![8, 5]));
     }
 
     #[test]

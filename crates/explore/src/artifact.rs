@@ -18,6 +18,7 @@ use orion_exp::fingerprint;
 use orion_exp::spec::TrafficKind;
 use orion_exp::write_atomic;
 use orion_exp::CellRecord;
+use orion_obs::json::Json;
 
 use crate::spec::ExploreSpec;
 
@@ -134,34 +135,30 @@ impl PointRecord {
     /// order, non-finite floats as `null`.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(384);
-        s.push('{');
-        push_num(&mut s, "schema_version", self.schema_version);
-        push_str(&mut s, "experiment", &self.experiment);
-        push_str(&mut s, "traffic", &self.traffic);
-        push_str(&mut s, "candidate", &self.candidate);
-        push_str(&mut s, "cell", &self.cell);
-        push_str(
-            &mut s,
-            "fingerprint",
-            &fingerprint::to_hex(self.fingerprint),
-        );
-        push_str(&mut s, "family", &self.family);
-        push_num(&mut s, "vcs", self.vcs);
-        push_num(&mut s, "depth", self.depth);
-        push_num(&mut s, "buffering", self.buffering);
-        push_num(&mut s, "radix", self.radix);
-        push_str(&mut s, "topology", &self.topology);
-        push_str(&mut s, "node", &self.node);
-        push_f64(&mut s, "rate", self.rate);
-        push_f64(&mut s, "avg_latency", self.avg_latency);
-        push_f64(&mut s, "total_power_w", self.total_power_w);
-        push_f64(&mut s, "throughput", self.throughput);
-        push_str(&mut s, "outcome", &self.outcome);
-        push_str(&mut s, "cell_outcome", &self.cell_outcome);
-        push_bool(&mut s, "on_frontier", self.on_frontier);
-        push_num(&mut s, "round", self.round);
-        s.pop(); // trailing comma
-        s.push('}');
+        let mut o = Json::compact(&mut s);
+        o.key("schema_version").num(self.schema_version);
+        o.key("experiment").str(&self.experiment);
+        o.key("traffic").str(&self.traffic);
+        o.key("candidate").str(&self.candidate);
+        o.key("cell").str(&self.cell);
+        o.key("fingerprint")
+            .str(&fingerprint::to_hex(self.fingerprint));
+        o.key("family").str(&self.family);
+        o.key("vcs").num(self.vcs);
+        o.key("depth").num(self.depth);
+        o.key("buffering").num(self.buffering);
+        o.key("radix").num(self.radix);
+        o.key("topology").str(&self.topology);
+        o.key("node").str(&self.node);
+        o.key("rate").f64(self.rate);
+        o.key("avg_latency").f64(self.avg_latency);
+        o.key("total_power_w").f64(self.total_power_w);
+        o.key("throughput").f64(self.throughput);
+        o.key("outcome").str(&self.outcome);
+        o.key("cell_outcome").str(&self.cell_outcome);
+        o.key("on_frontier").bool(self.on_frontier);
+        o.key("round").num(self.round);
+        o.end();
         s
     }
 
@@ -212,50 +209,6 @@ impl PointRecord {
     }
 }
 
-fn push_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn push_num<N: std::fmt::Display>(s: &mut String, key: &str, v: N) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    if v.is_finite() {
-        let _ = write!(s, "{v},");
-    } else {
-        s.push_str("null,");
-    }
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    push_key(s, key);
-    s.push_str(if v { "true," } else { "false," });
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",");
-}
-
 /// Paths of the four files one run writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreArtifacts {
@@ -270,12 +223,7 @@ pub struct ExploreArtifacts {
 }
 
 fn to_jsonl<'a>(points: impl Iterator<Item = &'a PointRecord>) -> Vec<u8> {
-    let mut out = String::new();
-    for p in points {
-        out.push_str(&p.to_json_line());
-        out.push('\n');
-    }
-    out.into_bytes()
+    orion_obs::json::lines(points, PointRecord::to_json_line).into_bytes()
 }
 
 fn to_csv<'a>(points: impl Iterator<Item = &'a PointRecord>) -> Vec<u8> {
@@ -357,7 +305,18 @@ mod tests {
         // NaN latency -> null.
         let crashed = sample(false, f64::NAN).to_json_line();
         assert!(crashed.contains("\"avg_latency\":null"), "{crashed}");
+        // Exact bytes, generated at `f3a1fbd`.
+        assert_eq!(line, GOLDEN_LINE);
+        assert_eq!(
+            crashed,
+            GOLDEN_LINE
+                .replace("\"avg_latency\":12.5", "\"avg_latency\":null")
+                .replace("\"on_frontier\":true", "\"on_frontier\":false")
+        );
     }
+
+    const GOLDEN_LINE: &str = r#"{"schema_version":1,"experiment":"t","traffic":"uniform","candidate":"vc64","cell":"vc64/uniform/r0.050000/s0000000001/fc-flit-level/vd-unrestricted/pl005","fingerprint":"00000000deadbeef","family":"vc","vcs":8,"depth":8,"buffering":64,"radix":4,"topology":"torus","node":"0.1um","rate":0.05,"avg_latency":12.5,"total_power_w":1.25,"throughput":0.4,"outcome":"completed","cell_outcome":"ok","on_frontier":true,"round":1}"#;
+    const GOLDEN_CSV: &str = r#"1,t,uniform,vc64,vc64/uniform/r0.050000/s0000000001/fc-flit-level/vd-unrestricted/pl005,00000000deadbeef,vc,8,8,64,4,torus,0.1um,0.05,12.5,1.25,0.4,completed,ok,true,1"#;
 
     #[test]
     fn csv_columns_match_header() {
@@ -365,6 +324,7 @@ mod tests {
         let row_cols = sample(true, 12.5).to_csv_row().split(',').count();
         assert_eq!(header_cols, row_cols);
         assert_eq!(header_cols, 21);
+        assert_eq!(sample(true, 12.5).to_csv_row(), GOLDEN_CSV);
     }
 
     #[test]

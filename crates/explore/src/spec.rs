@@ -29,11 +29,12 @@
 //! `orion-exp`; everything is line-numbered and nothing panics on
 //! malformed input (including non-UTF-8 bytes).
 
-use std::collections::BTreeSet;
-
 use orion_exp::design::{DesignPoint, RouterFamily};
-use orion_exp::spec::{MeasureSpec, SpecError, TrafficKind};
-use orion_exp::toml::{self, Document, Value};
+use orion_exp::spec::{
+    axis, get_u64, missing, read_preamble, scalar, traffic_axis, MeasureSpec, SpecError,
+    TrafficKind, INTEGERS, NUMBERS, STRINGS,
+};
+use orion_exp::toml::{self, Document};
 use orion_net::TopologyKind;
 use orion_tech::ProcessNode;
 
@@ -174,15 +175,6 @@ pub struct ExploreSpec {
     pub space: Space,
 }
 
-const SECTIONS: [&str; 5] = ["", "experiment", "measure", "explore", "space"];
-const EXPERIMENT_KEYS: [&str; 2] = ["name", "description"];
-const MEASURE_KEYS: [&str; 5] = [
-    "warmup",
-    "sample_packets",
-    "max_cycles",
-    "watchdog_cycles",
-    "audit_every",
-];
 const EXPLORE_KEYS: [&str; 8] = [
     "strategy",
     "budget",
@@ -195,110 +187,29 @@ const EXPLORE_KEYS: [&str; 8] = [
 ];
 const SPACE_KEYS: [&str; 6] = ["families", "vcs", "depths", "radix", "topology", "nodes"];
 
-fn wrong_type(
-    section: &str,
-    key: &str,
-    expected: &'static str,
-    value: &Value,
-    line: usize,
-) -> SpecError {
-    SpecError::WrongType {
-        section: section.to_string(),
-        key: key.to_string(),
-        expected,
-        found: value.kind(),
-        line,
-    }
-}
-
-fn get_str(doc: &Document, section: &str, key: &str) -> Result<Option<(String, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Str(s) => Ok(Some((s.clone(), e.line))),
-            v => Err(wrong_type(section, key, "a string", v, e.line)),
-        },
-    }
-}
-
-fn get_u64(doc: &Document, section: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(default),
-        Some(e) => match &e.value {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            v => Err(wrong_type(
-                section,
-                key,
-                "a non-negative integer",
-                v,
-                e.line,
-            )),
-        },
-    }
-}
-
 fn get_pos_usize(
     doc: &Document,
     section: &str,
     key: &str,
     default: usize,
 ) -> Result<usize, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(default),
-        Some(e) => match &e.value {
-            Value::Int(i) if *i > 0 => Ok(*i as usize),
-            v => Err(wrong_type(section, key, "a positive integer", v, e.line)),
-        },
-    }
+    let positive = |v: &_| (INTEGERS.read)(v).filter(|i| *i > 0);
+    let found = scalar(doc, section, key, "a positive integer", positive)?;
+    Ok(found.map_or(default, |(v, _)| v as usize))
 }
 
-fn get_str_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<String>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Str(s) => out.push(s.clone()),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of strings", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of strings", v, e.line)),
-        },
-    }
-}
-
-fn get_int_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<i64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of integers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of integers", v, e.line)),
-        },
+/// The diagnostic for a `[space]` value outside its dimension's domain.
+fn bad_dimension(
+    key: &str,
+    value: impl ToString,
+    expected: &'static str,
+    line: usize,
+) -> SpecError {
+    SpecError::BadDimension {
+        key: key.to_string(),
+        value: value.to_string(),
+        expected,
+        line,
     }
 }
 
@@ -307,29 +218,16 @@ fn sized_axis(
     doc: &Document,
     key: &'static str,
     default: &[u32],
-    max: u32,
+    range: std::ops::RangeInclusive<i64>,
     expected: &'static str,
 ) -> Result<Vec<u32>, SpecError> {
-    let (raw, line) = match get_int_array(doc, "space", key)? {
-        None => return Ok(default.to_vec()),
-        Some(v) => v,
+    let in_range = |v: i64, line| match range.contains(&v) {
+        true => Ok(v as u32),
+        false => Err(bad_dimension(key, v, expected, line)),
     };
-    if raw.is_empty() {
-        return Err(SpecError::EmptyAxis { key });
-    }
-    let mut out = BTreeSet::new();
-    for v in raw {
-        if v < 1 || v > max as i64 {
-            return Err(SpecError::BadDimension {
-                key: key.to_string(),
-                value: v.to_string(),
-                expected,
-                line,
-            });
-        }
-        out.insert(v as u32);
-    }
-    Ok(out.into_iter().collect())
+    let mut out = axis(doc, "space", key, INTEGERS, in_range)?.unwrap_or_else(|| default.to_vec());
+    out.sort_unstable();
+    Ok(out)
 }
 
 fn parse_node(name: &str) -> Option<ProcessNode> {
@@ -372,223 +270,71 @@ impl ExploreSpec {
     }
 
     fn from_document(doc: Document) -> Result<ExploreSpec, SpecError> {
-        for (section, entries) in &doc.sections {
-            if !SECTIONS.contains(&section.as_str()) {
-                return Err(SpecError::UnknownSection {
-                    section: section.clone(),
-                    line: doc.section_line(section),
-                });
-            }
-            let allowed: &[&str] = match section.as_str() {
-                "experiment" => &EXPERIMENT_KEYS,
-                "measure" => &MEASURE_KEYS,
-                "explore" => &EXPLORE_KEYS,
-                "space" => &SPACE_KEYS,
-                _ => &[],
-            };
-            for (key, entry) in entries {
-                if !allowed.contains(&key.as_str()) {
-                    return Err(SpecError::UnknownKey {
-                        section: section.clone(),
-                        key: key.clone(),
-                        line: entry.line,
-                    });
-                }
-            }
-        }
+        let (name, description, measure) =
+            read_preamble(&doc, &[("explore", &EXPLORE_KEYS), ("space", &SPACE_KEYS)])?;
 
-        let (name, _) = get_str(&doc, "experiment", "name")?.ok_or(SpecError::MissingKey {
-            section: "experiment".into(),
-            key: "name".into(),
-        })?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(SpecError::BadName { name });
-        }
-        let description = get_str(&doc, "experiment", "description")?
-            .map(|(s, _)| s)
-            .unwrap_or_default();
-
-        let defaults = MeasureSpec::default();
-        let measure = MeasureSpec {
-            warmup: get_u64(&doc, "measure", "warmup", defaults.warmup)?,
-            sample_packets: get_u64(&doc, "measure", "sample_packets", defaults.sample_packets)?,
-            max_cycles: get_u64(&doc, "measure", "max_cycles", defaults.max_cycles)?,
-            watchdog_cycles: get_u64(&doc, "measure", "watchdog_cycles", defaults.watchdog_cycles)?,
-            audit_every: get_u64(&doc, "measure", "audit_every", defaults.audit_every)?,
-        };
-
-        let strategy = match get_str(&doc, "explore", "strategy")? {
+        let strategy = match scalar(&doc, "explore", "strategy", "a string", STRINGS.read)? {
             None => Strategy::GridRefine,
-            Some((s, line)) => {
-                Strategy::parse(&s).ok_or(SpecError::UnknownStrategy { name: s, line })?
+            Some((name, line)) => {
+                Strategy::parse(&name).ok_or(SpecError::UnknownStrategy { name, line })?
             }
         };
 
-        let budget = match doc.get("explore", "budget") {
-            None => {
-                return Err(SpecError::MissingKey {
-                    section: "explore".into(),
-                    key: "budget".into(),
-                })
-            }
-            Some(e) => match &e.value {
-                Value::Int(i) if *i > 0 => *i as usize,
-                Value::Int(i) => {
-                    return Err(SpecError::InvalidBudget {
-                        value: *i,
-                        line: e.line,
-                    })
-                }
-                v => return Err(wrong_type("explore", "budget", "an integer", v, e.line)),
-            },
+        let budget = match scalar(&doc, "explore", "budget", "an integer", INTEGERS.read)? {
+            None => return Err(missing("explore", "budget")),
+            Some((value, _)) if value > 0 => value as usize,
+            Some((value, line)) => return Err(SpecError::InvalidBudget { value, line }),
         };
 
         let seed = get_u64(&doc, "explore", "seed", 1)?;
         let workload_seed = get_u64(&doc, "explore", "workload_seed", 1)?;
 
-        let rate = match doc.get("explore", "rate") {
+        let rate = match scalar(&doc, "explore", "rate", "a number", NUMBERS.read)? {
             None => 0.05,
-            Some(e) => {
-                let r = match &e.value {
-                    Value::Int(i) => *i as f64,
-                    Value::Float(f) => *f,
-                    v => return Err(wrong_type("explore", "rate", "a number", v, e.line)),
-                };
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(SpecError::InvalidRate {
-                        rate: r,
-                        line: e.line,
-                    });
-                }
-                r
-            }
+            Some((rate, _)) if (0.0..=1.0).contains(&rate) => rate,
+            Some((rate, line)) => return Err(SpecError::InvalidRate { rate, line }),
         };
 
-        let traffic = match get_str_array(&doc, "explore", "traffic")? {
-            None => vec![TrafficKind::Uniform],
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "traffic" });
-                }
-                let mut out = Vec::new();
-                for n in &names {
-                    let kind = TrafficKind::parse(n).ok_or_else(|| SpecError::UnknownTraffic {
-                        name: n.clone(),
-                        line,
-                    })?;
-                    if !out.contains(&kind) {
-                        out.push(kind);
-                    }
-                }
-                out
-            }
-        };
+        let traffic = traffic_axis(&doc, "explore")?;
 
         let population = get_pos_usize(&doc, "explore", "population", 4)?;
         let offspring = get_pos_usize(&doc, "explore", "offspring", 8)?;
 
-        let families = {
-            let (names, line) =
-                get_str_array(&doc, "space", "families")?.ok_or(SpecError::MissingKey {
-                    section: "space".into(),
-                    key: "families".into(),
-                })?;
-            if names.is_empty() {
-                return Err(SpecError::EmptyAxis { key: "families" });
-            }
-            let mut out = Vec::new();
-            for n in &names {
-                let fam = RouterFamily::parse(n).ok_or_else(|| SpecError::BadDimension {
-                    key: "families".to_string(),
-                    value: n.clone(),
-                    expected: "wh|vc|xb|cb",
-                    line,
-                })?;
-                if !out.contains(&fam) {
-                    out.push(fam);
-                }
-            }
-            out
-        };
+        let families = axis(&doc, "space", "families", STRINGS, |name, line| {
+            RouterFamily::parse(&name)
+                .ok_or_else(|| bad_dimension("families", name, "wh|vc|xb|cb", line))
+        })?
+        .ok_or_else(|| missing("space", "families"))?;
 
-        let vcs = sized_axis(&doc, "vcs", &[2, 4, 8], 1024, "an integer in [1, 1024]")?;
+        let vcs = sized_axis(&doc, "vcs", &[2, 4, 8], 1..=1024, "an integer in [1, 1024]")?;
         let depths = sized_axis(
             &doc,
             "depths",
             &[4, 8, 16],
-            65_536,
+            1..=65_536,
             "an integer in [1, 65536]",
         )?;
-        let radices = {
-            let r = sized_axis(&doc, "radix", &[4], 64, "an integer in [2, 64]")?;
-            if let Some(&bad) = r.iter().find(|&&k| k < 2) {
-                let line = doc.get("space", "radix").map_or(0, |e| e.line);
-                return Err(SpecError::BadDimension {
-                    key: "radix".to_string(),
-                    value: bad.to_string(),
-                    expected: "an integer in [2, 64]",
-                    line,
-                });
-            }
-            r
-        };
+        let radices = sized_axis(&doc, "radix", &[4], 2..=64, "an integer in [2, 64]")?;
 
-        let topologies = match get_str_array(&doc, "space", "topology")? {
-            None => vec![TopologyKind::Torus],
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "topology" });
-                }
-                let mut out = Vec::new();
-                for n in &names {
-                    let kind = match n.as_str() {
-                        "torus" => TopologyKind::Torus,
-                        "mesh" => TopologyKind::Mesh,
-                        other => {
-                            return Err(SpecError::BadDimension {
-                                key: "topology".to_string(),
-                                value: other.to_string(),
-                                expected: "torus|mesh",
-                                line,
-                            })
-                        }
-                    };
-                    if !out.contains(&kind) {
-                        out.push(kind);
-                    }
-                }
-                out
-            }
-        };
+        let topologies = axis(&doc, "space", "topology", STRINGS, |name, line| {
+            Ok(match name.as_str() {
+                "torus" => TopologyKind::Torus,
+                "mesh" => TopologyKind::Mesh,
+                _ => return Err(bad_dimension("topology", name, "torus|mesh", line)),
+            })
+        })?
+        .unwrap_or_else(|| vec![TopologyKind::Torus]);
 
-        let nodes = match get_str_array(&doc, "space", "nodes")? {
-            None => vec![ProcessNode::Nm100],
-            Some((names, line)) => {
-                if names.is_empty() {
-                    return Err(SpecError::EmptyAxis { key: "nodes" });
-                }
-                let mut out: Vec<ProcessNode> = Vec::new();
-                for n in &names {
-                    let node = parse_node(n).ok_or_else(|| SpecError::BadDimension {
-                        key: "nodes".to_string(),
-                        value: n.clone(),
-                        expected: "0.8um|0.35um|0.25um|0.18um|0.13um|0.1um|70nm",
-                        line,
-                    })?;
-                    if !out.contains(&node) {
-                        out.push(node);
-                    }
-                }
-                // Oldest technology first: ascending index = shrinking
-                // feature size, so index midpoints interpolate nodes.
-                out.sort_by(|a, b| b.feature_size().0.total_cmp(&a.feature_size().0));
-                out
-            }
-        };
+        let mut nodes = axis(&doc, "space", "nodes", STRINGS, |name, line| {
+            parse_node(&name).ok_or_else(|| {
+                let expected = "0.8um|0.35um|0.25um|0.18um|0.13um|0.1um|70nm";
+                bad_dimension("nodes", name, expected, line)
+            })
+        })?
+        .unwrap_or_else(|| vec![ProcessNode::Nm100]);
+        // Oldest technology first: ascending index = shrinking
+        // feature size, so index midpoints interpolate nodes.
+        nodes.sort_by(|a, b| b.feature_size().0.total_cmp(&a.feature_size().0));
 
         Ok(ExploreSpec {
             name,

@@ -25,11 +25,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod probe;
 pub mod trace;
 
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS};
+pub use metrics::{
+    Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS, METRICS_SCHEMA_VERSION,
+};
 pub use probe::{rows_to_jsonl, NodeState, ProbeRow, Prober, COMPONENTS, PROBE_SCHEMA_VERSION};
 pub use trace::{
     spans_to_jsonl, FlitTracer, HopEvent, HopStage, PacketSpan, MAX_HOPS, TRACE_SCHEMA_VERSION,

@@ -8,6 +8,8 @@
 //! Snapshots serialize to JSON or CSV with the same fixed field order
 //! every run — artifact diffs are meaningful.
 
+use crate::json::{Json, Value};
+
 /// Default histogram bucket upper bounds: powers of two from 1 to
 /// 65 536 cycles, spanning zero-load latencies (~15 cycles, §4.1) to
 /// deep-saturation queuing. Values above the last bound land in an
@@ -228,15 +230,9 @@ impl MetricsRegistry {
     }
 }
 
-/// Formats a float the way the workspace's artifacts do: shortest
-/// round-trip decimal, `null` for non-finite values.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+/// Schema version stamped on every [`MetricsSnapshot::to_json`]
+/// document. Bump when the layout changes incompatibly.
+pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// A frozen, name-sorted view of a [`MetricsRegistry`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -253,45 +249,40 @@ impl MetricsSnapshot {
     /// Serializes the snapshot as a single JSON object with fixed field
     /// order (`schema_version`, `counters`, `gauges`, `histograms`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema_version\":1,\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
+        let mut out = String::new();
+        let mut doc = Json::compact(&mut out);
+        doc.key("schema_version").num(METRICS_SCHEMA_VERSION);
+        let mut counters = doc.key("counters").object();
+        for (k, v) in &self.counters {
+            counters.key(k).num(v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{}", json_f64(*v)));
+        counters.end();
+        let mut gauges = doc.key("gauges").object();
+        for (k, v) in &self.gauges {
+            gauges.key(k).f64(*v);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        gauges.end();
+        let mut histograms = doc.key("histograms").object();
+        for (k, h) in &self.histograms {
+            let mut hist = histograms.key(k).object();
+            hist.key("count").num(h.count());
+            hist.key("sum").num(h.sum());
+            hist.key("min").opt(h.min(), Value::num);
+            hist.key("max").opt(h.max(), Value::num);
+            let mut buckets = hist.key("buckets").array();
+            for (bound, count) in h.buckets() {
+                let mut pair = buckets.item().array();
+                // The overflow bucket has no upper bound.
+                pair.item()
+                    .opt((bound != u64::MAX).then_some(bound), Value::num);
+                pair.item().num(count);
+                pair.end();
             }
-            out.push_str(&format!(
-                "\"{k}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                h.count(),
-                h.sum(),
-                h.min().map_or("null".into(), |v| v.to_string()),
-                h.max().map_or("null".into(), |v| v.to_string()),
-            ));
-            for (j, (bound, count)) in h.buckets().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                if bound == u64::MAX {
-                    out.push_str(&format!("[null,{count}]"));
-                } else {
-                    out.push_str(&format!("[{bound},{count}]"));
-                }
-            }
-            out.push_str("]}");
+            buckets.end();
+            hist.end();
         }
-        out.push_str("}}");
+        histograms.end();
+        doc.end();
         out
     }
 
@@ -381,17 +372,28 @@ mod tests {
         m.inc("zeta");
         m.inc("alpha");
         m.set_gauge("mid", f64::NAN);
+        m.set_gauge("load", 0.25);
         m.observe("lat", 12);
+        m.observe("lat", 100_000);
         let snap = m.snapshot();
         assert_eq!(snap.counters[0].0, "alpha");
         let json = snap.to_json();
         assert!(json.starts_with("{\"schema_version\":1,"));
         assert!(json.contains("\"alpha\":1"));
         assert!(json.contains("\"mid\":null"), "NaN gauges become null");
-        assert!(json.contains("\"lat\":{\"count\":1"));
+        assert!(json.contains("\"lat\":{\"count\":2"));
+        // Exact bytes, generated at `f3a1fbd` (note the `[null,count]`
+        // overflow bucket).
+        assert_eq!(json, GOLDEN_JSON);
         let csv = snap.to_csv();
         assert!(csv.starts_with("kind,name,field,value\n"));
         assert!(csv.contains("counter,zeta,value,1\n"));
-        assert!(csv.contains("histogram,lat,count,1\n"));
+        assert!(csv.contains("histogram,lat,count,2\n"));
+        assert_eq!(
+            MetricsSnapshot::default().to_json(),
+            "{\"schema_version\":1,\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+        );
     }
+
+    const GOLDEN_JSON: &str = r#"{"schema_version":1,"counters":{"alpha":1,"zeta":1},"gauges":{"load":0.25,"mid":null},"histograms":{"lat":{"count":2,"sum":100012,"min":12,"max":100000,"buckets":[[1,0],[2,0],[4,0],[8,0],[16,1],[32,0],[64,0],[128,0],[256,0],[512,0],[1024,0],[2048,0],[4096,0],[8192,0],[16384,0],[32768,0],[65536,0],[null,1]]}}}"#;
 }

@@ -9,7 +9,7 @@
 //! in the last window" — the latter is the paper's Fig. 6 per-node
 //! power map sampled over time.
 
-use crate::metrics::json_f64;
+use crate::json::Json;
 
 /// Schema version stamped on every probe row. Bump when the row format
 /// changes incompatibly.
@@ -69,34 +69,27 @@ impl ProbeRow {
 
     /// Serializes the row as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"schema_version\":{PROBE_SCHEMA_VERSION},\"cycle\":{},\"node\":{},\
-             \"buffered_flits\":{},\"free_credits\":{},\"link_flits\":{},\
-             \"delta_link_flits\":{},\"energy_j\":{{",
-            self.cycle,
-            self.node,
-            self.buffered_flits,
-            self.free_credits,
-            self.link_flits,
-            self.delta_link_flits,
-        );
-        for (i, name) in COMPONENTS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = String::new();
+        let mut row = Json::compact(&mut out);
+        row.key("schema_version").num(PROBE_SCHEMA_VERSION);
+        row.key("cycle").num(self.cycle);
+        row.key("node").num(self.node);
+        row.key("buffered_flits").num(self.buffered_flits);
+        row.key("free_credits").num(self.free_credits);
+        row.key("link_flits").num(self.link_flits);
+        row.key("delta_link_flits").num(self.delta_link_flits);
+        for (key, energies) in [
+            ("energy_j", &self.energy_j),
+            ("delta_energy_j", &self.delta_energy_j),
+        ] {
+            let mut by_component = row.key(key).object();
+            for (name, joules) in COMPONENTS.iter().zip(energies) {
+                by_component.key(name).f64(*joules);
             }
-            out.push_str(&format!("\"{name}\":{}", json_f64(self.energy_j[i])));
+            by_component.end();
         }
-        out.push_str("},\"delta_energy_j\":{");
-        for (i, name) in COMPONENTS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", json_f64(self.delta_energy_j[i])));
-        }
-        out.push_str(&format!(
-            "}},\"total_energy_j\":{}}}",
-            json_f64(self.total_energy_j())
-        ));
+        row.key("total_energy_j").f64(self.total_energy_j());
+        row.end();
         out
     }
 }
@@ -178,12 +171,7 @@ impl Prober {
 
 /// Serializes rows as JSONL (one row per line, trailing newline).
 pub fn rows_to_jsonl(rows: &[ProbeRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        out.push_str(&row.to_json_line());
-        out.push('\n');
-    }
-    out
+    crate::json::lines(rows, ProbeRow::to_json_line)
 }
 
 #[cfg(test)]
@@ -238,7 +226,21 @@ mod tests {
         assert!(line.contains("\"buffered_flits\":1"));
         assert!(line.contains("\"link\":0.5"));
         assert!(line.contains("\"total_energy_j\":1"));
+        // Exact bytes, generated at `f3a1fbd` (non-finite energy -> null).
+        let row = ProbeRow {
+            cycle: 200,
+            node: 5,
+            buffered_flits: 3,
+            free_credits: 61,
+            link_flits: 1234,
+            delta_link_flits: 17,
+            energy_j: [1.5e-9, 0.0, 2.25e-10, 1e-12, f64::NAN],
+            delta_energy_j: [2.5e-10, 0.0, 0.125, 3.0, f64::INFINITY],
+        };
+        assert_eq!(row.to_json_line(), GOLDEN_ROW);
     }
+
+    const GOLDEN_ROW: &str = r#"{"schema_version":1,"cycle":200,"node":5,"buffered_flits":3,"free_credits":61,"link_flits":1234,"delta_link_flits":17,"energy_j":{"buffer":0.0000000015,"central_buffer":0,"crossbar":0.000000000225,"arbiter":0.000000000001,"link":null},"delta_energy_j":{"buffer":0.00000000025,"central_buffer":0,"crossbar":0.125,"arbiter":3,"link":null},"total_energy_j":null}"#;
 
     #[test]
     fn zero_period_is_clamped() {

@@ -12,6 +12,8 @@
 //! allocation at the source router) versus *network time* (the rest,
 //! through ejection of the tail flit).
 
+use crate::json::{Json, Value};
+
 /// Schema version stamped on every trace line.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
@@ -100,37 +102,30 @@ impl PacketSpan {
 
     /// Serializes the span as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"schema_version\":{TRACE_SCHEMA_VERSION},\"packet\":{},\"src\":{},\
-             \"dst\":{},\"len\":{},\"injected_at\":{},\"ejected_at\":{},",
-            self.packet,
-            self.src,
-            self.dst,
-            self.len,
-            self.injected_at,
-            self.ejected_at
-                .map_or("null".to_string(), |v| v.to_string()),
-        );
-        out.push_str(&format!(
-            "\"latency\":{},\"queuing_cycles\":{},\"network_cycles\":{},\"hops\":[",
-            self.latency().map_or("null".to_string(), |v| v.to_string()),
-            self.queuing_cycles()
-                .map_or("null".to_string(), |v| v.to_string()),
-            self.network_cycles()
-                .map_or("null".to_string(), |v| v.to_string()),
-        ));
-        for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"node\":{},\"stage\":\"{}\",\"cycle\":{}}}",
-                h.node,
-                h.stage.label(),
-                h.cycle
-            ));
+        let mut out = String::new();
+        let mut span = Json::compact(&mut out);
+        span.key("schema_version").num(TRACE_SCHEMA_VERSION);
+        span.key("packet").num(self.packet);
+        span.key("src").num(self.src);
+        span.key("dst").num(self.dst);
+        span.key("len").num(self.len);
+        span.key("injected_at").num(self.injected_at);
+        span.key("ejected_at").opt(self.ejected_at, Value::num);
+        span.key("latency").opt(self.latency(), Value::num);
+        span.key("queuing_cycles")
+            .opt(self.queuing_cycles(), Value::num);
+        span.key("network_cycles")
+            .opt(self.network_cycles(), Value::num);
+        let mut hops = span.key("hops").array();
+        for h in &self.hops {
+            let mut hop = hops.item().object();
+            hop.key("node").num(h.node);
+            hop.key("stage").str(h.stage.label());
+            hop.key("cycle").num(h.cycle);
+            hop.end();
         }
-        out.push_str("]}");
+        hops.end();
+        span.end();
         out
     }
 }
@@ -233,12 +228,7 @@ impl FlitTracer {
 
 /// Serializes spans as JSONL (one span per line, trailing newline).
 pub fn spans_to_jsonl(spans: &[PacketSpan]) -> String {
-    let mut out = String::new();
-    for span in spans {
-        out.push_str(&span.to_json_line());
-        out.push('\n');
-    }
-    out
+    crate::json::lines(spans, PacketSpan::to_json_line)
 }
 
 #[cfg(test)]
@@ -325,5 +315,21 @@ mod tests {
         assert!(line.contains("\"network_cycles\":11"));
         assert!(line.contains("\"stage\":\"va_grant\""));
         assert!(line.ends_with("]}\n"));
+        // Exact bytes, generated at `f3a1fbd`: a closed span, and an
+        // open one (no ejection, no hops -> nulls and an empty array).
+        assert_eq!(line.trim_end(), GOLDEN_CLOSED);
+        let open = PacketSpan {
+            packet: 7,
+            src: 1,
+            dst: 2,
+            len: 5,
+            injected_at: 10,
+            ejected_at: None,
+            hops: Vec::new(),
+        };
+        assert_eq!(open.to_json_line(), GOLDEN_OPEN);
     }
+
+    const GOLDEN_CLOSED: &str = r#"{"schema_version":1,"packet":42,"src":0,"dst":5,"len":5,"injected_at":100,"ejected_at":115,"latency":15,"queuing_cycles":4,"network_cycles":11,"hops":[{"node":0,"stage":"va_grant","cycle":103},{"node":0,"stage":"sa_grant","cycle":104},{"node":0,"stage":"link","cycle":106},{"node":5,"stage":"sa_grant","cycle":108}]}"#;
+    const GOLDEN_OPEN: &str = r#"{"schema_version":1,"packet":7,"src":1,"dst":2,"len":5,"injected_at":10,"ejected_at":null,"latency":null,"queuing_cycles":null,"network_cycles":null,"hops":[]}"#;
 }

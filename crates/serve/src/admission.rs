@@ -6,8 +6,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+
+use orion_exp::inflight::lock_unpoisoned;
 
 /// Why a request was refused. Stable `code` strings appear in error
 /// bodies and metrics; see `docs/SERVING.md` for the full taxonomy.
@@ -226,13 +228,6 @@ impl BudgetBook {
             .get(client)
             .copied()
             .unwrap_or(self.default_budget)
-    }
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

@@ -214,24 +214,3 @@ impl<'a> ChunkedBody<'a> {
         self.stream.flush()
     }
 }
-
-/// Escapes `v` for embedding in a JSON string literal (same policy as
-/// the record serializer: control characters as `\u00XX`).
-pub fn json_escape(v: &str) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s
-}

@@ -12,15 +12,17 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use orion_exp::inflight::lock_unpoisoned;
 use orion_exp::runner::{CellRunner, Supervision};
 use orion_exp::ExperimentSpec;
+use orion_obs::json::Json;
 use orion_obs::MetricsRegistry;
 
 use crate::admission::{AdmissionGate, BudgetBook, Rejection};
-use crate::http::{json_escape, read_request, write_response, ChunkedBody, HttpError, Request};
+use crate::http::{read_request, write_response, ChunkedBody, HttpError, Request};
 use crate::{signal, SERVE_PROTOCOL_VERSION};
 
 /// Everything tunable about a daemon. `Default` is sized for local
@@ -283,10 +285,10 @@ fn path_of(request: &Request) -> &str {
 
 fn handle_health(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
     // Liveness is unconditional: a draining daemon is still alive.
-    let body = format!(
-        "{{\"type\":\"health\",\"protocol\":{SERVE_PROTOCOL_VERSION},\"status\":\"ok\",\"known_records\":{}}}",
-        state.runner.known_records()
-    );
+    let body = protocol_line("health", |o| {
+        o.key("status").str("ok");
+        o.key("known_records").num(state.runner.known_records());
+    });
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
@@ -300,10 +302,10 @@ fn handle_ready(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<
             "daemon is draining; no new work is admitted",
         );
     }
-    let body = format!(
-        "{{\"type\":\"ready\",\"protocol\":{SERVE_PROTOCOL_VERSION},\"status\":\"ready\",\"active_requests\":{}}}",
-        state.gate.active()
-    );
+    let body = protocol_line("ready", |o| {
+        o.key("status").str("ready");
+        o.key("active_requests").num(state.gate.active());
+    });
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
@@ -373,11 +375,10 @@ fn handle_experiment(
     state.requests.fetch_add(1, Ordering::SeqCst);
 
     let mut body = ChunkedBody::begin(stream, 200, "OK", "application/x-ndjson")?;
-    body.line(&format!(
-        "{{\"type\":\"header\",\"protocol\":{SERVE_PROTOCOL_VERSION},\"experiment\":\"{}\",\"cells\":{}}}",
-        json_escape(&spec.name),
-        cells.len()
-    ))?;
+    body.line(&protocol_line("header", |o| {
+        o.key("experiment").str(&spec.name);
+        o.key("cells").num(cells.len());
+    }))?;
     let mut streamed = 0usize;
     let mut status = "complete";
     for cell in &cells {
@@ -408,11 +409,13 @@ fn handle_experiment(
         let mut metrics = lock_unpoisoned(&state.metrics);
         metrics.add("serve_records_streamed", streamed as u64);
     }
-    body.line(&format!(
-        "{{\"type\":\"summary\",\"protocol\":{SERVE_PROTOCOL_VERSION},\"status\":\"{status}\",\"streamed\":{streamed},\"cells\":{},\"budget_remaining\":{}}}",
-        cells.len(),
-        state.budgets.remaining(client)
-    ))?;
+    let budget_remaining = state.budgets.remaining(client);
+    body.line(&protocol_line("summary", |o| {
+        o.key("status").str(status);
+        o.key("streamed").num(streamed);
+        o.key("cells").num(cells.len());
+        o.key("budget_remaining").num(budget_remaining);
+    }))?;
     body.finish()
 }
 
@@ -511,11 +514,23 @@ fn error_response(
     )
 }
 
+/// One object of the wire protocol: every framing, status and error
+/// line leads with its `type` and the protocol version.
+fn protocol_line(kind: &str, fields: impl FnOnce(&mut Json<'_>)) -> String {
+    let mut line = String::new();
+    let mut o = Json::compact(&mut line);
+    o.key("type").str(kind);
+    o.key("protocol").num(SERVE_PROTOCOL_VERSION);
+    fields(&mut o);
+    o.end();
+    line
+}
+
 fn error_body(code: &str, message: &str) -> String {
-    format!(
-        "{{\"type\":\"error\",\"protocol\":{SERVE_PROTOCOL_VERSION},\"code\":\"{code}\",\"message\":\"{}\"}}",
-        json_escape(message)
-    )
+    protocol_line("error", |o| {
+        o.key("code").str(code);
+        o.key("message").str(message);
+    })
 }
 
 fn write_with_headers(
@@ -533,16 +548,23 @@ fn metric(state: &ServerState, key: &'static str) {
     lock_unpoisoned(&state.metrics).inc(key);
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn error_body_bytes() {
+        // Exact bytes, generated at `f3a1fbd`.
+        assert_eq!(
+            error_body(
+                "bad-spec",
+                "line 4: unknown preset `wa\"rp\\9`\n\u{1}\u{e9}"
+            ),
+            GOLDEN_ERROR
+        );
+    }
+
+    const GOLDEN_ERROR: &str = r#"{"type":"error","protocol":1,"code":"bad-spec","message":"line 4: unknown preset `wa\"rp\\9`\n\u0001é"}"#;
 
     #[test]
     fn retry_after_with_no_history_is_one_second() {
