@@ -1,9 +1,9 @@
 //! The checkpoint *policy*: periodic persistence, graceful-drain
 //! cancellation, resume-or-replay, and garbage collection.
 //!
-//! [`run_checkpointed`] is what every execution layer (the batch
-//! engine, the serving runner, the explore loop, the CLI) calls
-//! instead of hand-rolling resume logic. Its contract:
+//! [`run_checkpointed`] is what every execution layer (the cell
+//! runner behind grids, searches and the daemon; `simulate` in the
+//! CLI) calls instead of hand-rolling resume logic. Its contract:
 //!
 //! 1. A valid checkpoint at the given path resumes the run from its
 //!    cycle — bit-identically, per the `orion-core` guarantee.
@@ -117,6 +117,10 @@ pub struct CheckpointedRun {
     /// The last checkpoint-write failure, rendered (`None` when every
     /// write succeeded).
     pub ckpt_error: Option<String>,
+    /// Why a file found at the path was not resumed — it failed to
+    /// load, or the run rejected its contents — rendered. `None` when
+    /// the resume succeeded or there was no file to resume.
+    pub resume_error: Option<String>,
 }
 
 /// Runs `experiment` with durable checkpointing: resume from a valid
@@ -134,7 +138,11 @@ pub fn run_checkpointed(
     experiment: Experiment,
     opts: &CheckpointOptions,
 ) -> Result<CheckpointedRun, RunError> {
-    let resume = load_checkpoint(&opts.path, opts.fingerprint).ok();
+    let (resume, mut resume_error) = match load_checkpoint(&opts.path, opts.fingerprint) {
+        Ok(ck) => (Some(ck), None),
+        Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => (None, None),
+        Err(e) => (None, Some(e.to_string())),
+    };
     let resumed_from_cycle = resume.as_ref().map(|ck| ck.cycle);
     let mut hook = CheckpointHook::new(
         &opts.path,
@@ -147,7 +155,8 @@ pub fn run_checkpointed(
         // The file validated but the run rejected it (e.g. a stale
         // snapshot after the experiment shape changed under the same
         // fingerprint): discard and replay from cycle 0.
-        Err(RunError::Resume(_)) if resumed_from_cycle.is_some() => {
+        Err(RunError::Resume(e)) if resumed_from_cycle.is_some() => {
+            resume_error = Some(format!("checkpoint rejected ({e})"));
             let _ = std::fs::remove_file(&opts.path);
             let mut fresh = CheckpointHook::new(
                 &opts.path,
@@ -169,6 +178,7 @@ pub fn run_checkpointed(
         resumed_from_cycle,
         checkpoints_written: hook.written(),
         ckpt_error: hook.last_error().map(|e| e.to_string()),
+        resume_error,
     })
 }
 
@@ -221,6 +231,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(out.result, RunResult::Aborted(_)));
+        assert_eq!(out.resume_error, None, "a missing file is not an error");
         assert_eq!(out.checkpoints_written, 1);
         assert!(path.exists(), "drain leaves the checkpoint behind");
 
@@ -265,6 +276,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(out.resumed_from_cycle, None, "corrupt file is discarded");
+            assert!(out.resume_error.is_some(), "and the reason is reported");
             let got = report_fingerprint(&out.result);
             assert_eq!(got.2, baseline.stats().packets_delivered);
         }
@@ -334,6 +346,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.resumed_from_cycle, None, "fallback replay");
+        let why = out.resume_error.expect("the rejection is reported");
+        assert!(why.starts_with("checkpoint rejected"), "{why}");
         assert!(matches!(out.result, RunResult::Finished(_)));
         let _ = fs::remove_file(&path);
     }

@@ -14,8 +14,8 @@
 //! stdout. Exit codes follow the scheme
 //! in [`crate::run`]: 2 for bad input (spec errors, a cache directory
 //! locked by another live run), 1 for I/O failures, 3 when the run
-//! degraded (failed, crashed, timed-out or corrupted cells),
-//! 0 otherwise.
+//! degraded (failed, crashed, timed-out or corrupted cells, or a cache
+//! sink that broke mid-run), 0 otherwise.
 //!
 //! Supervision knobs: `--retries` grants panicking cells reseeded
 //! extra attempts, `--cell-timeout-ms` sets a per-cell wall-clock
@@ -30,18 +30,18 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec, SpecError};
+use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec, SpecError, Supervision};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
 use orion_obs::json::Json;
 
-use crate::args::{Args, Grammar};
+use crate::args::{ArgError, Args, Grammar};
 use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
-const RUN: Grammar = Grammar(
+pub(crate) const RUN: Grammar = Grammar(
     "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --retries N --cell-timeout-ms N \
      --audit-every N --checkpoint-every CYCLES --shards N --json --quiet",
 );
-const EXPLORE: Grammar = Grammar(
+pub(crate) const EXPLORE: Grammar = Grammar(
     "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --seed N --budget N --retries N \
      --cell-timeout-ms N --checkpoint-every CYCLES --shards N --observe-dir DIR --json --quiet",
 );
@@ -98,16 +98,27 @@ fn degraded_code(degraded: bool) -> u8 {
     }
 }
 
+/// The supervision knobs `run` and `explore` share, from `--retries`,
+/// `--cell-timeout-ms`, `--checkpoint-every` and `--shards`.
+fn supervision(args: &Args) -> Result<Supervision, ArgError> {
+    Ok(Supervision {
+        max_retries: args.u32_or("retries", 0)?,
+        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
+        poison: None,
+        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
+        shards: args.positive("shards")?.unwrap_or(1) as usize,
+    })
+}
+
 fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
     let opts = EngineOptions {
         threads: args.u64_or("threads", 1)? as usize,
         cache_dir: args.path("cache-dir"),
         progress: !args.flag("quiet") && !args.flag("json"),
-        max_retries: args.u32_or("retries", 0)?,
-        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
-        poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
-        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
-        shards: args.positive("shards")?.unwrap_or(1) as usize,
+        supervision: Supervision {
+            poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
+            ..supervision(args)?
+        },
     };
     let audit_every = args.u64_opt("audit-every")?;
     let out_dir = args
@@ -194,12 +205,9 @@ fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
         threads: args.u64_or("threads", 1)? as usize,
         cache_dir: args.path("cache-dir"),
         progress: !args.flag("quiet") && !args.flag("json"),
-        max_retries: args.u32_or("retries", 0)?,
-        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
+        supervision: supervision(args)?,
         seed: args.u64_opt("seed")?,
         budget: args.positive("budget")?.map(|n| n as usize),
-        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
-        shards: args.positive("shards")?.unwrap_or(1) as usize,
     };
     let out_dir = args
         .path("out-dir")

@@ -51,7 +51,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     if tokens.is_empty() || tokens[0] == "help" || tokens[0] == "--help" {
-        print!("{}", run::USAGE);
+        print!("{}", run::usage());
         return ExitCode::SUCCESS;
     }
     // `experiment` and `serve` report their own failures on stdout

@@ -9,47 +9,58 @@ use orion_tech::{Microns, ProcessNode, Technology, Volts, Watts};
 
 use crate::args::{ArgError, Args, Grammar};
 use crate::report::Report;
+use crate::{experiment, powermap, serve, simulate};
 
-/// Usage text for `orion-power help`.
-pub const USAGE: &str = "\
-orion-power-cli — Orion's architectural power models as a standalone tool
+/// Every subcommand with the [`Grammar`] that parses it. `help` prints
+/// each subcommand's options *from* its grammar, so a declared flag
+/// cannot be missing from the help text.
+const COMMANDS: [(&str, &Grammar); 10] = [
+    ("buffer", &BUFFER),
+    ("crossbar", &CROSSBAR),
+    ("arbiter", &ARBITER),
+    ("link", &LINK),
+    ("central-buffer", &CENTRAL_BUFFER),
+    ("simulate", &simulate::GRAMMAR),
+    ("powermap", &powermap::GRAMMAR),
+    ("experiment run", &experiment::RUN),
+    ("experiment explore", &experiment::EXPLORE),
+    ("serve", &serve::GRAMMAR),
+];
 
-USAGE:
-  orion-power-cli <component> [options]
-  orion-power-cli experiment run <spec.toml> [options]
+/// Text for `orion-power-cli help`: the hand-written prose around one
+/// block per subcommand rendered from [`COMMANDS`].
+pub fn usage() -> String {
+    const INDENT: &str = "\n                     ";
+    let mut out = String::from(
+        "orion-power-cli — Orion's architectural power models as a standalone tool\n\n\
+         USAGE:\n  orion-power-cli <subcommand> [options]\n\n\
+         SUBCOMMANDS (every option is optional unless the subcommand says otherwise):",
+    );
+    for (name, grammar) in COMMANDS {
+        out.push_str(&format!("\n  {name:<19}"));
+        let mut width = INDENT.len() - 1;
+        // One `--name VALUE` item per wrap unit, so a break never
+        // separates an option from its placeholder.
+        for item in grammar.0.replace(" --", "\n--").lines() {
+            if width + 1 + item.len() > 79 {
+                out.push_str(INDENT);
+                width = INDENT.len() - 1;
+            }
+            out.push_str(&format!(" {item}"));
+            width += 1 + item.len();
+        }
+    }
+    out.push_str(USAGE_PROSE);
+    out
+}
 
-COMPONENTS:
-  buffer          --flits N --bits N [--read-ports N] [--write-ports N] [--decoder]
-  crossbar        --ports N --bits N [--kind matrix|muxtree]
-  arbiter         --requesters N [--kind matrix|roundrobin|queuing]
-  link            --length-mm X --bits N          (on-chip)
-  link            --chip2chip --watts X --bits N  (constant-power)
-  central-buffer  --banks N --rows N --bits N [--read-ports N] [--write-ports N]
-  simulate        [--preset wh64|vc16|vc64|vc128|xb|cb] [--rate X] [--seed N]
-                  [--warmup N] [--sample N] [--max-cycles N]
-                  [--watchdog-cycles N] [--audit-every N] [--fault-links N]
-                  [--fault-rate X] [--fault-ports N] [--fault-seed N]
-                  [--traffic uniform|broadcast|transpose|tornado|bit-complement]
-                  [--traffic-src x,y] [--observe-dir DIR] [--sample-every N]
-                  [--trace-packets N] [--checkpoint-every N --checkpoint-file F]
-                  [--resume-from F] [--json]    (see docs/OBSERVABILITY.md,
-                  docs/ROBUSTNESS.md)
-  powermap        --observe-dir DIR | --file powermap.jsonl
-                  (renders the per-node power map of an observed run)
-  experiment run  <spec.toml> [--threads N] [--cache-dir DIR] [--out-dir DIR]
-                  [--retries N] [--cell-timeout-ms N] [--audit-every N]
-                  [--checkpoint-every N] [--json] [--quiet]
-                  (see docs/ORCHESTRATION.md)
-  experiment explore  <spec.toml> [--threads N] [--cache-dir DIR]
-                  [--out-dir DIR] [--seed N] [--budget N] [--retries N]
-                  [--cell-timeout-ms N] [--checkpoint-every N]
-                  [--observe-dir DIR] [--json] [--quiet]
-                  (see docs/EXPLORATION.md)
-  serve           [--addr HOST:PORT] [--cache-dir DIR] [--workers N]
-                  [--queue N] [--queue-patience-ms N] [--client-budget N]
-                  [--retries N] [--cell-timeout-ms N] [--drain-timeout-ms N]
-                  [--max-body-bytes N] [--checkpoint-every N]
-                  (see docs/SERVING.md)
+const USAGE_PROSE: &str = "
+
+  link is on-chip unless --chip2chip (constant power); powermap renders
+  the per-node power map of an observed simulate run. See
+  docs/OBSERVABILITY.md and docs/ROBUSTNESS.md (simulate),
+  docs/ORCHESTRATION.md (experiment run), docs/EXPLORATION.md
+  (experiment explore), docs/SERVING.md (serve).
 
 COMMON OPTIONS:
   --node <0.8um|0.35um|0.25um|0.18um|0.13um|0.1um|70nm>   (default 0.1um)
@@ -64,8 +75,9 @@ EXIT CODES:
      cache directory locked by another live run)
   3  degraded result (simulate: deadlock/saturation/budget/faults/
      corrupted audit; experiment: failed, crashed, timed-out or
-     corrupted cells; serve: drain deadline expired with requests
-     still in flight)
+     corrupted cells, or a cache sink that broke mid-run so the cache
+     cannot replay the results; serve: drain deadline expired with
+     requests still in flight)
 
 EXAMPLES:
   orion-power-cli buffer --flits 64 --bits 256
@@ -196,8 +208,8 @@ pub fn run(tokens: &[String]) -> Result<CmdOutput, ArgError> {
         "arbiter" => (&ARBITER, |a| arbiter(a).map(CmdOutput::ok)),
         "link" => (&LINK, |a| link(a).map(CmdOutput::ok)),
         "central-buffer" => (&CENTRAL_BUFFER, |a| central_buffer(a).map(CmdOutput::ok)),
-        "simulate" => (&crate::simulate::GRAMMAR, crate::simulate::simulate),
-        "powermap" => (&crate::powermap::GRAMMAR, crate::powermap::powermap),
+        "simulate" => (&simulate::GRAMMAR, simulate::simulate),
+        "powermap" => (&powermap::GRAMMAR, powermap::powermap),
         option if option.starts_with("--") => {
             return Err(ArgError(format!(
                 "expected a component name, found option `{option}`"
@@ -383,6 +395,42 @@ mod tests {
             assert_eq!(o.code, 0, "component reports exit with success");
             o.text
         })
+    }
+
+    #[test]
+    fn help_lists_every_flag_of_every_grammar() {
+        let help = usage();
+        for (name, grammar) in COMMANDS {
+            let block: String = help
+                .lines()
+                .skip_while(|line| !line.starts_with(&format!("  {name} ")))
+                .enumerate()
+                .take_while(|(i, line)| *i == 0 || line.starts_with("   "))
+                .map(|(_, line)| line)
+                .collect();
+            for word in grammar.0.split_whitespace() {
+                assert!(
+                    block.contains(word),
+                    "`{name}` help lacks `{word}`:\n{help}"
+                );
+            }
+        }
+        // A grammar declared in this crate but missing from `COMMANDS`
+        // would be parsed yet undocumented: count the declarations.
+        let sources = [
+            include_str!("run.rs"),
+            include_str!("simulate.rs"),
+            include_str!("powermap.rs"),
+            include_str!("experiment.rs"),
+            include_str!("serve.rs"),
+        ];
+        let pattern = concat!(": Grammar", " =");
+        let declared: usize = sources.iter().map(|s| s.matches(pattern).count()).sum();
+        assert_eq!(
+            declared,
+            COMMANDS.len(),
+            "every Grammar const is in COMMANDS"
+        );
     }
 
     #[test]

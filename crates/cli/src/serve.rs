@@ -21,7 +21,7 @@ use crate::args::{ArgError, Args, Grammar};
 use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 
 /// `serve`: every option maps 1:1 onto a [`ServeConfig`] field.
-const GRAMMAR: Grammar = Grammar(
+pub(crate) const GRAMMAR: Grammar = Grammar(
     "--addr HOST:PORT --cache-dir DIR --workers N --queue N --queue-patience-ms N \
      --client-budget N --retries N --cell-timeout-ms N --drain-timeout-ms N \
      --max-body-bytes N --checkpoint-every CYCLES --shards N",

@@ -332,14 +332,15 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     Ok(CmdOutput { text, code })
 }
 
-/// Runs `experiment` under the checkpoint policy: resume from
-/// `resume_from` when it holds a valid snapshot owned by `fingerprint`
-/// (any defect — torn write, bit flip, version skew, foreign owner —
-/// degrades to a cycle-0 replay with a stderr note, never a failure),
-/// persist to `ckpt_file` every `every` cycles, and delete the files
-/// once the run finishes. All checkpoint chatter goes to stderr so
-/// stdout stays a pure function of the result: a resumed run's output
-/// is byte-identical to an uninterrupted one.
+/// Runs `experiment` under the one checkpoint policy
+/// ([`orion_ckpt::run_checkpointed`]): resume from a valid snapshot
+/// owned by `fingerprint` (any defect degrades to a cycle-0 replay,
+/// never a failure), persist every `every` cycles, delete the file
+/// once the run finishes. The file is `ckpt_file`, else `resume_from`;
+/// given both, the resume file is first moved onto the write path. All
+/// checkpoint chatter goes to stderr so stdout stays a pure function
+/// of the result: a resumed run's output is byte-identical to an
+/// uninterrupted one.
 fn run_with_checkpoints(
     experiment: Experiment,
     every: u64,
@@ -347,54 +348,36 @@ fn run_with_checkpoints(
     resume_from: Option<&Path>,
     fingerprint: u64,
 ) -> Result<Report, ArgError> {
-    use orion_ckpt::{load_checkpoint, CheckpointHook};
-    use orion_core::{RunError, RunResult};
-
-    let resume = resume_from.and_then(|p| match load_checkpoint(p, fingerprint) {
-        Ok(ck) => {
-            eprintln!("resuming from `{}` at cycle {}", p.display(), ck.cycle);
-            Some(ck)
-        }
-        Err(e) => {
-            eprintln!(
-                "warning: cannot resume from `{}`: {e}; replaying from cycle 0",
-                p.display()
-            );
-            None
-        }
-    });
-    let resumed = resume.is_some();
-    let write_path = ckpt_file
+    let path = ckpt_file
         .or(resume_from)
         .expect("caller passes at least one checkpoint path");
-    let mut hook = CheckpointHook::new(write_path, fingerprint, every, None);
-    let result = match experiment.clone().run_with_hook(&mut hook, resume) {
-        Err(RunError::Resume(e)) if resumed => {
-            // The file framed and checksummed correctly but the run
-            // rejected its contents (a stale snapshot under a
-            // colliding stamp): discard and replay from cycle 0.
-            eprintln!("warning: checkpoint rejected ({e}); replaying from cycle 0");
-            if let Some(p) = resume_from {
-                let _ = std::fs::remove_file(p);
-            }
-            experiment.run_with_hook(&mut hook, None)
-        }
-        other => other,
+    if let Some(from) = resume_from.filter(|from| *from != path) {
+        let _ = std::fs::rename(from, path);
     }
-    .map_err(|e| ArgError(e.to_string()))?;
-    if let Some(e) = hook.last_error() {
+    let opts = orion_ckpt::CheckpointOptions {
+        path: path.to_path_buf(),
+        fingerprint,
+        every,
+        cancel: None,
+    };
+    let run =
+        orion_ckpt::run_checkpointed(experiment, &opts).map_err(|e| ArgError(e.to_string()))?;
+    if let Some(from) = resume_from {
+        let from = from.display();
+        match (run.resumed_from_cycle, &run.resume_error) {
+            (Some(cycle), _) => eprintln!("resumed from `{from}` at cycle {cycle}"),
+            (None, e) => eprintln!(
+                "warning: cannot resume from `{from}`: {}; replayed from cycle 0",
+                e.as_deref().unwrap_or("no checkpoint file")
+            ),
+        }
+    }
+    if let Some(e) = &run.ckpt_error {
         eprintln!("warning: checkpoint write failed: {e} (results are unaffected; only restart time is lost)");
     }
-    match result {
-        RunResult::Finished(report) => {
-            // GC: a finished run leaves no snapshot debris behind.
-            let _ = std::fs::remove_file(write_path);
-            if let Some(p) = resume_from {
-                let _ = std::fs::remove_file(p);
-            }
-            Ok(*report)
-        }
-        RunResult::Aborted(_) => unreachable!("no cancel flag to abort the run"),
+    match run.result {
+        orion_core::RunResult::Finished(report) => Ok(*report),
+        orion_core::RunResult::Aborted(_) => unreachable!("no cancel flag to abort the run"),
     }
 }
 

@@ -10,7 +10,6 @@
 //! or when; callers seed RNGs from the job's parameters, never from
 //! queue position.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -79,56 +78,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`par_map`], but isolates per-item panics: each item yields
-/// `Ok(result)` or `Err(panic_message)` instead of one panic tearing
-/// down the whole batch. Ordering and scheduling are identical to
-/// [`par_map`] — output index `i` always corresponds to input index
-/// `i`, for any thread count including the inline path.
-///
-/// A panicking item does not poison its worker: the thread keeps
-/// pulling jobs, so one bad item costs exactly one `Err` entry.
-pub fn try_par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, String>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    // The closure only needs to be unwind-safe per item: a panic
-    // abandons that item's state, and every other item owns its own
-    // inputs (the contract stated on `par_map`).
-    let guarded = |item: T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(panic_message);
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.into_iter().map(guarded).collect();
-    }
-
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Result<R, String>)>> = Mutex::new(Vec::with_capacity(n));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let item = slots[idx]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each slot taken once");
-                let result = guarded(item);
-                results.lock().unwrap().push((idx, result));
-            });
-        }
-    });
-
-    let mut tagged = results.into_inner().unwrap();
-    tagged.sort_by_key(|&(idx, _)| idx);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,62 +112,5 @@ mod tests {
             vec![1, 2],
             "threads capped"
         );
-    }
-
-    /// Silence the default panic-to-stderr printing while a closure
-    /// that deliberately panics runs. Restores the hook afterwards.
-    fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
-    }
-
-    #[test]
-    fn try_par_map_matches_par_map_on_clean_input() {
-        let items: Vec<u64> = (0..40).collect();
-        let expected: Vec<Result<u64, String>> = items.iter().map(|x| Ok(x * x)).collect();
-        for threads in [1, 2, 4, 16] {
-            assert_eq!(try_par_map(threads, items.clone(), |x| x * x), expected);
-        }
-    }
-
-    #[test]
-    fn try_par_map_isolates_panics_per_item() {
-        let items: Vec<u64> = (0..12).collect();
-        for threads in [1, 4] {
-            let out = with_quiet_panics(|| {
-                try_par_map(threads, items.clone(), |x| {
-                    assert!(x != 5, "poison at {x}");
-                    x * 2
-                })
-            });
-            assert_eq!(out.len(), 12);
-            for (i, r) in out.iter().enumerate() {
-                if i == 5 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("poison at 5"), "{msg}");
-                } else {
-                    assert_eq!(*r, Ok(i as u64 * 2), "other items unaffected");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_par_map_workers_survive_multiple_panics() {
-        // More panicking items than worker threads: each worker must
-        // keep draining the queue after catching a panic.
-        let items: Vec<u64> = (0..20).collect();
-        let out = with_quiet_panics(|| {
-            try_par_map(2, items, |x| {
-                assert!(x % 3 != 0, "multiple of three");
-                x
-            })
-        });
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(r.is_err(), i % 3 == 0, "item {i}: {r:?}");
-        }
     }
 }

@@ -23,7 +23,8 @@
 //!    retried with deterministically reseeded RNGs and, failing that,
 //!    quarantined as one `crashed` record instead of killing the grid;
 //!    the cache directory is guarded by an exclusive lock and heals
-//!    its own torn lines ([`engine`], [`cache`]).
+//!    its own torn lines. One executor ([`runner`]) does this for
+//!    grids, searches and the serving daemon alike ([`cache`]).
 //! 5. **Mid-run checkpoints** — with `checkpoint_every` set, each
 //!    in-flight cell persists a versioned, checksummed snapshot every
 //!    N cycles under `<cache_dir>/ckpt/`; a killed run resumes the

@@ -1,28 +1,35 @@
-//! A re-entrant, shareable cell executor: the serving counterpart of
-//! the batch engine in [`crate::engine`].
+//! The one supervised cell executor: how a cell becomes a record, and
+//! how that record reaches memory, disk and concurrent askers.
 //!
-//! [`run_spec`](crate::run_spec) owns a whole grid from start to
-//! finish; a long-lived daemon instead receives cells continuously
-//! from many concurrent clients. [`CellRunner`] serves that shape:
+//! Every execution layer drives a [`CellRunner`]:
+//! [`run_spec`](crate::run_spec) maps a whole grid over one, the
+//! explore loop maps each batch of candidates, the serving daemon hands
+//! it cells from many concurrent clients. The runner owns:
 //!
-//! * **One writer, many callers** — the runner holds the cache
-//!   directory's exclusive writer lock for its whole lifetime and is
-//!   safe to call from any number of threads.
+//! * **One writer, many callers** — it holds the cache directory's
+//!   exclusive writer lock for its whole lifetime and is safe to call
+//!   from any number of threads.
 //! * **Content-addressed memory** — results load from the on-disk
 //!   cache at open and accumulate in memory; every later request for
 //!   the same fingerprint is a hit.
 //! * **In-flight dedup** — concurrent requests for the same
 //!   fingerprint collapse into one execution via [`InflightMap`]:
 //!   one leader simulates, every follower shares the record.
-//! * **Supervision** — panicking cells retry with deterministically
-//!   reseeded RNGs and quarantine as `crashed` records; wall-clock
-//!   overruns classify as `timed-out`. Quarantine verdicts are never
-//!   cached, matching the batch engine.
+//! * **Supervision** — one misbehaving cell never takes its callers
+//!   down. Panicking cells retry with deterministically reseeded RNGs
+//!   and quarantine as `crashed` records; wall-clock overruns classify
+//!   as `timed-out`. Quarantine verdicts are **not** cached — only
+//!   genuine simulation results are — so a fixed build retries them.
+//! * **The append sink** — genuine results are made durable as they
+//!   complete. The first failed append closes the sink for the rest of
+//!   the runner's life (a torn tail must never be welded onto a later
+//!   record); every record after it counts as an append failure.
 //!
-//! Determinism: records are a pure function of the cell (seeds derive
-//! from the cell key), so a runner shared by N racing clients yields
-//! byte-identical records to N sequential `run_spec` calls — with the
-//! overlap simulated exactly once.
+//! Determinism: records are a pure function of (cell, attempt) — seeds
+//! derive from the cell key — so worker count, scheduling order and
+//! cache state change only wall-clock time and hit counts, and a
+//! runner shared by N racing clients yields byte-identical records to
+//! N sequential grids, with the overlap simulated exactly once.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,36 +38,49 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheAppender, CacheLock, ResultCache};
-use crate::engine::{poison_matches, retry_seed, run_cell_checkpointed, run_cell_seeded};
+use orion_ckpt::{checkpoint_path, run_checkpointed, CheckpointOptions};
 use orion_core::exec::panic_message;
+use orion_core::{Experiment, RunResult};
 
+use crate::cache::{CacheAppender, CacheLock, ResultCache};
+use crate::fingerprint::splitmix64;
 use crate::inflight::{lock_unpoisoned, Claim, InflightMap};
 use crate::record::CellRecord;
 use crate::spec::Cell;
 
-/// Per-request supervision knobs, mirroring the batch engine's
-/// `--retries` / `--cell-timeout-ms` semantics.
+/// The supervision knobs of one request, grid or search — declared
+/// here once and carried whole by [`EngineOptions`](crate::EngineOptions)
+/// and the explore options (`--retries` / `--cell-timeout-ms` /
+/// `--checkpoint-every` / `--shards`).
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
     /// Extra attempts granted to a panicking cell (0 = fail fast).
+    /// Attempt `k > 0` reruns with a deterministically reseeded RNG —
+    /// `splitmix64(derived_seed ^ k)` — and the seed actually used is
+    /// recorded in the cell's `derived_seed` field for replayability.
     pub max_retries: u32,
-    /// Wall-clock budget per attempt; overruns classify `timed-out`
-    /// post-hoc. `None` disables the budget.
+    /// Wall-clock budget per cell attempt; overruns are classified
+    /// `timed-out` post-hoc (a running cell cannot be preempted).
+    /// `None` disables the budget.
     pub cell_timeout: Option<Duration>,
-    /// Fault-injection hook (tests/CI only): cells whose key contains
-    /// this substring panic; a `once:` prefix restricts the injection
-    /// to attempt 0, exercising the retry path.
+    /// Fault-injection hook for supervision tests: cells whose key
+    /// contains this substring panic on every attempt; with a
+    /// `once:` prefix, only the first attempt panics (exercising the
+    /// retry path). `None` — the production default — injects nothing.
     pub poison: Option<String>,
     /// Persist a mid-run checkpoint of each executing cell every this
     /// many cycles (0 = off). Requires the runner to have a cache
-    /// directory. Besides crash durability, this is what makes a
-    /// graceful drain ([`CellRunner::request_drain`]) able to stop
-    /// in-flight cells at a resumable boundary.
+    /// directory — checkpoints live at
+    /// `<cache_dir>/ckpt/<fingerprint>.ckpt` — and makes a killed run
+    /// replay the in-flight cell from its last interval instead of
+    /// cycle 0, bit-identically. It is also what lets a graceful drain
+    /// ([`CellRunner::request_drain`]) stop in-flight cells at a
+    /// resumable boundary.
     pub checkpoint_every: u64,
     /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
-    /// Bit-identical results at every count, so records and
-    /// fingerprints are shard-agnostic.
+    /// Results are bit-identical at every shard count, so this knob is
+    /// deliberately **outside** the cell fingerprint: a cache written
+    /// at one shard count serves every other.
     pub shards: usize,
 }
 
@@ -83,7 +103,9 @@ pub struct RunnerStats {
     pub retried: u64,
     /// Executions whose configuration was rejected (`"error"`).
     pub failed: u64,
-    /// Records that could not be appended to the disk cache.
+    /// Records that could not be appended to the disk cache: the one
+    /// whose append failed and every record after it (the sink closes
+    /// at the first failure).
     pub append_failures: u64,
     /// Executions stopped at a checkpoint boundary by a drain.
     pub drained: u64,
@@ -108,6 +130,15 @@ struct Counters {
     checkpoints_written: AtomicU64,
 }
 
+/// The append half of the cache. `error` set means the sink broke and
+/// closed: nothing is appended afterwards, even if a later write would
+/// succeed.
+#[derive(Debug, Default)]
+struct Sink {
+    appender: Option<CacheAppender>,
+    error: Option<String>,
+}
+
 /// The shared executor. See the module docs for the contract.
 #[derive(Debug)]
 pub struct CellRunner {
@@ -116,8 +147,8 @@ pub struct CellRunner {
     lock: Mutex<Option<CacheLock>>,
     cache_dir: Option<PathBuf>,
     entries: RwLock<HashMap<u64, CellRecord>>,
-    appender: Mutex<Option<CacheAppender>>,
-    append_error: Mutex<Option<String>>,
+    sink: Mutex<Sink>,
+    corrupt_cache_lines: usize,
     inflight: InflightMap,
     counters: Counters,
     /// Raised by [`request_drain`](Self::request_drain); checkpointed
@@ -136,23 +167,28 @@ impl CellRunner {
     /// holds the directory; other I/O errors from reading or healing
     /// the cache.
     pub fn open(cache_dir: Option<&Path>) -> std::io::Result<CellRunner> {
-        let (lock, entries, appender) = match cache_dir {
+        let (lock, entries, appender, corrupt_cache_lines) = match cache_dir {
             Some(dir) => {
                 let lock = CacheLock::acquire(dir)?;
                 let cache = ResultCache::open(dir)?;
+                // Heal debris a killed run left behind (torn final
+                // line, superseded duplicates) before appending more.
                 cache.compact()?;
                 let appender = cache.appender()?;
                 let map = cache.entries().map(|(fp, rec)| (fp, rec.clone())).collect();
-                (Some(lock), map, Some(appender))
+                (Some(lock), map, Some(appender), cache.corrupt_lines())
             }
-            None => (None, HashMap::new(), None),
+            None => (None, HashMap::new(), None, 0),
         };
         Ok(CellRunner {
             lock: Mutex::new(lock),
             cache_dir: cache_dir.map(Path::to_path_buf),
             entries: RwLock::new(entries),
-            appender: Mutex::new(appender),
-            append_error: Mutex::new(None),
+            sink: Mutex::new(Sink {
+                appender,
+                error: None,
+            }),
+            corrupt_cache_lines,
             inflight: InflightMap::new(),
             counters: Counters::default(),
             draining: Arc::new(AtomicBool::new(false)),
@@ -231,9 +267,14 @@ impl CellRunner {
         }
     }
 
-    /// First cache-append error, when any append failed.
+    /// The error that closed the append sink, when an append failed.
     pub fn append_error(&self) -> Option<String> {
-        lock_unpoisoned(&self.append_error).clone()
+        lock_unpoisoned(&self.sink).error.clone()
+    }
+
+    /// Unparseable cache lines skipped (and compacted away) at open.
+    pub fn corrupt_cache_lines(&self) -> usize {
+        self.corrupt_cache_lines
     }
 
     /// Number of records held in memory (disk cache + fresh results).
@@ -259,7 +300,7 @@ impl CellRunner {
         // Drop the append handle first: compaction replaces the file
         // by rename, and a surviving handle would keep appending to
         // the unlinked inode.
-        *lock_unpoisoned(&self.appender) = None;
+        lock_unpoisoned(&self.sink).appender = None;
         let result = match &self.cache_dir {
             Some(dir) => ResultCache::open(dir).and_then(|c| c.compact()).map(|_| ()),
             None => Ok(()),
@@ -300,15 +341,23 @@ impl CellRunner {
             };
             entries.insert(fp, record.clone());
         }
-        let mut appender = lock_unpoisoned(&self.appender);
-        if let Some(app) = appender.as_mut() {
-            if let Err(e) = app.append(record) {
-                self.counters
-                    .append_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                lock_unpoisoned(&self.append_error).get_or_insert(e.to_string());
-            }
+        let mut sink = lock_unpoisoned(&self.sink);
+        if sink.error.is_none() {
+            let Some(appender) = sink.appender.as_mut() else {
+                return;
+            };
+            let Err(e) = appender.append(record) else {
+                return;
+            };
+            // The writer may still buffer the unflushed tail of a torn
+            // line; a later append through it would weld a good record
+            // onto that tail, so the sink closes for good.
+            sink.appender = None;
+            sink.error = Some(e.to_string());
         }
+        self.counters
+            .append_failures
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Supervised execution of one cell: bounded deterministic retries
@@ -327,17 +376,18 @@ impl CellRunner {
                 // Checkpointing covers attempt 0 only: retries reseed
                 // the RNG, and a snapshot persisted under the original
                 // seed must never resume a differently-seeded replay.
-                match &self.cache_dir {
-                    Some(dir) if sup.checkpoint_every > 0 && attempt == 0 => run_cell_checkpointed(
-                        cell,
-                        seed,
-                        dir,
-                        sup.checkpoint_every,
-                        Some(Arc::clone(&self.draining)),
-                        sup.shards,
-                    ),
-                    _ => run_cell_seeded(cell, seed, sup.shards),
-                }
+                let checkpoint = match &self.cache_dir {
+                    Some(dir) if sup.checkpoint_every > 0 && attempt == 0 => {
+                        Some(CheckpointOptions {
+                            path: checkpoint_path(dir, cell.fingerprint()),
+                            fingerprint: cell.fingerprint(),
+                            every: sup.checkpoint_every,
+                            cancel: Some(Arc::clone(&self.draining)),
+                        })
+                    }
+                    _ => None,
+                };
+                run_attempt(cell, seed, sup.shards, checkpoint.as_ref())
             }));
             match outcome {
                 Ok(mut record) => {
@@ -382,4 +432,77 @@ impl CellRunner {
         self.counters.crashed.fetch_add(1, Ordering::Relaxed);
         CellRecord::from_crash(cell, &last_panic, sup.max_retries + 1)
     }
+}
+
+/// One attempt of one cell under an explicit RNG seed (retries reseed;
+/// the record carries the seed actually used). Never panics on
+/// configuration or workload errors — they become `outcome: "error"`
+/// records. With `checkpoint`, the attempt runs under the checkpoint
+/// policy: it resumes from a valid leftover snapshot (any corruption
+/// degrades to a cycle-0 replay), persists the in-flight state every
+/// `every` cycles, and stops at the next boundary once `cancel` is
+/// raised — the cell then comes back as a `drained` record.
+pub(crate) fn run_attempt(
+    cell: &Cell,
+    seed: u64,
+    shards: usize,
+    checkpoint: Option<&CheckpointOptions>,
+) -> CellRecord {
+    let config = cell.config();
+    let experiment = cell
+        .traffic
+        .pattern(&config.topology, cell.rate)
+        .map(|pattern| {
+            Experiment::new(config)
+                .workload(pattern)
+                .seed(seed)
+                .warmup(cell.measure.warmup)
+                .sample_packets(cell.measure.sample_packets)
+                .max_cycles(cell.measure.max_cycles)
+                .watchdog_cycles(cell.measure.watchdog_cycles)
+                .audit_every(cell.measure.audit_every)
+                .shards(shards.max(1))
+        });
+    let mut record = match (experiment, checkpoint) {
+        (Err(e), _) => CellRecord::from_error(cell, &e.to_string()),
+        (Ok(exp), None) => match exp.run() {
+            Ok(report) => CellRecord::from_report(cell, &report),
+            Err(e) => CellRecord::from_error(cell, &e.to_string()),
+        },
+        (Ok(exp), Some(opts)) => match run_checkpointed(exp, opts) {
+            Ok(out) => {
+                let mut r = match out.result {
+                    RunResult::Finished(report) => CellRecord::from_report(cell, &report),
+                    RunResult::Aborted(ck) => CellRecord::from_drain(cell, ck.cycle),
+                };
+                r.resumed_from_cycle = out.resumed_from_cycle;
+                r.checkpoints_written = out.checkpoints_written;
+                r
+            }
+            Err(e) => CellRecord::from_error(cell, &e.to_string()),
+        },
+    };
+    record.derived_seed = seed;
+    record
+}
+
+/// The RNG seed for retry attempt `k` (attempt 0 is the cell's
+/// derived seed). Deterministic, so a retried cell's record is
+/// reproducible from its recorded seed alone.
+fn retry_seed(derived_seed: u64, attempt: u32) -> u64 {
+    if attempt == 0 {
+        derived_seed
+    } else {
+        splitmix64(derived_seed ^ u64::from(attempt))
+    }
+}
+
+/// Whether the poison hook fires for this cell and attempt.
+fn poison_matches(poison: Option<&str>, cell: &Cell, attempt: u32) -> bool {
+    let Some(p) = poison else { return false };
+    let (once, pat) = match p.strip_prefix("once:") {
+        Some(rest) => (true, rest),
+        None => (false, p),
+    };
+    !pat.is_empty() && cell.key().contains(pat) && (!once || attempt == 0)
 }

@@ -171,7 +171,7 @@ fn poisoned_cell_is_quarantined_and_grid_completes() {
     let (clean, _) = run_spec(&spec, &opts(4, None)).unwrap();
 
     let mut poisoned_opts = opts(4, None);
-    poisoned_opts.poison = Some(POISON_KEY.to_string());
+    poisoned_opts.supervision.poison = Some(POISON_KEY.to_string());
     let (records, summary) = run_spec(&spec, &poisoned_opts).unwrap();
 
     assert_eq!(records.len(), 16, "the grid stays rectangular");
@@ -200,7 +200,7 @@ fn crashed_cells_are_not_cached_and_heal_on_rerun() {
     let dir = temp_dir("crash-heal");
     let spec = ExperimentSpec::parse(SPEC).unwrap();
     let mut poisoned_opts = opts(2, Some(dir.clone()));
-    poisoned_opts.poison = Some(POISON_KEY.to_string());
+    poisoned_opts.supervision.poison = Some(POISON_KEY.to_string());
     let (_, s1) = run_spec(&spec, &poisoned_opts).unwrap();
     assert_eq!(s1.crashed, 1);
 
@@ -221,8 +221,8 @@ fn retries_reseed_deterministically_and_recover() {
     let (clean, _) = run_spec(&spec, &opts(2, None)).unwrap();
 
     let mut retry_opts = opts(2, None);
-    retry_opts.poison = Some(format!("once:{POISON_KEY}"));
-    retry_opts.max_retries = 2;
+    retry_opts.supervision.poison = Some(format!("once:{POISON_KEY}"));
+    retry_opts.supervision.max_retries = 2;
     let (records, summary) = run_spec(&spec, &retry_opts).unwrap();
 
     assert_eq!(summary.crashed, 0);
@@ -252,7 +252,7 @@ fn retries_reseed_deterministically_and_recover() {
 fn zero_wall_clock_budget_times_every_cell_out() {
     let spec = ExperimentSpec::parse(SPEC).unwrap();
     let mut timeout_opts = opts(2, None);
-    timeout_opts.cell_timeout = Some(std::time::Duration::from_nanos(1));
+    timeout_opts.supervision.cell_timeout = Some(std::time::Duration::from_nanos(1));
     let (records, summary) = run_spec(&spec, &timeout_opts).unwrap();
     assert_eq!(summary.timed_out, 16);
     assert!(summary.is_degraded());

@@ -37,23 +37,16 @@ pub struct ExploreOptions {
     pub cache_dir: Option<PathBuf>,
     /// Emit a live progress line to stderr.
     pub progress: bool,
-    /// Extra attempts granted to a panicking cell.
-    pub max_retries: u32,
-    /// Wall-clock budget per cell attempt.
-    pub cell_timeout: Option<Duration>,
+    /// Retry, wall-clock, checkpoint and shard knobs applied to every
+    /// evaluated cell. With checkpointing on (and a cache directory),
+    /// long candidate evaluations survive a kill mid-cell:
+    /// the next search over the same cache resumes from the last
+    /// interval.
+    pub supervision: Supervision,
     /// Overrides the spec's search seed when set (`--seed`).
     pub seed: Option<u64>,
     /// Overrides the spec's evaluation budget when set (`--budget`).
     pub budget: Option<usize>,
-    /// Persist a mid-run checkpoint of each evaluating cell every this
-    /// many cycles (0 = off; requires a cache directory). Long
-    /// candidate evaluations then survive a kill mid-cell: the next
-    /// search over the same cache resumes from the last interval.
-    pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
-    /// Bit-identical results at every count — outside every
-    /// fingerprint, so caches are shard-agnostic.
-    pub shards: usize,
 }
 
 impl Default for ExploreOptions {
@@ -62,12 +55,9 @@ impl Default for ExploreOptions {
             threads: 1,
             cache_dir: None,
             progress: false,
-            max_retries: 0,
-            cell_timeout: None,
+            supervision: Supervision::default(),
             seed: None,
             budget: None,
-            checkpoint_every: 0,
-            shards: 0,
         }
     }
 }
@@ -186,13 +176,6 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
     };
 
     let runner = CellRunner::open(opts.cache_dir.as_deref())?;
-    let supervision = Supervision {
-        max_retries: opts.max_retries,
-        cell_timeout: opts.cell_timeout,
-        poison: None,
-        checkpoint_every: opts.checkpoint_every,
-        shards: opts.shards,
-    };
 
     let mut metrics = MetricsRegistry::new();
     let mut evaluated: BTreeMap<String, Evaluated> = BTreeMap::new();
@@ -248,8 +231,9 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
                 evaluated.len(),
             );
         }
-        let records: Vec<CellRecord> =
-            par_map(opts.threads, cells, |cell| runner.run(&cell, &supervision));
+        let records: Vec<CellRecord> = par_map(opts.threads, cells, |cell| {
+            runner.run(&cell, &opts.supervision)
+        });
 
         metrics.inc("explore_generations");
         metrics.add("explore_evaluations", fresh.len() as u64);

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use orion_exp::{run_spec, EngineOptions, ExperimentSpec};
+use orion_exp::{run_spec, EngineOptions, ExperimentSpec, Supervision};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
 
 fn smoke_spec() -> ExploreSpec {
@@ -191,11 +191,13 @@ fn explore_cells_dedup_against_grid_run_cells() {
             threads: 1,
             cache_dir: Some(cache.clone()),
             progress: false,
-            max_retries: 0,
-            cell_timeout: None,
-            poison: None,
-            checkpoint_every: 0,
-            shards: 1,
+            supervision: Supervision {
+                max_retries: 0,
+                cell_timeout: None,
+                poison: None,
+                checkpoint_every: 0,
+                shards: 1,
+            },
         },
     )
     .unwrap();
