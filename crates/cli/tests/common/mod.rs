@@ -46,22 +46,30 @@ impl Drop for Sandbox {
 /// What one invocation of the binary did.
 #[derive(Debug)]
 pub struct Run {
+    /// The exit code; `-1` when a signal ended the process.
     pub code: i32,
     pub stdout: String,
     pub stderr: String,
 }
 
-/// Runs `orion-power-cli <args>` with `ORION_FAILPOINTS` set to
-/// `failpoints` (unset for `None`, whatever the parent environment).
-pub fn cli(args: &[&str], failpoints: Option<&str>) -> Run {
+/// `orion-power-cli <args>` with `ORION_FAILPOINTS` set to `failpoints`
+/// (unset for `None`, whatever the parent environment), not yet run.
+pub fn command(args: &[&str], failpoints: Option<&str>) -> Command {
     let mut cmd = Command::new(BIN);
     cmd.args(args).env_remove("ORION_FAILPOINTS");
     if let Some(spec) = failpoints {
         cmd.env("ORION_FAILPOINTS", spec);
     }
-    let out = cmd.output().expect("spawn orion-power-cli");
+    cmd
+}
+
+/// Runs [`command`] to its exit and captures everything.
+pub fn cli(args: &[&str], failpoints: Option<&str>) -> Run {
+    let out = command(args, failpoints)
+        .output()
+        .expect("spawn orion-power-cli");
     Run {
-        code: out.status.code().expect("exited, not signalled"),
+        code: out.status.code().unwrap_or(-1),
         stdout: String::from_utf8(out.stdout).unwrap(),
         stderr: String::from_utf8(out.stderr).unwrap(),
     }

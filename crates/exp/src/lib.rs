@@ -78,7 +78,7 @@ pub mod toml;
 
 pub use artifact::{write_artifacts, write_atomic, Artifacts};
 pub use cache::{
-    CacheAppender, CacheLock, LockMode, Manifest, ResultCache, CACHE_FILE, LOCK_FILE, MANIFEST_FILE,
+    CacheAppender, CacheLock, Manifest, ResultCache, CACHE_FILE, LOCK_FILE, MANIFEST_FILE,
 };
 pub use design::{canonical_design_name, DesignPoint, RouterFamily};
 pub use engine::{run_cell, run_spec, EngineOptions, RunSummary};
