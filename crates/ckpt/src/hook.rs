@@ -15,18 +15,33 @@
 //!    (drain) leaves the latest one behind for the next process.
 //! 4. Checkpoint-write failures are recorded, not fatal: losing a
 //!    checkpoint loses restart time, not results.
+//! 5. A checkpoint is durable by the next checkpoint boundary or when
+//!    the run returns, whichever comes first; a drain's checkpoint is
+//!    durable before the run returns [`RunResult::Aborted`].
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use orion_core::{Experiment, RunCheckpoint, RunControl, RunError, RunHook, RunResult};
+use orion_core::exec::panic_message;
+use orion_core::{failpoint, Experiment, RunCheckpoint, RunControl, RunError, RunHook, RunResult};
 
-use crate::file::{load_checkpoint, save_checkpoint, CkptError};
+use crate::file::{encode_checkpoint_into, load_checkpoint, persist, CkptError};
+
+/// A checkpoint file write running on its own thread; it hands the
+/// framed-file buffer back with the outcome.
+type Write = JoinHandle<(Vec<u8>, Result<(), CkptError>)>;
 
 /// A [`RunHook`] that persists each checkpoint to one file (atomic
 /// replace, newest wins) and stops the run when a shared cancel flag
 /// is raised — the mechanism behind graceful daemon drains.
+///
+/// The simulating thread only captures and encodes: the write, fsync
+/// and rename of each file run on a thread of their own while the
+/// simulation keeps stepping, and are settled (joined, counted) at the
+/// next checkpoint, by [`written`](Self::written) /
+/// [`last_error`](Self::last_error), and on drop.
 #[derive(Debug)]
 pub struct CheckpointHook {
     every: u64,
@@ -35,6 +50,10 @@ pub struct CheckpointHook {
     cancel: Option<Arc<AtomicBool>>,
     written: u64,
     last_error: Option<CkptError>,
+    /// The framed-file buffer, reused across checkpoints; lent to the
+    /// write in flight.
+    buf: Vec<u8>,
+    in_flight: Option<Write>,
 }
 
 impl CheckpointHook {
@@ -55,18 +74,46 @@ impl CheckpointHook {
             cancel,
             written: 0,
             last_error: None,
+            buf: Vec::new(),
+            in_flight: None,
         }
     }
 
-    /// Checkpoints successfully persisted so far.
-    pub fn written(&self) -> u64 {
+    /// Checkpoints successfully persisted so far (waits for the write
+    /// in flight, if any).
+    pub fn written(&mut self) -> u64 {
+        self.settle();
         self.written
     }
 
-    /// The most recent persistence failure, if any. Failures do not
-    /// stop the run — they only cost restart time after a crash.
-    pub fn last_error(&self) -> Option<&CkptError> {
+    /// The most recent persistence failure, if any (waits for the write
+    /// in flight, if any). Failures do not stop the run — they only
+    /// cost restart time after a crash.
+    pub fn last_error(&mut self) -> Option<&CkptError> {
+        self.settle();
         self.last_error.as_ref()
+    }
+
+    /// Waits for the write in flight, takes its buffer back and counts
+    /// its outcome. A writer that panicked is a failed write.
+    fn settle(&mut self) {
+        let Some(write) = self.in_flight.take() else {
+            return;
+        };
+        let result = match write.join() {
+            Ok((buf, result)) => {
+                self.buf = buf;
+                result
+            }
+            Err(panic) => Err(CkptError::Io(std::io::Error::other(format!(
+                "checkpoint writer panicked: {}",
+                panic_message(panic)
+            )))),
+        };
+        match result {
+            Ok(()) => self.written += 1,
+            Err(e) => self.last_error = Some(e),
+        }
     }
 }
 
@@ -76,14 +123,41 @@ impl RunHook for CheckpointHook {
     }
 
     fn on_checkpoint(&mut self, ck: &RunCheckpoint) -> RunControl {
-        match save_checkpoint(&self.path, self.fingerprint, ck) {
-            Ok(()) => self.written += 1,
-            Err(e) => self.last_error = Some(e),
+        // The previous file is durable before this one is started, so
+        // a `ckpt.write=kill@n` leaves writes 1..n-1 on disk.
+        self.settle();
+        match failpoint::hit("ckpt.write") {
+            Err(e) => self.last_error = Some(CkptError::Injected(e)),
+            Ok(()) => {
+                let mut buf = std::mem::take(&mut self.buf);
+                encode_checkpoint_into(&mut buf, self.fingerprint, ck);
+                let path = self.path.clone();
+                let spawned = std::thread::Builder::new()
+                    .name("orion-ckpt-writer".into())
+                    .spawn(move || {
+                        let result = persist(&path, &buf);
+                        (buf, result)
+                    });
+                match spawned {
+                    Ok(write) => self.in_flight = Some(write),
+                    Err(e) => self.last_error = Some(CkptError::Io(e)),
+                }
+            }
         }
         match &self.cancel {
-            Some(flag) if flag.load(Ordering::SeqCst) => RunControl::Stop,
+            Some(flag) if flag.load(Ordering::SeqCst) => {
+                // Drain: the run returns next, with this file durable.
+                self.settle();
+                RunControl::Stop
+            }
             _ => RunControl::Continue,
         }
+    }
+}
+
+impl Drop for CheckpointHook {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -151,7 +225,7 @@ pub fn run_checkpointed(
         opts.cancel.clone(),
     );
     let attempt = experiment.clone().run_with_hook(&mut hook, resume);
-    let (result, resumed_from_cycle, hook) = match attempt {
+    let (result, resumed_from_cycle, mut hook) = match attempt {
         // The file validated but the run rejected it (e.g. a stale
         // snapshot after the experiment shape changed under the same
         // fingerprint): discard and replay from cycle 0.
@@ -168,6 +242,10 @@ pub fn run_checkpointed(
         }
         other => (other?, resumed_from_cycle, hook),
     };
+    // Settles the last write before the GC below, so it cannot land
+    // after the delete.
+    let checkpoints_written = hook.written();
+    let ckpt_error = hook.last_error().map(|e| e.to_string());
     if matches!(result, RunResult::Finished(_)) {
         // GC: a finished run's checkpoint is debris. Best-effort — a
         // leftover is healed by the next cache compaction.
@@ -176,8 +254,8 @@ pub fn run_checkpointed(
     Ok(CheckpointedRun {
         result,
         resumed_from_cycle,
-        checkpoints_written: hook.written(),
-        ckpt_error: hook.last_error().map(|e| e.to_string()),
+        checkpoints_written,
+        ckpt_error,
         resume_error,
     })
 }
@@ -350,6 +428,88 @@ mod tests {
         assert!(why.starts_with("checkpoint rejected"), "{why}");
         assert!(matches!(out.result, RunResult::Finished(_)));
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_reused_buffer_leaves_no_stale_tail() {
+        use crate::file::encode_checkpoint;
+        let path = temp("shrink");
+        let sized = |len: usize| RunCheckpoint {
+            phase: orion_core::RunPhase::Measure,
+            cycle: len as u64,
+            measure_start: 0,
+            tagged_budget: 0,
+            backlog_samples: vec![len; 3],
+            rng: [1, 2, 3, 4],
+            traffic_cursors: Vec::new(),
+            trace_cursor: 0,
+            auditor_energy: 0.0,
+            net: (0..len).map(|i| i as u8).collect(),
+        };
+        let mut hook = CheckpointHook::new(&path, 9, 1, None);
+        for len in [100_000, 10, 5_000] {
+            let ck = sized(len);
+            assert_eq!(hook.on_checkpoint(&ck), RunControl::Continue);
+            hook.settle();
+            assert_eq!(fs::read(&path).unwrap(), encode_checkpoint(9, &ck), "{len}");
+        }
+        assert_eq!(hook.written(), 3);
+        assert!(hook.last_error().is_none());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_last_write_is_settled_before_counts_and_gc() {
+        // The final checkpoint's write is usually still in flight when
+        // the run finishes: the count must include it and the GC must
+        // not race it.
+        let dir = temp("settle-dir");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("ck.ckpt");
+        let out = run_checkpointed(
+            quick(),
+            &CheckpointOptions {
+                path: path.clone(),
+                fingerprint: 4,
+                every: 64,
+                cancel: None,
+            },
+        )
+        .unwrap();
+        let RunResult::Finished(report) = &out.result else {
+            panic!("nothing cancels this run");
+        };
+        let last_cycle = 200 + report.measured_cycles();
+        assert_eq!(out.checkpoints_written, last_cycle / 64);
+        assert_eq!(out.ckpt_error, None);
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
+        assert!(left.is_empty(), "no .ckpt or .tmp left: {left:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_drained_run_returns_with_its_checkpoint_durable() {
+        let path = temp("drain-durable");
+        let _ = fs::remove_file(&path);
+        let cancel = Arc::new(AtomicBool::new(true));
+        let mut hook = CheckpointHook::new(&path, 6, 64, Some(cancel));
+        let RunResult::Aborted(ck) = quick().run_with_hook(&mut hook, None).unwrap() else {
+            panic!("the raised flag stops the run at its first checkpoint");
+        };
+        // Read before anything settles the hook again.
+        let on_disk = load_checkpoint(&path, 6).expect("durable when the run returns");
+        assert_eq!(on_disk, *ck);
+        assert_eq!(hook.written(), 1);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panicking_writer_is_a_recorded_write_failure() {
+        let mut hook = CheckpointHook::new(&temp("panic"), 1, 64, None);
+        hook.in_flight = Some(std::thread::spawn(|| panic!("disk on fire")));
+        assert_eq!(hook.written(), 0);
+        let err = hook.last_error().expect("recorded").to_string();
+        assert!(err.contains("panicked: disk on fire"), "{err}");
     }
 
     #[test]

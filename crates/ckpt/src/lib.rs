@@ -10,10 +10,11 @@
 //!
 //! * [`save_checkpoint`] / [`load_checkpoint`] — the file codec:
 //!   magic, [`CKPT_SCHEMA_VERSION`], owner fingerprint, payload,
-//!   FNV-1a footer, written via [`write_atomic`].
+//!   word-wise FNV-1a footer, written via [`write_atomic`].
 //! * [`CheckpointHook`] — a [`RunHook`](orion_core::RunHook) that
-//!   persists every checkpoint and honors a shared cancel flag (how a
-//!   draining daemon stops in-flight cells at a safe boundary).
+//!   persists every checkpoint from a writer thread while the run keeps
+//!   stepping, and honors a shared cancel flag (how a draining daemon
+//!   stops in-flight cells at a safe boundary).
 //! * [`run_checkpointed`] — the full policy: resume from a valid
 //!   snapshot, fall back to cycle 0 on any corruption, persist on a
 //!   stride, garbage-collect the file once the run finishes.
@@ -23,9 +24,9 @@
 //!
 //! Crash injection at the torn-state boundaries (`ckpt.write`,
 //! `ckpt.restore`, `cache.append`) goes through
-//! [`orion_core::failpoint`]; the chaos tests in this crate and the CI
-//! `chaos-resume` job kill the process at each of them and assert the
-//! final artifacts are byte-identical to an uninterrupted run.
+//! [`orion_core::failpoint`]; the chaos tests (`orion-cli`'s
+//! `tests/chaos_resume.rs`) kill the process at each of them and assert
+//! the final artifacts are byte-identical to an uninterrupted run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -146,6 +146,15 @@ fn kill_at_checkpoint_boundary_resumes_to_byte_identical_artifacts() {
         has_resume_provenance(&cache_lines),
         "no cached record carries resume provenance:\n{cache_lines}"
     );
+    // Finished cells garbage-collect their snapshots, after the last
+    // write settled: no `.ckpt` and no `.tmp` is left.
+    let left: Vec<PathBuf> = fs::read_dir(cache.join("ckpt"))
+        .map(|dir| dir.map(|e| e.unwrap().path()).collect())
+        .unwrap_or_default();
+    assert!(
+        left.is_empty(),
+        "checkpoint debris after the resume: {left:?}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -80,6 +80,13 @@ impl RunCheckpoint {
     /// [`RunCheckpoint::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// Appends exactly [`RunCheckpoint::to_bytes`]'s bytes to `w`, so
+    /// the checkpoint file codec frames the payload without a copy.
+    pub fn encode(&self, w: &mut ByteWriter) {
         w.u32(RUN_CHECKPOINT_VERSION);
         match self.phase {
             RunPhase::Warmup { done } => {
@@ -106,7 +113,6 @@ impl RunCheckpoint {
         w.f64(self.auditor_energy);
         w.usize(self.net.len());
         w.bytes(&self.net);
-        w.into_vec()
     }
 
     /// Decodes a checkpoint serialised by [`RunCheckpoint::to_bytes`].

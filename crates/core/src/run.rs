@@ -22,6 +22,7 @@ use rand::SeedableRng;
 use orion_net::{FaultSchedule, NodeId, TraceTraffic, TrafficPattern};
 use orion_obs::{ObsSink, Prober};
 use orion_shard::ShardedNetwork;
+use orion_sim::snapshot::ByteWriter;
 use orion_sim::{AuditViolation, Component, EngineMode, InvariantAuditor, SnapshotError};
 use orion_tech::Joules;
 
@@ -378,6 +379,10 @@ impl Experiment {
         // the measured phase, plus once at run end. The first failing
         // audit stops the run — numbers past that point are garbage.
         let mut auditor = InvariantAuditor::new();
+        // One network-image buffer for the whole run: each checkpoint
+        // lends it to `RunCheckpoint::net` and takes it back after the
+        // hook, so a steady-state capture allocates nothing large.
+        let mut image = Vec::new();
 
         // Resume: re-hydrate every piece of run state the checkpoint carries.
         if let Some(ck) = resume {
@@ -479,6 +484,8 @@ impl Experiment {
             }
             if bounds.due(Periodic::Checkpoint, cycle) {
                 let (rng, traffic_cursors, trace_cursor) = workload.cursors();
+                let mut w = ByteWriter::from_vec(std::mem::take(&mut image));
+                net.snapshot_into(&mut w);
                 let ck = RunCheckpoint {
                     phase,
                     cycle,
@@ -489,13 +496,14 @@ impl Experiment {
                     traffic_cursors,
                     trace_cursor,
                     auditor_energy: auditor.baseline(),
-                    net: net.snapshot(),
+                    net: w.into_vec(),
                 };
                 if let Some(h) = hook.as_mut() {
                     if h.on_checkpoint(&ck) == RunControl::Stop {
                         return Ok(RunResult::Aborted(Box::new(ck)));
                     }
                 }
+                image = ck.net;
             }
         };
 

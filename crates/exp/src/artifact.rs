@@ -36,9 +36,9 @@ pub struct Artifacts {
 /// from a snapshot or from cycle 0 — not what the result is, and the
 /// results themselves are bit-identical either way. Normalizing them
 /// here is what makes a resumed run's artifacts byte-identical to an
-/// uninterrupted run's (the guarantee the CI `chaos-resume` job checks
-/// with `cmp`). Cache lines and serve responses keep the real
-/// provenance.
+/// uninterrupted run's (the guarantee `orion-cli`'s
+/// `tests/chaos_resume.rs` checks). Cache lines and serve responses
+/// keep the real provenance.
 fn normalized(r: &CellRecord) -> CellRecord {
     let mut r = r.clone();
     r.resumed_from_cycle = None;

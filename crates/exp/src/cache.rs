@@ -344,12 +344,13 @@ impl ResultCache {
     }
 
     /// Removes leftover mid-run checkpoints of cells whose results are
-    /// already cached. A finished cell normally deletes its own
-    /// checkpoint, but a process killed between the final append and
-    /// that deletion leaves debris — compaction heals it here, exactly
-    /// like torn cache lines. Best-effort: an undeletable file only
-    /// costs disk space, never correctness (a leftover checkpoint is
-    /// masked by the cache hit anyway).
+    /// already cached: `<fp>.ckpt`, and the `<fp>.ckpt.tmp` of a write
+    /// killed before its rename. A finished cell normally deletes its
+    /// own checkpoint, but a process killed between the final append
+    /// and that deletion leaves debris — compaction heals it here,
+    /// exactly like torn cache lines. Best-effort: an undeletable file
+    /// only costs disk space, never correctness (a leftover checkpoint
+    /// is masked by the cache hit anyway).
     fn gc_checkpoints(&self) {
         let Some(dir) = self.path.parent() else {
             return;
@@ -360,7 +361,10 @@ impl ResultCache {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name.strip_suffix(".ckpt") else {
+            let Some(stem) = name
+                .strip_suffix(".ckpt")
+                .or_else(|| name.strip_suffix(".ckpt.tmp"))
+            else {
                 continue;
             };
             let Some(fp) = crate::fingerprint::from_hex(stem) else {
@@ -693,6 +697,35 @@ mod tests {
             .map(|l| l.to_string())
             .collect();
         assert_eq!(keys.len(), 3, "exactly one line per cell");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_removes_checkpoints_and_orphaned_tmps_of_cached_cells() {
+        let dir = temp_dir("ckpt-gc");
+        let recs = records(2);
+        let mut app = ResultCache::open(&dir).unwrap().appender().unwrap();
+        app.append(&recs[0]).unwrap();
+        drop(app);
+        // A cached cell killed mid-`write_atomic` after an earlier
+        // checkpoint, and an uncached cell's torn write in progress.
+        let ckpt = dir.join("ckpt");
+        fs::create_dir_all(&ckpt).unwrap();
+        let cached = format!("{:016x}", recs[0].fingerprint);
+        let pending = ckpt.join(format!("{:016x}.ckpt.tmp", recs[1].fingerprint));
+        for path in [
+            ckpt.join(format!("{cached}.ckpt")),
+            ckpt.join(format!("{cached}.ckpt.tmp")),
+            pending.clone(),
+        ] {
+            fs::write(path, b"debris").unwrap();
+        }
+        ResultCache::open(&dir).unwrap().compact().unwrap();
+        let left: Vec<PathBuf> = fs::read_dir(&ckpt)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(left, [pending], "only the uncached cell's file stays");
         let _ = fs::remove_dir_all(&dir);
     }
 }

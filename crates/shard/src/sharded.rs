@@ -590,6 +590,15 @@ impl ShardedNetwork {
     /// boundary mailboxes.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.snapshot_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Appends exactly [`ShardedNetwork::snapshot`]'s bytes to `w`:
+    /// each shard's image goes straight into `w` behind a length
+    /// prefix patched once the image is written, so a run that reuses
+    /// one buffer copies every image once.
+    pub fn snapshot_into(&self, w: &mut ByteWriter) {
         w.u32(SNAPSHOT_VERSION);
         let topo = &self.spec.topology;
         w.u8(topology_kind_tag(topo.kind()));
@@ -604,12 +613,12 @@ impl ShardedNetwork {
         w.u64(self.next_packet);
         w.u64(self.busy_since);
         for cell in &self.cells {
-            let payload = cell.net.snapshot();
-            w.usize(payload.len());
-            w.bytes(&payload);
+            let at = w.len();
+            w.u64(0);
+            cell.net.snapshot_into(w);
+            w.set_u64(at, (w.len() - at - 8) as u64);
         }
-        self.grid.encode(&mut w);
-        w.into_vec()
+        self.grid.encode(w);
     }
 
     /// Restores state captured by [`ShardedNetwork::snapshot`] into

@@ -15,6 +15,7 @@ use orion_power::{
 };
 use orion_shard::ShardedNetwork;
 use orion_sim::energy::Component;
+use orion_sim::snapshot::ByteWriter;
 use orion_sim::{Network, NetworkSpec, PowerModels, RouterKind, StallKind, VcRouterSpec};
 use orion_tech::{Microns, ProcessNode, Technology};
 
@@ -340,6 +341,34 @@ fn snapshot_round_trips_through_fresh_network() {
         restored.stats_merged().latencies()
     );
     assert_eq!(original.snapshot(), restored.snapshot());
+}
+
+#[test]
+fn snapshot_into_a_used_writer_appends_exactly_the_snapshot() {
+    let radices = [4u32, 4];
+    for shards in [1, 2, 4] {
+        let mut net = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        net.set_parallel(false);
+        let mut rng = Lcg(5);
+        for _ in 0..40 {
+            let src = (rng.next() as usize) % 16;
+            let dst = (rng.next() as usize) % 16;
+            net.enqueue_packet(NodeId(src), NodeId(dst), true);
+            net.step();
+        }
+        let image = net.snapshot();
+        // A buffer that held a longer image, then a prefix: the shard
+        // length prefixes are patched relative to where each shard
+        // image starts, not to the start of the buffer.
+        let mut w = ByteWriter::from_vec(vec![0xA5; image.len() + 100]);
+        w.bytes(b"prefix");
+        net.snapshot_into(&mut w);
+        assert_eq!(&w.as_slice()[6..], &image[..], "{shards} shards");
+
+        let mut restored = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        restored.restore(&w.as_slice()[6..]).expect("restore");
+        assert_eq!(restored.snapshot(), image, "{shards} shards");
+    }
 }
 
 #[test]

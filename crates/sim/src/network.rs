@@ -1757,6 +1757,13 @@ impl Network {
     /// anyway.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.snapshot_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Appends exactly [`Network::snapshot`]'s bytes to `w`, so a
+    /// caller that checkpoints repeatedly can reuse one buffer.
+    pub fn snapshot_into(&self, w: &mut ByteWriter) {
         w.u32(SNAPSHOT_VERSION);
         let n = self.routers.len();
         let ports = self.spec.topology.ports_per_router();
@@ -1785,8 +1792,8 @@ impl Network {
         for &v in &self.link_flits {
             w.u64(v);
         }
-        self.stats.encode(&mut w);
-        self.ledger.encode(&mut w);
+        self.stats.encode(w);
+        self.ledger.encode(w);
 
         // Route table: every distinct Arc<Route> reachable from a live
         // flit, in first-seen slot order (deterministic).
@@ -1808,7 +1815,7 @@ impl Network {
             }
         }
 
-        self.arena.encode_with(&mut w, &mut |f, w| {
+        self.arena.encode_with(w, &mut |f, w| {
             w.u64(f.packet.0);
             w.u32(f.seq);
             w.u32(f.packet_len);
@@ -1829,7 +1836,7 @@ impl Network {
             w.u32(index);
             w.u32(generation);
         };
-        self.flit_wheel.encode_with(&mut w, &mut |a, w| {
+        self.flit_wheel.encode_with(w, &mut |a, w| {
             w.usize(a.dest);
             w.usize(a.in_port);
             match a.crossed_dim {
@@ -1843,7 +1850,7 @@ impl Network {
             w.bool(a.to_sink);
             enc_ref(&a.flit, w);
         });
-        self.credit_wheel.encode_with(&mut w, &mut |c, w| {
+        self.credit_wheel.encode_with(w, &mut |c, w| {
             w.usize(c.dest);
             w.usize(c.out_port);
             w.usize(c.vc);
@@ -1853,7 +1860,7 @@ impl Network {
         for s in &self.sources {
             w.usize(s.queue.len());
             for h in &s.queue {
-                enc_ref(h, &mut w);
+                enc_ref(h, w);
             }
             w.usize(s.current_vc);
             w.u32(s.remaining);
@@ -1877,15 +1884,14 @@ impl Network {
             match router {
                 AnyRouter::Vc(r) => {
                     w.u8(0);
-                    r.encode(&mut w, &mut enc_ref);
+                    r.encode(w, &mut enc_ref);
                 }
                 AnyRouter::Central(r) => {
                     w.u8(1);
-                    r.encode(&mut w, &mut enc_ref);
+                    r.encode(w, &mut enc_ref);
                 }
             }
         }
-        w.into_vec()
     }
 
     /// Restores state captured by [`Network::snapshot`] into this

@@ -77,6 +77,29 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// A writer that appends into `buf`, emptied first but keeping its
+    /// capacity — so a buffer reused across snapshots stops allocating
+    /// once it has grown to the image size.
+    pub fn from_vec(mut buf: Vec<u8>) -> ByteWriter {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
+    /// Overwrites the 8 bytes at `at` with `v`, little-endian: patches
+    /// a length prefix written as a placeholder before its payload.
+    ///
+    /// # Panics
+    ///
+    /// If `at + 8` exceeds the bytes written so far.
+    pub fn set_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -274,6 +297,22 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn reused_buffer_is_emptied_and_patchable() {
+        let mut w = ByteWriter::from_vec(vec![0xEE; 64]);
+        assert!(w.is_empty(), "from_vec starts from an empty payload");
+        w.u8(7);
+        w.u64(0);
+        w.u32(9);
+        w.set_u64(1, 0x0102_0304_0506_0708);
+        let mut r = ByteReader::new(w.as_slice());
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u64().unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(r.u32().unwrap(), 9);
+        assert!(r.is_empty());
+        assert!(w.into_vec().capacity() >= 64, "capacity is kept");
     }
 
     #[test]
