@@ -55,13 +55,15 @@ fn load_spec<S>(args: &Args, parse: fn(&str) -> Result<S, SpecError>) -> Result<
     parse(&text).map_err(|e| CmdOutput::failure(EXIT_BAD_INPUT, format!("{path}: {e}")))
 }
 
-/// An engine-level failure: a cache directory locked by another live
-/// run is the caller's conflict (bad input), anything else is I/O.
-fn engine_failure(engine: &str, e: std::io::Error) -> CmdOutput {
+/// A failure to open or run over a cache directory, for every
+/// subcommand that takes one: a directory locked by another live run is
+/// the caller's conflict (bad input), anything else is I/O, reported
+/// after `context`.
+pub(crate) fn engine_failure(context: &str, e: std::io::Error) -> CmdOutput {
     if e.kind() == std::io::ErrorKind::AlreadyExists {
         CmdOutput::failure(EXIT_BAD_INPUT, e)
     } else {
-        CmdOutput::failure(EXIT_RUNTIME, format!("{engine} I/O failure: {e}"))
+        CmdOutput::failure(EXIT_RUNTIME, format!("{context}: {e}"))
     }
 }
 
@@ -98,9 +100,9 @@ fn degraded_code(degraded: bool) -> u8 {
     }
 }
 
-/// The supervision knobs `run` and `explore` share, from `--retries`,
-/// `--cell-timeout-ms`, `--checkpoint-every` and `--shards`.
-fn supervision(args: &Args) -> Result<Supervision, ArgError> {
+/// The supervision knobs `run`, `explore` and `serve` share, from
+/// `--retries`, `--cell-timeout-ms`, `--checkpoint-every` and `--shards`.
+pub(crate) fn supervision(args: &Args) -> Result<Supervision, ArgError> {
     Ok(Supervision {
         max_retries: args.u32_or("retries", 0)?,
         cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
@@ -129,7 +131,8 @@ fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
         spec.measure.audit_every = n;
     }
 
-    let (records, summary) = run_spec(&spec, &opts).map_err(|e| engine_failure("engine", e))?;
+    let (records, summary) =
+        run_spec(&spec, &opts).map_err(|e| engine_failure("engine I/O failure", e))?;
     let artifacts = write_artifacts(&out_dir, &spec.name, &records)
         .map_err(|e| write_failure("artifacts", &out_dir, e))?;
 
@@ -214,7 +217,7 @@ fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
         .unwrap_or_else(|| PathBuf::from("experiments"));
     let spec = load_spec(args, ExploreSpec::parse)?;
 
-    let report = run_explore(&spec, &opts).map_err(|e| engine_failure("explore", e))?;
+    let report = run_explore(&spec, &opts).map_err(|e| engine_failure("explore I/O failure", e))?;
     let artifacts = write_explore_artifacts(&out_dir, &spec.name, &report.points)
         .map_err(|e| write_failure("artifacts", &out_dir, e))?;
     if let Some(dir) = args.path("observe-dir") {

@@ -69,10 +69,9 @@ COMMON OPTIONS:
 EXIT CODES:
   0  success (simulate: run completed; experiment: no failed cells;
      serve: drained cleanly)
-  1  runtime I/O failure (cache or artifact files; serve: bind or
-     cache conflict)
+  1  runtime I/O failure (cache or artifact files; serve: bind)
   2  bad input (unknown options, malformed spec, invalid configuration,
-     cache directory locked by another live run)
+     cache directory locked by another live run, serve included)
   3  degraded result (simulate: deadlock/saturation/budget/faults/
      corrupted audit; experiment: failed, crashed, timed-out or
      corrupted cells, or a cache sink that broke mid-run so the cache

@@ -7,20 +7,22 @@
 //! ```
 //!
 //! Like `experiment`, this subcommand reports failures on stdout. Exit
-//! codes follow the scheme in [`crate::run`]: 2 for bad arguments,
-//! 1 for bind/cache I/O failures (including a cache directory locked
-//! by another live run — for a daemon that is an operational conflict,
-//! not bad input), 3 when shutdown could not drain every in-flight
-//! request within `--drain-timeout-ms`, 0 for a clean drain.
+//! codes follow the scheme in [`crate::run`]: 2 for bad arguments or a
+//! cache directory locked by another live run (the same mapping as
+//! `experiment run|explore`), 1 for bind and other I/O failures, 3 when
+//! shutdown could not drain every in-flight request within
+//! `--drain-timeout-ms`, 0 for a clean drain.
 
 use std::time::Duration;
 
 use orion_serve::{signal, ServeConfig, Server, SERVE_PROTOCOL_VERSION};
 
 use crate::args::{ArgError, Args, Grammar};
+use crate::experiment::{engine_failure, supervision};
 use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 
-/// `serve`: every option maps 1:1 onto a [`ServeConfig`] field.
+/// `serve`: the supervision options are `experiment run`'s, read by the
+/// same function; every other option maps onto a [`ServeConfig`] field.
 pub(crate) const GRAMMAR: Grammar = Grammar(
     "--addr HOST:PORT --cache-dir DIR --workers N --queue N --queue-patience-ms N \
      --client-budget N --retries N --cell-timeout-ms N --drain-timeout-ms N \
@@ -39,14 +41,11 @@ fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
             .u64_opt("queue-patience-ms")?
             .map_or(d.queue_patience, Duration::from_millis),
         client_budget: args.u64_or("client-budget", d.client_budget)?,
-        default_retries: args.u32_or("retries", d.default_retries)?,
-        default_cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
+        supervision: supervision(&args)?,
         drain_timeout: args
             .u64_opt("drain-timeout-ms")?
             .map_or(d.drain_timeout, Duration::from_millis),
         max_body_bytes: args.u64_or("max-body-bytes", d.max_body_bytes as u64)? as usize,
-        checkpoint_every: args.u64_or("checkpoint-every", d.checkpoint_every)?,
-        shards: args.positive("shards")?.map_or(d.shards, |n| n as usize),
     })
 }
 
@@ -58,21 +57,13 @@ pub fn execute(tokens: &[String]) -> CmdOutput {
         Ok(c) => c,
         Err(e) => return e.into(),
     };
-    let server = match Server::bind(config.clone()) {
+    let addr = config.addr.clone();
+    let server = match Server::bind(config) {
         Ok(s) => s,
-        Err(e) => {
-            let addr = &config.addr;
-            return CmdOutput::failure(
-                EXIT_RUNTIME,
-                format!("cannot start daemon on `{addr}`: {e}"),
-            );
-        }
+        Err(e) => return engine_failure(&format!("cannot start daemon on `{addr}`"), e),
     };
-    let addr = match server.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(_) => config.addr.clone(),
-    };
-    signal::install();
+    let addr = server.local_addr().map_or(addr, |a| a.to_string());
+    signal::install(&server);
     eprintln!(
         "orion serve: listening on {addr}, protocol {SERVE_PROTOCOL_VERSION} \
          (SIGTERM/SIGINT to drain)"
@@ -116,11 +107,14 @@ mod tests {
         assert_eq!(config.queue_depth, 16);
         assert_eq!(config.queue_patience, Duration::from_millis(500));
         assert_eq!(config.client_budget, 1000);
-        assert_eq!(config.default_retries, 2);
-        assert_eq!(config.default_cell_timeout, Some(Duration::from_secs(30)));
+        assert_eq!(config.supervision.max_retries, 2);
+        assert_eq!(
+            config.supervision.cell_timeout,
+            Some(Duration::from_secs(30))
+        );
         assert_eq!(config.drain_timeout, Duration::from_millis(5000));
         assert_eq!(config.max_body_bytes, 4096);
-        assert_eq!(config.checkpoint_every, 4096);
+        assert_eq!(config.supervision.checkpoint_every, 4096);
     }
 
     #[test]
@@ -154,5 +148,23 @@ mod tests {
         let out = execute(&tokens("--addr no-port-here"));
         assert_eq!(out.code, EXIT_RUNTIME);
         assert!(out.text.contains("cannot start daemon"));
+    }
+
+    #[test]
+    fn execute_maps_a_held_cache_dir_to_exit_2_naming_the_holder() {
+        // Kernel file locks conflict across open file descriptions, so
+        // a lock held by this process refuses the daemon's own attempt.
+        let dir = std::env::temp_dir().join(format!("orion-cli-serve-{}-held", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lock = orion_exp::CacheLock::acquire(&dir).unwrap();
+        let out = execute(&tokens(&format!(
+            "--addr 127.0.0.1:0 --cache-dir {}",
+            dir.display()
+        )));
+        assert_eq!(out.code, EXIT_BAD_INPUT, "{}", out.text);
+        let pid = format!("(pid {})", std::process::id());
+        assert!(out.text.contains(&pid), "{}", out.text);
+        drop(lock);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

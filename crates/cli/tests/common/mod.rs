@@ -1,11 +1,13 @@
 //! Shared scaffolding for tests that drive the built binary the way CI
 //! shell steps used to: a scratch directory, one call that runs
-//! `orion-power-cli` and captures everything, a same-bytes assert, and
-//! JSON readers that are not the writer.
+//! `orion-power-cli` and captures everything, a same-bytes assert, JSON
+//! readers that are not the writer, and an HTTP client for `serve`.
 
 #![allow(dead_code)] // each test file uses its own subset
 
 use std::fs;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -97,6 +99,76 @@ pub fn experiment(
         mode,
     ];
     cli(&args, failpoints)
+}
+
+/// A daemon's reply, read as far as its status line and headers.
+pub struct Reply {
+    pub status: u16,
+    chunked: bool,
+    reader: BufReader<TcpStream>,
+}
+
+/// `curl -X <method> -H <headers> --data-binary <body> http://<addr><path>`
+/// on a fresh connection, returned before the body is read.
+pub fn http(addr: &str, method: &str, path: &str, headers: &[(&str, &str)], body: &str) -> Reply {
+    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
+    let mut head = format!(
+        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    write!(stream, "{head}\r\n{body}").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line.split(' ').nth(1).and_then(|s| s.parse().ok());
+    let status = status.unwrap_or_else(|| panic!("not a status line: {line:?}"));
+    let mut chunked = false;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line).unwrap() == 0 || line == "\r\n" {
+            break;
+        }
+        chunked |= line.eq_ignore_ascii_case("transfer-encoding: chunked\r\n");
+    }
+    Reply {
+        status,
+        chunked,
+        reader,
+    }
+}
+
+impl Reply {
+    /// The next line of a chunked body (the daemon sends one line per
+    /// chunk); `None` after the last.
+    pub fn line(&mut self) -> Option<String> {
+        let mut size = String::new();
+        self.reader.read_line(&mut size).unwrap();
+        let size = usize::from_str_radix(size.trim(), 16).expect("a chunk size");
+        let mut chunk = vec![0; size + 2]; // the data, then CRLF
+        self.reader.read_exact(&mut chunk).unwrap();
+        (size > 0).then(|| {
+            String::from_utf8_lossy(&chunk[..size])
+                .trim_end()
+                .to_string()
+        })
+    }
+
+    /// The whole body: a chunked one line by line, else up to close.
+    pub fn body(mut self) -> String {
+        let mut text = String::new();
+        if self.chunked {
+            while let Some(line) = self.line() {
+                text += &line;
+                text.push('\n');
+            }
+        } else {
+            self.reader.read_to_string(&mut text).unwrap();
+        }
+        text
+    }
 }
 
 /// `cmp a b`.

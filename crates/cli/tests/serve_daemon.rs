@@ -1,0 +1,190 @@
+//! The CI `serve-soak` job as a tier-1 test. The built binary serves
+//! four overlapping clients the records a sequential `experiment run`
+//! writes, refuses a malformed and an over-budget request with typed
+//! errors, drains on a real SIGTERM that lands mid-stream, and leaves a
+//! cache that a later `experiment run` replays to the same bytes. The
+//! stream it interrupts fits the client budget, so it is a stream and
+//! not a `429`.
+
+mod common;
+
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use common::{assert_same_bytes, command, experiment, http, summary_u64, Sandbox};
+
+const DRAIN_TIMEOUT_MS: &str = "30000";
+
+/// A one-preset grid over `rates`, with the YAML's short measurement.
+fn spec(name: &str, rates: &str) -> String {
+    format!(
+        "[experiment]\nname = \"{name}\"\n\n[grid]\npresets = [\"vc16\"]\nrates = [{rates}]\n\n\
+         [measure]\nwarmup = 100\nsample_packets = 100\nmax_cycles = 20000\n"
+    )
+}
+
+/// `n` distinct rates none of the other grids use.
+fn many_rates(n: usize) -> String {
+    let rates: Vec<String> = (1..=n).map(|i| format!("0.{:03}", 100 + i)).collect();
+    rates.join(", ")
+}
+
+#[test]
+fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
+    let sandbox = Sandbox::new("serve-daemon");
+    let union = sandbox.write("union.toml", &spec("soak", "0.01, 0.02, 0.03"));
+    let reference = experiment(
+        &sandbox,
+        ["run", &union, "1", "ref-cache", "ref", "--quiet"],
+        None,
+    );
+    assert_eq!(reference.code, 0, "{reference:?}");
+    let reference_lines = sandbox.read("ref/soak.jsonl");
+
+    let cache = sandbox.path("cache");
+    let mut daemon = command(
+        &[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--cache-dir",
+            &cache,
+            "--client-budget",
+            "50",
+            "--drain-timeout-ms",
+            DRAIN_TIMEOUT_MS,
+        ],
+        None,
+    )
+    .stdout(Stdio::piped())
+    .stderr(Stdio::piped())
+    .spawn()
+    .expect("spawn orion-power-cli serve");
+    // The first stderr line is printed once the listener is bound.
+    let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+    let ready = http(&addr, "GET", "/readyz", &[], "");
+    assert_eq!(ready.status, 200);
+    assert!(ready.body().contains("\"status\":\"ready\""));
+
+    // Four overlapping clients: 8 requested cells, 3 distinct.
+    let grids = [
+        ("a", "0.01, 0.02"),
+        ("b", "0.02, 0.03"),
+        ("c", "0.01, 0.03"),
+        ("d", "0.01, 0.02"),
+    ];
+    let streams: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = grids
+            .iter()
+            .map(|(name, grid)| {
+                let (addr, body) = (&addr, spec("soak", grid));
+                scope.spawn(move || {
+                    let client = format!("client-{name}");
+                    let headers = [("X-Orion-Client", client.as_str())];
+                    let reply = http(addr, "POST", "/v1/experiment", &headers, &body);
+                    assert_eq!(reply.status, 200);
+                    reply.body()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for stream in &streams {
+        let summary = stream.lines().last().unwrap_or_default();
+        assert!(summary.starts_with("{\"type\":\"summary\""), "{stream}");
+        assert!(summary.contains("\"status\":\"complete\""), "{stream}");
+        let records: Vec<&str> = stream
+            .lines()
+            .filter(|l| l.starts_with("{\"schema_version\""))
+            .collect();
+        assert_eq!(records.len(), 2, "{stream}");
+        for line in records {
+            assert!(
+                reference_lines.lines().any(|r| r == line),
+                "a served record is not verbatim in the sequential artifact: {line}"
+            );
+        }
+    }
+    let metrics = http(&addr, "GET", "/metrics", &[], "").body();
+    assert!(metrics.contains("\"runner_executed\":3"), "{metrics}");
+
+    // Typed rejections, each counted once.
+    let bad = http(
+        &addr,
+        "POST",
+        "/v1/experiment",
+        &[],
+        "this is [not a valid spec",
+    );
+    assert_eq!(bad.status, 400);
+    assert!(bad.body().contains("\"code\":\"bad-spec\""));
+    let greedy = [("X-Orion-Client", "greedy")];
+    let big = spec("big", &many_rates(100));
+    let over = http(&addr, "POST", "/v1/experiment", &greedy, &big);
+    assert_eq!(over.status, 429);
+    assert!(over.body().contains("\"code\":\"budget-exhausted\""));
+    let metrics = http(&addr, "GET", "/metrics", &[], "").body();
+    assert!(
+        metrics.contains("\"serve_rejected_bad_spec\":1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\"serve_rejected_budget_exhausted\":1"),
+        "{metrics}"
+    );
+
+    // SIGTERM the moment the first record of a 40-cell stream arrives.
+    let streamer = [("X-Orion-Client", "streamer")];
+    let long = spec("long", &many_rates(40));
+    let mut stream = http(&addr, "POST", "/v1/experiment", &streamer, &long);
+    assert_eq!(stream.status, 200);
+    let mut lines = Vec::new();
+    while lines
+        .iter()
+        .all(|l: &String| !l.starts_with("{\"schema_version\""))
+    {
+        lines.push(stream.line().expect("a record before the stream ends"));
+    }
+    let pid = daemon.id().to_string();
+    let kill = |signal: &str| Command::new("kill").args([signal, &pid]).status();
+    assert!(kill("-TERM").expect("run kill").success());
+    lines.extend(std::iter::from_fn(|| stream.line()));
+    let summary = lines.last().unwrap();
+    assert!(summary.starts_with("{\"type\":\"summary\""), "{lines:?}");
+    let status = ["\"status\":\"draining\"", "\"status\":\"complete\""];
+    assert!(status.iter().any(|s| summary.contains(s)), "{lines:?}");
+    // A daemon that misses the signal is a failure, not a hung test.
+    let (exited, exit) = mpsc::channel();
+    std::thread::spawn(move || exited.send(daemon.wait().unwrap()));
+    let deadline = Duration::from_millis(DRAIN_TIMEOUT_MS.parse().unwrap());
+    let exit = exit.recv_timeout(deadline).unwrap_or_else(|_| {
+        let _ = kill("-KILL");
+        panic!("the daemon did not exit within its drain deadline")
+    });
+    assert_eq!(exit.code(), Some(0), "drained cleanly");
+
+    // The cache left behind replays the reference byte for byte.
+    let resume = experiment(
+        &sandbox,
+        ["run", &union, "1", "cache", "resume", "--json"],
+        None,
+    );
+    assert_eq!(resume.code, 0, "{resume:?}");
+    assert_eq!(summary_u64(&resume.stdout, "simulated"), 0, "{resume:?}");
+    for file in ["soak.jsonl", "soak.csv"] {
+        assert_same_bytes(
+            &sandbox.path(&format!("ref/{file}")),
+            &sandbox.path(&format!("resume/{file}")),
+        );
+    }
+}

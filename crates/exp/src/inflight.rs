@@ -179,6 +179,19 @@ mod tests {
         CellRecord::from_error(&cell, "placeholder")
     }
 
+    /// Spins until `n` claimants besides the map and the leader hold the
+    /// flight for `fp`: each is past the map lookup, so it shares
+    /// whatever the leader publishes (or re-claims after an abort).
+    fn await_followers(map: &InflightMap, fp: u64, n: usize) {
+        while lock_unpoisoned(&map.open)
+            .get(&fp)
+            .map_or(0, Arc::strong_count)
+            < n + 2
+        {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn first_claim_leads_and_publishes_to_followers() {
         let map = Arc::new(InflightMap::new());
@@ -203,8 +216,7 @@ mod tests {
                 })
             })
             .collect();
-        // Give followers time to block, then publish.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        await_followers(&map, fp, followers.len());
         guard.publish(&record);
 
         for f in followers {
@@ -246,7 +258,7 @@ mod tests {
             }
             Claim::Shared(_) => false,
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        await_followers(&map, fp, 1);
         drop(guard); // leader dies without publishing
         assert!(
             follower.join().unwrap(),

@@ -84,50 +84,63 @@ pub struct Supervision {
     pub shards: usize,
 }
 
-/// Monotonic accounting over a runner's lifetime. Snapshot via
-/// [`CellRunner::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunnerStats {
+/// Declares each runner counter once: its [`RunnerStats`] field, its
+/// atomic in `Counters` and the gauge name `/metrics` serves it under.
+macro_rules! runner_counters {
+    ($($(#[doc = $doc:literal])* $field:ident => $gauge:literal,)*) => {
+        /// Monotonic accounting over a runner's lifetime. Snapshot via
+        /// [`CellRunner::stats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct RunnerStats {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        impl RunnerStats {
+            /// Every counter paired with its `/metrics` gauge name.
+            pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($gauge, self.$field)),*].into_iter()
+            }
+        }
+
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($field: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> RunnerStats {
+                RunnerStats { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+}
+
+runner_counters! {
     /// Requests answered from memory (disk cache or earlier run).
-    pub cache_hits: u64,
+    cache_hits => "runner_cache_hits",
     /// Cells actually simulated (each distinct execution counts once,
     /// however many requesters shared it).
-    pub executed: u64,
+    executed => "runner_executed",
     /// Requests that shared a concurrent in-flight execution.
-    pub deduped: u64,
+    deduped => "runner_deduped",
     /// Executions quarantined after panicking on every attempt.
-    pub crashed: u64,
+    crashed => "runner_crashed",
     /// Executions that exceeded their wall-clock budget.
-    pub timed_out: u64,
+    timed_out => "runner_timed_out",
     /// Executions that succeeded only after at least one retry.
-    pub retried: u64,
+    retried => "runner_retried",
     /// Executions whose configuration was rejected (`"error"`).
-    pub failed: u64,
+    failed => "runner_failed",
     /// Records that could not be appended to the disk cache: the one
     /// whose append failed and every record after it (the sink closes
     /// at the first failure).
-    pub append_failures: u64,
+    append_failures => "runner_append_failures",
     /// Executions stopped at a checkpoint boundary by a drain.
-    pub drained: u64,
+    drained => "runner_drained",
     /// Executions that resumed from a persisted checkpoint.
-    pub resumed: u64,
+    resumed => "ckpt_resumed_total",
     /// Mid-run checkpoints persisted across all executions.
-    pub checkpoints_written: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    cache_hits: AtomicU64,
-    executed: AtomicU64,
-    deduped: AtomicU64,
-    crashed: AtomicU64,
-    timed_out: AtomicU64,
-    retried: AtomicU64,
-    failed: AtomicU64,
-    append_failures: AtomicU64,
-    drained: AtomicU64,
-    resumed: AtomicU64,
-    checkpoints_written: AtomicU64,
+    checkpoints_written => "ckpt_written_total",
 }
 
 /// The append half of the cache. `error` set means the sink broke and
@@ -252,19 +265,7 @@ impl CellRunner {
 
     /// A point-in-time copy of the accounting counters.
     pub fn stats(&self) -> RunnerStats {
-        RunnerStats {
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            executed: self.counters.executed.load(Ordering::Relaxed),
-            deduped: self.counters.deduped.load(Ordering::Relaxed),
-            crashed: self.counters.crashed.load(Ordering::Relaxed),
-            timed_out: self.counters.timed_out.load(Ordering::Relaxed),
-            retried: self.counters.retried.load(Ordering::Relaxed),
-            failed: self.counters.failed.load(Ordering::Relaxed),
-            append_failures: self.counters.append_failures.load(Ordering::Relaxed),
-            drained: self.counters.drained.load(Ordering::Relaxed),
-            resumed: self.counters.resumed.load(Ordering::Relaxed),
-            checkpoints_written: self.counters.checkpoints_written.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// The error that closed the append sink, when an append failed.
@@ -309,16 +310,6 @@ impl CellRunner {
         // under exclusivity.
         *lock_unpoisoned(&self.lock) = None;
         result
-    }
-
-    /// [`flush`](Self::flush), consuming the runner.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error; the lock is released either
-    /// way (the runner is consumed).
-    pub fn finalize(self) -> std::io::Result<()> {
-        self.flush()
     }
 
     fn lookup(&self, fp: u64) -> Option<CellRecord> {

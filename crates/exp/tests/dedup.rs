@@ -97,7 +97,7 @@ fn concurrent_overlapping_clients_match_sequential_and_share_cells() {
 
     // Drain: the cache left behind serves a fresh runner entirely from
     // memory, byte-identically.
-    Arc::try_unwrap(runner).unwrap().finalize().unwrap();
+    Arc::try_unwrap(runner).unwrap().flush().unwrap();
     let reopened = CellRunner::open(Some(&dir)).unwrap();
     assert_eq!(reopened.known_records(), 3);
     let replay: Vec<_> = spec("client-a", "[0.02, 0.04]")
@@ -227,7 +227,7 @@ fn drain_persists_checkpoint_and_next_runner_resumes_bit_identically() {
         ckpt.exists(),
         "drain leaves the checkpoint for the next daemon"
     );
-    first.finalize().unwrap();
+    first.flush().unwrap();
     assert!(
         ckpt.exists(),
         "flush must not GC an incomplete cell's checkpoint"
@@ -248,7 +248,7 @@ fn drain_persists_checkpoint_and_next_runner_resumes_bit_identically() {
         "resumed results are bit-identical to the uninterrupted run"
     );
     assert!(!ckpt.exists(), "completion garbage-collects the checkpoint");
-    second.finalize().unwrap();
+    second.flush().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -279,6 +279,6 @@ fn corrupt_checkpoint_degrades_to_cycle_zero_replay() {
         baseline.to_json_line(),
         "cycle-0 fallback reproduces the uninterrupted result"
     );
-    runner.finalize().unwrap();
+    runner.flush().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

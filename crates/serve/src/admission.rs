@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use orion_exp::inflight::lock_unpoisoned;
@@ -123,39 +123,27 @@ impl AdmissionGate {
     /// [`Rejection::Draining`] in drain mode, [`Rejection::OverCapacity`]
     /// when pool and queue are both full or patience runs out.
     pub fn admit(&self) -> Result<Permit<'_>, Rejection> {
+        let mut state = lock_unpoisoned(&self.state);
+        if state.active >= self.workers && !self.draining() {
+            if state.waiting >= self.queue_depth {
+                return Err(self.over_capacity());
+            }
+            state.waiting += 1;
+            let full = |s: &mut GateState| s.active >= self.workers && !self.draining();
+            (state, _) = self
+                .freed
+                .wait_timeout_while(state, self.queue_patience, full)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
         if self.draining() {
             return Err(Rejection::Draining);
         }
-        let mut state = lock_unpoisoned(&self.state);
-        if state.active < self.workers {
-            state.active += 1;
-            return Ok(Permit { gate: self });
-        }
-        if state.waiting >= self.queue_depth {
+        if state.active >= self.workers {
             return Err(self.over_capacity());
         }
-        state.waiting += 1;
-        let deadline = std::time::Instant::now() + self.queue_patience;
-        loop {
-            if self.draining() {
-                state.waiting -= 1;
-                return Err(Rejection::Draining);
-            }
-            if state.active < self.workers {
-                state.waiting -= 1;
-                state.active += 1;
-                return Ok(Permit { gate: self });
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                state.waiting -= 1;
-                return Err(self.over_capacity());
-            }
-            state = match self.freed.wait_timeout(state, deadline - now) {
-                Ok((s, _)) => s,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        state.active += 1;
+        Ok(Permit { gate: self })
     }
 
     fn over_capacity(&self) -> Rejection {
@@ -236,6 +224,15 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Spins until `n` callers are queued inside `admit`. A waiter
+    /// counts itself under the state lock and releases that lock only
+    /// by waiting on `freed`, so once the count shows, it is parked.
+    fn await_waiters(gate: &AdmissionGate, n: usize) {
+        while lock_unpoisoned(&gate.state).waiting < n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn admits_up_to_workers_then_queues_then_rejects() {
         let gate = AdmissionGate::new(2, 1, Duration::from_millis(10));
@@ -256,7 +253,7 @@ mod tests {
         let permit = gate.admit().unwrap();
         let g2 = Arc::clone(&gate);
         let waiter = std::thread::spawn(move || g2.admit().map(|_| ()));
-        std::thread::sleep(Duration::from_millis(20));
+        await_waiters(&gate, 1);
         drop(permit);
         waiter.join().unwrap().expect("waiter admitted after free");
     }
@@ -267,7 +264,7 @@ mod tests {
         let _held = gate.admit().unwrap();
         let g2 = Arc::clone(&gate);
         let queued = std::thread::spawn(move || g2.admit().map(|_| ()));
-        std::thread::sleep(Duration::from_millis(20));
+        await_waiters(&gate, 1);
         gate.start_draining();
         assert_eq!(queued.join().unwrap().unwrap_err(), Rejection::Draining);
         assert_eq!(gate.admit().unwrap_err().status(), 503);

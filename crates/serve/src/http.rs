@@ -136,7 +136,20 @@ fn read_head_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, Http
     Ok(line)
 }
 
-/// Writes a complete fixed-length response and flushes.
+/// The reason phrase sent with each status the daemon answers.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        429 => "Too Many Requests",
+        _ => "Service Unavailable",
+    }
+}
+
+/// Writes a complete fixed-length JSON response and flushes.
 ///
 /// # Errors
 ///
@@ -144,13 +157,12 @@ fn read_head_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, Http
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
-    reason: &str,
-    content_type: &str,
     extra_headers: &[(&str, String)],
     body: &[u8],
 ) -> std::io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        reason(status),
         body.len()
     );
     for (name, value) in extra_headers {
@@ -173,21 +185,14 @@ pub struct ChunkedBody<'a> {
 }
 
 impl<'a> ChunkedBody<'a> {
-    /// Writes the response head with `Transfer-Encoding: chunked` and
-    /// returns the body writer.
+    /// Writes a `200` JSONL response head with `Transfer-Encoding:
+    /// chunked` and returns the body writer.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error.
-    pub fn begin(
-        stream: &'a mut TcpStream,
-        status: u16,
-        reason: &str,
-        content_type: &str,
-    ) -> std::io::Result<ChunkedBody<'a>> {
-        let head = format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-        );
+    pub fn begin(stream: &'a mut TcpStream) -> std::io::Result<ChunkedBody<'a>> {
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
         stream.write_all(head.as_bytes())?;
         Ok(ChunkedBody { stream })
     }

@@ -8,11 +8,10 @@
 //! truncates their streams with a typed summary, flushes the cache,
 //! and reports whether the drain beat its deadline.
 
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use orion_exp::inflight::lock_unpoisoned;
@@ -26,7 +25,7 @@ use crate::http::{read_request, write_response, ChunkedBody, HttpError, Request}
 use crate::{signal, SERVE_PROTOCOL_VERSION};
 
 /// Everything tunable about a daemon. `Default` is sized for local
-/// experimentation; the CLI maps flags onto these fields 1:1.
+/// experimentation; the CLI maps flags onto these fields.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks a free port).
@@ -41,24 +40,16 @@ pub struct ServeConfig {
     pub queue_patience: Duration,
     /// Cell tokens granted to each new client (`u64::MAX` = unmetered).
     pub client_budget: u64,
-    /// Default retry count when a request sends no `X-Orion-Retries`.
-    pub default_retries: u32,
-    /// Default per-cell wall-clock budget (`X-Orion-Cell-Timeout-Ms`
-    /// overrides; 0 disables).
-    pub default_cell_timeout: Option<Duration>,
+    /// How every request's cells run: the same knobs `experiment run`
+    /// takes. `X-Orion-Retries` and `X-Orion-Cell-Timeout-Ms` override
+    /// `max_retries` and `cell_timeout` per request. With a cache
+    /// directory and `checkpoint_every`, a drained daemon leaves each
+    /// unfinished cell's snapshot for the next one to resume.
+    pub supervision: Supervision,
     /// How long shutdown waits for in-flight requests to finish.
     pub drain_timeout: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Checkpoint in-flight cells every N cycles (0 disables). With a
-    /// cache directory set, a drained daemon leaves each unfinished
-    /// cell's snapshot under `<cache_dir>/ckpt/` and the next daemon
-    /// resumes it mid-cell instead of from cycle 0.
-    pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
-    /// Records are bit-identical at every count, so the cache this
-    /// daemon serves is shard-agnostic.
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -70,12 +61,9 @@ impl Default for ServeConfig {
             queue_depth: 8,
             queue_patience: Duration::from_secs(2),
             client_budget: u64::MAX,
-            default_retries: 0,
-            default_cell_timeout: None,
+            supervision: Supervision::default(),
             drain_timeout: Duration::from_secs(10),
             max_body_bytes: 1 << 20,
-            checkpoint_every: 0,
-            shards: 0,
         }
     }
 }
@@ -94,12 +82,17 @@ pub struct ServeOutcome {
 
 struct ServerState {
     config: ServeConfig,
+    /// Blocking; woken by [`signal::wake`]. Owned here, so a
+    /// [`ShutdownHandle`] can never wake a descriptor that was reused.
+    listener: TcpListener,
     runner: CellRunner,
     gate: AdmissionGate,
     budgets: BudgetBook,
     metrics: Mutex<MetricsRegistry>,
-    shutdown: AtomicBool,
-    open_connections: AtomicUsize,
+    /// Open connections; each one decrements it as it ends and
+    /// notifies `closed`, which the drain waits on.
+    connections: Mutex<usize>,
+    closed: Condvar,
     requests: AtomicUsize,
     /// Total wall-clock nanoseconds spent in completed cells and how
     /// many completed — feeds the `Retry-After` estimate on 429s.
@@ -107,10 +100,20 @@ struct ServerState {
     cells_timed: AtomicU64,
 }
 
+impl ServerState {
+    /// Refuses new work from here on (`readyz` answers 503), asks
+    /// checkpointed cells to stop at their next boundary, and wakes
+    /// the accept loop. Idempotent.
+    fn begin_drain(&self) {
+        self.gate.start_draining();
+        self.runner.request_drain();
+        signal::wake(&self.listener);
+    }
+}
+
 /// A bound-but-not-yet-running daemon: inspect [`local_addr`]
 /// (Self::local_addr), take a [`ShutdownHandle`], then [`run`](Self::run).
 pub struct Server {
-    listener: TcpListener,
     state: Arc<ServerState>,
 }
 
@@ -122,9 +125,10 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Asks the daemon to stop admitting and drain.
+    /// Stops admission and wakes the daemon to drain. Admission is shut
+    /// when this returns: `readyz` already answers 503.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.begin_drain();
     }
 }
 
@@ -138,20 +142,19 @@ impl Server {
     /// holds the cache directory.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let runner = CellRunner::open(config.cache_dir.as_deref())?;
         let gate = AdmissionGate::new(config.workers, config.queue_depth, config.queue_patience);
         let budgets = BudgetBook::new(config.client_budget);
         Ok(Server {
-            listener,
             state: Arc::new(ServerState {
                 config,
+                listener,
                 runner,
                 gate,
                 budgets,
                 metrics: Mutex::new(MetricsRegistry::new()),
-                shutdown: AtomicBool::new(false),
-                open_connections: AtomicUsize::new(0),
+                connections: Mutex::new(0),
+                closed: Condvar::new(),
                 requests: AtomicUsize::new(0),
                 cell_nanos: AtomicU64::new(0),
                 cells_timed: AtomicU64::new(0),
@@ -165,7 +168,7 @@ impl Server {
     ///
     /// Propagates the OS error from `local_addr`.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.state.listener.local_addr()
     }
 
     /// A handle that triggers the same graceful drain as SIGTERM.
@@ -175,47 +178,52 @@ impl Server {
         }
     }
 
+    pub(crate) fn listener(&self) -> &TcpListener {
+        &self.state.listener
+    }
+
     /// Serves until SIGTERM/SIGINT or a [`ShutdownHandle`] fires, then
     /// drains and flushes. Blocks the calling thread.
     ///
     /// # Errors
     ///
-    /// Accept-loop I/O errors other than `WouldBlock`; cache flush
-    /// errors at shutdown.
+    /// Accept-loop I/O errors; cache flush errors at shutdown.
     pub fn run(self) -> std::io::Result<ServeOutcome> {
-        let Server { listener, state } = self;
-        while !shutdown_asked(&state) {
-            match listener.accept() {
+        let state = self.state;
+        let accepted = loop {
+            if shutdown_asked(&state) {
+                break Ok(());
+            }
+            match state.listener.accept() {
                 Ok((stream, _peer)) => {
-                    state.open_connections.fetch_add(1, Ordering::SeqCst);
+                    *lock_unpoisoned(&state.connections) += 1;
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || {
                         handle_connection(&state, stream);
-                        state.open_connections.fetch_sub(1, Ordering::SeqCst);
+                        *lock_unpoisoned(&state.connections) -= 1;
+                        state.closed.notify_all();
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                // A woken listener fails every accept; the flag says why.
+                Err(_) if shutdown_asked(&state) => break Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => break Err(e),
             }
-        }
+        };
 
         // Drain: refuse new work, let running cells finish, give
         // in-flight streams a chance to emit their typed summary.
         // With checkpointing on, in-flight cells stop at their next
         // snapshot boundary instead of running to completion; the next
         // daemon over the same cache directory resumes them mid-cell.
-        state.gate.start_draining();
-        state.runner.request_drain();
-        drop(listener);
-        let deadline = Instant::now() + state.config.drain_timeout;
-        while state.open_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        state.begin_drain();
+        signal::forget(&state.listener);
+        accepted?;
+        let open = lock_unpoisoned(&state.connections);
+        let patience = state.config.drain_timeout;
+        let wait = state.closed.wait_timeout_while(open, patience, |n| *n > 0);
+        let drained = *wait.unwrap_or_else(PoisonError::into_inner).0 == 0;
         let abandoned = state.gate.active();
-        let drained = state.open_connections.load(Ordering::SeqCst) == 0;
         // All records are already flushed line-by-line; this heals
         // duplicates and drops the append handle. Safe even with
         // laggard requests: they can no longer append, only read.
@@ -228,8 +236,9 @@ impl Server {
     }
 }
 
+/// Whether a signal or a [`ShutdownHandle`] asked for the drain.
 fn shutdown_asked(state: &ServerState) -> bool {
-    signal::shutdown_requested() || state.shutdown.load(Ordering::SeqCst)
+    signal::shutdown_requested() || state.gate.draining()
 }
 
 /// One connection = one request = one response, then close.
@@ -241,46 +250,31 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         Err(HttpError::Io(_)) => return,
         Err(HttpError::Malformed(why)) => {
             metric(state, "serve_rejected_malformed_http");
-            let _ = error_response(&mut stream, 400, "Bad Request", "malformed-request", why);
+            let _ = error_response(&mut stream, 400, "malformed-request", why);
             return;
         }
         Err(HttpError::TooLarge { limit }) => {
             metric(state, "serve_rejected_payload_too_large");
-            let _ = error_response(
-                &mut stream,
-                413,
-                "Payload Too Large",
-                "payload-too-large",
-                &format!("request body exceeds the {limit}-byte cap"),
-            );
+            let why = format!("request body exceeds the {limit}-byte cap");
+            let _ = error_response(&mut stream, 413, "payload-too-large", &why);
             return;
         }
     };
-    let result = match (request.method.as_str(), path_of(&request)) {
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    let _ = match (method, path.split('?').next().unwrap_or_default()) {
         ("GET", "/healthz") => handle_health(state, &mut stream),
         ("GET", "/readyz") => handle_ready(state, &mut stream),
         ("GET", "/metrics") => handle_metrics(state, &mut stream),
         ("POST", "/v1/experiment") => handle_experiment(state, &mut stream, &request),
-        ("GET" | "POST" | "HEAD" | "PUT" | "DELETE", _) => error_response(
-            &mut stream,
-            404,
-            "Not Found",
-            "not-found",
-            &format!("no route for {} {}", request.method, request.path),
-        ),
-        _ => error_response(
-            &mut stream,
-            405,
-            "Method Not Allowed",
-            "method-not-allowed",
-            &format!("method {} is not served", request.method),
-        ),
+        ("GET" | "POST" | "HEAD" | "PUT" | "DELETE", _) => {
+            let why = format!("no route for {method} {path}");
+            error_response(&mut stream, 404, "not-found", &why)
+        }
+        _ => {
+            let why = format!("method {method} is not served");
+            error_response(&mut stream, 405, "method-not-allowed", &why)
+        }
     };
-    let _ = result;
-}
-
-fn path_of(request: &Request) -> &str {
-    request.path.split('?').next().unwrap_or(&request.path)
 }
 
 fn handle_health(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
@@ -289,46 +283,32 @@ fn handle_health(state: &ServerState, stream: &mut TcpStream) -> std::io::Result
         o.key("status").str("ok");
         o.key("known_records").num(state.runner.known_records());
     });
-    write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
+    write_response(stream, 200, &[], body.as_bytes())
 }
 
 fn handle_ready(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
-    if state.gate.draining() || shutdown_asked(state) {
-        return error_response(
-            stream,
-            503,
-            "Service Unavailable",
-            "draining",
-            "daemon is draining; no new work is admitted",
-        );
+    if shutdown_asked(state) {
+        let draining = Rejection::Draining;
+        return error_response(stream, 503, draining.code(), &draining.message());
     }
     let body = protocol_line("ready", |o| {
         o.key("status").str("ready");
         o.key("active_requests").num(state.gate.active());
     });
-    write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
+    write_response(stream, 200, &[], body.as_bytes())
 }
 
 fn handle_metrics(state: &ServerState, stream: &mut TcpStream) -> std::io::Result<()> {
-    let stats = state.runner.stats();
     let body = {
         let mut metrics = lock_unpoisoned(&state.metrics);
         metrics.set_gauge("serve_active_requests", state.gate.active() as f64);
         metrics.set_gauge("runner_known_records", state.runner.known_records() as f64);
-        metrics.set_gauge("runner_executed", stats.executed as f64);
-        metrics.set_gauge("runner_cache_hits", stats.cache_hits as f64);
-        metrics.set_gauge("runner_deduped", stats.deduped as f64);
-        metrics.set_gauge("runner_crashed", stats.crashed as f64);
-        metrics.set_gauge("runner_timed_out", stats.timed_out as f64);
-        metrics.set_gauge("runner_retried", stats.retried as f64);
-        metrics.set_gauge("runner_failed", stats.failed as f64);
-        metrics.set_gauge("runner_append_failures", stats.append_failures as f64);
-        metrics.set_gauge("runner_drained", stats.drained as f64);
-        metrics.set_gauge("ckpt_written_total", stats.checkpoints_written as f64);
-        metrics.set_gauge("ckpt_resumed_total", stats.resumed as f64);
+        for (name, value) in state.runner.stats().gauges() {
+            metrics.set_gauge(name, value as f64);
+        }
         metrics.snapshot().to_json()
     };
-    write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
+    write_response(stream, 200, &[], body.as_bytes())
 }
 
 /// The streaming endpoint: validate → admit → charge → stream.
@@ -338,28 +318,21 @@ fn handle_experiment(
     request: &Request,
 ) -> std::io::Result<()> {
     metric(state, "serve_requests");
-    let sup = match supervision_for(state, request) {
-        Ok(sup) => sup,
+    let (sup, deadline) = match request_knobs(state, request) {
+        Ok(knobs) => knobs,
         Err(why) => {
             metric(state, "serve_rejected_bad_header");
-            return error_response(stream, 400, "Bad Request", "bad-header", &why);
+            return error_response(stream, 400, "bad-header", &why);
         }
     };
     let spec = match ExperimentSpec::parse_bytes(&request.body) {
         Ok(spec) => spec,
         Err(e) => {
             metric(state, "serve_rejected_bad_spec");
-            return error_response(stream, 400, "Bad Request", "bad-spec", &e.to_string());
+            return error_response(stream, 400, "bad-spec", &e.to_string());
         }
     };
     let cells = spec.expand();
-    let deadline = match header_u64(request, "x-orion-deadline-ms") {
-        Ok(ms) => ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        Err(why) => {
-            metric(state, "serve_rejected_bad_header");
-            return error_response(stream, 400, "Bad Request", "bad-header", &why);
-        }
-    };
 
     // Admission before budget: a request that would be queued out
     // anyway must not burn the client's tokens.
@@ -374,7 +347,7 @@ fn handle_experiment(
     }
     state.requests.fetch_add(1, Ordering::SeqCst);
 
-    let mut body = ChunkedBody::begin(stream, 200, "OK", "application/x-ndjson")?;
+    let mut body = ChunkedBody::begin(stream)?;
     body.line(&protocol_line("header", |o| {
         o.key("experiment").str(&spec.name);
         o.key("cells").num(cells.len());
@@ -400,15 +373,12 @@ fn handle_experiment(
         streamed += 1;
     }
     drop(permit);
-    if status != "complete" {
-        metric(state, "serve_streams_truncated");
-    } else {
-        metric(state, "serve_requests_ok");
-    }
-    {
-        let mut metrics = lock_unpoisoned(&state.metrics);
-        metrics.add("serve_records_streamed", streamed as u64);
-    }
+    let done = match status {
+        "complete" => "serve_requests_ok",
+        _ => "serve_streams_truncated",
+    };
+    metric(state, done);
+    lock_unpoisoned(&state.metrics).add("serve_records_streamed", streamed as u64);
     let budget_remaining = state.budgets.remaining(client);
     body.line(&protocol_line("summary", |o| {
         o.key("status").str(status);
@@ -419,26 +389,26 @@ fn handle_experiment(
     body.finish()
 }
 
-/// Maps per-request headers onto the supervisor, falling back to the
-/// daemon's defaults — the serving twin of `--retries` /
-/// `--cell-timeout-ms`.
-fn supervision_for(state: &ServerState, request: &Request) -> Result<Supervision, String> {
-    let retries = match header_u64(request, "x-orion-retries")? {
-        Some(n) => u32::try_from(n).map_err(|_| "x-orion-retries out of range".to_string())?,
-        None => state.config.default_retries,
-    };
-    let cell_timeout = match header_u64(request, "x-orion-cell-timeout-ms")? {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => state.config.default_cell_timeout,
-    };
-    Ok(Supervision {
-        max_retries: retries,
-        cell_timeout,
-        poison: None,
-        checkpoint_every: state.config.checkpoint_every,
-        shards: state.config.shards,
-    })
+/// The daemon's supervision with this request's `X-Orion-Retries` /
+/// `X-Orion-Cell-Timeout-Ms` overrides (the serving twin of `--retries`
+/// / `--cell-timeout-ms`), and its `X-Orion-Deadline-Ms` as an instant.
+fn request_knobs(
+    state: &ServerState,
+    request: &Request,
+) -> Result<(Supervision, Option<Instant>), String> {
+    let mut sup = state.config.supervision.clone();
+    if let Some(n) = header_u64(request, "x-orion-retries")? {
+        sup.max_retries =
+            u32::try_from(n).map_err(|_| "x-orion-retries out of range".to_string())?;
+    }
+    if let Some(ms) = header_u64(request, "x-orion-cell-timeout-ms")? {
+        sup.cell_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+    }
+    let deadline = header_u64(request, "x-orion-deadline-ms")?;
+    Ok((
+        sup,
+        deadline.map(|ms| Instant::now() + Duration::from_millis(ms)),
+    ))
 }
 
 fn header_u64(request: &Request, name: &str) -> Result<Option<u64>, String> {
@@ -462,28 +432,15 @@ fn reject(
         Rejection::Draining => "serve_rejected_draining",
     };
     metric(state, key);
-    let (status, reason) = match rejection.status() {
-        429 => (429, "Too Many Requests"),
-        _ => (503, "Service Unavailable"),
-    };
-    let secs = retry_after_secs(
-        state.gate.active() + state.config.queue_depth,
-        state.config.workers,
-        mean_cell_duration(state),
-    );
+    // Mean wall-clock duration of the cells completed so far; zero
+    // before the first one finishes.
+    let cells = state.cells_timed.load(Ordering::Relaxed).max(1);
+    let mean_cell = Duration::from_nanos(state.cell_nanos.load(Ordering::Relaxed) / cells);
+    let backlog = state.gate.active() + state.config.queue_depth;
+    let secs = retry_after_secs(backlog, state.config.workers, mean_cell);
     let retry_after = [("Retry-After", secs.to_string())];
     let body = error_body(rejection.code(), &rejection.message());
-    write_with_headers(stream, status, reason, &retry_after, body.as_bytes())
-}
-
-/// Mean wall-clock duration of the cells this daemon has completed so
-/// far; zero before the first cell finishes.
-fn mean_cell_duration(state: &ServerState) -> Duration {
-    let cells = state.cells_timed.load(Ordering::Relaxed);
-    if cells == 0 {
-        return Duration::ZERO;
-    }
-    Duration::from_nanos(state.cell_nanos.load(Ordering::Relaxed) / cells)
+    write_response(stream, rejection.status(), &retry_after, body.as_bytes())
 }
 
 /// How long a 429'd client should wait before retrying: the backlog
@@ -499,19 +456,11 @@ fn retry_after_secs(backlog: usize, workers: usize, mean_cell: Duration) -> u64 
 fn error_response(
     stream: &mut TcpStream,
     status: u16,
-    reason: &str,
     code: &str,
     message: &str,
 ) -> std::io::Result<()> {
     let body = error_body(code, message);
-    write_response(
-        stream,
-        status,
-        reason,
-        "application/json",
-        &[],
-        body.as_bytes(),
-    )
+    write_response(stream, status, &[], body.as_bytes())
 }
 
 /// One object of the wire protocol: every framing, status and error
@@ -533,17 +482,6 @@ fn error_body(code: &str, message: &str) -> String {
     })
 }
 
-fn write_with_headers(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    extra: &[(&str, String)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    write_response(stream, status, reason, "application/json", extra, body)?;
-    stream.flush()
-}
-
 fn metric(state: &ServerState, key: &'static str) {
     lock_unpoisoned(&state.metrics).inc(key);
 }
@@ -562,6 +500,24 @@ mod tests {
             ),
             GOLDEN_ERROR
         );
+    }
+
+    #[test]
+    fn serving_md_names_every_metrics_gauge() {
+        let doc = include_str!("../../../docs/SERVING.md");
+        let runner = orion_exp::RunnerStats::default()
+            .gauges()
+            .map(|(name, _)| name);
+        for name in ["serve_active_requests", "runner_known_records"]
+            .into_iter()
+            .chain(runner)
+        {
+            let quoted = format!("`{name}`");
+            assert!(
+                doc.contains(&quoted),
+                "docs/SERVING.md lacks gauge {quoted}"
+            );
+        }
     }
 
     const GOLDEN_ERROR: &str = r#"{"type":"error","protocol":1,"code":"bad-spec","message":"line 4: unknown preset `wa\"rp\\9`\n\u0001é"}"#;

@@ -399,7 +399,6 @@ fn draining_daemon_rejects_held_connections_with_503() {
     let mut held = TcpStream::connect(&addr).unwrap();
     std::thread::sleep(Duration::from_millis(100)); // let the accept loop pick it up
     handle.shutdown();
-    std::thread::sleep(Duration::from_millis(300)); // accept loop exits, gate flips
     send_request(
         &mut held,
         "POST",
