@@ -226,8 +226,7 @@ impl Experiment {
     /// Pins the cycle stepper: [`EngineMode::Sparse`] (activity-driven,
     /// the default) or [`EngineMode::DenseReference`] (every router
     /// visited every cycle). The two are **bit-identical** — the dense
-    /// engine exists for differential testing and the CI
-    /// `sparse-identity` job.
+    /// engine exists for differential testing.
     pub fn engine(mut self, mode: EngineMode) -> Experiment {
         self.engine = mode;
         self

@@ -9,7 +9,8 @@
 //! an `Option<ObsSink>`; every event site is a single `if let
 //! Some(obs)` check, and with no sink attached a run is bit-identical
 //! to an uninstrumented build (pinned by `orion-core`'s
-//! `sweep_identity` test and the `obs_overhead` bench).
+//! `sweep_identity` test; the cost of a sink is the benchmark's
+//! `obs.enabled_over_disabled`).
 //!
 //! ```
 //! use orion_obs::{keys, ObsSink};

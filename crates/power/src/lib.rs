@@ -64,7 +64,6 @@ pub mod arbiter;
 pub mod area;
 pub mod buffer;
 pub mod central_buffer;
-pub mod clock;
 pub mod crossbar;
 pub mod decoder;
 pub mod error;
@@ -78,7 +77,6 @@ pub use area::{
 };
 pub use buffer::{BufferParams, BufferPower};
 pub use central_buffer::{CentralBufferParams, CentralBufferPower};
-pub use clock::ClockPower;
 pub use crossbar::{CrossbarKind, CrossbarParams, CrossbarPower};
 pub use decoder::DecoderPower;
 pub use error::ModelError;

@@ -193,7 +193,7 @@ pub enum EngineMode {
     Sparse,
     /// The pre-sparse stepper: every router and source is visited
     /// every cycle. Kept as the reference engine the differential
-    /// tests and the CI `sparse-identity` job compare against.
+    /// tests compare against.
     DenseReference,
 }
 
