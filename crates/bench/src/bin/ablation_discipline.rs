@@ -6,52 +6,30 @@
 //! the provably deadlock-free alternatives cost: Dally's dateline
 //! classes halve the VCs visible to a packet; Duato-style escape VCs
 //! restrict only two of them.
+//!
+//! The grid lives in `examples/specs/ablation_discipline.toml` and
+//! runs through the `orion-exp` engine; this binary only renders the
+//! records.
 
-use orion_bench::{fmt_report_latency, print_table, rate_rows};
-use orion_core::{Experiment, NetworkConfig, Report, RouterConfig};
-use orion_net::Topology;
-use orion_sim::VcDiscipline;
+use orion_bench::{fmt_record_latency, print_table, rate_rows, record_columns, run_embedded};
+use orion_exp::CellRecord;
 
-fn config(vcs: u32, discipline: VcDiscipline) -> NetworkConfig {
-    NetworkConfig::new(
-        Topology::torus(&[4, 4]).expect("valid"),
-        RouterConfig::VirtualChannel { vcs, depth: 8 },
-        256,
-    )
-    .vc_discipline(discipline)
-}
+const SPEC: &str = include_str!("../../../../examples/specs/ablation_discipline.toml");
 
 fn main() {
-    let disciplines = [
-        ("unrestricted", VcDiscipline::Unrestricted),
-        ("dateline", VcDiscipline::Dateline),
-        ("escape", VcDiscipline::Escape),
-    ];
-    let rates = [0.06, 0.10, 0.12, 0.14, 0.16, 0.20];
-
-    for &vcs in &[2u32, 4, 8] {
-        let columns: Vec<Vec<Report>> = disciplines
+    let (spec, records) = run_embedded(SPEC);
+    let disciplines = ["unrestricted", "dateline", "escape"];
+    for (preset, vcs) in [("vc16", 2), ("vc4x8", 4), ("vc64", 8)] {
+        let mine: Vec<CellRecord> = records
             .iter()
-            .map(|(_, d)| {
-                rates
-                    .iter()
-                    .map(|&rate| {
-                        Experiment::new(config(vcs, *d))
-                            .injection_rate(rate)
-                            .seed(2)
-                            .warmup(500)
-                            .sample_packets(1500)
-                            .max_cycles(80_000)
-                            .run()
-                            .expect("valid config")
-                    })
-                    .collect()
-            })
+            .filter(|r| r.preset == preset)
+            .cloned()
             .collect();
+        let columns = record_columns(&mine, &disciplines, |r| &r.vc_discipline);
         print_table(
             &format!("{vcs} VCs x 8 flits: latency (cycles; * saturated, ! deadlocked)"),
             &["rate", "unrestricted", "dateline", "escape"],
-            &rate_rows(&rates, &columns, fmt_report_latency),
+            &rate_rows(&spec.rates, &columns, |r| fmt_record_latency(r)),
         );
     }
     println!("\n(unrestricted matches the paper's behaviour but deadlocks past the");

@@ -24,23 +24,13 @@
 
 use orion_bench::{
     fmt_record_latency, fmt_record_power, print_saturation_summary, print_table, rate_rows,
-    record_columns, record_saturation_rate, Effort,
+    record_columns, record_saturation_rate, run_embedded,
 };
-use orion_exp::{run_spec, EngineOptions, ExperimentSpec};
 
 const SPEC: &str = include_str!("../../../../examples/specs/fig5.toml");
 
 fn main() {
-    let mut spec = ExperimentSpec::parse(SPEC).expect("embedded spec is valid");
-    Effort::from_args().apply_to_spec(&mut spec);
-
-    let opts = EngineOptions {
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cache_dir: None,
-        progress: true,
-        ..EngineOptions::default()
-    };
-    let (records, _) = run_spec(&spec, &opts).expect("cacheless runs do no I/O");
+    let (spec, records) = run_embedded(SPEC);
 
     let presets = ["wh64", "vc16", "vc64", "vc128"];
     let cols = record_columns(&records, &presets, |r| &r.preset);

@@ -27,7 +27,7 @@ fn main() {
     let run = |pattern: TrafficPattern| {
         Experiment::new(cfg.clone())
             .workload(pattern)
-            .seed(options.seed)
+            .seed(1)
             .warmup(options.warmup)
             .sample_packets(options.sample_packets)
             .max_cycles(options.max_cycles)

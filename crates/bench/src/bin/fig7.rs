@@ -15,24 +15,32 @@
 //! (no head-of-line blocking); CB consumes more power (the central
 //! buffer dominates); links exceed 70% of XB node power (3 W
 //! traffic-insensitive chip-to-chip links).
+//!
+//! The grids live in `examples/specs/fig7.toml` and
+//! `examples/specs/fig7_broadcast.toml` and run through the `orion-exp`
+//! engine; this binary only renders the records. Both specs are
+//! runnable (with caching and resume) via `orion-power-cli experiment
+//! run`.
 
 use orion_bench::{
-    fmt_report_latency, fmt_report_power, print_saturation_summary, print_table, rate_rows, Effort,
+    fmt_record_latency, fmt_record_power, print_saturation_summary, print_table, rate_rows,
+    record_columns, record_saturation_rate, run_embedded,
 };
-use orion_core::{injection_sweep, presets, Experiment, Report};
-use orion_net::TrafficPattern;
-use orion_sim::Component;
+use orion_core::presets;
+
+const UNIFORM: &str = include_str!("../../../../examples/specs/fig7.toml");
+const BROADCAST: &str = include_str!("../../../../examples/specs/fig7_broadcast.toml");
 
 fn main() {
-    let effort = Effort::from_args();
-    let options = effort.options();
-    let xb = presets::xb_chip_to_chip();
-    let cb = presets::cb_chip_to_chip();
-    let topo = xb.topology.clone();
-
     // Matched-area check (the paper's §4.4 methodology).
-    let a_xb = xb.router_area().expect("valid config").total();
-    let a_cb = cb.router_area().expect("valid config").total();
+    let a_xb = presets::xb_chip_to_chip()
+        .router_area()
+        .expect("valid config")
+        .total();
+    let a_cb = presets::cb_chip_to_chip()
+        .router_area()
+        .expect("valid config")
+        .total();
     println!(
         "router area estimate: XB {:.3} mm^2, CB {:.3} mm^2 (ratio {:.2})",
         a_xb.as_mm2(),
@@ -41,79 +49,60 @@ fn main() {
     );
 
     // --- 7(a)/(b): uniform random traffic. ---
-    let rates: Vec<f64> = (1..=10).map(|i| 0.03 * i as f64).collect();
-    eprintln!("sweeping XB under uniform traffic ...");
-    let xb_points = injection_sweep(&xb, &rates, options).expect("valid config");
-    eprintln!("sweeping CB under uniform traffic ...");
-    let cb_points = injection_sweep(&cb, &rates, options).expect("valid config");
-
-    let cols: Vec<Vec<&Report>> = [&xb_points, &cb_points]
-        .map(|pts| pts.iter().map(|p| &p.report).collect())
-        .into();
+    let (spec, records) = run_embedded(UNIFORM);
+    let cols = record_columns(&records, &["xb", "cb"], |r| &r.preset);
     let header = ["rate (pkt/cyc/node)", "XB", "CB"];
     print_table(
         "Figure 7(a): average packet latency, uniform random (cycles; * = saturated)",
         &header,
-        &rate_rows(&rates, &cols, |r| fmt_report_latency(r)),
+        &rate_rows(&spec.rates, &cols, |r| fmt_record_latency(r)),
     );
     print_table(
         "Figure 7(b): total network power, uniform random (W)",
         &header,
-        &rate_rows(&rates, &cols, |r| fmt_report_power(r)),
+        &rate_rows(&spec.rates, &cols, |r| fmt_record_power(r)),
     );
     print_saturation_summary(&[
-        ("XB", orion_core::saturation_rate(&xb_points)),
-        ("CB", orion_core::saturation_rate(&cb_points)),
+        ("XB", record_saturation_rate(&cols[0])),
+        ("CB", record_saturation_rate(&cols[1])),
     ]);
 
     // --- 7(d)/(e): broadcast traffic from (1,2). ---
-    let src = topo.node_at(&[1, 2]);
-    let bc_rates: Vec<f64> = (1..=10).map(|i| 0.1 * i as f64).collect();
-    let run_bc = |cfg: &orion_core::NetworkConfig, rate: f64| -> Report {
-        Experiment::new(cfg.clone())
-            .workload(TrafficPattern::broadcast(&topo, src, rate).expect("valid rate"))
-            .seed(options.seed)
-            .warmup(options.warmup)
-            .sample_packets(options.sample_packets.min(3000))
-            .max_cycles(options.max_cycles)
-            .run()
-            .expect("valid config")
-    };
-    eprintln!("sweeping broadcast rates ...");
-    let bc_cols: Vec<Vec<Report>> = [&xb, &cb]
-        .map(|cfg| bc_rates.iter().map(|&rate| run_bc(cfg, rate)).collect())
-        .into();
+    let (bc_spec, bc_records) = run_embedded(BROADCAST);
+    let bc_cols = record_columns(&bc_records, &["xb", "cb"], |r| &r.preset);
     let header = ["source rate (pkt/cyc)", "XB", "CB"];
     print_table(
         "Figure 7(d): average packet latency, broadcast from (1,2) (cycles; * = saturated)",
         &header,
-        &rate_rows(&bc_rates, &bc_cols, fmt_report_latency),
+        &rate_rows(&bc_spec.rates, &bc_cols, |r| fmt_record_latency(r)),
     );
     print_table(
         "Figure 7(e): total network power, broadcast from (1,2) (W)",
         &header,
-        &rate_rows(&bc_rates, &bc_cols, fmt_report_power),
+        &rate_rows(&bc_spec.rates, &bc_cols, |r| fmt_record_power(r)),
     );
 
     // --- 7(c)/(f): node power breakdowns under random traffic. ---
     let breakdown_rate = 0.09;
-    for (name, cfg, fig) in [("XB", &xb, "7(c)"), ("CB", &cb, "7(f)")] {
-        let report = Experiment::new(cfg.clone())
-            .injection_rate(breakdown_rate)
-            .seed(options.seed)
-            .warmup(options.warmup)
-            .sample_packets(options.sample_packets)
-            .max_cycles(options.max_cycles)
-            .run()
-            .expect("valid config");
-        let rows: Vec<Vec<String>> = report
-            .breakdown()
+    for (name, col, fig) in [("XB", &cols[0], "7(c)"), ("CB", &cols[1], "7(f)")] {
+        let r = col
             .iter()
-            .map(|(c, p, f)| {
+            .find(|r| (r.rate - breakdown_rate).abs() < 1e-9)
+            .expect("0.09 is a grid rate");
+        let parts = [
+            ("buffer", r.buffer_w),
+            ("central-buffer", r.central_w),
+            ("crossbar", r.crossbar_w),
+            ("arbiter", r.arbiter_w),
+            ("link", r.link_w),
+        ];
+        let rows: Vec<Vec<String>> = parts
+            .iter()
+            .map(|(component, w)| {
                 vec![
-                    c.to_string(),
-                    format!("{:.3}", p.0),
-                    format!("{:.2}%", 100.0 * f),
+                    component.to_string(),
+                    format!("{w:.3}"),
+                    format!("{:.2}%", 100.0 * w / r.total_power_w),
                 ]
             })
             .collect();
@@ -123,15 +112,9 @@ fn main() {
             &rows,
         );
         if name == "XB" {
-            let link_frac = report
-                .breakdown()
-                .iter()
-                .find(|(c, _, _)| *c == Component::Link)
-                .map(|(_, _, f)| *f)
-                .unwrap_or(0.0);
             println!(
                 "  links = {:.1}% of node power (paper: > 70%)",
-                100.0 * link_frac
+                100.0 * r.link_w / r.total_power_w
             );
         }
     }

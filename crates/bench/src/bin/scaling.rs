@@ -42,7 +42,7 @@ fn main() {
         let started = Instant::now();
         let report = Experiment::new(cfg)
             .injection_rate(rate)
-            .seed(options.seed)
+            .seed(1)
             .warmup(options.warmup)
             .sample_packets(options.sample_packets)
             .max_cycles(options.max_cycles)

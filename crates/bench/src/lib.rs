@@ -7,8 +7,7 @@
 //! is the paper's measurement discipline (§4.1: 1000 warm-up cycles,
 //! 10 000-packet sample).
 
-use orion_core::SweepOptions;
-use orion_exp::{CellRecord, ExperimentSpec};
+use orion_exp::{run_spec, CellRecord, EngineOptions, ExperimentSpec, MeasureSpec};
 
 /// Measurement effort selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,25 +41,35 @@ impl Effort {
         }
     }
 
-    /// Sweep options for this effort level.
-    pub fn options(self) -> SweepOptions {
+    /// The measurement discipline for this effort level: the paper's
+    /// §4.1 numbers, or a reduced sample for smoke runs.
+    pub fn options(self) -> MeasureSpec {
         match self {
-            Effort::Full => SweepOptions {
-                seed: 1,
-                warmup: 1000,
-                sample_packets: 10_000,
-                max_cycles: 300_000,
-                threads: 1,
-            },
-            Effort::Quick => SweepOptions {
-                seed: 1,
+            Effort::Full => MeasureSpec::default(),
+            Effort::Quick => MeasureSpec {
                 warmup: 300,
                 sample_packets: 1_000,
                 max_cycles: 60_000,
-                threads: 1,
+                ..MeasureSpec::default()
             },
         }
     }
+}
+
+/// Parses an embedded spec, applies this process's [`Effort`] and runs
+/// the grid through the `orion-exp` engine on every core, without a
+/// cache. Records come back sorted by cell key.
+pub fn run_embedded(text: &str) -> (ExperimentSpec, Vec<CellRecord>) {
+    let mut spec = ExperimentSpec::parse(text).expect("embedded spec is valid");
+    Effort::from_args().apply_to_spec(&mut spec);
+    let opts = EngineOptions {
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cache_dir: None,
+        progress: true,
+        ..EngineOptions::default()
+    };
+    let (records, _) = run_spec(&spec, &opts).expect("cacheless runs do no I/O");
+    (spec, records)
 }
 
 /// Prints a table of rows with a header, aligning every column to the
@@ -104,28 +113,10 @@ pub fn fmt_latency(avg: f64, saturated: bool) -> String {
     }
 }
 
-/// Formats a report's latency cell, marking saturation (`*`) and
-/// deadlock (`!`).
-pub fn fmt_report_latency(report: &orion_core::Report) -> String {
-    let mut s = fmt_latency(report.avg_latency(), report.is_saturated());
-    if report.deadlocked() {
-        s.push('!');
-    }
-    s
-}
-
-/// Formats a report's total-power cell, marking deadlock (`!`).
-pub fn fmt_report_power(report: &orion_core::Report) -> String {
-    let mut s = format!("{:.3}", report.total_power().0);
-    if report.deadlocked() {
-        s.push('!');
-    }
-    s
-}
-
-/// Formats an experiment cell record's latency cell like
-/// [`fmt_report_latency`]: `*` marks saturation, `!` marks a
-/// deadlocked/livelocked run, `-` a failed cell.
+/// Formats an experiment cell record's latency cell: `*` marks
+/// saturation, `!` marks a deadlocked/livelocked run, `-` a cell with
+/// no measured latency (a failed cell, or a run stopped before any
+/// tagged packet arrived).
 pub fn fmt_record_latency(r: &CellRecord) -> String {
     let mut s = fmt_latency(r.avg_latency, r.saturated);
     if matches!(r.outcome.as_str(), "deadlocked" | "livelocked") {
@@ -177,8 +168,8 @@ pub fn record_columns<'a>(
         .collect()
 }
 
-/// The largest swept rate a record series survives without saturating
-/// (the record analogue of [`orion_core::saturation_rate`]).
+/// The largest swept rate a record series survives without saturating:
+/// latency within twice zero-load (§4.1).
 pub fn record_saturation_rate(column: &[&CellRecord]) -> Option<f64> {
     column
         .iter()

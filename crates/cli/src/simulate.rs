@@ -19,8 +19,10 @@
 
 use std::path::Path;
 
-use orion_core::{presets, Experiment, NetworkConfig, ObserveOptions, Report, RunOutcome};
-use orion_net::{FaultConfig, FaultSchedule, NodeId, Topology, TopologyKind, TrafficPattern};
+use orion_core::{Experiment, NetworkConfig, ObserveOptions, Report, RunOutcome};
+use orion_exp::design::DesignPoint;
+use orion_exp::TrafficKind;
+use orion_net::{FaultConfig, FaultSchedule, NodeId, Topology, TopologyKind};
 use orion_obs::json::{Json, Value};
 use orion_sim::Component;
 
@@ -30,10 +32,11 @@ use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
 /// `simulate`: every option takes a value except the `--json` switch.
 pub const GRAMMAR: Grammar = Grammar(
-    "--preset wh64|vc16|vc64|vc128|xb|cb --topology KxK[xK][-mesh] --shards N --rate X \
+    "--preset DESIGN --topology KxK[xK][-mesh] --shards N --rate X \
      --seed N --warmup N --sample N --max-cycles N --watchdog-cycles N --audit-every N \
      --fault-links N --fault-rate X --fault-ports N --fault-seed N \
-     --traffic uniform|broadcast|transpose|tornado|bit-complement --traffic-src x,y \
+     --traffic uniform|transpose|bit-complement|tornado|shuffle|bit-reversal|broadcast \
+     --traffic-src x,y \
      --observe-dir DIR --sample-every N --trace-packets N --checkpoint-every N \
      --checkpoint-file F --resume-from F --json",
 );
@@ -85,87 +88,40 @@ fn parse_topology(spec: &str) -> Result<Topology, ArgError> {
     Topology::new(kind, &radices).map_err(|e| ArgError(format!("--topology {spec}: {e}")))
 }
 
-fn preset(name: &str) -> Result<NetworkConfig, ArgError> {
-    match name {
-        "wh64" => Ok(presets::wh64_onchip()),
-        "vc16" => Ok(presets::vc16_onchip()),
-        "vc64" => Ok(presets::vc64_onchip()),
-        "vc128" => Ok(presets::vc128_onchip()),
-        "xb" => Ok(presets::xb_chip_to_chip()),
-        "cb" => Ok(presets::cb_chip_to_chip()),
-        other => Err(ArgError(format!(
-            "unknown preset `{other}` (expected wh64|vc16|vc64|vc128|xb|cb)"
-        ))),
-    }
+/// The `--preset` design: any name of the spec grammar (`vc16`,
+/// `vc8x8`, `vc4x16-t8`, …), with its canonical name.
+fn design(name: &str) -> Result<(String, NetworkConfig), ArgError> {
+    let point = DesignPoint::parse(name).ok_or_else(|| {
+        ArgError(format!(
+            "unknown preset `{name}` (expected wh64|vc16|vc64|vc128|xb|cb or a \
+             design name like vc4x16-t8 — see docs/EXPLORATION.md)"
+        ))
+    })?;
+    Ok((point.name(), point.config()))
 }
 
-/// Parses `--traffic-src` coordinates (`x,y[,z...]`) into a node of
-/// `config`'s topology, validating dimensionality and range.
-fn traffic_src(config: &NetworkConfig, spec: &str) -> Result<NodeId, ArgError> {
-    let topo = &config.topology;
-    let coords: Vec<u32> = spec
-        .split(',')
-        .map(|c| {
-            c.trim().parse().map_err(|_| {
+/// The `--traffic` pattern in the spec's vocabulary; `broadcast` takes
+/// its source from `--traffic-src x,y` (spelled `broadcast@x:y`).
+fn traffic(args: &Args) -> Result<TrafficKind, ArgError> {
+    let name = args.get("traffic").unwrap_or("uniform");
+    match (name, args.get("traffic-src")) {
+        ("broadcast", None) => Err(ArgError(
+            "--traffic broadcast requires --traffic-src x,y".into(),
+        )),
+        ("broadcast", Some(src)) => {
+            let coords: Vec<&str> = src.split(',').map(str::trim).collect();
+            TrafficKind::parse(&format!("broadcast@{}", coords.join(":"))).ok_or_else(|| {
                 ArgError(format!(
-                    "--traffic-src expects comma-separated coordinates, got `{spec}`"
+                    "--traffic-src expects one to three comma-separated coordinates, got `{src}`"
                 ))
             })
-        })
-        .collect::<Result<_, _>>()?;
-    if coords.len() != topo.dims() {
-        return Err(ArgError(format!(
-            "--traffic-src `{spec}` has {} coordinate(s); the topology has {} dimension(s)",
-            coords.len(),
-            topo.dims()
-        )));
-    }
-    for (dim, &c) in coords.iter().enumerate() {
-        if c >= topo.radix(dim) {
-            return Err(ArgError(format!(
-                "--traffic-src coordinate {c} out of range for dimension {dim} (radix {})",
-                topo.radix(dim)
-            )));
         }
-    }
-    Ok(topo.node_at(&coords))
-}
-
-/// Builds the non-uniform workload requested by `--traffic`; `None`
-/// means the default uniform-random workload (kept on the default
-/// path so unobserved runs stay byte-identical).
-fn traffic_pattern(
-    config: &NetworkConfig,
-    name: &str,
-    src: Option<&str>,
-    rate: f64,
-) -> Result<Option<TrafficPattern>, ArgError> {
-    let topo = &config.topology;
-    let pattern_err =
-        |e: orion_net::traffic::TrafficError| ArgError(format!("--traffic {name}: {e}"));
-    match name {
-        "uniform" => Ok(None),
-        "broadcast" => {
-            let spec = src
-                .ok_or_else(|| ArgError("--traffic broadcast requires --traffic-src x,y".into()))?;
-            let source = traffic_src(config, spec)?;
-            TrafficPattern::broadcast(topo, source, rate)
-                .map(Some)
-                .map_err(pattern_err)
-        }
-        "transpose" => TrafficPattern::transpose(topo, rate)
-            .map(Some)
-            .map_err(pattern_err),
-        "tornado" => TrafficPattern::tornado(topo, rate)
-            .map(Some)
-            .map_err(pattern_err),
-        "bit-complement" | "bitcomp" => TrafficPattern::bit_complement(topo, rate)
-            .map(Some)
-            .map_err(pattern_err),
-        other => Err(ArgError(format!(
-            "unknown traffic pattern `{other}` \
-             (expected uniform|broadcast|transpose|tornado|bit-complement)"
-        ))),
+        _ => TrafficKind::parse(name).ok_or_else(|| {
+            ArgError(format!(
+                "unknown traffic pattern `{name}` (expected uniform|transpose|\
+                 bit-complement|tornado|shuffle|bit-reversal|broadcast)"
+            ))
+        }),
     }
 }
 
@@ -180,8 +136,8 @@ fn traffic_pattern(
 /// Returns an [`ArgError`] for unknown options, malformed numbers and
 /// configurations the runner rejects ([`orion_core::ConfigError`]).
 pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
-    let preset_name = args.get("preset").unwrap_or("vc16").to_string();
-    let mut config = preset(&preset_name)?;
+    let preset_flag = args.get("preset").unwrap_or("vc16");
+    let (preset_name, mut config) = design(preset_flag)?;
     if let Some(spec) = args.get("topology") {
         config.topology = parse_topology(spec)?;
     }
@@ -225,12 +181,15 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         ));
     }
 
-    let workload = traffic_pattern(
-        &config,
-        args.get("traffic").unwrap_or("uniform"),
-        args.get("traffic-src"),
-        rate,
-    )?;
+    // Uniform stays on the runner's default workload, so a bad rate is
+    // the runner's own `ConfigError`.
+    let workload = match traffic(args)? {
+        TrafficKind::Uniform => None,
+        kind => Some(
+            kind.pattern(&config.topology, rate)
+                .map_err(|e| ArgError(format!("--traffic {kind}: {e}")))?,
+        ),
+    };
 
     let fault_links = args.u64_or("fault-links", 0)? as usize;
     let fault_rate = args.f64_or("fault-rate", 0.0)?;
@@ -294,7 +253,7 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         // shapes the deterministic run, so a snapshot taken under one
         // command line is never resumed into a different one.
         let canon = format!(
-            "simulate|{preset_name}|{topology}|{shards}|{rate}|{seed}|{warmup}|{sample}\
+            "simulate|{preset_flag}|{topology}|{shards}|{rate}|{seed}|{warmup}|{sample}\
              |{max_cycles}|{watchdog}|{audit_every}|{traffic}|{src}|{fault_links}|{fault_rate}\
              |{fault_ports}|{fault_seed}",
             topology = args.get("topology").unwrap_or(""),
@@ -722,6 +681,32 @@ mod tests {
         assert!(run_line("simulate --traffic broadcast --traffic-src abc").is_err());
         assert!(run_line("simulate --traffic broadcast --traffic-src 1").is_err());
         assert!(run_line("simulate --traffic broadcast --traffic-src 9,9").is_err());
+    }
+
+    #[test]
+    fn preset_and_traffic_speak_the_spec_vocabulary() {
+        // A design alias runs as its canonical name, byte for byte.
+        let line = |preset: &str| format!("simulate --preset {preset} --rate 0.03 {QUICK}");
+        assert_eq!(
+            run_line(&line("vc8x8")).unwrap(),
+            run_line(&line("vc64")).unwrap()
+        );
+        // The design grammar's torus suffix is the `--topology` override.
+        let suffixed = run_line(&format!("{} --json", line("vc16-t8"))).unwrap();
+        let flagged = run_line(&format!("{} --topology 8x8 --json", line("vc16"))).unwrap();
+        assert!(suffixed.contains("\"preset\": \"vc16-t8\""), "{suffixed}");
+        assert_eq!(suffixed.replace("vc16-t8", "vc16"), flagged);
+        // Every spec traffic name runs.
+        for traffic in ["shuffle", "bit-reversal", "broadcast@1:2"] {
+            let out = run_full(&format!("{} --traffic {traffic}", line("vc16"))).unwrap();
+            assert_eq!(out.code, 0, "{traffic}: {}", out.text);
+        }
+        // An out-of-range source names the axis it broke.
+        let e = run_line("simulate --traffic broadcast --traffic-src 1,4").unwrap_err();
+        assert!(
+            e.0.contains("out of range for dimension 1 (radix 4)"),
+            "{e}"
+        );
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

@@ -18,8 +18,6 @@
 //! * [`RunOutcome`] — how a run ended: completed, saturated,
 //!   deadlocked (with watchdog diagnostics), faulted (with drop
 //!   accounting) or budget-exhausted ([`report`]),
-//! * [`injection_sweep`] — the rate sweeps behind Figures 5 and 7,
-//!   error-isolating so one bad point cannot abort a sweep ([`sweep`]),
 //! * [`ObserveOptions`] — opt-in observability: event metrics, per-node
 //!   probe time series (the Fig. 6 power map over time) and flit
 //!   lifecycle spans, collected into
@@ -58,7 +56,6 @@ pub mod failpoint;
 pub mod presets;
 pub mod report;
 pub mod run;
-pub mod sweep;
 
 pub use checkpoint::{
     RunCheckpoint, RunControl, RunError, RunHook, RunPhase, RunResult, RUN_CHECKPOINT_VERSION,
@@ -66,7 +63,6 @@ pub use checkpoint::{
 pub use config::{ConfigError, LinkConfig, NetworkConfig, RouterConfig};
 pub use report::{Report, RunOutcome};
 pub use run::{Experiment, ObserveOptions};
-pub use sweep::{injection_sweep, saturation_rate, try_injection_sweep, SweepOptions, SweepPoint};
 
 pub use orion_obs::Observations;
 pub use orion_sim::EngineMode;

@@ -26,61 +26,80 @@ fn torus_4x4() -> Topology {
     Topology::torus(&[4, 4]).expect("4x4 torus is valid")
 }
 
-fn onchip(router: RouterConfig) -> NetworkConfig {
-    NetworkConfig::new(torus_4x4(), router, 256)
+/// The §4.2 on-chip platform over `topology`: 256-bit flits, 2 GHz,
+/// 3 mm links.
+pub fn onchip(topology: Topology, router: RouterConfig) -> NetworkConfig {
+    NetworkConfig::new(topology, router, 256)
         .clock(Hertz::from_ghz(2.0))
         .link(LinkConfig::OnChip {
             length: Microns::from_mm(3.0),
         })
 }
 
-fn chip_to_chip(router: RouterConfig) -> NetworkConfig {
-    NetworkConfig::new(torus_4x4(), router, 32)
+/// The §4.4 chip-to-chip platform over `topology`: 32-bit flits,
+/// 1 GHz, 3 W traffic-insensitive links.
+pub fn chip_to_chip(topology: Topology, router: RouterConfig) -> NetworkConfig {
+    NetworkConfig::new(topology, router, 32)
         .clock(Hertz::from_ghz(1.0))
         .link(LinkConfig::ChipToChip { power: Watts(3.0) })
 }
 
 /// WH64: wormhole router with a 64-flit input buffer per port (§4.2).
 pub fn wh64_onchip() -> NetworkConfig {
-    onchip(RouterConfig::Wormhole { buffer_flits: 64 })
+    onchip(torus_4x4(), RouterConfig::Wormhole { buffer_flits: 64 })
 }
 
 /// VC16: virtual-channel router, 2 VCs × 8 flits per port (§4.2).
 pub fn vc16_onchip() -> NetworkConfig {
-    onchip(RouterConfig::VirtualChannel { vcs: 2, depth: 8 })
+    onchip(
+        torus_4x4(),
+        RouterConfig::VirtualChannel { vcs: 2, depth: 8 },
+    )
 }
 
 /// VC64: virtual-channel router, 8 VCs × 8 flits per port (§4.2).
 pub fn vc64_onchip() -> NetworkConfig {
-    onchip(RouterConfig::VirtualChannel { vcs: 8, depth: 8 })
+    onchip(
+        torus_4x4(),
+        RouterConfig::VirtualChannel { vcs: 8, depth: 8 },
+    )
 }
 
 /// VC128: virtual-channel router, 8 VCs × 16 flits per port (§4.2).
 pub fn vc128_onchip() -> NetworkConfig {
-    onchip(RouterConfig::VirtualChannel { vcs: 8, depth: 16 })
+    onchip(
+        torus_4x4(),
+        RouterConfig::VirtualChannel { vcs: 8, depth: 16 },
+    )
 }
 
 /// XB: the input-buffered crossbar router of the Figure 7 comparison —
 /// 16 VCs with 268-flit buffers per VC, 5×5 crossbar, 32-bit flits,
 /// 1 GHz, 3 W chip-to-chip links (§4.4).
 pub fn xb_chip_to_chip() -> NetworkConfig {
-    chip_to_chip(RouterConfig::VirtualChannel {
-        vcs: 16,
-        depth: 268,
-    })
+    chip_to_chip(
+        torus_4x4(),
+        RouterConfig::VirtualChannel {
+            vcs: 16,
+            depth: 268,
+        },
+    )
 }
 
 /// CB: the central-buffered router of the Figure 7 comparison — 4-bank
 /// central buffer, each bank one flit wide, 2560 rows, 2 read + 2 write
 /// ports, 64-flit input buffers (§4.4).
 pub fn cb_chip_to_chip() -> NetworkConfig {
-    chip_to_chip(RouterConfig::CentralBuffer {
-        input_depth: 64,
-        banks: 4,
-        rows: 2560,
-        read_ports: 2,
-        write_ports: 2,
-    })
+    chip_to_chip(
+        torus_4x4(),
+        RouterConfig::CentralBuffer {
+            input_depth: 64,
+            banks: 4,
+            rows: 2560,
+            read_ports: 2,
+            write_ports: 2,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -1,24 +1,23 @@
-//! Pins the byte-exact output of an `injection_sweep` with no observers
-//! attached. The observability subsystem must be zero-cost when
+//! Pins the byte-exact output of a one-thread injection-rate sweep with
+//! no observers attached. The observability subsystem must be zero-cost when
 //! disabled: any change to these bits means instrumentation perturbed
 //! the simulation itself, not just measured it.
 
-use orion_core::{presets, try_injection_sweep, SweepOptions};
+use orion_core::{presets, Experiment};
 
 /// Canonical formatting of a sweep result: every float as its exact bit
 /// pattern, so "byte-identical" really means bit-identical.
 fn canonical_sweep() -> String {
-    let rates = [0.02, 0.05, 0.08];
-    let options = SweepOptions {
-        seed: 2,
-        warmup: 200,
-        sample_packets: 200,
-        max_cycles: 50_000,
-        threads: 1,
-    };
     let mut out = String::new();
-    for (rate, result) in try_injection_sweep(&presets::vc16_onchip(), &rates, options) {
-        let report = result.expect("valid preset at a valid rate");
+    for rate in [0.02, 0.05, 0.08] {
+        let report = Experiment::new(presets::vc16_onchip())
+            .injection_rate(rate)
+            .seed(2)
+            .warmup(200)
+            .sample_packets(200)
+            .max_cycles(50_000)
+            .run()
+            .expect("valid preset at a valid rate");
         out.push_str(&format!(
             "{:016x};{:016x};{:016x};{};{}\n",
             rate.to_bits(),

@@ -43,9 +43,9 @@
 
 use std::fmt;
 
-use orion_core::{presets, LinkConfig, NetworkConfig, RouterConfig};
+use orion_core::{presets, NetworkConfig, RouterConfig};
 use orion_net::Topology;
-use orion_tech::{Hertz, Microns, ProcessNode, Technology, Watts};
+use orion_tech::{ProcessNode, Technology};
 
 /// Router microarchitecture families the paper compares (§4.2, §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -309,14 +309,9 @@ impl DesignPoint {
     }
 
     /// Lowers the point to a network configuration on its family's
-    /// platform. Points equal to a paper preset produce the preset's
-    /// exact configuration.
+    /// platform ([`presets::onchip`] or [`presets::chip_to_chip`]), so
+    /// a point equal to a paper preset is that preset's configuration.
     pub fn config(&self) -> NetworkConfig {
-        // Route paper-equivalent points through the preset constructors
-        // so the two paths can never drift apart.
-        if let Some(cfg) = paper_preset(&self.name()) {
-            return cfg;
-        }
         let router = match self.family {
             RouterFamily::Wormhole => RouterConfig::Wormhole {
                 buffer_flits: self.buffering_per_port(),
@@ -333,18 +328,11 @@ impl DesignPoint {
                 write_ports: 2,
             },
         };
-        let cfg = if self.family.chip_to_chip() {
-            NetworkConfig::new(self.topology(), router, 32)
-                .clock(Hertz::from_ghz(1.0))
-                .link(LinkConfig::ChipToChip { power: Watts(3.0) })
-        } else {
-            NetworkConfig::new(self.topology(), router, 256)
-                .clock(Hertz::from_ghz(2.0))
-                .link(LinkConfig::OnChip {
-                    length: Microns::from_mm(3.0),
-                })
+        let platform = match self.family.chip_to_chip() {
+            true => presets::chip_to_chip,
+            false => presets::onchip,
         };
-        cfg.technology(Technology::new(self.node))
+        platform(self.topology(), router).technology(Technology::new(self.node))
     }
 }
 
@@ -362,19 +350,6 @@ fn parse_vcs_x_depth(s: &str) -> Option<(u32, u32)> {
         return None;
     }
     Some((v, d))
-}
-
-/// The paper's six configurations by name; `None` otherwise.
-pub(crate) fn paper_preset(name: &str) -> Option<NetworkConfig> {
-    match name {
-        "wh64" => Some(presets::wh64_onchip()),
-        "vc16" => Some(presets::vc16_onchip()),
-        "vc64" => Some(presets::vc64_onchip()),
-        "vc128" => Some(presets::vc128_onchip()),
-        "xb" => Some(presets::xb_chip_to_chip()),
-        "cb" => Some(presets::cb_chip_to_chip()),
-        _ => None,
-    }
 }
 
 /// Canonicalises any design-point name (preset or parametric); `None`
@@ -551,10 +526,22 @@ mod tests {
 
     #[test]
     fn paper_equivalent_config_goes_through_preset_constructors() {
-        let via_design = DesignPoint::parse("vc8x8").unwrap().config();
-        let via_preset = presets::vc64_onchip();
-        assert_eq!(via_design.flit_bits, via_preset.flit_bits);
-        assert_eq!(via_design.packet_len, via_preset.packet_len);
-        assert_eq!(via_design.f_clk, via_preset.f_clk);
+        let paper = [
+            presets::wh64_onchip(),
+            presets::vc16_onchip(),
+            presets::vc64_onchip(),
+            presets::vc128_onchip(),
+            presets::xb_chip_to_chip(),
+            presets::cb_chip_to_chip(),
+        ];
+        for (name, preset) in crate::spec::PRESET_NAMES.iter().zip(paper) {
+            let via_design = DesignPoint::parse(name).unwrap().config();
+            assert_eq!(format!("{via_design:?}"), format!("{preset:?}"), "{name}");
+        }
+        let alias = DesignPoint::parse("vc8x8").unwrap().config();
+        assert_eq!(
+            format!("{alias:?}"),
+            format!("{:?}", presets::vc64_onchip())
+        );
     }
 }

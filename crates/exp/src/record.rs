@@ -162,7 +162,7 @@ impl CellRecord {
             cell: cell.key(),
             fingerprint: cell.fingerprint(),
             preset: cell.preset.clone(),
-            traffic: cell.traffic.as_str().to_string(),
+            traffic: cell.traffic.to_string(),
             rate: cell.rate,
             seed: cell.seed,
             derived_seed: cell.derived_seed(),
@@ -611,7 +611,7 @@ pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JsonVal>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ExperimentSpec;
+    use crate::spec::{ExperimentSpec, TrafficKind};
 
     fn sample_cell() -> Cell {
         ExperimentSpec::parse(
@@ -734,9 +734,24 @@ mod tests {
     #[test]
     fn csv_row_matches_header_arity() {
         let header_cols = CellRecord::csv_header().split(',').count();
-        let row_cols = sample_record().to_csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
         assert_eq!(header_cols, 34);
+        // Fields are unquoted, so no traffic spelling may carry a comma.
+        let mut records = vec![sample_record()];
+        for traffic in ["broadcast@1:2", "broadcast@1:2:3"] {
+            let mut cell = sample_cell();
+            cell.traffic = TrafficKind::parse(traffic).unwrap();
+            let rec = CellRecord::from_error(&cell, "x");
+            assert_eq!(rec.traffic, traffic);
+            records.push(rec);
+        }
+        for rec in &records {
+            assert_eq!(
+                rec.to_csv_row().split(',').count(),
+                header_cols,
+                "{}",
+                rec.cell
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use std::fmt;
 
 use orion_core::NetworkConfig;
+use orion_net::traffic::TrafficError;
 use orion_net::{Topology, TrafficPattern};
 use orion_sim::{FlowControl, VcDiscipline};
 
@@ -179,7 +180,7 @@ impl fmt::Display for SpecError {
             SpecError::UnknownTraffic { name, line } => write!(
                 f,
                 "spec line {line}: unknown traffic `{name}` (expected uniform|transpose|\
-                 bit-complement|tornado|shuffle|bit-reversal)"
+                 bit-complement|tornado|shuffle|bit-reversal|broadcast@X:Y[:Z])"
             ),
             SpecError::UnknownFlowControl { name, line } => write!(
                 f,
@@ -286,22 +287,45 @@ pub enum TrafficKind {
     Shuffle,
     /// Bit-reversal permutation.
     BitReversal,
+    /// Broadcast from one source node (§4.3, Fig. 7d/e), named by its
+    /// coordinates: `broadcast@1:2`, or `broadcast@1:2:3` in 3-D. The
+    /// separator is `:` because records are unquoted CSV rows.
+    Broadcast {
+        /// Source coordinates; entries past `dims` are zero.
+        coords: [u32; 3],
+        /// How many of `coords` are given (1..=3).
+        dims: u8,
+    },
 }
 
-impl TrafficKind {
-    /// Stable name used in cell keys, records and spec files.
-    pub fn as_str(self) -> &'static str {
-        match self {
+/// Prefix of the broadcast spelling.
+const BROADCAST: &str = "broadcast@";
+
+impl fmt::Display for TrafficKind {
+    /// The stable name used in cell keys, records and spec files.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
             TrafficKind::Uniform => "uniform",
             TrafficKind::Transpose => "transpose",
             TrafficKind::BitComplement => "bit-complement",
             TrafficKind::Tornado => "tornado",
             TrafficKind::Shuffle => "shuffle",
             TrafficKind::BitReversal => "bit-reversal",
-        }
+            TrafficKind::Broadcast { coords, dims } => {
+                let coords: Vec<String> = coords[..usize::from(*dims)]
+                    .iter()
+                    .map(u32::to_string)
+                    .collect();
+                return write!(f, "{BROADCAST}{}", coords.join(":"));
+            }
+        };
+        f.write_str(name)
     }
+}
 
-    /// Parses a traffic-pattern name; `None` for unknown names.
+impl TrafficKind {
+    /// Parses a traffic-pattern name; `None` for unknown names and
+    /// malformed broadcast sources.
     pub fn parse(name: &str) -> Option<TrafficKind> {
         match name {
             "uniform" => Some(TrafficKind::Uniform),
@@ -310,16 +334,27 @@ impl TrafficKind {
             "tornado" => Some(TrafficKind::Tornado),
             "shuffle" => Some(TrafficKind::Shuffle),
             "bit-reversal" => Some(TrafficKind::BitReversal),
-            _ => None,
+            _ => {
+                let mut coords = [0; 3];
+                let mut dims = 0;
+                for part in name.strip_prefix(BROADCAST)?.split(':') {
+                    if dims == coords.len() || !part.bytes().all(|b| b.is_ascii_digit()) {
+                        return None;
+                    }
+                    coords[dims] = part.parse().ok()?;
+                    dims += 1;
+                }
+                Some(TrafficKind::Broadcast {
+                    coords,
+                    dims: dims as u8,
+                })
+            }
         }
     }
 
-    /// Builds the pattern over `topology` at `rate`.
-    pub fn pattern(
-        self,
-        topology: &Topology,
-        rate: f64,
-    ) -> Result<TrafficPattern, orion_net::traffic::TrafficError> {
+    /// Builds the pattern over `topology` at `rate`. A broadcast source
+    /// must have one coordinate per dimension, each below its radix.
+    pub fn pattern(self, topology: &Topology, rate: f64) -> Result<TrafficPattern, TrafficError> {
         match self {
             TrafficKind::Uniform => TrafficPattern::uniform(topology, rate),
             TrafficKind::Transpose => TrafficPattern::transpose(topology, rate),
@@ -327,6 +362,22 @@ impl TrafficKind {
             TrafficKind::Tornado => TrafficPattern::tornado(topology, rate),
             TrafficKind::Shuffle => TrafficPattern::shuffle(topology, rate),
             TrafficKind::BitReversal => TrafficPattern::bit_reversal(topology, rate),
+            TrafficKind::Broadcast { coords, dims } => {
+                let coords = &coords[..usize::from(dims)];
+                if coords.len() != topology.dims() {
+                    return Err(TrafficError::WrongDimensions {
+                        given: coords.len(),
+                        dims: topology.dims(),
+                    });
+                }
+                for (dim, &coord) in coords.iter().enumerate() {
+                    let radix = topology.radix(dim);
+                    if coord >= radix {
+                        return Err(TrafficError::CoordinateOutOfRange { dim, coord, radix });
+                    }
+                }
+                TrafficPattern::broadcast(topology, topology.node_at(coords), rate)
+            }
         }
     }
 }
@@ -356,8 +407,7 @@ pub const PRESET_NAMES: [&str; 6] = ["wh64", "vc16", "vc64", "vc128", "xb", "cb"
 /// presets, or any parametric design-point name from the
 /// [`crate::design`] grammar (`wh32`, `vc4x16-t8`, `cb128-n70`, …).
 pub fn preset_config(name: &str) -> Option<NetworkConfig> {
-    crate::design::paper_preset(name)
-        .or_else(|| crate::design::DesignPoint::parse(name).map(|p| p.config()))
+    crate::design::DesignPoint::parse(name).map(|p| p.config())
 }
 
 /// A validated experiment specification.
@@ -414,7 +464,7 @@ impl Cell {
         format!(
             "{}/{}/r{:.6}/s{:010}/fc-{}/vd-{}/pl{:03}",
             self.preset,
-            self.traffic.as_str(),
+            self.traffic,
             self.rate,
             self.seed,
             flow_control_name(self.flow_control),
@@ -857,6 +907,8 @@ rates = [0.02, 0.05]
         let spec = ExperimentSpec::parse(MINIMAL).unwrap();
         assert_eq!(spec.name, "t");
         assert_eq!(spec.measure, MeasureSpec::default());
+        let m = spec.measure;
+        assert_eq!((m.warmup, m.sample_packets), (1000, 10_000), "§4.1");
         assert_eq!(spec.seeds, vec![1]);
         assert_eq!(spec.traffic, vec![TrafficKind::Uniform]);
         assert_eq!(spec.grid_size(), 2);
@@ -1051,5 +1103,58 @@ traffic = ["uniform", "transpose", "bit-complement", "tornado", "shuffle", "bit-
         .unwrap();
         assert_eq!(spec.traffic.len(), 6);
         assert_eq!(spec.grid_size(), 6);
+    }
+
+    #[test]
+    fn broadcast_names_its_source_by_coordinates() {
+        for name in ["broadcast@1:2", "broadcast@0:0:3"] {
+            assert_eq!(TrafficKind::parse(name).unwrap().to_string(), name);
+        }
+        let alias = TrafficKind::parse("broadcast@01:2").unwrap();
+        assert_eq!(alias.to_string(), "broadcast@1:2");
+        for bad in [
+            "broadcast",
+            "broadcast@",
+            "broadcast@1,2",
+            "broadcast@1::2",
+            "broadcast@+1:2",
+            "broadcast@-1:2",
+            "broadcast@1:x",
+            "broadcast@1:2:3:4",
+            "broadcast@99999999999:0",
+        ] {
+            assert_eq!(TrafficKind::parse(bad), None, "{bad}");
+        }
+
+        let spec = |traffic: &str| {
+            ExperimentSpec::parse(&format!(
+                "[experiment]\nname = \"b\"\n[grid]\npresets = [\"vc64\"]\n\
+                 rates = [0.2]\ntraffic = [\"{traffic}\"]\n"
+            ))
+        };
+        assert!(matches!(
+            spec("broadcast@1,2"),
+            Err(SpecError::UnknownTraffic { ref name, line: 6 }) if name == "broadcast@1,2"
+        ));
+        let cell = spec("broadcast@1:2").unwrap().expand().remove(0);
+        assert_eq!(
+            cell.key(),
+            "vc64/broadcast@1:2/r0.200000/s0000000001/fc-flit-level/vd-unrestricted/pl005"
+        );
+        let topology = cell.config().topology;
+        assert!(cell.traffic.pattern(&topology, cell.rate).is_ok());
+
+        // A source off the topology parses, then fails as a workload
+        // error: the cell's record says so instead of the run failing.
+        for (traffic, message) in [
+            ("broadcast@4:0", "out of range for dimension 0 (radix 4)"),
+            ("broadcast@1:2:3", "3 coordinate(s); the topology has 2"),
+        ] {
+            let cell = spec(traffic).unwrap().expand().remove(0);
+            let record = crate::run_cell(&cell);
+            assert_eq!(record.outcome, "error", "{traffic}");
+            let error = record.error.unwrap_or_default();
+            assert!(error.contains(message), "{traffic}: {error}");
+        }
     }
 }

@@ -90,7 +90,7 @@ impl PointRecord {
         PointRecord {
             schema_version: EXPLORE_SCHEMA_VERSION,
             experiment: spec.name.clone(),
-            traffic: traffic.as_str().to_string(),
+            traffic: traffic.to_string(),
             candidate: candidate.to_string(),
             cell: record.cell.clone(),
             fingerprint: record.fingerprint,

@@ -78,7 +78,7 @@ pub struct ExploreSummary {
     /// Search rounds (generations) completed.
     pub rounds: usize,
     /// Frontier size per traffic pattern, in spec traffic order.
-    pub frontier_sizes: Vec<(&'static str, usize)>,
+    pub frontier_sizes: Vec<(String, usize)>,
     /// Evaluated points currently dominated (all traffic combined).
     pub dominated: usize,
     /// Runner accounting: cache hits, executions, dedup, quarantine.
@@ -112,7 +112,7 @@ pub struct ExploreReport {
     /// for deterministic serialisation.
     pub points: Vec<PointRecord>,
     /// Final Pareto frontier per traffic pattern.
-    pub frontiers: BTreeMap<&'static str, ParetoFront>,
+    pub frontiers: BTreeMap<String, ParetoFront>,
     /// Accounting.
     pub summary: ExploreSummary,
     /// Search-progress metrics (`explore_*`), snapshot at completion.
@@ -179,10 +179,10 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
 
     let mut metrics = MetricsRegistry::new();
     let mut evaluated: BTreeMap<String, Evaluated> = BTreeMap::new();
-    let mut frontiers: BTreeMap<&'static str, ParetoFront> = spec
+    let mut frontiers: BTreeMap<String, ParetoFront> = spec
         .traffic
         .iter()
-        .map(|&t| (t.as_str(), ParetoFront::new()))
+        .map(|t| (t.to_string(), ParetoFront::new()))
         .collect();
     // name -> (candidate, round, per-traffic records), insertion kept
     // in a BTreeMap so artifact rows come out name-sorted.
@@ -242,11 +242,11 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
         // Sequential, input-ordered frontier update.
         let per_candidate = spec.traffic.len();
         for ((name, candidate), chunk) in fresh.iter().zip(records.chunks(per_candidate)) {
-            let objs: Vec<(&'static str, Objectives)> = spec
+            let objs: Vec<(String, Objectives)> = spec
                 .traffic
                 .iter()
                 .zip(chunk)
-                .map(|(&t, r)| (t.as_str(), objectives(r)))
+                .map(|(t, r)| (t.to_string(), objectives(r)))
                 .collect();
             for (t, o) in &objs {
                 if let Some(front) = frontiers.get_mut(t) {
@@ -281,7 +281,7 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
         let design = candidate.design(&spec.space);
         for (traffic, record) in records {
             let on_frontier = frontiers
-                .get(traffic.as_str())
+                .get(&traffic.to_string())
                 .is_some_and(|f| f.contains(name));
             points.push(PointRecord::new(
                 spec,
@@ -296,10 +296,10 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
     }
     PointRecord::sort_for_artifacts(&mut points);
 
-    let frontier_sizes: Vec<(&'static str, usize)> = spec
+    let frontier_sizes: Vec<(String, usize)> = spec
         .traffic
         .iter()
-        .map(|&t| (t.as_str(), frontiers[t.as_str()].len()))
+        .map(|t| (t.to_string(), frontiers[&t.to_string()].len()))
         .collect();
     let dominated = points.iter().filter(|p| !p.on_frontier).count();
 
@@ -317,7 +317,10 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
     });
     metrics.set_gauge("explore_dominated", dominated as f64);
     for &t in &spec.traffic {
-        metrics.set_gauge(frontier_gauge_key(t), frontiers[t.as_str()].len() as f64);
+        metrics.set_gauge(
+            frontier_gauge_key(t),
+            frontiers[&t.to_string()].len() as f64,
+        );
     }
 
     let summary = ExploreSummary {

@@ -22,7 +22,7 @@ pub struct SearchView<'a> {
     /// iteration order is deterministic).
     pub evaluated: &'a BTreeMap<String, Evaluated>,
     /// Current Pareto frontier per traffic pattern name.
-    pub frontiers: &'a BTreeMap<&'static str, ParetoFront>,
+    pub frontiers: &'a BTreeMap<String, ParetoFront>,
     /// Completed search rounds (generations).
     pub round: usize,
 }
@@ -37,7 +37,7 @@ pub struct Evaluated {
     pub round: usize,
     /// Per-traffic objectives, in spec traffic order. Non-finite
     /// entries mark failed/crashed cells.
-    pub objectives: Vec<(&'static str, Objectives)>,
+    pub objectives: Vec<(String, Objectives)>,
 }
 
 impl Evaluated {
@@ -349,7 +349,7 @@ mod tests {
     fn view<'a>(
         space: &'a Space,
         evaluated: &'a BTreeMap<String, Evaluated>,
-        frontiers: &'a BTreeMap<&'static str, ParetoFront>,
+        frontiers: &'a BTreeMap<String, ParetoFront>,
         round: usize,
     ) -> SearchView<'a> {
         SearchView {
@@ -395,7 +395,7 @@ mod tests {
                 candidate: member,
                 round: 1,
                 objectives: vec![(
-                    "uniform",
+                    "uniform".to_string(),
                     Objectives {
                         latency: 10.0,
                         power: 1.0,
@@ -411,7 +411,7 @@ mod tests {
                 power: 1.0,
             },
         );
-        frontiers.insert("uniform", front);
+        frontiers.insert("uniform".to_string(), front);
         let batch = GridRefine.next_batch(&view(&space, &evaluated, &frontiers, 1));
         // Neighbours of (vcs=8, depth=16) along both numeric axes.
         let names: Vec<String> = batch.iter().map(|c| c.name(&space)).collect();
@@ -449,7 +449,7 @@ mod tests {
                     candidate: *c,
                     round: 1,
                     objectives: vec![(
-                        "uniform",
+                        "uniform".to_string(),
                         Objectives {
                             latency: 10.0 + i as f64,
                             power: 1.0,
@@ -476,14 +476,14 @@ mod tests {
             round: 1,
             objectives: vec![
                 (
-                    "uniform",
+                    "uniform".to_string(),
                     Objectives {
                         latency: 1.0,
                         power: 1.0,
                     },
                 ),
                 (
-                    "tornado",
+                    "tornado".to_string(),
                     Objectives {
                         latency: 5.0,
                         power: 1.0,
@@ -496,14 +496,14 @@ mod tests {
             round: 1,
             objectives: vec![
                 (
-                    "uniform",
+                    "uniform".to_string(),
                     Objectives {
                         latency: 2.0,
                         power: 2.0,
                     },
                 ),
                 (
-                    "tornado",
+                    "tornado".to_string(),
                     Objectives {
                         latency: 4.0,
                         power: 2.0,
@@ -518,14 +518,14 @@ mod tests {
             round: 1,
             objectives: vec![
                 (
-                    "uniform",
+                    "uniform".to_string(),
                     Objectives {
                         latency: 2.0,
                         power: 1.0,
                     },
                 ),
                 (
-                    "tornado",
+                    "tornado".to_string(),
                     Objectives {
                         latency: 5.0,
                         power: 1.0,
@@ -539,14 +539,14 @@ mod tests {
             round: 1,
             objectives: vec![
                 (
-                    "uniform",
+                    "uniform".to_string(),
                     Objectives {
                         latency: f64::NAN,
                         power: 1.0,
                     },
                 ),
                 (
-                    "tornado",
+                    "tornado".to_string(),
                     Objectives {
                         latency: 1.0,
                         power: 1.0,

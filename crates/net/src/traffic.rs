@@ -77,6 +77,23 @@ pub enum TrafficError {
     NotPowerOfTwo(usize),
     /// Hotspot fraction outside `[0, 1]`.
     InvalidFraction(f64),
+    /// Source coordinates whose count differs from the topology's
+    /// dimension count.
+    WrongDimensions {
+        /// Coordinates given.
+        given: usize,
+        /// Dimensions of the topology.
+        dims: usize,
+    },
+    /// A source coordinate at or past its dimension's radix.
+    CoordinateOutOfRange {
+        /// The dimension.
+        dim: usize,
+        /// The coordinate given.
+        coord: u32,
+        /// The dimension's radix.
+        radix: u32,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -91,6 +108,14 @@ impl fmt::Display for TrafficError {
                 write!(f, "pattern requires a power-of-two node count, got {n}")
             }
             TrafficError::InvalidFraction(x) => write!(f, "hotspot fraction {x} outside [0, 1]"),
+            TrafficError::WrongDimensions { given, dims } => write!(
+                f,
+                "source has {given} coordinate(s); the topology has {dims} dimension(s)"
+            ),
+            TrafficError::CoordinateOutOfRange { dim, coord, radix } => write!(
+                f,
+                "source coordinate {coord} out of range for dimension {dim} (radix {radix})"
+            ),
         }
     }
 }

@@ -15,10 +15,7 @@
 //! (zero for chip-to-chip links); [`LinkPower::static_power`] reports the
 //! always-on power (zero for on-chip links). Callers account both.
 
-use orion_tech::{
-    switch_energy, Capacitor, Farads, Joules, Microns, Technology, TransistorKind, TransistorSizes,
-    Volts, Watts,
-};
+use orion_tech::{switch_energy, Capacitor, Farads, Joules, Microns, Technology, Volts, Watts};
 
 /// The style of a link, capturing how its power depends on traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,64 +79,6 @@ impl LinkPower {
             },
             width,
         }
-    }
-
-    /// An on-chip link with repeater insertion — the parameterized link
-    /// model the paper lists as ongoing work (§3.2: "It is clearly
-    /// preferable to have parameterized link power models … so
-    /// architects can perform architectural-level tradeoffs for links as
-    /// well").
-    ///
-    /// Repeaters are inserted every `segment` of wire; each contributes
-    /// its input gate and output diffusion capacitance to the switched
-    /// load. With the classical ~1 mm spacing and ~60× minimum sizing,
-    /// repeaters add roughly 20–40 % to the bare wire energy — the cost
-    /// of meeting delay targets on long wires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero, `length` is negative, `segment` is not
-    /// positive, or `repeater_width` is not positive.
-    pub fn on_chip_repeated(
-        length: Microns,
-        width: u32,
-        segment: Microns,
-        repeater_width: f64,
-        tech: Technology,
-    ) -> LinkPower {
-        assert!(width > 0, "link width must be positive");
-        assert!(length.0 >= 0.0, "link length must be non-negative");
-        assert!(segment.0 > 0.0, "repeater segment must be positive");
-        assert!(repeater_width > 0.0, "repeater width must be positive");
-        let cap = Capacitor::new(tech);
-        let repeaters = (length.0 / segment.0).ceil();
-        // Inverting repeater: NMOS + 2×PMOS, gate in + drain out.
-        let per_repeater = cap.gate_cap(repeater_width)
-            + cap.gate_cap(2.0 * repeater_width)
-            + cap.drain_cap(repeater_width, TransistorKind::N, 1)
-            + cap.drain_cap(2.0 * repeater_width, TransistorKind::P, 1);
-        let wire_cap = cap.wire_cap(length) + repeaters * per_repeater;
-        LinkPower {
-            kind: LinkKind::OnChip {
-                length,
-                wire_cap,
-                vdd: tech.vdd(),
-            },
-            width,
-        }
-    }
-
-    /// An on-chip link with the default repeater recipe: one ~60×
-    /// minimum-width repeater per millimetre.
-    pub fn on_chip_repeated_default(length: Microns, width: u32, tech: Technology) -> LinkPower {
-        let sizes = TransistorSizes::default();
-        LinkPower::on_chip_repeated(
-            length,
-            width,
-            Microns::from_mm(1.0),
-            60.0 * sizes.cell_nmos / 2.0,
-            tech,
-        )
     }
 
     /// An on-chip link with an explicitly-specified per-wire capacitance
@@ -293,42 +232,5 @@ mod tests {
     #[should_panic(expected = "link width must be positive")]
     fn rejects_zero_width() {
         let _ = LinkPower::chip_to_chip(Watts(1.0), 0);
-    }
-
-    #[test]
-    fn repeaters_add_bounded_energy() {
-        let bare = LinkPower::on_chip(Microns::from_mm(3.0), 256, tech());
-        let repeated = LinkPower::on_chip_repeated_default(Microns::from_mm(3.0), 256, tech());
-        let ratio = repeated.traversal_energy_uniform().0 / bare.traversal_energy_uniform().0;
-        assert!(ratio > 1.0, "repeaters must add load, ratio {ratio}");
-        assert!(
-            ratio < 2.0,
-            "repeater overhead should be modest, ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn more_repeaters_more_energy() {
-        let sparse = LinkPower::on_chip_repeated(
-            Microns::from_mm(3.0),
-            64,
-            Microns::from_mm(1.5),
-            60.0,
-            tech(),
-        );
-        let dense = LinkPower::on_chip_repeated(
-            Microns::from_mm(3.0),
-            64,
-            Microns::from_mm(0.5),
-            60.0,
-            tech(),
-        );
-        assert!(dense.traversal_energy_uniform().0 > sparse.traversal_energy_uniform().0);
-    }
-
-    #[test]
-    #[should_panic(expected = "repeater segment must be positive")]
-    fn rejects_zero_segment() {
-        let _ = LinkPower::on_chip_repeated(Microns::from_mm(1.0), 8, Microns::ZERO, 60.0, tech());
     }
 }

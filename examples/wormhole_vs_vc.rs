@@ -7,16 +7,37 @@
 //!
 //! Run with `cargo run --release --example wormhole_vs_vc`.
 
-use orion::core::{injection_sweep, presets, saturation_rate, SweepOptions};
+use orion::core::{presets, Experiment, NetworkConfig, Report};
+
+/// One report per rate, every point under the same seed.
+fn sweep(config: &NetworkConfig, rates: &[f64]) -> Vec<Report> {
+    rates
+        .iter()
+        .map(|&rate| {
+            Experiment::new(config.clone())
+                .injection_rate(rate)
+                .seed(7)
+                .warmup(500)
+                .sample_packets(2_000)
+                .max_cycles(100_000)
+                .run()
+                .expect("preset configurations are valid")
+        })
+        .collect()
+}
+
+/// The highest swept rate whose latency stays within twice zero-load
+/// (§4.1), i.e. the last non-saturated point.
+fn saturation_rate(rates: &[f64], reports: &[Report]) -> Option<f64> {
+    rates
+        .iter()
+        .zip(reports)
+        .filter(|(_, r)| !r.is_saturated())
+        .map(|(&rate, _)| rate)
+        .reduce(f64::max)
+}
 
 fn main() {
-    let options = SweepOptions {
-        seed: 7,
-        warmup: 500,
-        sample_packets: 2_000,
-        max_cycles: 100_000,
-        threads: 1,
-    };
     let rates = [0.02, 0.05, 0.08, 0.11, 0.14];
 
     println!("on-chip 4x4 torus, 256-bit flits, 2 GHz, 0.1 um (paper section 4.2)\n");
@@ -25,29 +46,27 @@ fn main() {
         "rate", "WH64 lat", "WH64 W", "VC16 lat", "VC16 W"
     );
 
-    let wh = injection_sweep(&presets::wh64_onchip(), &rates, options)
-        .expect("preset configurations are valid");
-    let vc = injection_sweep(&presets::vc16_onchip(), &rates, options)
-        .expect("preset configurations are valid");
+    let wh = sweep(&presets::wh64_onchip(), &rates);
+    let vc = sweep(&presets::vc16_onchip(), &rates);
 
-    for (w, v) in wh.iter().zip(&vc) {
+    for ((rate, w), v) in rates.iter().zip(&wh).zip(&vc) {
         let mark = |saturated: bool| if saturated { "*" } else { " " };
         println!(
             "{:>6.2} | {:>11.1}{} {:>10.3} | {:>11.1}{} {:>10.3}",
-            w.rate,
-            w.report.avg_latency(),
-            mark(w.report.is_saturated()),
-            w.report.total_power().0,
-            v.report.avg_latency(),
-            mark(v.report.is_saturated()),
-            v.report.total_power().0,
+            rate,
+            w.avg_latency(),
+            mark(w.is_saturated()),
+            w.total_power().0,
+            v.avg_latency(),
+            mark(v.is_saturated()),
+            v.total_power().0,
         );
     }
 
     println!(
         "\nsaturation: WH64 ~ {:?}, VC16 ~ {:?} pkt/cycle/node",
-        saturation_rate(&wh),
-        saturation_rate(&vc)
+        saturation_rate(&rates, &wh),
+        saturation_rate(&rates, &vc)
     );
     println!("(paper: VC16 saturates above WH64 despite a quarter of the buffering,");
     println!(" and consumes less power than WH64 at equal pre-saturation rates)");

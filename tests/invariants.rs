@@ -340,30 +340,31 @@ fn sweep_isolates_the_deadlock_prone_point() {
     // An injection sweep containing a deadlock-prone rate still
     // returns results for every other rate, and the degraded point
     // carries its outcome instead of poisoning the sweep.
-    use orion::core::{injection_sweep, RunOutcome, SweepOptions};
-    let points = injection_sweep(
-        &presets::wh64_onchip(),
-        &[0.02, 0.5],
-        SweepOptions {
-            seed: 3,
-            warmup: 200,
-            sample_packets: 300,
-            max_cycles: 100_000,
-            threads: 1,
-        },
-    )
-    .expect("sweep must not abort");
+    use orion::core::RunOutcome;
+    let points: Vec<_> = [0.02, 0.5]
+        .into_iter()
+        .map(|rate| {
+            Experiment::new(presets::wh64_onchip())
+                .injection_rate(rate)
+                .seed(3)
+                .warmup(200)
+                .sample_packets(300)
+                .max_cycles(100_000)
+                .run()
+                .expect("sweep must not abort")
+        })
+        .collect();
     assert_eq!(points.len(), 2, "every rate reported");
-    assert_eq!(points[0].report.outcome(), &RunOutcome::Completed);
+    assert_eq!(points[0].outcome(), &RunOutcome::Completed);
     assert!(
         matches!(
-            points[1].report.outcome(),
+            points[1].outcome(),
             RunOutcome::Deadlocked(_) | RunOutcome::Saturated | RunOutcome::BudgetExhausted
         ),
         "0.5 is deep past saturation: {:?}",
-        points[1].report.outcome()
+        points[1].outcome()
     );
-    assert!(points[1].report.is_saturated());
+    assert!(points[1].is_saturated());
 }
 
 #[test]
