@@ -20,8 +20,7 @@
 //! Supervision knobs: `--retries` grants panicking cells reseeded
 //! extra attempts, `--cell-timeout-ms` sets a per-cell wall-clock
 //! budget, and `--audit-every` overrides the spec's invariant-audit
-//! cadence. The `ORION_EXP_PANIC_CELL` environment variable feeds the
-//! engine's poison hook (testing/CI only).
+//! cadence.
 //!
 //! `experiment explore` adds `--seed` / `--budget` overrides (the
 //! determinism contract keys on both — see `docs/EXPLORATION.md`) and
@@ -106,7 +105,6 @@ pub(crate) fn supervision(args: &Args) -> Result<Supervision, ArgError> {
     Ok(Supervision {
         max_retries: args.u32_or("retries", 0)?,
         cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
-        poison: None,
         checkpoint_every: args.u64_or("checkpoint-every", 0)?,
         shards: args.positive("shards")?.unwrap_or(1) as usize,
     })
@@ -117,10 +115,7 @@ fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
         threads: args.u64_or("threads", 1)? as usize,
         cache_dir: args.path("cache-dir"),
         progress: !args.flag("quiet") && !args.flag("json"),
-        supervision: Supervision {
-            poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
-            ..supervision(args)?
-        },
+        supervision: supervision(args)?,
     };
     let audit_every = args.u64_opt("audit-every")?;
     let out_dir = args
@@ -466,54 +461,6 @@ rates = [0.02, 0.04]
         )));
         assert_eq!(out.code, EXIT_BAD_INPUT, "{}", out.text);
         assert!(out.text.contains("lock"), "{}", out.text);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_cell_exits_3_but_grid_completes() {
-        let dir = temp_dir("poison");
-        let path = dir.join("spec.toml");
-        // Rate 0.055 is unique to this test: the poison env var is
-        // process-global, so the pattern must not match any cell that
-        // a concurrently running test simulates.
-        fs::write(
-            &path,
-            r#"
-[experiment]
-name = "cli-poison"
-
-[measure]
-warmup = 100
-sample_packets = 100
-max_cycles = 20000
-
-[grid]
-presets = ["vc16"]
-rates = [0.02, 0.055]
-"#,
-        )
-        .unwrap();
-        std::env::set_var("ORION_EXP_PANIC_CELL", "r0.055000");
-        let out = execute(&toks(&format!(
-            "run {} --out-dir {} --json --quiet",
-            path.display(),
-            dir.join("out").display(),
-        )));
-        std::env::remove_var("ORION_EXP_PANIC_CELL");
-        assert_eq!(out.code, EXIT_DEGRADED, "{}", out.text);
-        assert!(out.text.contains("\"crashed\": 1"), "{}", out.text);
-
-        // The grid still produced a full artifact: the healthy cell's
-        // record plus exactly one quarantined record.
-        let jsonl = fs::read_to_string(dir.join("out/cli-poison.jsonl")).unwrap();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert_eq!(
-            jsonl
-                .lines()
-                .filter(|l| l.contains("\"cell_outcome\":\"crashed\""))
-                .count(),
-            1
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

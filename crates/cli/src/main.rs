@@ -49,6 +49,10 @@ mod simulate;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    if let Err(e) = orion_core::failpoint::init_from_env() {
+        eprintln!("error: ORION_FAILPOINTS: {e}");
+        return ExitCode::from(run::EXIT_BAD_INPUT);
+    }
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     if tokens.is_empty() || tokens[0] == "help" || tokens[0] == "--help" {
         print!("{}", run::usage());

@@ -1,7 +1,9 @@
 //! The CI `experiment-smoke` job as a tier-1 test: the cache serves a
 //! rerun entirely and byte-identically, thread count never reaches the
-//! artifacts, repeated axis values are one cell, and everything the one
-//! JSON writer emits is read back by a reader that is not the writer.
+//! artifacts, repeated axis values are one cell, a cell crashed through
+//! `ORION_FAILPOINTS` costs one record and not the grid, and everything
+//! the one JSON writer emits is read back by a reader that is not the
+//! writer.
 
 mod common;
 
@@ -81,6 +83,42 @@ fn repeated_axis_values_are_one_cell_not_sixteen() {
         assert_flat_json_lines(&sandbox.read("cache/orion-exp-cache.jsonl")),
         1
     );
+}
+
+#[test]
+fn poisoned_cell_exits_3_but_grid_completes() {
+    let sandbox = Sandbox::new("smoke-poison");
+    let spec = sandbox.write(
+        "spec.toml",
+        "[experiment]\nname = \"cli-poison\"\n\n[measure]\nwarmup = 100\nsample_packets = 100\n\
+         max_cycles = 20000\n\n[grid]\npresets = [\"vc16\"]\nrates = [0.02, 0.055]\n",
+    );
+    let out = sandbox.path("out");
+    let args = ["experiment", "run", &spec, "--out-dir", &out, "--json"];
+    let run = cli(&args, Some("cell.run:r0.055000=panic"));
+    assert_eq!(run.code, 3, "{run:?}");
+    assert!(run.stdout.contains("\"crashed\": 1"), "{run:?}");
+
+    // The grid still produced a full artifact: the healthy cell's
+    // record plus exactly one quarantined record.
+    let jsonl = sandbox.read("out/cli-poison.jsonl");
+    assert_eq!(jsonl.lines().count(), 2);
+    assert_eq!(
+        jsonl
+            .lines()
+            .filter(|l| l.contains("\"cell_outcome\":\"crashed\""))
+            .count(),
+        1
+    );
+}
+
+#[test]
+fn a_malformed_failpoint_list_is_bad_input_not_a_silent_no_op() {
+    let run = cli(&["experiment", "run", SMOKE], Some("cell.run=panic,junk"));
+    assert_eq!(run.code, 2, "{run:?}");
+    assert!(run.stderr.contains("ORION_FAILPOINTS"), "{run:?}");
+    assert!(run.stderr.contains("`junk`"), "{run:?}");
+    assert!(run.stdout.is_empty(), "{run:?}");
 }
 
 #[test]

@@ -4,12 +4,15 @@
 //! errors, drains on a real SIGTERM that lands mid-stream, and leaves a
 //! cache that a later `experiment run` replays to the same bytes. The
 //! stream it interrupts fits the client budget, so it is a stream and
-//! not a `429`.
+//! not a `429`. Under `ORION_FAILPOINTS`, a panicking connection
+//! handler neither wedges the drain nor the next request, and a crashed
+//! cell is one `crashed` record that is never cached.
 
 mod common;
 
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -31,6 +34,50 @@ fn many_rates(n: usize) -> String {
     rates.join(", ")
 }
 
+/// `serve --addr 127.0.0.1:0 <args>` under `failpoints`, and the
+/// address its banner names. The rest of its stderr is drained.
+fn start(args: &[&str], failpoints: Option<&str>) -> (Child, String) {
+    let mut argv = vec!["serve", "--addr", "127.0.0.1:0"];
+    argv.extend(args);
+    let mut daemon = command(&argv, failpoints)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn orion-power-cli serve");
+    // The first stderr line is printed once the listener is bound.
+    let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let addr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+    (daemon, addr)
+}
+
+/// `kill <signal> <pid>`; whether it was delivered.
+fn kill(signal: &str, pid: u32) -> bool {
+    let status = Command::new("kill")
+        .args([signal, &pid.to_string()])
+        .status();
+    status.expect("run kill").success()
+}
+
+/// Waits up to `patience` for `daemon` to exit. A daemon that misses
+/// its signal is a failure, not a hung test.
+fn exit_within(daemon: Child, patience: Duration) -> Output {
+    let pid = daemon.id();
+    let (exited, exit) = mpsc::channel();
+    std::thread::spawn(move || exited.send(daemon.wait_with_output().unwrap()));
+    exit.recv_timeout(patience).unwrap_or_else(|_| {
+        kill("-KILL", pid);
+        panic!("the daemon did not exit within {patience:?}")
+    })
+}
+
 #[test]
 fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
     let sandbox = Sandbox::new("serve-daemon");
@@ -44,11 +91,8 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
     let reference_lines = sandbox.read("ref/soak.jsonl");
 
     let cache = sandbox.path("cache");
-    let mut daemon = command(
+    let (daemon, addr) = start(
         &[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
             "--cache-dir",
             &cache,
             "--client-budget",
@@ -57,21 +101,7 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
             DRAIN_TIMEOUT_MS,
         ],
         None,
-    )
-    .stdout(Stdio::piped())
-    .stderr(Stdio::piped())
-    .spawn()
-    .expect("spawn orion-power-cli serve");
-    // The first stderr line is printed once the listener is bound.
-    let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
-    let mut banner = String::new();
-    stderr.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .unwrap_or_else(|| panic!("no address in {banner:?}"))
-        .to_string();
+    );
     let ready = http(&addr, "GET", "/readyz", &[], "");
     assert_eq!(ready.status, 200);
     assert!(ready.body().contains("\"status\":\"ready\""));
@@ -155,23 +185,15 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
     {
         lines.push(stream.line().expect("a record before the stream ends"));
     }
-    let pid = daemon.id().to_string();
-    let kill = |signal: &str| Command::new("kill").args([signal, &pid]).status();
-    assert!(kill("-TERM").expect("run kill").success());
+    assert!(kill("-TERM", daemon.id()));
     lines.extend(std::iter::from_fn(|| stream.line()));
     let summary = lines.last().unwrap();
     assert!(summary.starts_with("{\"type\":\"summary\""), "{lines:?}");
     let status = ["\"status\":\"draining\"", "\"status\":\"complete\""];
     assert!(status.iter().any(|s| summary.contains(s)), "{lines:?}");
-    // A daemon that misses the signal is a failure, not a hung test.
-    let (exited, exit) = mpsc::channel();
-    std::thread::spawn(move || exited.send(daemon.wait().unwrap()));
     let deadline = Duration::from_millis(DRAIN_TIMEOUT_MS.parse().unwrap());
-    let exit = exit.recv_timeout(deadline).unwrap_or_else(|_| {
-        let _ = kill("-KILL");
-        panic!("the daemon did not exit within its drain deadline")
-    });
-    assert_eq!(exit.code(), Some(0), "drained cleanly");
+    let exit = exit_within(daemon, deadline);
+    assert_eq!(exit.status.code(), Some(0), "drained cleanly");
 
     // The cache left behind replays the reference byte for byte.
     let resume = experiment(
@@ -187,4 +209,53 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
             &sandbox.path(&format!("resume/{file}")),
         );
     }
+}
+
+#[test]
+fn a_panicking_handler_leaves_the_drain_prompt_and_a_crashed_cell_is_one_uncached_record() {
+    // `vc16/uniform/r0.050000` is the key of one of the two cells.
+    let failpoints = "serve.handle=panic@1,cell.run:vc16/uniform/r0.050000=panic@*";
+    let args = ["--drain-timeout-ms", DRAIN_TIMEOUT_MS];
+    let (daemon, addr) = start(&args, Some(failpoints));
+
+    // The first connection's handler panics: the client is left
+    // unanswered, and the daemon keeps serving.
+    let mut first = TcpStream::connect(&addr).unwrap();
+    write!(first, "GET /readyz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    let _ = first.read_to_string(&mut reply);
+    assert!(reply.is_empty(), "the panicked handler answered: {reply}");
+
+    let body = spec("faults", "0.04, 0.05");
+    let crashed = |stream: &str| {
+        let summary = stream.lines().last().unwrap_or_default();
+        assert!(summary.contains("\"status\":\"complete\""), "{stream}");
+        stream
+            .lines()
+            .filter(|l| l.contains("\"cell_outcome\":\"crashed\""))
+            .count()
+    };
+    let metrics = || http(&addr, "GET", "/metrics", &[], "").body();
+    let first_post = http(&addr, "POST", "/v1/experiment", &[], &body);
+    assert_eq!(first_post.status, 200);
+    assert_eq!(crashed(&first_post.body()), 1);
+    let after_one = metrics();
+    assert!(after_one.contains("\"runner_crashed\":1"), "{after_one}");
+    assert!(after_one.contains("\"runner_executed\":2"), "{after_one}");
+
+    // Crashes are never cached: the same spec re-executes that cell,
+    // and only that cell.
+    let again = http(&addr, "POST", "/v1/experiment", &[], &body);
+    assert_eq!(crashed(&again.body()), 1);
+    let after_two = metrics();
+    assert!(after_two.contains("\"runner_executed\":3"), "{after_two}");
+    assert!(after_two.contains("\"runner_cache_hits\":1"), "{after_two}");
+
+    // Nothing is in flight, so the drain is prompt: the panicked
+    // handler's connection is not still counted as open.
+    assert!(kill("-TERM", daemon.id()));
+    let exit = exit_within(daemon, Duration::from_secs(10));
+    let stdout = String::from_utf8_lossy(&exit.stdout);
+    assert_eq!(exit.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("drained cleanly"), "{stdout}");
 }

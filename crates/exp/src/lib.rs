@@ -76,6 +76,8 @@ pub mod runner;
 pub mod spec;
 pub mod toml;
 
+pub use orion_core::failpoint;
+
 pub use artifact::{write_artifacts, write_atomic, Artifacts};
 pub use cache::{
     CacheAppender, CacheLock, Manifest, ResultCache, CACHE_FILE, LOCK_FILE, MANIFEST_FILE,

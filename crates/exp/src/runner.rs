@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use orion_ckpt::{checkpoint_path, run_checkpointed, CheckpointOptions};
 use orion_core::exec::panic_message;
-use orion_core::{Experiment, RunResult};
+use orion_core::{failpoint, Experiment, RunResult};
 
 use crate::cache::{CacheAppender, CacheLock, ResultCache};
 use crate::fingerprint::splitmix64;
@@ -63,11 +63,6 @@ pub struct Supervision {
     /// `timed-out` post-hoc (a running cell cannot be preempted).
     /// `None` disables the budget.
     pub cell_timeout: Option<Duration>,
-    /// Fault-injection hook for supervision tests: cells whose key
-    /// contains this substring panic on every attempt; with a
-    /// `once:` prefix, only the first attempt panics (exercising the
-    /// retry path). `None` — the production default — injects nothing.
-    pub poison: Option<String>,
     /// Persist a mid-run checkpoint of each executing cell every this
     /// many cycles (0 = off). Requires the runner to have a cache
     /// directory — checkpoints live at
@@ -360,8 +355,10 @@ impl CellRunner {
         for attempt in 0..=sup.max_retries {
             let started = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if poison_matches(sup.poison.as_deref(), cell, attempt) {
-                    panic!("poison hook: injected panic for cell {}", cell.key());
+                // The `cell.run` failpoint, keyed by the cell: an armed
+                // `error` ends the attempt exactly as a `panic` does.
+                if let Err(e) = failpoint::hit_with("cell.run", || cell.key()) {
+                    panic!("{e}");
                 }
                 let seed = retry_seed(cell.derived_seed(), attempt);
                 // Checkpointing covers attempt 0 only: retries reseed
@@ -486,14 +483,4 @@ fn retry_seed(derived_seed: u64, attempt: u32) -> u64 {
     } else {
         splitmix64(derived_seed ^ u64::from(attempt))
     }
-}
-
-/// Whether the poison hook fires for this cell and attempt.
-fn poison_matches(poison: Option<&str>, cell: &Cell, attempt: u32) -> bool {
-    let Some(p) = poison else { return false };
-    let (once, pat) = match p.strip_prefix("once:") {
-        Some(rest) => (true, rest),
-        None => (false, p),
-    };
-    !pat.is_empty() && cell.key().contains(pat) && (!once || attempt == 0)
 }

@@ -148,44 +148,12 @@ fn many_clients_identical_grid_execute_once() {
 }
 
 #[test]
-fn crashing_leader_does_not_wedge_followers() {
-    let runner = Arc::new(CellRunner::open(None).unwrap());
-    let sup = Supervision {
-        max_retries: 0,
-        cell_timeout: None,
-        poison: Some("vc16".to_string()),
-        checkpoint_every: 0,
-        shards: 1,
-    };
-    let barrier = Arc::new(Barrier::new(4));
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let (runner, barrier, sup) = (Arc::clone(&runner), Arc::clone(&barrier), sup.clone());
-            std::thread::spawn(move || {
-                barrier.wait();
-                let cell = spec("poisoned", "[0.02]").expand().remove(0);
-                runner.run(&cell, &sup)
-            })
-        })
-        .collect();
-    for h in handles {
-        let rec = h.join().unwrap();
-        assert!(rec.is_crashed(), "poisoned cell must quarantine, not hang");
-    }
-    // Quarantine verdicts are never remembered: each requester that
-    // led a flight re-executed, none was served a cached crash.
-    assert_eq!(runner.stats().cache_hits, 0);
-    assert!(runner.known_records() == 0, "crashes are never cached");
-}
-
-#[test]
 fn per_request_timeout_quarantines_without_caching() {
     let runner = CellRunner::open(None).unwrap();
     let cell = spec("deadline", "[0.02]").expand().remove(0);
     let sup = Supervision {
         max_retries: 0,
         cell_timeout: Some(Duration::ZERO),
-        poison: None,
         checkpoint_every: 0,
         shards: 1,
     };

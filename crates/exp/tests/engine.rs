@@ -1,6 +1,8 @@
 //! End-to-end engine guarantees: thread-count invariance,
 //! cache-driven incremental resume, per-line corruption isolation,
-//! and supervised execution (panic quarantine, retries, lockout).
+//! and supervised execution (timeouts, lockout). Panic quarantine and
+//! retries arm a process-global failpoint, so they live apart, in
+//! `supervision.rs`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -160,92 +162,6 @@ fn artifacts_written_sorted_and_versioned() {
     assert_eq!(csv.lines().count(), 17, "header + 16 rows");
     assert!(csv.starts_with("schema_version,cell,"));
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// The key of exactly one SPEC cell, used as the poison target.
-const POISON_KEY: &str = "wh64/uniform/r0.030000";
-
-#[test]
-fn poisoned_cell_is_quarantined_and_grid_completes() {
-    let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let (clean, _) = run_spec(&spec, &opts(4, None)).unwrap();
-
-    let mut poisoned_opts = opts(4, None);
-    poisoned_opts.supervision.poison = Some(POISON_KEY.to_string());
-    let (records, summary) = run_spec(&spec, &poisoned_opts).unwrap();
-
-    assert_eq!(records.len(), 16, "the grid stays rectangular");
-    assert_eq!(summary.crashed, 1);
-    assert!(summary.is_degraded());
-    let crashed: Vec<_> = records.iter().filter(|r| r.is_crashed()).collect();
-    assert_eq!(crashed.len(), 1, "exactly one crashed record");
-    assert!(crashed[0].cell.starts_with(POISON_KEY));
-    assert_eq!(crashed[0].outcome, "crashed");
-    assert!(
-        crashed[0].error.as_deref().unwrap().contains("poison hook"),
-        "panic payload captured: {:?}",
-        crashed[0].error
-    );
-    // Every other cell's result is bit-identical to the clean run:
-    // the panic was isolated, not contagious.
-    for (a, b) in clean.iter().zip(&records) {
-        if !a.cell.starts_with(POISON_KEY) {
-            assert_eq!(a, b, "cell {} perturbed by a sibling's panic", a.cell);
-        }
-    }
-}
-
-#[test]
-fn crashed_cells_are_not_cached_and_heal_on_rerun() {
-    let dir = temp_dir("crash-heal");
-    let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let mut poisoned_opts = opts(2, Some(dir.clone()));
-    poisoned_opts.supervision.poison = Some(POISON_KEY.to_string());
-    let (_, s1) = run_spec(&spec, &poisoned_opts).unwrap();
-    assert_eq!(s1.crashed, 1);
-
-    // Same cache, poison gone (the "fixed build"): only the
-    // quarantined cell re-simulates, and the grid is clean again.
-    let (records, s2) = run_spec(&spec, &opts(2, Some(dir.clone()))).unwrap();
-    assert_eq!(s2.cache_hits, 15);
-    assert_eq!(s2.simulated, 1, "only the crashed cell re-runs");
-    assert_eq!(s2.crashed, 0);
-    assert!(!s2.is_degraded());
-    assert!(records.iter().all(|r| !r.is_crashed()));
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn retries_reseed_deterministically_and_recover() {
-    let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let (clean, _) = run_spec(&spec, &opts(2, None)).unwrap();
-
-    let mut retry_opts = opts(2, None);
-    retry_opts.supervision.poison = Some(format!("once:{POISON_KEY}"));
-    retry_opts.supervision.max_retries = 2;
-    let (records, summary) = run_spec(&spec, &retry_opts).unwrap();
-
-    assert_eq!(summary.crashed, 0);
-    assert_eq!(summary.retried, 1);
-    assert!(!summary.is_degraded());
-    let rec = records
-        .iter()
-        .find(|r| r.cell.starts_with(POISON_KEY))
-        .unwrap();
-    assert_eq!(rec.cell_outcome, "retried");
-    assert_eq!(rec.attempts, 2, "first attempt panicked, second ran");
-    let original = clean
-        .iter()
-        .find(|r| r.cell.starts_with(POISON_KEY))
-        .unwrap();
-    assert_ne!(
-        rec.derived_seed, original.derived_seed,
-        "the retry seed is annotated on the record for replayability"
-    );
-
-    // Retry outcomes are deterministic: same options, same record.
-    let (again, _) = run_spec(&spec, &retry_opts).unwrap();
-    assert_eq!(records, again);
 }
 
 #[test]

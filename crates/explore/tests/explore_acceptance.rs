@@ -194,7 +194,6 @@ fn explore_cells_dedup_against_grid_run_cells() {
             supervision: Supervision {
                 max_retries: 0,
                 cell_timeout: None,
-                poison: None,
                 checkpoint_every: 0,
                 shards: 1,
             },

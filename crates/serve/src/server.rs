@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use orion_exp::inflight::lock_unpoisoned;
 use orion_exp::runner::{CellRunner, Supervision};
-use orion_exp::ExperimentSpec;
+use orion_exp::{failpoint, ExperimentSpec};
 use orion_obs::json::Json;
 use orion_obs::MetricsRegistry;
 
@@ -196,13 +196,8 @@ impl Server {
             }
             match state.listener.accept() {
                 Ok((stream, _peer)) => {
-                    *lock_unpoisoned(&state.connections) += 1;
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || {
-                        handle_connection(&state, stream);
-                        *lock_unpoisoned(&state.connections) -= 1;
-                        state.closed.notify_all();
-                    });
+                    let open = OpenConnection::count(&state);
+                    std::thread::spawn(move || handle_connection(&open.0, stream));
                 }
                 // A woken listener fails every accept; the flag says why.
                 Err(_) if shutdown_asked(&state) => break Ok(()),
@@ -241,8 +236,31 @@ fn shutdown_asked(state: &ServerState) -> bool {
     signal::shutdown_requested() || state.gate.draining()
 }
 
-/// One connection = one request = one response, then close.
+/// One open connection in the count the drain waits on, uncounted
+/// however its handler ends — by a panic too.
+struct OpenConnection(Arc<ServerState>);
+
+impl OpenConnection {
+    fn count(state: &Arc<ServerState>) -> OpenConnection {
+        *lock_unpoisoned(&state.connections) += 1;
+        OpenConnection(Arc::clone(state))
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        *lock_unpoisoned(&self.0.connections) -= 1;
+        self.0.closed.notify_all();
+    }
+}
+
+/// One connection = one request = one response, then close. The
+/// `serve.handle` failpoint fires first: `error` closes the connection
+/// unanswered, `panic` kills its thread.
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+    if failpoint::hit("serve.handle").is_err() {
+        return;
+    }
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let request = match read_request(&mut stream, state.config.max_body_bytes) {

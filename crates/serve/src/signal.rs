@@ -34,9 +34,9 @@ pub fn request_shutdown() {
     sys::wake_registered();
 }
 
-/// Clears the flag (tests only; a real daemon shuts down once).
-#[doc(hidden)]
-pub fn reset_for_testing() {
+/// Clears the flag (a real daemon shuts down once).
+#[cfg(test)]
+fn reset_for_testing() {
     SHUTDOWN.store(false, Ordering::SeqCst);
 }
 

@@ -161,11 +161,6 @@ impl ShardedNetwork {
         }
     }
 
-    /// The active stepper (identical across shards).
-    pub fn engine_mode(&self) -> EngineMode {
-        self.cells[0].net.engine_mode()
-    }
-
     /// True when every shard engine is idle *and* the boundary
     /// mailboxes hold no flit or credit — the only remaining work, if
     /// any, sits on per-shard event wheels. Only meaningful at the

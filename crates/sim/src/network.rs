@@ -671,11 +671,6 @@ impl Network {
         self.engine = mode;
     }
 
-    /// The active stepper.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.engine
-    }
-
     /// Attaches an observer. Events (injections, VA/SA grants, link
     /// traversals, ejections, credits) flow into it from the next
     /// [`Network::step`] on.
@@ -1216,8 +1211,8 @@ impl Network {
     /// (as if one was enqueued but never entered a queue). Exists so
     /// auditor tests can prove a leak is detected; never called by the
     /// engine.
-    #[doc(hidden)]
-    pub fn debug_leak_flit(&mut self) {
+    #[cfg(test)]
+    fn debug_leak_flit(&mut self) {
         self.audit_enqueued += 1;
     }
 
@@ -1225,8 +1220,8 @@ impl Network {
     /// corrupted flow-control channel would. On an idle network this
     /// pushes the credit count past the downstream depth, which the
     /// auditor must flag. Never called by the engine.
-    #[doc(hidden)]
-    pub fn debug_spurious_credit(&mut self, node: usize, port: usize, vc: usize) {
+    #[cfg(test)]
+    fn debug_spurious_credit(&mut self, node: usize, port: usize, vc: usize) {
         self.routers[node - self.lo].credit(port, vc);
     }
 
@@ -1234,8 +1229,8 @@ impl Network {
     /// stale active (if idle) or a lost wakeup (if busy). Exists so
     /// auditor tests can prove both directions of the active-set
     /// invariant are detected. Never called by the engine.
-    #[doc(hidden)]
-    pub fn debug_corrupt_router_activity(&mut self, node: usize) {
+    #[cfg(test)]
+    fn debug_corrupt_router_activity(&mut self, node: usize) {
         let li = node - self.lo;
         if self.activity.router_active(li) {
             self.activity.sleep_router(li);
@@ -1246,8 +1241,8 @@ impl Network {
 
     /// Test hook: flip `node`'s source activity bit (see
     /// [`Network::debug_corrupt_router_activity`]).
-    #[doc(hidden)]
-    pub fn debug_corrupt_source_activity(&mut self, node: usize) {
+    #[cfg(test)]
+    fn debug_corrupt_source_activity(&mut self, node: usize) {
         let li = node - self.lo;
         if self.activity.source_active(li) {
             self.activity.sleep_source(li);
