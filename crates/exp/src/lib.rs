@@ -4,8 +4,8 @@
 //! The paper's case studies are grids: configurations × traffic ×
 //! injection rates (Figures 5 and 7 are exactly such sweeps). This
 //! crate turns those grids into *declarative specs* and runs them
-//! through an engine with three properties the hand-written loops in
-//! `orion-bench` could not offer:
+//! through an engine with properties a hand-written sweep loop does not
+//! have:
 //!
 //! 1. **Determinism under parallelism** — every grid cell's RNG seed
 //!    is derived from a stable hash of its parameter point, and

@@ -1,8 +1,8 @@
 //! Every spec shipped under `examples/specs/` parses, as a grid
 //! experiment or a design-space search, and names at least one cell
 //! whose configuration and workload build. No cell is simulated, so a
-//! spec that only a figure binary embeds still fails here, in
-//! milliseconds, the moment the grammar stops accepting it.
+//! figure spec still fails here, in milliseconds, the moment the
+//! grammar stops accepting it.
 
 use std::path::Path;
 

@@ -40,16 +40,6 @@ pub enum CrossbarKind {
     Matrix,
     /// Multiplexer-tree crossbar built from 2:1 stages.
     MuxTree,
-    /// Segmented matrix crossbar (an Orion 2.0-era refinement): input
-    /// and output lines are divided into segments isolated by enable
-    /// switches, so a traversal charges only the segments between its
-    /// crosspoint and the drivers — on average about half the line —
-    /// at the cost of the segment switches' own capacitance.
-    Segmented {
-        /// Number of segments per line (≥ 1; 1 degenerates to
-        /// [`CrossbarKind::Matrix`] plus one pass switch).
-        segments: u32,
-    },
 }
 
 /// Architectural parameters of a crossbar.
@@ -106,11 +96,6 @@ impl CrossbarParams {
         }
         if self.width == 0 {
             return Err(ModelError::invalid("width", "must be at least 1"));
-        }
-        if let CrossbarKind::Segmented { segments } = self.kind {
-            if segments == 0 {
-                return Err(ModelError::invalid("segments", "must be at least 1"));
-            }
         }
         Ok(())
     }
@@ -191,7 +176,7 @@ impl CrossbarPower {
             w * cap.gate_cap(s.crossbar_connector) + cap.wire_cap(Microns(input_line_len.0 / 2.0));
 
         let (c_mux_stage, mux_depth) = match params.kind {
-            CrossbarKind::Matrix | CrossbarKind::Segmented { .. } => (Farads::ZERO, 0),
+            CrossbarKind::Matrix => (Farads::ZERO, 0),
             CrossbarKind::MuxTree => {
                 // Each 2:1 stage per bit: two pass-gate drains on the
                 // shared output node plus the next stage's pass-gate
@@ -204,22 +189,6 @@ impl CrossbarPower {
                 let depth = (params.inputs.max(2) as f64).log2().ceil() as u32;
                 (stage, depth)
             }
-        };
-
-        // Segmentation: a traversal drives on average half the line's
-        // wire and connector loading, plus one segment enable switch
-        // per crossed boundary (on average half of them).
-        let (c_input_line, c_output_line) = match params.kind {
-            CrossbarKind::Segmented { segments } if segments > 1 => {
-                let seg_switch = cap.drain_cap(s.crossbar_connector, TransistorKind::N, 1)
-                    + cap.gate_cap(s.crossbar_connector);
-                let crossed = (segments as f64 - 1.0) / 2.0;
-                (
-                    c_input_line * 0.5 + crossed * seg_switch,
-                    c_output_line * 0.5 + crossed * seg_switch,
-                )
-            }
-            _ => (c_input_line, c_output_line),
         };
 
         // Leakage (post-paper extension): crosspoint connectors plus the
@@ -302,7 +271,7 @@ impl CrossbarPower {
     pub fn traversal_energy(&self, switching_bits: f64) -> Joules {
         debug_assert!(switching_bits >= 0.0, "switching bits must be non-negative");
         let per_bit = match self.kind {
-            CrossbarKind::Matrix | CrossbarKind::Segmented { .. } => {
+            CrossbarKind::Matrix => {
                 switch_energy(self.c_input_line, self.vdd)
                     + switch_energy(self.c_output_line, self.vdd)
             }
@@ -329,7 +298,7 @@ impl CrossbarPower {
             "switching bits must be non-negative"
         );
         let e_mux = match self.kind {
-            CrossbarKind::Matrix | CrossbarKind::Segmented { .. } => Joules::ZERO,
+            CrossbarKind::Matrix => Joules::ZERO,
             CrossbarKind::MuxTree => {
                 self.mux_depth as f64 * switch_energy(self.c_mux_stage, self.vdd)
             }
@@ -465,37 +434,6 @@ mod tests {
         // Control path is much cheaper than a full flit traversal — this
         // is why arbiter power is "invisible" in Fig. 5c.
         assert!(e_ctr.0 < xb.traversal_energy_uniform().0 / 10.0);
-    }
-
-    #[test]
-    fn segmented_crossbar_cheaper_than_matrix_when_lines_are_long() {
-        // At 256 bits the wires dominate; halving the driven length
-        // beats the added segment switches.
-        let matrix = matrix(5, 5, 256);
-        let seg = CrossbarPower::new(
-            &CrossbarParams::new(CrossbarKind::Segmented { segments: 4 }, 5, 5, 256),
-            tech(),
-        )
-        .unwrap();
-        assert!(seg.traversal_energy_uniform().0 < matrix.traversal_energy_uniform().0);
-        // Degenerate single segment ≈ matrix.
-        let one = CrossbarPower::new(
-            &CrossbarParams::new(CrossbarKind::Segmented { segments: 1 }, 5, 5, 256),
-            tech(),
-        )
-        .unwrap();
-        assert!(
-            (one.traversal_energy_uniform().0 - matrix.traversal_energy_uniform().0).abs() < 1e-18
-        );
-    }
-
-    #[test]
-    fn segmented_rejects_zero_segments() {
-        assert!(CrossbarPower::new(
-            &CrossbarParams::new(CrossbarKind::Segmented { segments: 0 }, 5, 5, 32),
-            tech(),
-        )
-        .is_err());
     }
 
     #[test]
