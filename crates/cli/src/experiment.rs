@@ -614,8 +614,8 @@ depths = [4, 8]
             out_dir.display(),
         )));
         assert_eq!(explore.code, 0, "{}", explore.text);
-        // Exact bytes, generated at `f3a1fbd`, with the two run-dependent
-        // values (wall-clock, temp directory) masked.
+        // Exact bytes at `JSON_SCHEMA_VERSION` 5, with the two
+        // run-dependent values (wall-clock, temp directory) masked.
         let masked = |text: &str| {
             let elapsed = text.find("\"elapsed_s\": ").expect("elapsed_s") + 13;
             let end = elapsed + text[elapsed..].find(',').expect("comma");
@@ -628,7 +628,7 @@ depths = [4, 8]
     }
 
     const GOLDEN_RUN_SUMMARY: &str = r#"{
-  "schema_version": 4,
+  "schema_version": 5,
   "experiment": "cli-smoke",
   "cells": 2,
   "simulated": 2,
@@ -645,7 +645,7 @@ depths = [4, 8]
 }
 "#;
     const GOLDEN_EXPLORE_SUMMARY: &str = r#"{
-  "schema_version": 4,
+  "schema_version": 5,
   "experiment": "cli-explore",
   "strategy": "grid-refine",
   "budget": 4,

@@ -17,12 +17,12 @@
 //! ```
 //!
 //! The `simulate` subcommand additionally drives whole-network
-//! experiments — including fault injection and the deadlock watchdog —
-//! and reports the structured run outcome as text or JSON:
+//! experiments — including the deadlock watchdog and the invariant
+//! auditor — and reports the structured run outcome as text or JSON:
 //!
 //! ```text
 //! orion-power-cli simulate --preset wh64 --rate 0.5 --watchdog-cycles 500
-//! orion-power-cli simulate --preset vc16 --fault-links 4 --fault-seed 7 --json
+//! orion-power-cli simulate --preset vc16 --rate 0.05 --audit-every 100 --json
 //! ```
 //!
 //! The `experiment` subcommand runs whole declarative grids (TOML

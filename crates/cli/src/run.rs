@@ -72,8 +72,8 @@ EXIT CODES:
   1  runtime I/O failure (cache or artifact files; serve: bind)
   2  bad input (unknown options, malformed spec, invalid configuration,
      cache directory locked by another live run, serve included)
-  3  degraded result (simulate: deadlock/saturation/budget/faults/
-     corrupted audit; experiment: failed, crashed, timed-out or
+  3  degraded result (simulate: deadlock/saturation/budget/corrupted
+     audit; experiment: failed, crashed, timed-out or
      corrupted cells, or a cache sink that broke mid-run so the cache
      cannot replay the results; serve: drain deadline expired with
      requests still in flight)
@@ -83,7 +83,7 @@ EXAMPLES:
   orion-power-cli crossbar --ports 5 --bits 256 --node 0.18um
   orion-power-cli link --chip2chip --watts 3 --bits 32
   orion-power-cli simulate --preset wh64 --rate 0.5 --watchdog-cycles 500
-  orion-power-cli simulate --preset vc16 --fault-links 4 --fault-seed 7 --json
+  orion-power-cli simulate --preset vc16 --rate 0.05 --audit-every 100 --json
   orion-power-cli simulate --preset vc64 --rate 0.2 --traffic broadcast \\
       --traffic-src 1,2 --observe-dir obs --sample-every 50
   orion-power-cli powermap --observe-dir obs
@@ -104,8 +104,10 @@ EXAMPLES:
 /// (`latency_p50_cycles`, `latency_p99_cycles`, `flits_delivered` to
 /// `simulate`); 4 added the `experiment explore` summary layout
 /// (`strategy`, `budget`, `seed`, `evaluations`, `rounds`, `frontier`,
-/// `dominated` and the four-file `artifacts` object).
-pub const JSON_SCHEMA_VERSION: u32 = 4;
+/// `dominated` and the four-file `artifacts` object); 5 removed the
+/// fault model's `packets.dropped`, `packets.detoured` and `drop_rate`
+/// from `simulate`.
+pub const JSON_SCHEMA_VERSION: u32 = 5;
 
 /// Exit code for runtime I/O failures (cache/artifact files).
 pub const EXIT_RUNTIME: u8 = 1;

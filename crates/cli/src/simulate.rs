@@ -1,6 +1,6 @@
 //! The `simulate` subcommand: run a whole-network experiment from the
-//! command line, with fault injection, watchdog control, workload
-//! selection and opt-in observability, and render the structured
+//! command line, with watchdog and audit control, workload selection
+//! and opt-in observability, and render the structured
 //! [`RunOutcome`] as human-readable text or JSON.
 //!
 //! With `--observe-dir DIR` the run additionally collects event
@@ -22,7 +22,7 @@ use std::path::Path;
 use orion_core::{Experiment, NetworkConfig, ObserveOptions, Report, RunOutcome};
 use orion_exp::design::DesignPoint;
 use orion_exp::TrafficKind;
-use orion_net::{FaultConfig, FaultSchedule, NodeId, Topology, TopologyKind};
+use orion_net::{NodeId, Topology, TopologyKind};
 use orion_obs::json::{Json, Value};
 use orion_sim::Component;
 
@@ -34,7 +34,6 @@ use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 pub const GRAMMAR: Grammar = Grammar(
     "--preset DESIGN --topology KxK[xK][-mesh] --shards N --rate X \
      --seed N --warmup N --sample N --max-cycles N --watchdog-cycles N --audit-every N \
-     --fault-links N --fault-rate X --fault-ports N --fault-seed N \
      --traffic uniform|transpose|bit-complement|tornado|shuffle|bit-reversal|broadcast \
      --traffic-src x,y \
      --observe-dir DIR --sample-every N --trace-packets N --checkpoint-every N \
@@ -128,8 +127,8 @@ fn traffic(args: &Args) -> Result<TrafficKind, ArgError> {
 /// Runs a simulation experiment per the parsed command line. The exit
 /// code distinguishes how the run ended: 0 for a cleanly completed
 /// run, [`EXIT_DEGRADED`] for any other outcome (deadlock, saturation,
-/// exhausted budget, faults) — scripts can branch on the code without
-/// parsing output.
+/// exhausted budget, corrupted audit) — scripts can branch on the code
+/// without parsing output.
 ///
 /// # Errors
 ///
@@ -191,16 +190,6 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         ),
     };
 
-    let fault_links = args.u64_or("fault-links", 0)? as usize;
-    let fault_rate = args.f64_or("fault-rate", 0.0)?;
-    let fault_ports = args.u64_or("fault-ports", 0)? as usize;
-    let fault_seed = args.u64_or("fault-seed", seed)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(ArgError(format!(
-            "--fault-rate expects a transient fault rate in [0, 1], got {fault_rate}"
-        )));
-    }
-
     let mut experiment = Experiment::new(config.clone())
         .injection_rate(rate)
         .seed(seed)
@@ -220,42 +209,13 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         });
     }
 
-    let faults = fault_links > 0 || fault_rate > 0.0 || fault_ports > 0;
-    let mut schedule_summary = None;
-    if faults {
-        // Permanent faults start in the first half of the horizon, so
-        // size the horizon by the cycles this run will plausibly
-        // execute (the sample usually completes long before the
-        // million-cycle budget) — otherwise most requested faults
-        // would begin after the run has already ended.
-        let nodes = config.topology.num_nodes() as f64;
-        let estimated_cycles = if rate > 0.0 {
-            warmup as f64 + 2.0 * sample as f64 / (rate * nodes)
-        } else {
-            (warmup + 1) as f64
-        };
-        let horizon = (estimated_cycles.ceil() as u64).clamp(1, warmup.saturating_add(max_cycles));
-        let fault_config = FaultConfig {
-            seed: fault_seed,
-            permanent_links: fault_links,
-            transient_rate: fault_rate,
-            horizon,
-            faulty_router_ports: fault_ports,
-            ..FaultConfig::default()
-        };
-        let schedule = FaultSchedule::generate(&config.topology, &fault_config);
-        schedule_summary = Some((schedule.num_faulted_resources(), fault_seed));
-        experiment = experiment.fault_schedule(schedule);
-    }
-
     let report = if ckpt_file.is_some() || resume_from.is_some() {
         // The checkpoint's owner stamp is a hash of every flag that
         // shapes the deterministic run, so a snapshot taken under one
         // command line is never resumed into a different one.
         let canon = format!(
             "simulate|{preset_flag}|{topology}|{shards}|{rate}|{seed}|{warmup}|{sample}\
-             |{max_cycles}|{watchdog}|{audit_every}|{traffic}|{src}|{fault_links}|{fault_rate}\
-             |{fault_ports}|{fault_seed}",
+             |{max_cycles}|{watchdog}|{audit_every}|{traffic}|{src}",
             topology = args.get("topology").unwrap_or(""),
             traffic = args.get("traffic").unwrap_or("uniform"),
             src = args.get("traffic-src").unwrap_or(""),
@@ -282,7 +242,7 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     let text = if args.flag("json") {
         render_json(&preset_name, rate, &report)
     } else {
-        render_human(&preset_name, rate, &report, schedule_summary)
+        render_human(&preset_name, rate, &report)
     };
     let code = match report.outcome() {
         RunOutcome::Completed => 0,
@@ -387,24 +347,10 @@ fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
     out
 }
 
-fn render_human(preset: &str, rate: f64, report: &Report, faults: Option<(usize, u64)>) -> String {
+fn render_human(preset: &str, rate: f64, report: &Report) -> String {
     let mut out = format!("{preset} at {rate} packets/cycle/node\n");
-    if let Some((resources, seed)) = faults {
-        out.push_str(&format!(
-            "fault schedule: {resources} faulted resources (seed {seed})\n"
-        ));
-    }
     out.push_str(&format!("outcome: {}\n", report.outcome()));
     out.push_str(&format!("{report}\n"));
-    let stats = report.stats();
-    if stats.packets_dropped > 0 || stats.packets_detoured > 0 {
-        out.push_str(&format!(
-            "degradation: {} dropped ({:.1}% of injected), {} detoured\n",
-            stats.packets_dropped,
-            100.0 * stats.drop_rate(),
-            stats.packets_detoured,
-        ));
-    }
     if let RunOutcome::Corrupted { violations, cycle } = report.outcome() {
         out.push_str(&format!(
             "invariant audit failed at cycle {cycle}; numbers are untrustworthy:\n"
@@ -442,11 +388,8 @@ fn render_json(preset: &str, rate: f64, report: &Report) -> String {
     let mut packets = o.key("packets").object();
     packets.key("injected").num(stats.packets_injected);
     packets.key("delivered").num(stats.packets_delivered);
-    packets.key("dropped").num(stats.packets_dropped);
-    packets.key("detoured").num(stats.packets_detoured);
     packets.end();
     o.key("flits_delivered").num(stats.flits_delivered);
-    o.key("drop_rate").fixed(stats.drop_rate(), 6);
     match report.outcome() {
         RunOutcome::Deadlocked(diag) => {
             let mut d = o.key("diagnostics").object();
@@ -502,7 +445,6 @@ mod tests {
         let out = run_full(&format!("simulate --preset vc16 --rate 0.03 {QUICK}")).unwrap();
         assert!(out.text.contains("outcome: completed"), "{}", out.text);
         assert!(out.text.contains("latency"), "{}", out.text);
-        assert!(!out.text.contains("degradation"), "{}", out.text);
         assert_eq!(out.code, 0, "completed runs exit 0");
     }
 
@@ -525,16 +467,15 @@ mod tests {
         assert!(out.contains("\"flits_delivered\": "), "{out}");
         assert!(out.contains("\"diagnostics\": null"), "{out}");
         assert!(out.contains("\"audit\": null"), "{out}");
-        assert!(out.contains("\"dropped\": 0"), "{out}");
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         assert_eq!(out, GOLDEN_COMPLETED);
     }
 
-    /// Exact `simulate --json` bytes, generated at `f3a1fbd`: a
+    /// Exact `simulate --json` bytes at `JSON_SCHEMA_VERSION` 5: a
     /// completed run, a watchdog-stopped run (the `diagnostics`
     /// object), and the first `powermap.jsonl` line of the former.
     const GOLDEN_COMPLETED: &str = r#"{
-  "schema_version": 4,
+  "schema_version": 5,
   "preset": "vc16",
   "offered_rate": 0.030000,
   "outcome": "completed",
@@ -545,15 +486,14 @@ mod tests {
   "zero_load_latency_cycles": 15.533333,
   "measured_cycles": 246,
   "total_power_w": 2.351593,
-  "packets": {"injected": 110, "delivered": 111, "dropped": 0, "detoured": 0},
+  "packets": {"injected": 110, "delivered": 111},
   "flits_delivered": 548,
-  "drop_rate": 0.000000,
   "diagnostics": null,
   "audit": null
 }
 "#;
     const GOLDEN_DEADLOCKED: &str = r#"{
-  "schema_version": 4,
+  "schema_version": 5,
   "preset": "wh64",
   "offered_rate": 0.500000,
   "outcome": "livelocked",
@@ -564,9 +504,8 @@ mod tests {
   "zero_load_latency_cycles": 12.400000,
   "measured_cycles": 1095,
   "total_power_w": 12.554632,
-  "packets": {"injected": 11786, "delivered": 2209, "dropped": 0, "detoured": 0},
+  "packets": {"injected": 11786, "delivered": 2209},
   "flits_delivered": 11027,
-  "drop_rate": 0.000000,
   "diagnostics": {"kind": "livelock", "cycle": 1572, "window": 400, "cycles_since_flit_movement": 377, "cycles_since_delivery": 400, "flits_in_network": 2223, "source_backlog": 48642, "stalled_vcs": 36, "blocked_head_flits": 20},
   "audit": null
 }
@@ -621,36 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn fault_flags_degrade_gracefully() {
-        let out = run_line(&format!(
-            "simulate --preset vc16 --rate 0.03 {QUICK} --fault-links 6 --fault-seed 3"
-        ))
-        .unwrap();
-        assert!(out.contains("fault schedule: "), "{out}");
-        assert!(
-            out.contains("outcome: faulted") || out.contains("detoured"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn fault_json_accounts_drops() {
-        let out = run_line(&format!(
-            "simulate --preset vc16 --rate 0.03 {QUICK} --fault-links 8 --fault-seed 3 --json"
-        ))
-        .unwrap();
-        assert!(
-            out.contains("\"outcome\": \"faulted\"") || out.contains("\"outcome\": \"completed\""),
-            "{out}"
-        );
-        assert!(out.contains("\"drop_rate\": "), "{out}");
-    }
-
-    #[test]
     fn runs_are_deterministic_per_seed() {
-        let line = format!(
-            "simulate --preset vc16 --rate 0.04 {QUICK} --seed 5 --fault-links 2 --fault-seed 7"
-        );
+        let line = format!("simulate --preset vc16 --rate 0.04 {QUICK} --seed 5");
         assert_eq!(run_line(&line).unwrap(), run_line(&line).unwrap());
     }
 
@@ -659,7 +570,6 @@ mod tests {
         assert!(run_line("simulate --preset hypercube").is_err());
         assert!(run_line("simulate --rate eleven").is_err());
         assert!(run_line("simulate --rate 1.5").is_err()); // typed ConfigError surfaced
-        assert!(run_line("simulate --fault-rate 2.0").is_err());
         assert!(run_line("simulate --typo 1").is_err());
         assert!(run_line("simulate --rate").is_err()); // value-less option
         assert!(run_line("simulate --audit-every").is_err());
@@ -933,7 +843,7 @@ mod tests {
         let dir = temp_dir("ckpt-shards");
         std::fs::create_dir_all(&dir).unwrap();
         let ck = dir.join("four-shards.ckpt");
-        let canon = "simulate|vc16||1|0.03|1|100|100|20000|1000|0|uniform||0|0|0|1";
+        let canon = "simulate|vc16||1|0.03|1|100|100|20000|1000|0|uniform|";
         orion_ckpt::save_checkpoint(&ck, orion_ckpt::hash::fnv1a64(canon.as_bytes()), &foreign)
             .unwrap();
 

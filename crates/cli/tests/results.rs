@@ -12,11 +12,16 @@
 //!    byte for byte, so a model change that keeps every key still fails;
 //! 3. every `<!-- results:NAME -->` … `<!-- /results -->` block of
 //!    EXPERIMENTS.md equals its rendering from those files, from the
-//!    `orion-power` models and from the newest `BENCH_e2e.json` row.
+//!    `orion-power` models and from the newest `BENCH_e2e.json` row;
+//! 4. every ✓/✗ verdict those blocks render is the one committed in
+//!    [`VERDICTS`], so a verdict cannot flip silently;
+//! 5. every backticked `path.rs` or `path.rs::symbol` in the docs
+//!    names a file that exists and an item that file defines.
 //!
 //! After a deliberate model change, regenerate `docs/results/` with the
 //! § Reproduce commands, then rewrite the blocks with
-//! `cargo test -p orion-cli --test results -- --ignored bless`.
+//! `cargo test -p orion-cli --test results -- --ignored bless`. `bless`
+//! never writes [`VERDICTS`]: a flipped verdict is edited there by hand.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -44,6 +49,8 @@ const SPECS: [&str; 6] = [
 ];
 
 const DOC: &str = "EXPERIMENTS.md";
+/// The committed verdict of every paper claim, by claim id.
+const VERDICTS: &str = "crates/cli/tests/verdicts.txt";
 const OPEN: &str = "<!-- results:";
 const CLOSE: &str = "<!-- /results -->";
 
@@ -174,7 +181,7 @@ fn each_specs_cheapest_cell_reruns_to_its_committed_line() {
 #[test]
 fn experiments_md_blocks_are_their_renderings() {
     let doc = read(DOC);
-    let rendered = render_all();
+    let (rendered, _) = render_all();
     let mut seen = vec![];
     for (name, body) in blocks(&doc) {
         let want = rendered
@@ -196,10 +203,149 @@ fn experiments_md_blocks_are_their_renderings() {
 }
 
 #[test]
+fn rendered_verdicts_are_the_committed_ones() {
+    let (_, verdicts) = render_all();
+    let committed = committed_verdicts();
+    let mut flipped = vec![];
+    for (id, holds) in &verdicts.0 {
+        match committed.get(*id) {
+            None => flipped.push(format!("{id}: rendered, but has no line in {VERDICTS}")),
+            Some(&want) if want != *holds => flipped.push(format!(
+                "{id}: committed {}, rendered {}",
+                mark(want),
+                mark(*holds)
+            )),
+            Some(_) => {}
+        }
+    }
+    for id in committed.keys() {
+        if !verdicts.0.iter().any(|(rendered, _)| rendered == id) {
+            flipped.push(format!("{id}: in {VERDICTS}, but no block renders it"));
+        }
+    }
+    assert!(
+        flipped.is_empty(),
+        "verdicts differ from {VERDICTS} (edit it by hand and say why):\n{}",
+        flipped.join("\n")
+    );
+}
+
+/// [`VERDICTS`] parsed: `id ✓`, or `id ✗ cause` with a non-empty cause.
+fn committed_verdicts() -> BTreeMap<String, bool> {
+    let mut out = BTreeMap::new();
+    for line in read(VERDICTS).lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (id, rest) = line
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("{VERDICTS}: `{line}` has no verdict"));
+        let holds = match rest.trim() {
+            "✓" => true,
+            x => {
+                let cause = x
+                    .strip_prefix('✗')
+                    .unwrap_or_else(|| panic!("{VERDICTS}: `{line}` is neither ✓ nor ✗"));
+                assert!(
+                    !cause.trim().is_empty(),
+                    "{VERDICTS}: ✗ `{id}` gives no cause"
+                );
+                false
+            }
+        };
+        assert!(
+            out.insert(id.to_string(), holds).is_none(),
+            "{VERDICTS}: `{id}` appears twice"
+        );
+    }
+    out
+}
+
+#[test]
+fn doc_anchors_resolve() {
+    let mut docs: Vec<String> = std::fs::read_dir(repo("docs"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".md"))
+        .map(|name| format!("docs/{name}"))
+        .collect();
+    docs.sort();
+    docs.extend(["README.md", "DESIGN.md", DOC].map(String::from));
+    let mut broken = vec![];
+    for doc in &docs {
+        for span in code_spans(&read(doc)) {
+            let Some((path, symbols)) = anchor(&span) else {
+                continue;
+            };
+            let Ok(source) = std::fs::read_to_string(repo(path)) else {
+                broken.push(format!(
+                    "{doc}: `{span}`: no file {path} under the repo root"
+                ));
+                continue;
+            };
+            for symbol in symbols {
+                if !defines(&source, symbol) {
+                    broken.push(format!("{doc}: `{span}`: {path} defines no `{symbol}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "broken doc anchors:\n{}",
+        broken.join("\n")
+    );
+}
+
+/// The inline code spans of a markdown document, fenced blocks skipped.
+fn code_spans(doc: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    prose
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(String::from)
+        .collect()
+}
+
+/// A `path.rs` or `path.rs::a::b` span split into the path and the
+/// symbols it names; `None` for any other span.
+fn anchor(span: &str) -> Option<(&str, Vec<&str>)> {
+    let (path, symbols) = span.split_once("::").unwrap_or((span, ""));
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let symbols: Vec<&str> = symbols.split("::").filter(|s| !s.is_empty()).collect();
+    (path.ends_with(".rs") && path.chars().all(path_char) && symbols.iter().all(|s| ident(s)))
+        .then_some((path, symbols))
+}
+
+/// Whether `source` defines `name` as a `fn`, `struct`, `enum`, `const`
+/// or `mod`.
+fn defines(source: &str, name: &str) -> bool {
+    let words: Vec<&str> = source
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect();
+    words
+        .windows(2)
+        .any(|w| ["fn", "struct", "enum", "const", "mod"].contains(&w[0]) && w[1] == name)
+}
+
+#[test]
 #[ignore = "rewrites the EXPERIMENTS.md results blocks from the committed records"]
 fn bless() {
     let mut doc = read(DOC);
-    let rendered = render_all();
+    let (rendered, _) = render_all();
     for (name, body) in blocks(&doc.clone()).into_iter().rev() {
         doc.replace_range(body, &rendered[name]);
     }
@@ -231,22 +377,26 @@ fn blocks(doc: &str) -> Vec<(&str, Range<usize>)> {
 // Rendering
 // ---------------------------------------------------------------------
 
-/// Every block's rendering, by name.
-fn render_all() -> BTreeMap<&'static str, String> {
+/// Every block's rendering, by name, and the verdicts they state.
+fn render_all() -> (BTreeMap<&'static str, String>, Verdicts) {
     let grids: BTreeMap<&str, Grid> = SPECS.iter().map(|s| (*s, Grid::load(s))).collect();
+    let mut v = Verdicts::default();
     let blocks = [
         ("walkthrough", walkthrough()),
         ("fig5-tables", fig5_tables(&grids["fig5"])),
-        ("fig5a", fig5a(&grids["fig5"])),
-        ("fig5b", fig5b(&grids["fig5"])),
-        ("fig5c", fig5c(&grids["fig5"])),
-        ("fig6a", fig6a()),
-        ("fig6b", fig6b()),
+        ("fig5a", fig5a(&grids["fig5"], &mut v)),
+        ("fig5b", fig5b(&grids["fig5"], &mut v)),
+        ("fig5c", fig5c(&grids["fig5"], &mut v)),
+        ("fig6a", fig6a(&mut v)),
+        ("fig6b", fig6b(&mut v)),
         (
             "fig7-tables",
             fig7_tables(&grids["fig7"], &grids["fig7_broadcast"]),
         ),
-        ("fig7", fig7(&grids["fig7"], &grids["fig7_broadcast"])),
+        (
+            "fig7",
+            fig7(&grids["fig7"], &grids["fig7_broadcast"], &mut v),
+        ),
         ("speed", speed()),
         ("scaling", scaling(&grids["scaling"])),
         (
@@ -257,9 +407,9 @@ fn render_all() -> BTreeMap<&'static str, String> {
             "ablation-discipline",
             discipline(&grids["ablation_discipline"]),
         ),
-        ("validation", validation()),
+        ("validation", validation(&mut v)),
     ];
-    blocks.into_iter().collect()
+    (blocks.into_iter().collect(), v)
 }
 
 /// A markdown table.
@@ -283,8 +433,50 @@ fn mark(holds: bool) -> &'static str {
     }
 }
 
+/// The verdicts the blocks state, `(claim id, holds)` in render order.
+#[derive(Default)]
+struct Verdicts(Vec<(&'static str, bool)>);
+
+impl Verdicts {
+    /// Records claim `id`'s verdict and renders it: ✓ or ✗, `detail`,
+    /// then `†` and every cell among `reads` whose numbers cover almost
+    /// no measured window ([`thin`]). The mark never changes the verdict.
+    fn mark(
+        &mut self,
+        id: &'static str,
+        holds: bool,
+        reads: &[&CellRecord],
+        detail: &str,
+    ) -> String {
+        self.0.push((id, holds));
+        let mut out = format!("{}{detail}", mark(holds));
+        let mut by_preset: Vec<(&str, Vec<String>)> = vec![];
+        for r in reads.iter().filter(|r| thin(r)) {
+            let rate = format!("{:.2}", r.rate);
+            match by_preset.iter_mut().find(|(p, _)| *p == r.preset) {
+                Some((_, rates)) => rates.push(rate),
+                None => by_preset.push((&r.preset, vec![rate])),
+            }
+        }
+        if !by_preset.is_empty() {
+            let cells: Vec<String> = by_preset
+                .iter()
+                .map(|(p, rates)| format!("{p} @ {}", rates.join(", ")))
+                .collect();
+            out.push_str(&format!(" † {}", cells.join("; ")));
+        }
+        out
+    }
+}
+
 fn stalled(r: &CellRecord) -> bool {
     matches!(r.outcome.as_str(), "deadlocked" | "livelocked")
+}
+
+/// A cell that stalled during warm-up (1 measured cycle, 0 W) or
+/// livelocked (power over a short live window).
+fn thin(r: &CellRecord) -> bool {
+    r.measured_cycles <= 1 || r.outcome == "livelocked"
 }
 
 /// A latency cell: `*` saturated, `!` deadlocked or livelocked, `-` no
@@ -318,6 +510,24 @@ fn knee(column: &[&CellRecord]) -> Option<f64> {
         .take_while(|r| !r.saturated && r.outcome == "completed")
         .last()
         .map(|r| r.rate)
+}
+
+/// A column's cells through the first one that satisfies `stop` (all
+/// of them when none does): the cells a scan for it reads.
+fn through_first<'a>(
+    column: &[&'a CellRecord],
+    stop: impl Fn(&CellRecord) -> bool,
+) -> Vec<&'a CellRecord> {
+    let n = column
+        .iter()
+        .position(|r| stop(r))
+        .map_or(column.len(), |i| i + 1);
+    column[..n].to_vec()
+}
+
+/// The cells [`knee`] reads.
+fn knee_reads<'a>(column: &[&'a CellRecord]) -> Vec<&'a CellRecord> {
+    through_first(column, |r| r.saturated || r.outcome != "completed")
 }
 
 fn knee_text(column: &[&CellRecord]) -> String {
@@ -415,7 +625,7 @@ fn fig5_tables(g: &Grid) -> String {
 
 const VERDICT: [&str; 4] = ["claim (paper)", "measured", "records", "verdict"];
 
-fn fig5a(g: &Grid) -> String {
+fn fig5a(g: &Grid, v: &mut Verdicts) -> String {
     let cols = fig5_columns(g);
     let knees: Vec<String> = FIG5
         .iter()
@@ -431,17 +641,30 @@ fn fig5a(g: &Grid) -> String {
             None => format!("{label} none"),
         })
         .collect();
-    let survivors: Vec<String> = [2, 3]
-        .iter()
-        .map(|&i| format!("{} {}", mark(first_stall(&cols[i]).is_none()), FIG5[i].1))
-        .collect();
+    let survivors: Vec<String> = [
+        (2, "fig5a.vc64-never-stalls"),
+        (3, "fig5a.vc128-never-stalls"),
+    ]
+    .into_iter()
+    .map(|(i, id)| {
+        let detail = format!(" {}", FIG5[i].1);
+        let reads = through_first(&cols[i], stalled);
+        v.mark(id, first_stall(&cols[i]).is_none(), &reads, &detail)
+    })
+    .collect();
     let (wh, vc) = (g.at("wh64", 0.02), g.at("vc16", 0.02));
+    let knee_cells = [knee_reads(&cols[0]), knee_reads(&cols[1])].concat();
     let rows = vec![
         vec![
             "VC16 saturates at ≈0.15 pkt/cyc/node, **above** WH64 (≈0.11)".into(),
             format!("last unsaturated rate: {}", knees.join(", ")),
             "every `fig5` cell".into(),
-            format!("{} ordering", mark(knee(&cols[1]) > knee(&cols[0]))),
+            v.mark(
+                "fig5a.vc16-knee-above-wh64",
+                knee(&cols[1]) > knee(&cols[0]),
+                &knee_cells,
+                " ordering",
+            ),
         ],
         vec![
             "VC adds pipeline latency at low load".into(),
@@ -450,7 +673,12 @@ fn fig5a(g: &Grid) -> String {
                 wh.avg_latency, vc.avg_latency
             ),
             "`fig5` wh64, vc16 @ 0.02".into(),
-            mark(vc.avg_latency > wh.avg_latency).into(),
+            v.mark(
+                "fig5a.vc-adds-low-load-latency",
+                vc.avg_latency > wh.avg_latency,
+                &[wh, vc],
+                "",
+            ),
         ],
         vec![
             "VC64/VC128 sustain the highest rates".into(),
@@ -465,7 +693,7 @@ fn fig5a(g: &Grid) -> String {
     table(&VERDICT, &rows)
 }
 
-fn fig5b(g: &Grid) -> String {
+fn fig5b(g: &Grid, v: &mut Verdicts) -> String {
     let cols = fig5_columns(g);
     let live = |r: &CellRecord| r.outcome == "completed" && !r.saturated;
     let (wh, vc16, vc64, vc128) = (&cols[0], &cols[1], &cols[2], &cols[3]);
@@ -505,6 +733,9 @@ fn fig5b(g: &Grid) -> String {
             })
         })
         .collect();
+    let pre_cells: Vec<&CellRecord> = pre.iter().flat_map(|&i| [wh[i], vc16[i]]).collect();
+    let wh_vc16 = [wh.as_slice(), vc16.as_slice()].concat();
+    let every = cols.concat();
     let n = vc64.len();
     let step = |i: usize| vc64[i].total_power_w - vc64[i - 1].total_power_w;
     let ramp = (vc64[4].total_power_w - vc64[0].total_power_w) / 4.0;
@@ -516,7 +747,12 @@ fn fig5b(g: &Grid) -> String {
                 pre.len()
             ),
             "`fig5` wh64, vc16, every rate".into(),
-            mark(below == pre.len()).into(),
+            v.mark(
+                "fig5b.vc16-below-wh64",
+                below == pre.len(),
+                &pre_cells,
+                "",
+            ),
         ],
         vec![
             "VC16 exceeds WH64 past ≈0.11 (WH64 saturates, VC16 keeps absorbing)".into(),
@@ -526,7 +762,12 @@ fn fig5b(g: &Grid) -> String {
                 format!("VC16 draws more at {}", crossings.join(", "))
             },
             "`fig5` wh64, vc16, every rate".into(),
-            mark(!crossings.is_empty()).into(),
+            v.mark(
+                "fig5b.vc16-above-wh64-past-knee",
+                !crossings.is_empty(),
+                &wh_vc16,
+                "",
+            ),
         ],
         vec![
             "VC64 ≈ WH64 (equal buffering per port)".into(),
@@ -535,7 +776,12 @@ fn fig5b(g: &Grid) -> String {
                 100.0 * (ratio - 1.0)
             ),
             "`fig5` vc64, wh64 @ 0.10".into(),
-            format!("{} (within ±10%)", mark((ratio - 1.0).abs() < 0.10)),
+            v.mark(
+                "fig5b.vc64-matches-wh64",
+                (ratio - 1.0).abs() < 0.10,
+                &[g.at("vc64", 0.10), g.at("wh64", 0.10)],
+                " (within ±10%)",
+            ),
         ],
         vec![
             "VC128 is the most power-hungry at every rate".into(),
@@ -545,7 +791,12 @@ fn fig5b(g: &Grid) -> String {
                 format!("highest except {}", not_top.join("; "))
             },
             "`fig5` every cell".into(),
-            mark(not_top.is_empty()).into(),
+            v.mark(
+                "fig5b.vc128-most-power-hungry",
+                not_top.is_empty(),
+                &every,
+                "",
+            ),
         ],
         vec![
             "power levels off after saturation".into(),
@@ -561,13 +812,18 @@ fn fig5b(g: &Grid) -> String {
                 ramp
             ),
             "`fig5` vc64, every rate".into(),
-            format!("{} (last step < half the ramp)", mark(step(n - 1) < ramp / 2.0)),
+            v.mark(
+                "fig5b.power-levels-off",
+                step(n - 1) < ramp / 2.0,
+                vc64,
+                " (last step < half the ramp)",
+            ),
         ],
     ];
     table(&VERDICT, &rows)
 }
 
-fn fig5c(g: &Grid) -> String {
+fn fig5c(g: &Grid, v: &mut Verdicts) -> String {
     let r = g.at("vc64", 0.10);
     let total = r.total_power_w;
     let datapath = r.buffer_w + r.crossbar_w;
@@ -581,19 +837,19 @@ fn fig5c(g: &Grid) -> String {
                 share(r.buffer_w, total),
                 share(r.crossbar_w, total)
             ),
-            mark(datapath / total > 0.85).into(),
+            v.mark("fig5c.datapath-share", datapath / total > 0.85, &[r], ""),
         ],
         vec![
             "arbiters".into(),
             "< 1% (\"invisible\")".into(),
             format!("{:.2}%", 100.0 * r.arbiter_w / total),
-            mark(r.arbiter_w / total < 0.01).into(),
+            v.mark("fig5c.arbiter-share", r.arbiter_w / total < 0.01, &[r], ""),
         ],
         vec![
             "links".into(),
             "< 15%".into(),
             share(r.link_w, total),
-            mark(r.link_w / total < 0.15).into(),
+            v.mark("fig5c.link-share", r.link_w / total < 0.15, &[r], ""),
         ],
     ];
     table(&["component", "paper", "measured", "verdict"], &rows)
@@ -637,17 +893,17 @@ fn spread(values: impl Iterator<Item = f64> + Clone) -> f64 {
     max / min
 }
 
-fn fig6a() -> String {
+fn fig6a(v: &mut Verdicts) -> String {
     let map = power_map("fig6a");
     let s = spread(map.iter().flatten().copied());
     format!(
         "{}\nmax/min spread **{s:.3}**: {} (\"almost identical\", read as a spread ≤ 1.10)\n",
         map_table(&map),
-        mark(s <= 1.10)
+        v.mark("fig6a.uniform-map-flat", s <= 1.10, &[], "")
     )
 }
 
-fn fig6b() -> String {
+fn fig6b(v: &mut Verdicts) -> String {
     let map = power_map("fig6b");
     let at = |x: usize, y: usize| map[y][x];
     let max = map.iter().flatten().copied().fold(f64::MIN, f64::max);
@@ -670,7 +926,7 @@ fn fig6b() -> String {
         vec![
             "source consumes the most power".into(),
             format!("(1,2) = {:.4} W, map maximum {max:.4} W", at(1, 2)),
-            mark(at(1, 2) == max).into(),
+            v.mark("fig6b.source-hottest", at(1, 2) == max, &[], ""),
         ],
         vec![
             "power decays quickly with distance from the source".into(),
@@ -682,7 +938,7 @@ fn fig6b() -> String {
                     .collect::<Vec<_>>()
                     .join(" / ")
             ),
-            mark(decays).into(),
+            v.mark("fig6b.decays-with-distance", decays, &[], ""),
         ],
         vec![
             "y-first routing: (1,1), (1,3) above (0,2), (2,2)".into(),
@@ -693,7 +949,12 @@ fn fig6b() -> String {
                 at(0, 2),
                 at(2, 2)
             ),
-            mark(at(1, 1).min(at(1, 3)) > at(0, 2).max(at(2, 2))).into(),
+            v.mark(
+                "fig6b.y-first-routing",
+                at(1, 1).min(at(1, 3)) > at(0, 2).max(at(2, 2)),
+                &[],
+                "",
+            ),
         ],
         vec![
             "nodes sharing an x (off the source column) consume alike".into(),
@@ -701,7 +962,7 @@ fn fig6b() -> String {
                 "max/min within x=0, 2, 3: {}",
                 columns.map(|s| format!("{s:.3}")).join(", ")
             ),
-            format!("{} (each ≤ 1.10)", mark(worst <= 1.10)),
+            v.mark("fig6b.columns-alike", worst <= 1.10, &[], " (each ≤ 1.10)"),
         ],
     ];
     format!(
@@ -748,7 +1009,7 @@ fn fig7_tables(uniform: &Grid, broadcast: &Grid) -> String {
     )
 }
 
-fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
+fn fig7(uniform: &Grid, broadcast: &Grid, v: &mut Verdicts) -> String {
     let area = |cfg: orion_core::NetworkConfig| cfg.router_area().unwrap().total();
     let (a_xb, a_cb) = (
         area(presets::xb_chip_to_chip()),
@@ -779,6 +1040,9 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
         .collect();
     let flat_links = links.iter().all(|w| *w == links[0]);
     let (b2x, b2c) = (broadcast.at("xb", 0.2), broadcast.at("cb", 0.2));
+    let uniform_cells: Vec<&CellRecord> = uniform.records.iter().collect();
+    let broadcast_cells: Vec<&CellRecord> = broadcast.records.iter().collect();
+    let every = [uniform_cells.as_slice(), broadcast_cells.as_slice()].concat();
     let rows = vec![
         vec![
             "matched area (§4.4): roughly the same".into(),
@@ -788,9 +1052,11 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 a_cb.as_mm2()
             ),
             "`presets::{xb,cb}_chip_to_chip` router area".into(),
-            format!(
-                "{} (ratio within 0.75–1.33)",
-                mark((0.75..=1.33).contains(&area_ratio))
+            v.mark(
+                "fig7.matched-area",
+                (0.75..=1.33).contains(&area_ratio),
+                &[],
+                " (ratio within 0.75–1.33)",
             ),
         ],
         vec![
@@ -801,7 +1067,12 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 knee_text(&cb)
             ),
             "`fig7` every cell".into(),
-            mark(knee(&cb) < xb_knee).into(),
+            v.mark(
+                "fig7.cb-saturates-below-xb",
+                knee(&cb) < xb_knee,
+                &uniform_cells,
+                "",
+            ),
         ],
         vec![
             "7(b): CB consumes more".into(),
@@ -816,10 +1087,11 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 ),
             },
             "`fig7` every cell".into(),
-            format!(
-                "{} up to XB's knee ({})",
-                mark(cb_more_to_knee),
-                knee_text(&xb)
+            v.mark(
+                "fig7.cb-consumes-more",
+                cb_more_to_knee,
+                &uniform_cells,
+                &format!(" up to XB's knee ({})", knee_text(&xb)),
             ),
         ],
         vec![
@@ -832,19 +1104,29 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 latency(b2c)
             ),
             "`fig7_broadcast` every cell".into(),
-            mark(knee(&bcb) > knee(&bxb)).into(),
+            v.mark(
+                "fig7.cb-better-under-broadcast",
+                knee(&bcb) > knee(&bxb),
+                &broadcast_cells,
+                "",
+            ),
         ],
         vec![
             "7(e): CB consumes more under broadcast".into(),
             format!("CB above XB at {bc_above} of {} source rates", bcb.len()),
             "`fig7_broadcast` every cell".into(),
-            mark(bc_above == bcb.len()).into(),
+            v.mark(
+                "fig7.cb-more-under-broadcast",
+                bc_above == bcb.len(),
+                &broadcast_cells,
+                "",
+            ),
         ],
         vec![
             "7(c): chip-to-chip links > 70% of XB node power".into(),
             share(x9.link_w, x9.total_power_w),
             "`fig7` xb @ 0.09".into(),
-            mark(link_share > 0.70).into(),
+            v.mark("fig7.links-over-70pct", link_share > 0.70, &[x9], ""),
         ],
         vec![
             "7(c): XB's dominant router component is the input buffers".into(),
@@ -853,7 +1135,12 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 x9.buffer_w, x9.crossbar_w, x9.arbiter_w
             ),
             "`fig7` xb @ 0.09".into(),
-            mark(x9.buffer_w > x9.crossbar_w.max(x9.arbiter_w)).into(),
+            v.mark(
+                "fig7.xb-buffers-dominate",
+                x9.buffer_w > x9.crossbar_w.max(x9.arbiter_w),
+                &[x9],
+                "",
+            ),
         ],
         vec![
             "7(f): CB's dominant router component is the central buffer".into(),
@@ -864,7 +1151,12 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 c9.crossbar_w + c9.arbiter_w
             ),
             "`fig7` cb @ 0.09".into(),
-            mark(c9.central_w > c9.buffer_w.max(c9.crossbar_w + c9.arbiter_w)).into(),
+            v.mark(
+                "fig7.cb-central-dominates",
+                c9.central_w > c9.buffer_w.max(c9.crossbar_w + c9.arbiter_w),
+                &[c9],
+                "",
+            ),
         ],
         vec![
             "links are traffic-insensitive".into(),
@@ -874,7 +1166,7 @@ fn fig7(uniform: &Grid, broadcast: &Grid) -> String {
                 links.len()
             ),
             "every `fig7` and `fig7_broadcast` cell".into(),
-            mark(flat_links).into(),
+            v.mark("fig7.links-traffic-insensitive", flat_links, &every, ""),
         ],
     ];
     table(&VERDICT, &rows)
@@ -1034,7 +1326,7 @@ fn xb_router_power(
 /// InfiniBand 8-port 12X switch (central buffer of 4×2560 32-bit rows,
 /// 64-flit input buffers, 250 MHz, 0.13 µm, 0.5 flits/port/cycle,
 /// eight 3 W links).
-fn validation() -> String {
+fn validation(v: &mut Verdicts) -> String {
     let (a_dyn, a_leak) = xb_router_power(
         8,
         128,
@@ -1060,7 +1352,10 @@ fn validation() -> String {
 
     let alpha_ratio = a_total.0 / 25.0;
     let link_share = i_links.0 / i_total.0;
-    let verdict = |ok: bool| if ok { "✓" } else { "✗ deviation" };
+    let mut verdict = |id, ok: bool, tolerance: &str| {
+        let detail = if ok { "" } else { " deviation" };
+        format!("{} ({tolerance})", v.mark(id, ok, &[], detail))
+    };
     let w = |x: Watts| format!("{:.2}", x.0);
     let rows = vec![
         vec!["router dynamic (W)".into(), w(a_dyn), w(i_dyn)],
@@ -1083,13 +1378,15 @@ fn validation() -> String {
         ],
         vec![
             "verdict".into(),
-            format!(
-                "{} (tolerance 0.5×–2×)",
-                verdict((0.5..=2.0).contains(&alpha_ratio))
+            verdict(
+                "validation.alpha21364",
+                (0.5..=2.0).contains(&alpha_ratio),
+                "tolerance 0.5×–2×",
             ),
-            format!(
-                "{} (tolerance ±10 pp)",
-                verdict((link_share - 0.60).abs() <= 0.10)
+            verdict(
+                "validation.infiniband",
+                (link_share - 0.60).abs() <= 0.10,
+                "tolerance ±10 pp",
             ),
         ],
     ];

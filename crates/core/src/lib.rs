@@ -16,8 +16,8 @@
 //! * [`Report`] — latency, throughput, saturation detection, total /
 //!   per-node / per-component power ([`report`]),
 //! * [`RunOutcome`] — how a run ended: completed, saturated,
-//!   deadlocked (with watchdog diagnostics), faulted (with drop
-//!   accounting) or budget-exhausted ([`report`]),
+//!   deadlocked (with watchdog diagnostics), corrupted or
+//!   budget-exhausted ([`report`]),
 //! * [`ObserveOptions`] — opt-in observability: event metrics, per-node
 //!   probe time series (the Fig. 6 power map over time) and flit
 //!   lifecycle spans, collected into

@@ -15,8 +15,8 @@ use orion_tech::{average_power, Hertz, Joules, Watts};
 ///
 /// The paper's measurement discipline (§4.1) distinguishes only
 /// "finished" from "ran out of budget"; this enum separates the ways a
-/// run can fail to finish so sweeps and fault studies can report
-/// *graceful degradation* instead of a single boolean:
+/// run can fail to finish so sweeps can report *graceful degradation*
+/// instead of a single boolean:
 ///
 /// * [`Completed`](RunOutcome::Completed) — every tagged packet was
 ///   delivered within the cycle budget,
@@ -26,9 +26,6 @@ use orion_tech::{average_power, Hertz, Joules, Watts};
 /// * [`Deadlocked`](RunOutcome::Deadlocked) — the watchdog detected a
 ///   no-progress window; the [`StallDiagnostics`] says whether it was a
 ///   true deadlock or a livelock and which VCs were blocked,
-/// * [`Faulted`](RunOutcome::Faulted) — fault-aware routing dropped
-///   packets at injection (no path over surviving links), but the rest
-///   of the sample was delivered,
 /// * [`BudgetExhausted`](RunOutcome::BudgetExhausted) — the cycle
 ///   budget ran out with tagged packets still outstanding and no
 ///   sharper classification available,
@@ -49,14 +46,6 @@ pub enum RunOutcome {
     /// The watchdog fired on a no-progress window; the diagnostics
     /// carry the classification ([`StallKind`]) and the blocked VCs.
     Deadlocked(StallDiagnostics),
-    /// Faults made some packets unroutable; they were dropped at the
-    /// source with accounting, and the remainder delivered.
-    Faulted {
-        /// Packets fully delivered despite the faults.
-        delivered: u64,
-        /// Packets dropped at injection (no path over surviving links).
-        dropped: u64,
-    },
     /// The cycle budget ran out with tagged packets still in flight.
     BudgetExhausted,
     /// The invariant auditor found the simulator's accounting broken —
@@ -71,7 +60,7 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Whether the run delivered its full tagged sample without drops.
+    /// Whether the run delivered its full tagged sample.
     pub fn is_completed(&self) -> bool {
         matches!(self, RunOutcome::Completed)
     }
@@ -93,7 +82,6 @@ impl RunOutcome {
                 StallKind::Livelock => "livelocked",
                 _ => "deadlocked",
             },
-            RunOutcome::Faulted { .. } => "faulted",
             RunOutcome::BudgetExhausted => "budget-exhausted",
             RunOutcome::Corrupted { .. } => "corrupted",
         }
@@ -116,9 +104,6 @@ impl std::fmt::Display for RunOutcome {
             RunOutcome::Saturated => write!(f, "saturated (source backlog diverging)"),
             RunOutcome::Deadlocked(diag) => {
                 write!(f, "{} at cycle {}", diag.kind, diag.cycle)
-            }
-            RunOutcome::Faulted { delivered, dropped } => {
-                write!(f, "faulted ({delivered} delivered, {dropped} dropped)")
             }
             RunOutcome::BudgetExhausted => write!(f, "budget exhausted"),
             RunOutcome::Corrupted { violations, cycle } => {
@@ -266,7 +251,7 @@ impl Report {
     }
 
     /// How the run ended: completed, saturated, deadlocked (with
-    /// diagnostics), faulted (with drop accounting) or out of budget.
+    /// diagnostics), corrupted or out of budget.
     pub fn outcome(&self) -> &RunOutcome {
         &self.outcome
     }
@@ -306,15 +291,13 @@ impl Report {
     /// divergence or the cycle budget is saturated by definition).
     pub fn is_saturated(&self) -> bool {
         match &self.outcome {
-            RunOutcome::Completed | RunOutcome::Faulted { .. } => {
-                self.avg_latency() > 2.0 * self.zero_load_latency
-            }
+            RunOutcome::Completed => self.avg_latency() > 2.0 * self.zero_load_latency,
             _ => true,
         }
     }
 
     /// Whether the run delivered every tagged packet within its cycle
-    /// budget without drops.
+    /// budget.
     #[deprecated(
         since = "0.1.0",
         note = "inspect `Report::outcome()` instead; `completed()` collapses \
@@ -426,9 +409,6 @@ impl std::fmt::Display for Report {
         let suffix = match &self.outcome {
             RunOutcome::Completed | RunOutcome::Saturated => String::new(),
             RunOutcome::Deadlocked(diag) => format!(", {}", diag.kind),
-            RunOutcome::Faulted { delivered, dropped } => {
-                format!(", faulted ({delivered} delivered, {dropped} dropped)")
-            }
             RunOutcome::BudgetExhausted => ", budget exhausted".to_string(),
             RunOutcome::Corrupted { violations, .. } => {
                 format!(", CORRUPTED ({} violations)", violations.len())
@@ -592,7 +572,6 @@ mod tests {
             flits_in_network: 12,
             source_backlog: 30,
             packets_delivered: 4,
-            packets_dropped: 0,
             stalled_vcs: Vec::new(),
         };
         let dead = outcome_report(RunOutcome::Deadlocked(diag.clone()));
@@ -600,17 +579,6 @@ mod tests {
         assert_eq!(dead.stall_diagnostics(), Some(&diag));
         assert_eq!(dead.outcome().label(), "deadlocked");
         assert!(dead.to_string().contains("deadlock"));
-
-        // Drops degrade the run without marking it saturated: latency
-        // of the delivered remainder still decides saturation.
-        let faulted = outcome_report(RunOutcome::Faulted {
-            delivered: 8,
-            dropped: 2,
-        });
-        assert!(!faulted.is_saturated(), "latency 20 < 2×15");
-        assert!(!faulted.completed() && !faulted.deadlocked());
-        assert_eq!(faulted.outcome().label(), "faulted");
-        assert!(faulted.to_string().contains("2 dropped"));
 
         let done = outcome_report(RunOutcome::Completed);
         assert!(done.completed() && done.outcome().is_completed());
@@ -622,14 +590,6 @@ mod tests {
         assert_eq!(RunOutcome::Completed.label(), "completed");
         assert_eq!(RunOutcome::Saturated.label(), "saturated");
         assert_eq!(RunOutcome::BudgetExhausted.label(), "budget-exhausted");
-        assert_eq!(
-            RunOutcome::Faulted {
-                delivered: 1,
-                dropped: 1
-            }
-            .label(),
-            "faulted"
-        );
         assert_eq!(
             RunOutcome::Corrupted {
                 violations: Vec::new(),

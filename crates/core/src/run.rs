@@ -11,15 +11,14 @@
 //! 1000 cycles". A cycle budget still bounds every run, but the runner
 //! does not merely wait it out: a watchdog
 //! ([`Network::check_stall`](orion_sim::Network::check_stall)) detects
-//! no-progress windows and classifies them (deadlock vs livelock), a
-//! backlog-divergence check detects saturation early, and fault-aware
-//! routing accounts for dropped packets — each reported as a structured
-//! [`RunOutcome`] on the [`Report`].
+//! no-progress windows and classifies them (deadlock vs livelock) and a
+//! backlog-divergence check detects saturation early — each reported as
+//! a structured [`RunOutcome`] on the [`Report`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use orion_net::{FaultSchedule, NodeId, TraceTraffic, TrafficPattern};
+use orion_net::{NodeId, TraceTraffic, TrafficPattern};
 use orion_obs::{ObsSink, Prober};
 use orion_shard::ShardedNetwork;
 use orion_sim::snapshot::ByteWriter;
@@ -76,7 +75,6 @@ pub struct Experiment {
     warmup: u64,
     sample_packets: u64,
     max_cycles: u64,
-    fault_schedule: Option<FaultSchedule>,
     watchdog: u64,
     audit_every: u64,
     observe: Option<ObserveOptions>,
@@ -106,7 +104,6 @@ impl Experiment {
             warmup: 1000,
             sample_packets: 10_000,
             max_cycles: 1_000_000,
-            fault_schedule: None,
             watchdog: DEFAULT_WATCHDOG,
             audit_every: 0,
             observe: None,
@@ -163,15 +160,6 @@ impl Experiment {
     /// Overrides the total cycle budget.
     pub fn max_cycles(mut self, cycles: u64) -> Experiment {
         self.max_cycles = cycles;
-        self
-    }
-
-    /// Installs a deterministic fault schedule: routing consults it at
-    /// every injection, detouring around dead links and dropping (with
-    /// accounting) packets that no surviving path can carry. A run with
-    /// drops ends as [`RunOutcome::Faulted`].
-    pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Experiment {
-        self.fault_schedule = Some(schedule);
         self
     }
 
@@ -313,9 +301,6 @@ impl Experiment {
         // `ShardedNetwork` *is* the monolithic engine.
         let mut net = ShardedNetwork::new(spec, models, self.shards);
         net.set_engine_mode(self.engine);
-        if let Some(schedule) = &self.fault_schedule {
-            net.set_fault_schedule(schedule.clone());
-        }
 
         // Observability (opt-in): the sink is attached at the start of
         // the *measured* phase so its metrics cover the same window as
@@ -415,7 +400,7 @@ impl Experiment {
             let mut drained = false;
             if measuring {
                 // A synthetic run measures until its tagged sample has
-                // all ejected or dropped (injection continues); a replay
+                // all ejected (injection continues); a replay
                 // until the trace is exhausted and the network drains.
                 // `is_drained` is O(nodes): once per iteration, replays only.
                 let work_left = match &workload {
@@ -515,12 +500,6 @@ impl Experiment {
                 let cycle = net.cycle();
                 outcome = RunOutcome::Corrupted { violations, cycle };
             }
-        }
-        if outcome == RunOutcome::Completed && net.packets_dropped() > 0 {
-            outcome = RunOutcome::Faulted {
-                delivered: net.packets_delivered(),
-                dropped: net.packets_dropped(),
-            };
         }
 
         // For a deadlocked run, average power over the live portion of
@@ -861,44 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_run_accounts_drops_and_detours() {
-        use orion_net::{FaultConfig, FaultSchedule};
-        let cfg = presets::vc16_onchip();
-        let schedule = FaultSchedule::generate(
-            &cfg.topology,
-            &FaultConfig {
-                seed: 9,
-                permanent_links: 6,
-                // Tiny horizon: every permanent fault starts at cycle 0,
-                // so even this short run routes around dead links.
-                horizon: 1,
-                ..FaultConfig::default()
-            },
-        );
-        let r = Experiment::new(cfg)
-            .injection_rate(0.03)
-            .fault_schedule(schedule)
-            .warmup(200)
-            .sample_packets(300)
-            .max_cycles(100_000)
-            .run()
-            .unwrap();
-        match r.outcome() {
-            RunOutcome::Faulted { delivered, dropped } => {
-                assert_eq!(*dropped, r.stats().packets_dropped);
-                assert_eq!(*delivered, r.stats().packets_delivered);
-                assert!(*dropped > 0 && *delivered > 0);
-            }
-            RunOutcome::Completed => {
-                // Legal when every injected packet found a detour.
-                assert_eq!(r.stats().packets_dropped, 0);
-                assert!(r.stats().packets_detoured > 0, "6 dead links must detour");
-            }
-            other => panic!("fault run must degrade gracefully, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn out_of_range_rate_is_a_typed_error_not_a_panic() {
         for rate in [-0.5, 1.5] {
             match Experiment::new(presets::vc16_onchip())
@@ -990,40 +931,6 @@ mod tests {
         );
         assert_eq!(r.outcome(), &RunOutcome::Completed);
         assert_eq!(r.outcome().audit_violations(), None);
-    }
-
-    #[test]
-    fn audited_faulted_run_keeps_its_classification() {
-        // Drops are legitimate accounting, not corruption: the auditor
-        // must not misread fault-dropped flits as a conservation leak.
-        use orion_net::{FaultConfig, FaultSchedule};
-        let cfg = presets::vc16_onchip();
-        let schedule = FaultSchedule::generate(
-            &cfg.topology,
-            &FaultConfig {
-                seed: 9,
-                permanent_links: 6,
-                horizon: 1,
-                ..FaultConfig::default()
-            },
-        );
-        let r = Experiment::new(cfg)
-            .injection_rate(0.03)
-            .fault_schedule(schedule)
-            .warmup(200)
-            .sample_packets(300)
-            .max_cycles(100_000)
-            .audit_every(25)
-            .run()
-            .unwrap();
-        assert!(
-            matches!(
-                r.outcome(),
-                RunOutcome::Faulted { .. } | RunOutcome::Completed
-            ),
-            "got {:?}",
-            r.outcome()
-        );
     }
 
     #[test]

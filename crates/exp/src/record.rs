@@ -96,10 +96,6 @@ pub struct CellRecord {
     pub packets_injected: u64,
     /// Packets delivered during the run.
     pub packets_delivered: u64,
-    /// Packets dropped (fault runs).
-    pub packets_dropped: u64,
-    /// Packets detoured around faults.
-    pub packets_detoured: u64,
     /// Flits ejected during the run.
     pub flits_delivered: u64,
     /// Median tagged-packet latency in cycles (NaN when the latency
@@ -144,8 +140,6 @@ impl CellRecord {
             central_w: report.component_power(Component::CentralBuffer).0,
             packets_injected: report.stats().packets_injected,
             packets_delivered: report.stats().packets_delivered,
-            packets_dropped: report.stats().packets_dropped,
-            packets_detoured: report.stats().packets_detoured,
             flits_delivered: report.stats().flits_delivered,
             latency_p50: percentile_or_nan(report, 50.0),
             latency_p99: percentile_or_nan(report, 99.0),
@@ -186,8 +180,6 @@ impl CellRecord {
             central_w: 0.0,
             packets_injected: 0,
             packets_delivered: 0,
-            packets_dropped: 0,
-            packets_detoured: 0,
             flits_delivered: 0,
             latency_p50: f64::NAN,
             latency_p99: f64::NAN,
@@ -294,8 +286,10 @@ impl CellRecord {
         o.key("central_w").f64(self.central_w);
         o.key("packets_injected").num(self.packets_injected);
         o.key("packets_delivered").num(self.packets_delivered);
-        o.key("packets_dropped").num(self.packets_dropped);
-        o.key("packets_detoured").num(self.packets_detoured);
+        // Schema-4 columns from the retired fault model, always 0. They
+        // leave at the next SCHEMA_VERSION / MODEL_VERSION bump.
+        o.key("packets_dropped").num(0);
+        o.key("packets_detoured").num(0);
         o.key("flits_delivered").num(self.flits_delivered);
         o.key("latency_p50").f64(self.latency_p50);
         o.key("latency_p99").f64(self.latency_p99);
@@ -352,8 +346,6 @@ impl CellRecord {
             central_w: obj.get("central_w")?.as_f64()?,
             packets_injected: obj.get("packets_injected")?.as_u64()?,
             packets_delivered: obj.get("packets_delivered")?.as_u64()?,
-            packets_dropped: obj.get("packets_dropped")?.as_u64()?,
-            packets_detoured: obj.get("packets_detoured")?.as_u64()?,
             flits_delivered: obj.get("flits_delivered")?.as_u64()?,
             latency_p50: nullable_f64("latency_p50")?,
             latency_p99: nullable_f64("latency_p99")?,
@@ -378,7 +370,9 @@ impl CellRecord {
     }
 
     /// One CSV data row (no trailing newline). The free-text `error`
-    /// field is JSONL-only; CSV carries the outcome label.
+    /// field is JSONL-only; CSV carries the outcome label. The two
+    /// literal `0` columns are `packets_dropped` and `packets_detoured`
+    /// (see [`CellRecord::to_json_line`]).
     pub fn to_csv_row(&self) -> String {
         let f = |x: f64| {
             if x.is_nan() {
@@ -416,8 +410,8 @@ impl CellRecord {
             f(self.central_w),
             self.packets_injected,
             self.packets_delivered,
-            self.packets_dropped,
-            self.packets_detoured,
+            0,
+            0,
             self.flits_delivered,
             f(self.latency_p50),
             f(self.latency_p99),

@@ -15,11 +15,11 @@
 //!   broadcast, transpose, bit-complement, tornado, hotspot and
 //!   nearest-neighbour, all driven by a Bernoulli injection process,
 //! * [`trace`] — record/replay of communication traces (§4.3: "Orion can
-//!   be interfaced with actual communication traces"),
-//! * [`fault`] — deterministic, seeded link/router-port fault schedules
-//!   ([`FaultSchedule`]) and fault-aware routing
-//!   ([`fault_aware_dor_route`]) that detours over surviving links or
-//!   reports the packet unroutable.
+//!   be interfaced with actual communication traces").
+//!
+//! The network is fault-free, as in the paper: a packet's route is a
+//! pure function of the topology, its endpoints and the dimension
+//! order.
 //!
 //! # Example
 //!
@@ -36,15 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod routing;
 pub mod topology;
 pub mod trace;
 pub mod traffic;
 
-pub use fault::{
-    fault_aware_dor_route, FaultConfig, FaultKind, FaultSchedule, LinkId, RouteOutcome,
-};
 pub use routing::{dor_route, DimensionOrder, Route};
 pub use topology::{Direction, NodeId, Port, Topology, TopologyError, TopologyKind};
 pub use trace::{TraceEvent, TraceTraffic};

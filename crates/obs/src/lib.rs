@@ -46,8 +46,6 @@ pub mod keys {
     pub const PACKETS_INJECTED: &str = "sim.packets.injected";
     /// Packets whose tail flit was ejected.
     pub const PACKETS_DELIVERED: &str = "sim.packets.delivered";
-    /// Packets dropped (unroutable under faults).
-    pub const PACKETS_DROPPED: &str = "sim.packets.dropped";
     /// Flits ejected at destinations.
     pub const FLITS_EJECTED: &str = "sim.flits.ejected";
     /// Virtual-channel allocation grants.
@@ -87,11 +85,6 @@ pub enum ObsEvent {
         len: usize,
         /// Injection cycle.
         cycle: u64,
-    },
-    /// A packet was dropped before entering the network.
-    PacketDropped {
-        /// Packet id.
-        packet: u64,
     },
     /// A flit was ejected at its destination.
     FlitEjected,
@@ -143,7 +136,7 @@ impl ObsEvent {
     /// single-network step.
     pub fn phase(&self) -> u8 {
         match self {
-            ObsEvent::PacketInjected { .. } | ObsEvent::PacketDropped { .. } => 0,
+            ObsEvent::PacketInjected { .. } => 0,
             ObsEvent::FlitEjected | ObsEvent::PacketDelivered { .. } => 1,
             ObsEvent::VaGrant { .. }
             | ObsEvent::SaGrant { .. }
@@ -217,7 +210,6 @@ impl ObsSink {
                 len,
                 cycle,
             } => self.packet_injected(packet, src, dst, len, cycle),
-            ObsEvent::PacketDropped { packet } => self.packet_dropped(packet),
             ObsEvent::FlitEjected => self.flit_ejected(),
             ObsEvent::PacketDelivered {
                 packet,
@@ -258,18 +250,6 @@ impl ObsSink {
         self.metrics.inc(keys::PACKETS_INJECTED);
         if let Some(t) = &mut self.tracer {
             t.packet_injected(packet, src, dst, len, cycle);
-        }
-    }
-
-    /// A packet was dropped before entering the network.
-    pub fn packet_dropped(&mut self, packet: u64) {
-        if let Some(buf) = &mut self.recording {
-            buf.push(ObsEvent::PacketDropped { packet });
-            return;
-        }
-        self.metrics.inc(keys::PACKETS_DROPPED);
-        if let Some(t) = &mut self.tracer {
-            t.packet_dropped(packet);
         }
     }
 
@@ -413,13 +393,12 @@ mod tests {
             sink.flit_ejected();
             sink.credit_returned();
             sink.packet_delivered(1, 20, 20);
-            sink.packet_dropped(2);
         }
         // Recording applied nothing to the recorder's own registry.
         assert_eq!(rec.metrics.counter(keys::PACKETS_INJECTED), 0);
         let mut events = Vec::new();
         rec.take_events(&mut events);
-        assert_eq!(events.len(), 8);
+        assert_eq!(events.len(), 7);
         let mut replayed = ObsSink::new();
         for e in &events {
             replayed.apply(e);
@@ -427,7 +406,6 @@ mod tests {
         for key in [
             keys::PACKETS_INJECTED,
             keys::PACKETS_DELIVERED,
-            keys::PACKETS_DROPPED,
             keys::FLITS_EJECTED,
             keys::VA_GRANTS,
             keys::SA_GRANTS,
@@ -454,7 +432,6 @@ mod tests {
             .phase(),
             0
         );
-        assert_eq!(ObsEvent::PacketDropped { packet: 1 }.phase(), 0);
         assert_eq!(ObsEvent::FlitEjected.phase(), 1);
         assert_eq!(
             ObsEvent::PacketDelivered {

@@ -50,8 +50,8 @@ pub struct HopEvent {
     pub cycle: u64,
 }
 
-/// Hard cap on recorded hop events per span; traffic that loops (e.g.
-/// under faults) cannot grow a span without bound.
+/// Hard cap on recorded hop events per span, so no span grows without
+/// bound.
 pub const MAX_HOPS: usize = 64;
 
 /// The full lifecycle of one traced packet.
@@ -207,14 +207,6 @@ impl FlitTracer {
         self.completed.push(span);
     }
 
-    /// Discards the span for `packet` (e.g. the packet was dropped at
-    /// a faulty link).
-    pub fn packet_dropped(&mut self, packet: u64) {
-        if let Some(idx) = self.active.iter().position(|s| s.packet == packet) {
-            self.active.swap_remove(idx);
-        }
-    }
-
     /// Completed spans, oldest retained first.
     pub fn spans(&self) -> &[PacketSpan] {
         &self.completed
@@ -282,15 +274,6 @@ mod tests {
         );
         t.packet_delivered(1, 9);
         assert_eq!(t.spans().len(), 1);
-    }
-
-    #[test]
-    fn dropped_packets_leave_no_span() {
-        let mut t = FlitTracer::new(4);
-        t.packet_injected(7, 0, 3, 5, 10);
-        t.packet_dropped(7);
-        t.packet_delivered(7, 99);
-        assert!(t.spans().is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! for the argument, and this crate's tests for the proof by
 //! comparison).
 
-use orion_net::{FaultSchedule, NodeId, TopologyKind};
+use orion_net::{NodeId, TopologyKind};
 use orion_obs::{NodeState, ObsEvent, ObsSink};
 use orion_sim::energy::Component;
 use orion_sim::network::{EngineMode, Network, NetworkSpec};
@@ -269,8 +269,8 @@ impl ShardedNetwork {
         len: u32,
         tagged: bool,
     ) -> PacketId {
-        let (enqueued, ejected, dropped) = self.audit_counters();
-        if enqueued == ejected + dropped {
+        let (enqueued, ejected) = self.audit_counters();
+        if enqueued == ejected {
             self.busy_since = self.cycle();
         }
         let s = self.plan.shard_of(src.0);
@@ -336,14 +336,6 @@ impl ShardedNetwork {
         self.obs.take().map(|b| *b)
     }
 
-    /// Installs a fault schedule on every shard (each consults it for
-    /// its own sources).
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        for cell in &mut self.cells {
-            cell.net.set_fault_schedule(schedule.clone());
-        }
-    }
-
     /// Merged performance statistics: counters summed, the latency
     /// sample re-interleaved into whole-network delivery order (cycle,
     /// then ascending shard — which is ascending destination node).
@@ -359,10 +351,6 @@ impl ShardedNetwork {
             out.flits_delivered += s.flits_delivered;
             out.tagged_injected += s.tagged_injected;
             out.tagged_delivered += s.tagged_delivered;
-            out.packets_dropped += s.packets_dropped;
-            out.flits_dropped += s.flits_dropped;
-            out.tagged_dropped += s.tagged_dropped;
-            out.packets_detoured += s.packets_detoured;
         }
         let mut idx = vec![0usize; self.cells.len()];
         loop {
@@ -390,16 +378,11 @@ impl ShardedNetwork {
     /// per-shard `tagged_outstanding` can underflow; the counters must
     /// be summed network-wide *before* subtracting.
     pub fn tagged_outstanding(&self) -> u64 {
-        let (injected, delivered, dropped) =
-            self.cells.iter().fold((0u64, 0u64, 0u64), |acc, c| {
-                let s = c.net.stats();
-                (
-                    acc.0 + s.tagged_injected,
-                    acc.1 + s.tagged_delivered,
-                    acc.2 + s.tagged_dropped,
-                )
-            });
-        injected - delivered - dropped
+        let (injected, delivered) = self.cells.iter().fold((0u64, 0u64), |acc, c| {
+            let s = c.net.stats();
+            (acc.0 + s.tagged_injected, acc.1 + s.tagged_delivered)
+        });
+        injected - delivered
     }
 
     /// Packets delivered, summed over shards.
@@ -407,14 +390,6 @@ impl ShardedNetwork {
         self.cells
             .iter()
             .map(|c| c.net.stats().packets_delivered)
-            .sum()
-    }
-
-    /// Packets dropped at injection, summed over shards.
-    pub fn packets_dropped(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.net.stats().packets_dropped)
             .sum()
     }
 
@@ -476,7 +451,7 @@ impl ShardedNetwork {
             .iter()
             .map(|c| c.net.stats().packets_injected)
             .sum();
-        let undelivered = injected > self.packets_delivered() + self.packets_dropped();
+        let undelivered = injected > self.packets_delivered();
         StallKind::classify(
             window,
             cycle - self.last_progress_cycle(),
@@ -503,17 +478,16 @@ impl ShardedNetwork {
             flits_in_network: self.flits_in_flight() - source_backlog,
             source_backlog,
             packets_delivered: self.packets_delivered(),
-            packets_dropped: self.packets_dropped(),
             stalled_vcs,
         }
     }
 
-    /// The monotone flit counters `(enqueued, ejected, dropped)` summed
-    /// over shards (see [`Network::audit_counters`]).
-    fn audit_counters(&self) -> (u64, u64, u64) {
-        self.cells.iter().fold((0, 0, 0), |acc, cell| {
-            let (e, j, d) = cell.net.audit_counters();
-            (acc.0 + e, acc.1 + j, acc.2 + d)
+    /// The monotone flit counters `(enqueued, ejected)` summed over
+    /// shards (see [`Network::audit_counters`]).
+    fn audit_counters(&self) -> (u64, u64) {
+        self.cells.iter().fold((0, 0), |acc, cell| {
+            let (e, j) = cell.net.audit_counters();
+            (acc.0 + e, acc.1 + j)
         })
     }
 
@@ -522,13 +496,12 @@ impl ShardedNetwork {
     /// then each shard's local checks in shard order.
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
-        let (enqueued, ejected, dropped) = self.audit_counters();
+        let (enqueued, ejected) = self.audit_counters();
         let in_flight = self.flits_in_flight() as u64;
-        if enqueued != ejected + dropped + in_flight {
+        if enqueued != ejected + in_flight {
             violations.push(AuditViolation::FlitConservation {
                 enqueued,
                 ejected,
-                dropped,
                 in_flight,
             });
         }

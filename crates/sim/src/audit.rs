@@ -7,10 +7,9 @@
 //! reports every discrepancy as a typed [`AuditViolation`]:
 //!
 //! * **Flit conservation** — every flit ever handed to a source queue
-//!   is still in flight, was ejected at a sink, or was dropped at
-//!   injection by fault-aware routing. Checked against monotone
-//!   counters that survive [`Network::reset_measurement`], so the
-//!   warm-up boundary cannot mask a leak.
+//!   is still in flight or was ejected at a sink. Checked against
+//!   monotone counters that survive [`Network::reset_measurement`], so
+//!   the warm-up boundary cannot mask a leak.
 //! * **Credit bounds** — no output VC may hold more credits than the
 //!   downstream buffer has slots (a spurious credit would let the
 //!   switch overrun a full buffer).
@@ -42,14 +41,12 @@ use crate::network::Network;
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditViolation {
     /// Flits have appeared or vanished: the monotone injection count
-    /// no longer equals ejected + dropped + in-flight.
+    /// no longer equals ejected + in-flight.
     FlitConservation {
         /// Flits ever placed on a source queue.
         enqueued: u64,
         /// Flits ever ejected at sinks.
         ejected: u64,
-        /// Flits ever dropped at injection (unroutable under faults).
-        dropped: u64,
         /// Flits currently in source queues, router buffers or links.
         in_flight: u64,
     },
@@ -152,12 +149,11 @@ impl fmt::Display for AuditViolation {
             AuditViolation::FlitConservation {
                 enqueued,
                 ejected,
-                dropped,
                 in_flight,
             } => write!(
                 f,
                 "flit conservation violated: {enqueued} enqueued != \
-                 {ejected} ejected + {dropped} dropped + {in_flight} in flight"
+                 {ejected} ejected + {in_flight} in flight"
             ),
             AuditViolation::CreditOverflow {
                 node,
@@ -295,7 +291,6 @@ mod tests {
         let v = AuditViolation::FlitConservation {
             enqueued: 10,
             ejected: 4,
-            dropped: 1,
             in_flight: 4,
         };
         assert_eq!(v.kind(), "flit-conservation");

@@ -16,10 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use orion_net::{
-    dor_route, fault_aware_dor_route, DimensionOrder, FaultSchedule, NodeId, Port, RouteOutcome,
-    Topology, TopologyKind,
-};
+use orion_net::{dor_route, DimensionOrder, NodeId, Port, Topology, TopologyKind};
 use orion_obs::{NodeState, ObsSink};
 
 use crate::arena::{FlitArena, FlitRef};
@@ -181,7 +178,7 @@ struct CreditArrival {
 /// `step_into` returns before touching the ledger, the arbiters or the
 /// observer), so visiting or skipping it cannot change any observable.
 /// The differential harness in `tests/sparse_differential.rs` enforces
-/// this across families, topologies, faults and checkpoint-resume.
+/// this across families, topologies and checkpoint-resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Activity-driven stepping: only routers holding buffered flits
@@ -505,18 +502,15 @@ pub struct Network {
     /// the livelock clock restarts after a quiet gap (see
     /// [`StallKind::classify`]).
     busy_since: u64,
-    /// Injected faults consulted at routing time; None = all healthy.
-    fault_schedule: Option<FaultSchedule>,
     /// wires[node * ports + out_port]; None for the local port.
     wires: Vec<Option<Wire>>,
     /// Monotone audit counters, never reset (unlike [`SimStats`], which
     /// rewinds at the warm-up boundary): flits ever handed to a source
-    /// queue, ever ejected at a sink, ever dropped at injection. Flit
-    /// conservation demands `enqueued == ejected + dropped + in_flight`
-    /// at every cycle of a run's lifetime.
+    /// queue and ever ejected at a sink. Flit conservation demands
+    /// `enqueued == ejected + in_flight` at every cycle of a run's
+    /// lifetime.
     audit_enqueued: u64,
     audit_ejected: u64,
-    audit_dropped: u64,
     /// Optional observer. `None` (the default) keeps every event site a
     /// single branch; the unobserved path is pinned bit-identical by
     /// `orion-core`'s `sweep_identity` test.
@@ -652,11 +646,9 @@ impl Network {
             last_delivery: 0,
             last_credit: 0,
             busy_since: 0,
-            fault_schedule: None,
             wires,
             audit_enqueued: 0,
             audit_ejected: 0,
-            audit_dropped: 0,
             obs: None,
             engine: EngineMode::default(),
             activity: Activity::new(hi - lo),
@@ -773,12 +765,12 @@ impl Network {
         self.last_credit
     }
 
-    /// The monotone audit counters `(enqueued, ejected, dropped)` —
-    /// flit conservation across a whole partitioned network is checked
-    /// by summing these over every shard (plus boundary flits still in
+    /// The monotone audit counters `(enqueued, ejected)` — flit
+    /// conservation across a whole partitioned network is checked by
+    /// summing these over every shard (plus boundary flits still in
     /// transit between shards).
-    pub fn audit_counters(&self) -> (u64, u64, u64) {
-        (self.audit_enqueued, self.audit_ejected, self.audit_dropped)
+    pub fn audit_counters(&self) -> (u64, u64) {
+        (self.audit_enqueued, self.audit_ejected)
     }
 
     /// Overrides the next packet id to allocate. A shard coordinator
@@ -814,23 +806,6 @@ impl Network {
     /// The cycle at which a packet last completed delivery.
     pub fn last_delivery_cycle(&self) -> u64 {
         self.last_delivery
-    }
-
-    /// Installs a fault schedule. From now on, every enqueued packet's
-    /// route is computed by [`fault_aware_dor_route`] as of the
-    /// injection cycle: detours are counted in
-    /// [`SimStats::packets_detoured`], unroutable packets are dropped
-    /// at the source with [`SimStats::packets_dropped`] accounting.
-    /// Because routes become time-dependent, the route cache is
-    /// bypassed (and cleared here) while a schedule is installed.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.route_cache.clear();
-        self.fault_schedule = Some(schedule);
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.fault_schedule.as_ref()
     }
 
     /// Queues a `packet_len`-flit packet at `src`'s source queue,
@@ -874,7 +849,7 @@ impl Network {
                 s.depth
             );
         }
-        if self.audit_enqueued == self.audit_ejected + self.audit_dropped {
+        if self.audit_enqueued == self.audit_ejected {
             self.busy_since = self.cycle;
         }
         let id = PacketId(self.next_packet);
@@ -886,50 +861,18 @@ impl Network {
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.packet_injected(id.0, src.0, dst.0, len as usize, self.cycle);
         }
-        let route = if let Some(schedule) = &self.fault_schedule {
-            // Routes are time-dependent under faults: skip the cache.
-            match fault_aware_dor_route(
-                &self.spec.topology,
-                src,
-                dst,
-                self.spec.dim_order.clone(),
-                schedule,
-                self.cycle,
-            ) {
-                RouteOutcome::Direct(r) => Arc::new(r),
-                RouteOutcome::Detour(r) => {
-                    self.stats.packets_detoured += 1;
-                    Arc::new(r)
-                }
-                RouteOutcome::Unroutable => {
-                    self.stats.packets_dropped += 1;
-                    self.stats.flits_dropped += len as u64;
-                    // A source-dropped packet is injected-then-dropped:
-                    // both sides of the conservation equation see it.
-                    self.audit_enqueued += len as u64;
-                    self.audit_dropped += len as u64;
-                    if tagged {
-                        self.stats.tagged_dropped += 1;
-                    }
-                    if let Some(obs) = self.obs.as_deref_mut() {
-                        obs.packet_dropped(id.0);
-                    }
-                    return id;
-                }
-            }
-        } else {
-            self.route_cache
-                .entry((src.0, dst.0))
-                .or_insert_with(|| {
-                    Arc::new(dor_route(
-                        &self.spec.topology,
-                        src,
-                        dst,
-                        self.spec.dim_order.clone(),
-                    ))
-                })
-                .clone()
-        };
+        let route = self
+            .route_cache
+            .entry((src.0, dst.0))
+            .or_insert_with(|| {
+                Arc::new(dor_route(
+                    &self.spec.topology,
+                    src,
+                    dst,
+                    self.spec.dim_order.clone(),
+                ))
+            })
+            .clone();
         assert!(
             src.0 >= self.lo && src.0 < self.hi,
             "packet source n{} outside owned range {}..{}",
@@ -1003,8 +946,7 @@ impl Network {
         if window == 0 || self.is_drained() {
             return None;
         }
-        let undelivered =
-            self.stats.packets_injected > self.stats.packets_delivered + self.stats.packets_dropped;
+        let undelivered = self.stats.packets_injected > self.stats.packets_delivered;
         StallKind::classify(
             window,
             self.cycle - self.last_progress,
@@ -1064,7 +1006,6 @@ impl Network {
             flits_in_network: self.flits_in_flight() - source_backlog,
             source_backlog,
             packets_delivered: self.stats.packets_delivered,
-            packets_dropped: self.stats.packets_dropped,
             stalled_vcs,
         }
     }
@@ -1083,11 +1024,10 @@ impl Network {
         // counters are never reset, so a flit leaked at any point —
         // even before a measurement reset — stays visible forever.
         let in_flight = self.flits_in_flight() as u64;
-        if self.audit_enqueued != self.audit_ejected + self.audit_dropped + in_flight {
+        if self.audit_enqueued != self.audit_ejected + in_flight {
             violations.push(AuditViolation::FlitConservation {
                 enqueued: self.audit_enqueued,
                 ejected: self.audit_ejected,
-                dropped: self.audit_dropped,
                 in_flight,
             });
         }
@@ -1744,7 +1684,7 @@ impl Network {
     /// image continues the simulation **bit-identically** to the
     /// original: every subsequent [`Network::step`] produces the same
     /// latencies, energies and statistics. Configuration (topology,
-    /// router specs, power models, fault schedule, observers) is *not*
+    /// router specs, power models, observers) is *not*
     /// stored — it must be rebuilt from the spec before restoring.
     ///
     /// Snapshots must be taken at a cycle boundary (between `step`
@@ -1774,7 +1714,6 @@ impl Network {
         w.u64(self.busy_since);
         w.u64(self.audit_enqueued);
         w.u64(self.audit_ejected);
-        w.u64(self.audit_dropped);
         w.usize(self.delivery_log.len());
         for &c in &self.delivery_log {
             w.u64(c);
@@ -1924,7 +1863,6 @@ impl Network {
         let busy_since = r.u64()?;
         let audit_enqueued = r.u64()?;
         let audit_ejected = r.u64()?;
-        let audit_dropped = r.u64()?;
         let log_count = r.count(8)?;
         let mut delivery_log = Vec::with_capacity(log_count);
         for _ in 0..log_count {
@@ -2146,7 +2084,6 @@ impl Network {
         self.busy_since = busy_since;
         self.audit_enqueued = audit_enqueued;
         self.audit_ejected = audit_ejected;
-        self.audit_dropped = audit_dropped;
         // The activity sets are not serialised (so sparse and dense
         // engines write byte-identical images); the restored routers
         // and sources fully determine them.
@@ -2859,51 +2796,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_link_detours_and_still_delivers() {
-        use orion_net::{Direction, FaultKind, FaultSchedule, LinkId};
-        let mut net = vc_net(2, 8);
-        // 0 -> 1 normally takes d0+ out of n0 (one hop); break it.
-        net.set_fault_schedule(FaultSchedule::empty().with_link_fault(
-            LinkId {
-                node: NodeId(0),
-                dim: 0,
-                dir: Direction::Plus,
-            },
-            FaultKind::Permanent { start: 0 },
-        ));
-        net.enqueue_packet(NodeId(0), NodeId(1), true);
-        run_until_drained(&mut net, 500);
-        let s = net.stats();
-        assert_eq!(s.packets_delivered, 1);
-        assert_eq!(s.packets_detoured, 1);
-        assert_eq!(s.packets_dropped, 0);
-    }
-
-    #[test]
-    fn unroutable_packet_dropped_with_accounting() {
-        use orion_net::{FaultKind, FaultSchedule};
-        let mut net = vc_net(2, 8);
-        // Kill the destination's ejection port: nothing can be
-        // delivered to n5 and fault-aware routing drops at the source.
-        net.set_fault_schedule(FaultSchedule::empty().with_port_fault(
-            NodeId(5),
-            Port::Local,
-            FaultKind::Permanent { start: 0 },
-        ));
-        net.enqueue_packet(NodeId(0), NodeId(5), true);
-        net.enqueue_packet(NodeId(0), NodeId(2), true);
-        run_until_drained(&mut net, 500);
-        let s = net.stats();
-        assert_eq!(s.packets_injected, 2);
-        assert_eq!(s.packets_delivered, 1);
-        assert_eq!(s.packets_dropped, 1);
-        assert_eq!(s.flits_dropped, 5);
-        assert_eq!(s.tagged_dropped, 1);
-        assert_eq!(s.tagged_outstanding(), 0, "drops are not outstanding");
-        assert!((s.drop_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn audit_is_clean_every_cycle_of_a_healthy_run() {
         let mut auditor = crate::audit::InvariantAuditor::new();
         let mut net = vc_net(2, 8);
@@ -2924,16 +2816,10 @@ mod tests {
 
     #[test]
     fn audit_survives_measurement_reset_and_drops() {
-        use orion_net::{FaultKind, FaultSchedule};
-        // Drops and a mid-run stats reset must not fake a conservation
-        // violation: the audit counters are independent of SimStats.
+        // A mid-run stats reset must not fake a conservation violation:
+        // the audit counters are independent of SimStats.
         let mut net = vc_net(2, 8);
-        net.set_fault_schedule(FaultSchedule::empty().with_port_fault(
-            NodeId(5),
-            Port::Local,
-            FaultKind::Permanent { start: 0 },
-        ));
-        net.enqueue_packet(NodeId(0), NodeId(5), true); // dropped at source
+        net.enqueue_packet(NodeId(0), NodeId(5), true);
         net.enqueue_packet(NodeId(0), NodeId(2), true);
         for _ in 0..10 {
             net.step();
@@ -2958,7 +2844,6 @@ mod tests {
                 crate::audit::AuditViolation::FlitConservation {
                     enqueued: 6,
                     ejected: 5,
-                    dropped: 0,
                     in_flight: 0,
                 }
             ),
@@ -2991,29 +2876,6 @@ mod tests {
             "{:?}",
             violations[0]
         );
-    }
-
-    #[test]
-    fn transient_fault_heals_and_direct_routes_resume() {
-        use orion_net::{Direction, FaultKind, FaultSchedule, LinkId};
-        let mut net = vc_net(2, 8);
-        net.set_fault_schedule(FaultSchedule::empty().with_link_fault(
-            LinkId {
-                node: NodeId(0),
-                dim: 0,
-                dir: Direction::Plus,
-            },
-            FaultKind::Transient { start: 0, end: 50 },
-        ));
-        net.enqueue_packet(NodeId(0), NodeId(1), false); // during outage
-        while net.cycle() < 60 {
-            net.step();
-        }
-        net.enqueue_packet(NodeId(0), NodeId(1), false); // after healing
-        run_until_drained(&mut net, 500);
-        let s = net.stats();
-        assert_eq!(s.packets_delivered, 2);
-        assert_eq!(s.packets_detoured, 1, "only the in-outage packet detours");
     }
 
     #[test]

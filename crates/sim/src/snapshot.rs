@@ -13,8 +13,7 @@
 //! the whole-network payload.
 //!
 //! The payload deliberately excludes everything reconstructible from
-//! configuration (specs, power models, wiring, fault schedules, route
-//! caches) and everything that is per-cycle scratch (drain buffers,
+//! configuration (specs, power models, wiring, route caches) and everything that is per-cycle scratch (drain buffers,
 //! stage scratch): a snapshot is taken and applied only at a cycle
 //! boundary, where scratch state is dead.
 //!
@@ -30,7 +29,7 @@ use std::fmt;
 
 /// Version byte leading every [`Network`](crate::network::Network)
 /// snapshot payload, bumped on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Error decoding or applying a state snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

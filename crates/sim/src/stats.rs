@@ -22,15 +22,9 @@ pub struct SimStats {
     pub tagged_injected: u64,
     /// Tagged packets delivered.
     pub tagged_delivered: u64,
-    /// Packets dropped at the source by fault-aware routing (no path
-    /// over surviving links, or a dead local port).
+    /// Always 0: the network is fault-free and drops nothing. Kept
+    /// because the benchmark's report digest hashes it.
     pub packets_dropped: u64,
-    /// Flits belonging to dropped packets (never entered the network).
-    pub flits_dropped: u64,
-    /// Tagged packets among the dropped.
-    pub tagged_dropped: u64,
-    /// Packets routed around a fault on a non-dimension-ordered detour.
-    pub packets_detoured: u64,
 }
 
 impl SimStats {
@@ -49,19 +43,9 @@ impl SimStats {
         }
     }
 
-    /// Tagged packets still in flight (dropped packets will never
-    /// arrive, so they are not outstanding).
+    /// Tagged packets still in flight.
     pub fn tagged_outstanding(&self) -> u64 {
-        self.tagged_injected - self.tagged_delivered - self.tagged_dropped
-    }
-
-    /// Fraction of injected packets that were dropped at the source;
-    /// 0 when nothing was injected.
-    pub fn drop_rate(&self) -> f64 {
-        if self.packets_injected == 0 {
-            return 0.0;
-        }
-        self.packets_dropped as f64 / self.packets_injected as f64
+        self.tagged_injected - self.tagged_delivered
     }
 
     /// Number of latency samples.
@@ -124,9 +108,6 @@ impl SimStats {
         w.u64(self.tagged_injected);
         w.u64(self.tagged_delivered);
         w.u64(self.packets_dropped);
-        w.u64(self.flits_dropped);
-        w.u64(self.tagged_dropped);
-        w.u64(self.packets_detoured);
     }
 
     /// Decodes statistics encoded by [`SimStats::encode`].
@@ -146,9 +127,6 @@ impl SimStats {
             tagged_injected: r.u64()?,
             tagged_delivered: r.u64()?,
             packets_dropped: r.u64()?,
-            flits_dropped: r.u64()?,
-            tagged_dropped: r.u64()?,
-            packets_detoured: r.u64()?,
         })
     }
 }
@@ -198,7 +176,6 @@ mod tests {
         assert_eq!(s.latency_percentile(100.0), None);
         assert_eq!(s.sample_count(), 0);
         assert_eq!(s.tagged_outstanding(), 0);
-        assert_eq!(s.drop_rate(), 0.0);
     }
 
     #[test]

@@ -36,10 +36,10 @@ pub enum StallKind {
 impl StallKind {
     /// The watchdog verdict for a network that still holds flits, from
     /// its network-wide progress clocks: `since_progress` cycles since
-    /// any flit moved, and — when some injected packet is neither
-    /// delivered nor dropped — `since_delivery` cycles on the livelock
-    /// clock, which starts at the later of the last delivery and the
-    /// last enqueue into an empty network. One definition shared by
+    /// any flit moved, and — when some injected packet is not yet
+    /// delivered — `since_delivery` cycles on the livelock clock, which
+    /// starts at the later of the last delivery and the last enqueue
+    /// into an empty network. One definition shared by
     /// [`Network::check_stall`] and the sharded engine, so the verdict
     /// cannot depend on the shard count.
     ///
@@ -121,8 +121,6 @@ pub struct StallDiagnostics {
     pub source_backlog: usize,
     /// Packets delivered before the stall.
     pub packets_delivered: u64,
-    /// Packets dropped at injection by fault-aware routing.
-    pub packets_dropped: u64,
     /// Input VCs holding flits, with their blocked head packets.
     pub stalled_vcs: Vec<StalledVc>,
 }
@@ -206,7 +204,6 @@ mod tests {
             flits_in_network: 40,
             source_backlog: 200,
             packets_delivered: 17,
-            packets_dropped: 0,
             stalled_vcs: vec![StalledVc {
                 node: 3,
                 port: 1,

@@ -10,16 +10,16 @@
 //!
 //! The matrix proptest fuzzes all four router families (wormhole,
 //! VC-unrestricted, VC-dateline, central-buffered) on meshes and tori,
-//! with and without fault schedules, observability sinks, and watchdog
-//! polling; separate tests add mid-run cross-engine checkpoint restore
+//! with and without observability sinks, and watchdog polling; separate
+//! tests add mid-run cross-engine checkpoint restore
 //! and the sharded engine at 1/2/8 shards. Alongside the identity
 //! checks, every audited cycle asserts the active-set invariant: the
 //! activity bitsets name exactly the routers and sources with work (no
-//! stale actives, no lost wakeups), fuzzed over random fault schedules
-//! and traffic — the [`InvariantAuditor`] reports any divergence as an
+//! stale actives, no lost wakeups), fuzzed over random specs and
+//! traffic — the [`InvariantAuditor`] reports any divergence as an
 //! `active-set-mismatch` / `source-set-mismatch` violation.
 
-use orion_net::{DimensionOrder, FaultConfig, FaultSchedule, NodeId, Topology};
+use orion_net::{DimensionOrder, NodeId, Topology};
 use orion_power::{
     ArbiterKind, ArbiterParams, ArbiterPower, BufferParams, BufferPower, CentralBufferParams,
     CentralBufferPower, CrossbarKind, CrossbarParams, CrossbarPower, LinkPower,
@@ -114,34 +114,6 @@ fn workload(seed: u64, nodes: usize, cycles: u64, rate_millis: u64) -> Vec<(u64,
     events
 }
 
-fn fault_schedule(topology: &Topology, sel: u8, seed: u64) -> Option<FaultSchedule> {
-    let config = match sel % 4 {
-        0 => return None,
-        1 => FaultConfig {
-            seed,
-            permanent_links: 2,
-            horizon: 10_000,
-            ..FaultConfig::default()
-        },
-        2 => FaultConfig {
-            seed,
-            transient_rate: 0.05,
-            transient_duration: 40,
-            horizon: 10_000,
-            ..FaultConfig::default()
-        },
-        _ => FaultConfig {
-            seed,
-            permanent_links: 1,
-            faulty_router_ports: 1,
-            transient_rate: 0.02,
-            transient_duration: 25,
-            horizon: 10_000,
-        },
-    };
-    Some(FaultSchedule::generate(topology, &config))
-}
-
 /// Every bit-sensitive observable of a run, for exact comparison.
 #[derive(Debug, Clone, PartialEq)]
 struct Fingerprint {
@@ -149,8 +121,6 @@ struct Fingerprint {
     packets_injected: u64,
     packets_delivered: u64,
     flits_delivered: u64,
-    packets_dropped: u64,
-    packets_detoured: u64,
     latencies: Vec<u64>,
     delivery_log: Vec<u64>,
     energy_bits: Vec<u64>,
@@ -166,34 +136,23 @@ fn energy_bits(nodes: usize, energy: impl Fn(usize, Component) -> f64) -> Vec<u6
     bits
 }
 
-fn stats_part(stats: &SimStats) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+fn stats_part(stats: &SimStats) -> (u64, u64, u64, Vec<u64>) {
     (
         stats.packets_injected,
         stats.packets_delivered,
         stats.flits_delivered,
-        stats.packets_dropped,
-        stats.packets_detoured,
         stats.latencies().to_vec(),
     )
 }
 
 fn fingerprint(net: &Network) -> Fingerprint {
     let nodes = net.spec().topology.num_nodes();
-    let (
-        packets_injected,
-        packets_delivered,
-        flits_delivered,
-        packets_dropped,
-        packets_detoured,
-        latencies,
-    ) = stats_part(net.stats());
+    let (packets_injected, packets_delivered, flits_delivered, latencies) = stats_part(net.stats());
     Fingerprint {
         cycle: net.cycle(),
         packets_injected,
         packets_delivered,
         flits_delivered,
-        packets_dropped,
-        packets_detoured,
         latencies,
         delivery_log: net.delivery_log().to_vec(),
         energy_bits: energy_bits(nodes, |node, c| net.ledger().energy(node, c).0),
@@ -203,21 +162,12 @@ fn fingerprint(net: &Network) -> Fingerprint {
 fn fingerprint_sharded(net: &ShardedNetwork) -> Fingerprint {
     let nodes = net.spec().topology.num_nodes();
     let stats = net.stats_merged();
-    let (
-        packets_injected,
-        packets_delivered,
-        flits_delivered,
-        packets_dropped,
-        packets_detoured,
-        latencies,
-    ) = stats_part(&stats);
+    let (packets_injected, packets_delivered, flits_delivered, latencies) = stats_part(&stats);
     Fingerprint {
         cycle: net.cycle(),
         packets_injected,
         packets_delivered,
         flits_delivered,
-        packets_dropped,
-        packets_detoured,
         latencies,
         delivery_log: Vec::new(), // per-packet ids compared via mono engines
         energy_bits: energy_bits(nodes, |node, c| net.node_energy(node, c).0),
@@ -248,14 +198,11 @@ struct EnginePair {
 }
 
 impl EnginePair {
-    fn new(spec: &NetworkSpec, faults: Option<&FaultSchedule>, obs_on: bool) -> EnginePair {
+    fn new(spec: &NetworkSpec, obs_on: bool) -> EnginePair {
         let central = matches!(spec.router, RouterKind::Central(_));
         let build = |mode: EngineMode| {
             let mut net = Network::new(spec.clone(), models(central));
             net.set_engine_mode(mode);
-            if let Some(schedule) = faults {
-                net.set_fault_schedule(schedule.clone());
-            }
             if obs_on {
                 net.set_obs(ObsSink::new());
             }
@@ -315,7 +262,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The full randomized matrix: four router families × mesh/torus ×
-    /// fault schedules × obs on/off × watchdog polling. Sparse and
+    /// obs on/off × watchdog polling. Sparse and
     /// dense must agree on every observable, bit for bit, and the
     /// active set must match reality at every audited cycle.
     #[test]
@@ -325,14 +272,12 @@ proptest! {
         seed in any::<u64>(),
         rate_millis in 5u64..120,
         inject_cycles in 40u64..160,
-        fault_sel in 0u8..4,
         obs_on in any::<bool>(),
         window in 20u64..400,
     ) {
         let spec = spec(family, mesh);
-        let faults = fault_schedule(&spec.topology, fault_sel, seed);
         let events = workload(seed, spec.topology.num_nodes(), inject_cycles, rate_millis);
-        let mut pair = EnginePair::new(&spec, faults.as_ref(), obs_on);
+        let mut pair = EnginePair::new(&spec, obs_on);
         pair.drive(&events, inject_cycles + 800, window, 8)?;
         pair.assert_identical()?;
     }
@@ -348,13 +293,11 @@ proptest! {
         mesh in any::<bool>(),
         seed in any::<u64>(),
         rate_millis in 20u64..120,
-        fault_sel in 0u8..4,
     ) {
         let inject_cycles = 120u64;
         let spec = spec(family, mesh);
-        let faults = fault_schedule(&spec.topology, fault_sel, seed);
         let events = workload(seed, spec.topology.num_nodes(), inject_cycles, rate_millis);
-        let mut pair = EnginePair::new(&spec, faults.as_ref(), false);
+        let mut pair = EnginePair::new(&spec, false);
 
         // First half on both engines, then snapshot mid-flight.
         pair.drive(&events, inject_cycles / 2, 200, 8)?;
@@ -364,7 +307,7 @@ proptest! {
         // Restore the sparse image into a *dense* engine and the dense
         // image into a *sparse* engine; run all four to completion on
         // the identical tail workload.
-        let mut crossed = EnginePair::new(&spec, faults.as_ref(), false);
+        let mut crossed = EnginePair::new(&spec, false);
         crossed.sparse.restore(&image).expect("restore into sparse engine");
         crossed.dense.restore(&image).expect("restore into dense engine");
         let tail: Vec<_> = events
@@ -389,16 +332,14 @@ proptest! {
         mesh in any::<bool>(),
         seed in any::<u64>(),
         rate_millis in 10u64..100,
-        fault_sel in 0u8..4,
     ) {
         let inject_cycles = 80u64;
         let total = inject_cycles + 800;
         let spec = spec(family, mesh);
         let central = matches!(spec.router, RouterKind::Central(_));
-        let faults = fault_schedule(&spec.topology, fault_sel, seed);
         let events = workload(seed, spec.topology.num_nodes(), inject_cycles, rate_millis);
 
-        let mut mono = EnginePair::new(&spec, faults.as_ref(), false);
+        let mut mono = EnginePair::new(&spec, false);
         mono.drive(&events, total, 200, 16)?;
         mono.assert_identical()?;
         let reference = fingerprint(&mono.sparse);
@@ -407,9 +348,6 @@ proptest! {
             let run = |mode: EngineMode| {
                 let mut net = ShardedNetwork::new(spec.clone(), models(central), shards);
                 net.set_engine_mode(mode);
-                if let Some(schedule) = &faults {
-                    net.set_fault_schedule(schedule.clone());
-                }
                 let mut cursor = 0;
                 while net.cycle() < total {
                     let cycle = net.cycle();
@@ -436,7 +374,6 @@ proptest! {
             prop_assert_eq!(&sparse_fp.latencies, &reference.latencies);
             prop_assert_eq!(&sparse_fp.energy_bits, &reference.energy_bits);
             prop_assert_eq!(sparse_fp.packets_delivered, reference.packets_delivered);
-            prop_assert_eq!(sparse_fp.packets_dropped, reference.packets_dropped);
         }
     }
 
@@ -453,7 +390,7 @@ proptest! {
     ) {
         let spec = spec(family, mesh);
         let events = workload(seed, spec.topology.num_nodes(), 40, 60);
-        let mut skipper = EnginePair::new(&spec, None, false);
+        let mut skipper = EnginePair::new(&spec, false);
         // Drain both engines completely first.
         skipper.drive(&events, 2000, 500, 16)?;
         prop_assert!(skipper.sparse.is_drained());

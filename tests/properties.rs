@@ -301,50 +301,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Fault schedules are a pure function of (topology, config): the
-    /// same seed yields bit-identical schedules, so degraded runs are
-    /// reproducible.
-    #[test]
-    fn fault_schedules_are_deterministic_per_seed(
-        seed in any::<u64>(),
-        permanent_links in 0usize..12,
-        transient_rate in 0.0f64..2.0,
-        faulty_router_ports in 0usize..6,
-        horizon in 1u64..200_000,
-    ) {
-        use orion::net::{FaultConfig, FaultSchedule};
-        let topo = Topology::torus(&[4, 4]).expect("valid radices");
-        let config = FaultConfig {
-            seed,
-            permanent_links,
-            transient_rate,
-            transient_duration: 500,
-            faulty_router_ports,
-            horizon,
-        };
-        let a = FaultSchedule::generate(&topo, &config);
-        let b = FaultSchedule::generate(&topo, &config);
-        prop_assert_eq!(&a, &b);
-
-        // A different seed perturbs the schedule. Only checked when the
-        // schedule has enough random structure that an accidental
-        // collision is astronomically unlikely.
-        if permanent_links >= 2 && horizon >= 1_000 {
-            let other = FaultSchedule::generate(
-                &topo,
-                &FaultConfig { seed: seed ^ 0x9e37_79b9_7f4a_7c15, ..config },
-            );
-            prop_assert!(
-                a != other || a.is_empty(),
-                "distinct seeds should not collide on non-empty schedules"
-            );
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The invariant auditor, run at its tightest cadence, never fires
