@@ -1,6 +1,7 @@
 //! The `powermap` subcommand: render the per-node power map an
 //! observed `simulate --observe-dir` run emits (`powermap.jsonl`) as
-//! the paper's Fig. 6 grid, with the hotspot marked.
+//! the paper's Fig. 6 grid, one grid per z-plane of a 3-D network,
+//! with the hotspot marked.
 //!
 //! Exit codes follow the scheme in [`crate::run`]: 1 when the file
 //! cannot be read, 2 when its contents are malformed or from an
@@ -14,8 +15,8 @@ use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_RUNTIME};
 
 /// Version of the `powermap.jsonl` line layout written by
 /// `simulate --observe-dir` and read back here. Bump on any field
-/// change.
-pub const POWERMAP_SCHEMA_VERSION: u32 = 1;
+/// change. History: 2 added `z` (0 on a 2-D network).
+pub const POWERMAP_SCHEMA_VERSION: u32 = 2;
 
 /// `powermap`: exactly one of the two locations.
 pub const GRAMMAR: Grammar = Grammar("--observe-dir DIR --file powermap.jsonl");
@@ -25,6 +26,7 @@ pub struct NodeCell {
     pub node: usize,
     pub x: usize,
     pub y: usize,
+    pub z: usize,
     pub energy_j: f64,
     pub power_w: f64,
 }
@@ -37,6 +39,7 @@ impl NodeCell {
         line.key("node").num(self.node);
         line.key("x").num(self.x);
         line.key("y").num(self.y);
+        line.key("z").num(self.z);
         line.key("total_energy_j").f64(self.energy_j);
         line.key("power_w").f64(self.power_w);
         line.end();
@@ -98,13 +101,15 @@ fn parse_line(line: &str, number: usize) -> Result<NodeCell, String> {
         node: field("node")? as usize,
         x: field("x")? as usize,
         y: field("y")? as usize,
+        z: field("z")? as usize,
         energy_j: field("total_energy_j")?,
         power_w: field("power_w")?,
     })
 }
 
 /// Renders `powermap.jsonl` content as a coordinate grid of per-node
-/// power with hotspot and mean annotations.
+/// power (one per z-plane of a 3-D network) with hotspot and mean
+/// annotations; the hotspot is taken over every node.
 fn render(text: &str) -> Result<String, String> {
     let mut cells = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -118,17 +123,26 @@ fn render(text: &str) -> Result<String, String> {
     }
     let width = cells.iter().map(|c| c.x).max().unwrap_or(0) + 1;
     let height = cells.iter().map(|c| c.y).max().unwrap_or(0) + 1;
-    let mut grid: Vec<Option<&NodeCell>> = vec![None; width * height];
+    let depth = cells.iter().map(|c| c.z).max().unwrap_or(0) + 1;
+    let at = |c: &NodeCell| match depth {
+        1 => format!("({}, {})", c.x, c.y),
+        _ => format!("({}, {}, {})", c.x, c.y, c.z),
+    };
+    let mut grid: Vec<Option<&NodeCell>> = vec![None; width * height * depth];
     for cell in &cells {
-        let slot = &mut grid[cell.y * width + cell.x];
+        let slot = &mut grid[(cell.z * height + cell.y) * width + cell.x];
         if slot.is_some() {
-            return Err(format!("duplicate node at ({}, {})", cell.x, cell.y));
+            return Err(format!("duplicate node at {}", at(cell)));
         }
         *slot = Some(cell);
     }
+    let shape = match depth {
+        1 => format!("{width}x{height}"),
+        _ => format!("{width}x{height}x{depth}"),
+    };
     if grid.iter().any(Option::is_none) {
         return Err(format!(
-            "incomplete grid: {} record(s) for {width}x{height} nodes",
+            "incomplete grid: {} record(s) for {shape} nodes",
             cells.len()
         ));
     }
@@ -139,26 +153,26 @@ fn render(text: &str) -> Result<String, String> {
     let mean_power = cells.iter().map(|c| c.power_w).sum::<f64>() / cells.len() as f64;
     let mean_energy = cells.iter().map(|c| c.energy_j).sum::<f64>() / cells.len() as f64;
 
-    let mut out = format!("per-node power map ({width}x{height}), watts; * = hotspot\n");
+    let mut out = format!("per-node power map ({shape}), watts; * = hotspot\n");
     // Row y at the top matches the paper's grid orientation with
-    // (0, 0) in the top-left corner.
-    for y in 0..height {
-        for x in 0..width {
-            // Completeness was verified above; an impossible hole
-            // degrades to a typed error rather than a panic.
-            let Some(cell) = grid[y * width + x] else {
-                return Err(format!("internal: missing node at ({x}, {y})"));
-            };
-            let mark = if cell.node == hottest.node { '*' } else { ' ' };
-            out.push_str(&format!("  {:>10.6}{mark}", cell.power_w));
+    // (0, 0) in the top-left corner. Completeness was verified above,
+    // so every slot holds a node.
+    for (i, plane) in grid.chunks(width * height).enumerate() {
+        if depth > 1 {
+            out.push_str(&format!("z = {i}\n"));
         }
-        out.push('\n');
+        for row in plane.chunks(width) {
+            for cell in row.iter().flatten() {
+                let mark = if cell.node == hottest.node { '*' } else { ' ' };
+                out.push_str(&format!("  {:>10.6}{mark}", cell.power_w));
+            }
+            out.push('\n');
+        }
     }
     out.push_str(&format!(
-        "hotspot: node {} at ({}, {}): {:.6} W, {:.4e} J ({:.2}x mean power)\n",
+        "hotspot: node {} at {}: {:.6} W, {:.4e} J ({:.2}x mean power)\n",
         hottest.node,
-        hottest.x,
-        hottest.y,
+        at(hottest),
         hottest.power_w,
         hottest.energy_j,
         hottest.power_w / mean_power,
@@ -180,6 +194,7 @@ mod tests {
                 node,
                 x: node % 2,
                 y: node / 2,
+                z: 0,
                 energy_j: 1e-9 * (node + 1) as f64,
                 power_w: 0.1 + 0.1 * node as f64,
             };
@@ -201,8 +216,12 @@ mod tests {
     fn malformed_content_is_rejected_with_line_numbers() {
         assert!(render("").unwrap_err().contains("no power map records"));
         assert!(render("not json\n").unwrap_err().contains("line 1"));
-        let skewed = sample_jsonl().replace("\"schema_version\":1", "\"schema_version\":9");
+        let skewed = sample_jsonl().replace("\"schema_version\":2", "\"schema_version\":9");
         assert!(render(&skewed).unwrap_err().contains("schema_version 9"));
+        // A version-1 line (no `z`) is schema skew, not a 2-D reading.
+        let v1 = r#"{"schema_version":1,"node":0,"x":0,"y":0,"total_energy_j":1e-9,"power_w":0.1}"#;
+        let e = render(v1).unwrap_err();
+        assert!(e.contains("line 1: schema_version 1 (expected 2)"), "{e}");
         let short: String = sample_jsonl()
             .lines()
             .take(3)

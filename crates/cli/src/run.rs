@@ -84,8 +84,8 @@ EXAMPLES:
   orion-power-cli link --chip2chip --watts 3 --bits 32
   orion-power-cli simulate --preset wh64 --rate 0.5 --watchdog-cycles 500
   orion-power-cli simulate --preset vc16 --rate 0.05 --audit-every 100 --json
-  orion-power-cli simulate --preset vc64 --rate 0.2 --traffic broadcast \\
-      --traffic-src 1,2 --observe-dir obs --sample-every 50
+  orion-power-cli simulate --preset vc64 --rate 0.2 --traffic broadcast@1:2 \\
+      --observe-dir obs --sample-every 50
   orion-power-cli powermap --observe-dir obs
   orion-power-cli experiment run examples/specs/fig5.toml --threads 8 \\
       --cache-dir .exp-cache --out-dir experiments
@@ -93,10 +93,10 @@ EXAMPLES:
       --threads 8 --seed 1 --budget 12 --cache-dir .exp-cache
 ";
 
-/// Version of the CLI's JSON output layouts (`simulate --json` and
-/// `experiment run --json`), emitted as `schema_version`. Bump on any
-/// field change. Per-cell artifact records carry their own
-/// [`orion_exp::SCHEMA_VERSION`].
+/// Version of the CLI's JSON summary layouts (`experiment run --json`
+/// and `experiment explore --json`), emitted as `schema_version`. Bump
+/// on any field change. Per-cell records, which `simulate --json`
+/// prints, carry their own [`orion_exp::SCHEMA_VERSION`].
 ///
 /// History: 2 added supervision fields (`crashed`, `timed_out`,
 /// `retried`, `corrupted`, `append_failures` to `experiment run`;
@@ -106,7 +106,7 @@ EXAMPLES:
 /// (`strategy`, `budget`, `seed`, `evaluations`, `rounds`, `frontier`,
 /// `dominated` and the four-file `artifacts` object); 5 removed the
 /// fault model's `packets.dropped`, `packets.detoured` and `drop_rate`
-/// from `simulate`.
+/// from `simulate`, which since prints the cell's record line instead.
 pub const JSON_SCHEMA_VERSION: u32 = 5;
 
 /// Exit code for runtime I/O failures (cache/artifact files).

@@ -1,7 +1,15 @@
-//! The `simulate` subcommand: run a whole-network experiment from the
-//! command line, with watchdog and audit control, workload selection
-//! and opt-in observability, and render the structured
-//! [`RunOutcome`] as human-readable text or JSON.
+//! The `simulate` subcommand: run one experiment cell from the
+//! command line, with watchdog and audit control and opt-in
+//! observability, and render the structured [`RunOutcome`] as
+//! human-readable text or as the cell's record line.
+//!
+//! The command line names a cell exactly as a spec grid does: `--preset`
+//! is a design name, `--traffic` a traffic name, `--seed` the seed-axis
+//! value and `--warmup/--sample/--max-cycles/--watchdog-cycles/
+//! --audit-every` the `[measure]` section (same defaults). The cell
+//! lowers through [`Cell::experiment`] under its derived seed, so
+//! `--json` prints byte for byte the line `experiment run` writes for
+//! that cell.
 //!
 //! With `--observe-dir DIR` the run additionally collects event
 //! metrics, per-node probe time series and (with `--trace-packets N`)
@@ -19,109 +27,57 @@
 
 use std::path::Path;
 
-use orion_core::{Experiment, NetworkConfig, ObserveOptions, Report, RunOutcome};
-use orion_exp::design::DesignPoint;
-use orion_exp::TrafficKind;
-use orion_net::{NodeId, Topology, TopologyKind};
-use orion_obs::json::{Json, Value};
+use orion_core::{Experiment, ObserveOptions, Report, RunOutcome};
+use orion_exp::{Cell, CellRecord, DesignPoint, MeasureSpec, TrafficKind};
+use orion_net::{NodeId, Topology};
 use orion_sim::Component;
 
 use crate::args::{ArgError, Args, Grammar};
 use crate::powermap::NodeCell;
-use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
+use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 
 /// `simulate`: every option takes a value except the `--json` switch.
 pub const GRAMMAR: Grammar = Grammar(
-    "--preset DESIGN --topology KxK[xK][-mesh] --shards N --rate X \
+    "--preset DESIGN --shards N --rate X \
      --seed N --warmup N --sample N --max-cycles N --watchdog-cycles N --audit-every N \
-     --traffic uniform|transpose|bit-complement|tornado|shuffle|bit-reversal|broadcast \
-     --traffic-src x,y \
+     --traffic uniform|transpose|bit-complement|tornado|shuffle|bit-reversal|broadcast@X:Y[:Z] \
      --observe-dir DIR --sample-every N --trace-packets N --checkpoint-every N \
      --checkpoint-file F --resume-from F --json",
 );
 
-/// Per-dimension radix ceiling for `--topology` (matches the design
-/// grammar's `MAX_RADIX`: keeps node counts, and therefore simulated
-/// state, within what one machine can hold).
-const MAX_TOPOLOGY_RADIX: u32 = 64;
-
-/// Parses a `--topology` spec — `KxK` or `KxKxK`, with an optional
-/// `-torus` (default) or `-mesh` suffix — into a validated topology.
-/// The headline presets: `32x32`, `64x64` and the 3-D `8x8x8`.
-///
-/// # Errors
-///
-/// Typed [`ArgError`]s for malformed radices, dimension counts outside
-/// 2..=3 and radices outside 2..=[`MAX_TOPOLOGY_RADIX`].
-fn parse_topology(spec: &str) -> Result<Topology, ArgError> {
-    let (shape, kind) = if let Some(rest) = spec.strip_suffix("-mesh") {
-        (rest, TopologyKind::Mesh)
-    } else if let Some(rest) = spec.strip_suffix("-torus") {
-        (rest, TopologyKind::Torus)
-    } else {
-        (spec, TopologyKind::Torus)
-    };
-    let radices: Vec<u32> = shape
-        .split('x')
-        .map(|r| {
-            r.parse().map_err(|_| {
-                ArgError(format!(
-                    "--topology expects KxK or KxKxK radices (e.g. 32x32, 8x8x8-mesh), got `{spec}`"
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    if !(2..=3).contains(&radices.len()) {
-        return Err(ArgError(format!(
-            "--topology `{spec}` has {} dimension(s); 2-D (KxK) and 3-D (KxKxK) networks are supported",
-            radices.len()
-        )));
-    }
-    for (dim, &radix) in radices.iter().enumerate() {
-        if !(2..=MAX_TOPOLOGY_RADIX).contains(&radix) {
-            return Err(ArgError(format!(
-                "--topology radix {radix} out of range for dimension {dim} (expected 2..={MAX_TOPOLOGY_RADIX})"
-            )));
-        }
-    }
-    Topology::new(kind, &radices).map_err(|e| ArgError(format!("--topology {spec}: {e}")))
-}
-
-/// The `--preset` design: any name of the spec grammar (`vc16`,
-/// `vc8x8`, `vc4x16-t8`, …), with its canonical name.
-fn design(name: &str) -> Result<(String, NetworkConfig), ArgError> {
+/// The cell the command line names, built the way a spec grid with no
+/// override axes builds one.
+fn cell(args: &Args) -> Result<Cell, ArgError> {
+    let name = args.get("preset").unwrap_or("vc16");
     let point = DesignPoint::parse(name).ok_or_else(|| {
         ArgError(format!(
             "unknown preset `{name}` (expected wh64|vc16|vc64|vc128|xb|cb or a \
-             design name like vc4x16-t8 — see docs/EXPLORATION.md)"
+             design name like vc4x16-t8 or vc16-t4x4x4 — see docs/EXPLORATION.md)"
         ))
     })?;
-    Ok((point.name(), point.config()))
-}
-
-/// The `--traffic` pattern in the spec's vocabulary; `broadcast` takes
-/// its source from `--traffic-src x,y` (spelled `broadcast@x:y`).
-fn traffic(args: &Args) -> Result<TrafficKind, ArgError> {
     let name = args.get("traffic").unwrap_or("uniform");
-    match (name, args.get("traffic-src")) {
-        ("broadcast", None) => Err(ArgError(
-            "--traffic broadcast requires --traffic-src x,y".into(),
-        )),
-        ("broadcast", Some(src)) => {
-            let coords: Vec<&str> = src.split(',').map(str::trim).collect();
-            TrafficKind::parse(&format!("broadcast@{}", coords.join(":"))).ok_or_else(|| {
-                ArgError(format!(
-                    "--traffic-src expects one to three comma-separated coordinates, got `{src}`"
-                ))
-            })
-        }
-        _ => TrafficKind::parse(name).ok_or_else(|| {
-            ArgError(format!(
-                "unknown traffic pattern `{name}` (expected uniform|transpose|\
-                 bit-complement|tornado|shuffle|bit-reversal|broadcast)"
-            ))
-        }),
-    }
+    let traffic = TrafficKind::parse(name).ok_or_else(|| {
+        ArgError(format!(
+            "unknown traffic pattern `{name}` (expected uniform|transpose|\
+             bit-complement|tornado|shuffle|bit-reversal|broadcast@X:Y[:Z])"
+        ))
+    })?;
+    let d = MeasureSpec::default();
+    let measure = MeasureSpec {
+        warmup: args.u64_or("warmup", d.warmup)?,
+        sample_packets: args.u64_or("sample", d.sample_packets)?,
+        max_cycles: args.u64_or("max-cycles", d.max_cycles)?,
+        watchdog_cycles: args.u64_or("watchdog-cycles", d.watchdog_cycles)?,
+        audit_every: args.u64_or("audit-every", d.audit_every)?,
+    };
+    let rate = args.f64_or("rate", 0.05)?;
+    Ok(Cell::new(
+        point.name(),
+        traffic,
+        rate,
+        args.u64_or("seed", 1)?,
+        measure,
+    ))
 }
 
 /// Runs a simulation experiment per the parsed command line. The exit
@@ -135,19 +91,8 @@ fn traffic(args: &Args) -> Result<TrafficKind, ArgError> {
 /// Returns an [`ArgError`] for unknown options, malformed numbers and
 /// configurations the runner rejects ([`orion_core::ConfigError`]).
 pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
-    let preset_flag = args.get("preset").unwrap_or("vc16");
-    let (preset_name, mut config) = design(preset_flag)?;
-    if let Some(spec) = args.get("topology") {
-        config.topology = parse_topology(spec)?;
-    }
+    let cell = cell(args)?;
     let shards = args.u64_or("shards", 1)? as usize;
-    let rate = args.f64_or("rate", 0.05)?;
-    let seed = args.u64_or("seed", 1)?;
-    let warmup = args.u64_or("warmup", 1000)?;
-    let sample = args.u64_or("sample", 10_000)?;
-    let max_cycles = args.u64_or("max-cycles", 1_000_000)?;
-    let watchdog = args.u64_or("watchdog-cycles", 1000)?;
-    let audit_every = args.u64_or("audit-every", 0)?;
 
     let observe_dir = args.path("observe-dir");
     let sample_every = args.u64_or("sample-every", 100)?;
@@ -180,28 +125,12 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         ));
     }
 
-    // Uniform stays on the runner's default workload, so a bad rate is
-    // the runner's own `ConfigError`.
-    let workload = match traffic(args)? {
-        TrafficKind::Uniform => None,
-        kind => Some(
-            kind.pattern(&config.topology, rate)
-                .map_err(|e| ArgError(format!("--traffic {kind}: {e}")))?,
-        ),
-    };
-
-    let mut experiment = Experiment::new(config.clone())
-        .injection_rate(rate)
-        .seed(seed)
-        .warmup(warmup)
-        .sample_packets(sample)
-        .max_cycles(max_cycles)
-        .watchdog_cycles(watchdog)
-        .audit_every(audit_every)
-        .shards(shards);
-    if let Some(pattern) = workload {
-        experiment = experiment.workload(pattern);
-    }
+    let mut experiment = cell.experiment(cell.derived_seed(), shards).map_err(|e| {
+        ArgError(format!(
+            "--traffic {} --rate {}: {e}",
+            cell.traffic, cell.rate
+        ))
+    })?;
     if observe_dir.is_some() {
         experiment = experiment.observe(ObserveOptions {
             sample_every,
@@ -210,28 +139,20 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     }
 
     let report = if ckpt_file.is_some() || resume_from.is_some() {
-        // The checkpoint's owner stamp is a hash of every flag that
-        // shapes the deterministic run, so a snapshot taken under one
-        // command line is never resumed into a different one.
-        let canon = format!(
-            "simulate|{preset_flag}|{topology}|{shards}|{rate}|{seed}|{warmup}|{sample}\
-             |{max_cycles}|{watchdog}|{audit_every}|{traffic}|{src}",
-            topology = args.get("topology").unwrap_or(""),
-            traffic = args.get("traffic").unwrap_or("uniform"),
-            src = args.get("traffic-src").unwrap_or(""),
-        );
+        // The checkpoint's owner stamp is the cell's fingerprint, so a
+        // snapshot taken for one cell is never resumed into another.
         run_with_checkpoints(
             experiment,
             ckpt_every,
             ckpt_file.as_deref(),
             resume_from.as_deref(),
-            orion_ckpt::hash::fnv1a64(canon.as_bytes()),
+            cell.fingerprint(),
         )?
     } else {
         experiment.run().map_err(|e| ArgError(e.to_string()))?
     };
     if let Some(dir) = &observe_dir {
-        if let Err(e) = write_observations(dir, &config, &report) {
+        if let Err(e) = write_observations(dir, &cell.config().topology, &report) {
             let dir = dir.display();
             return Ok(CmdOutput::failure(
                 EXIT_RUNTIME,
@@ -240,9 +161,9 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
         }
     }
     let text = if args.flag("json") {
-        render_json(&preset_name, rate, &report)
+        CellRecord::from_report(&cell, &report).to_json_line() + "\n"
     } else {
-        render_human(&preset_name, rate, &report)
+        render_human(&cell, &report)
     };
     let code = match report.outcome() {
         RunOutcome::Completed => 0,
@@ -305,9 +226,9 @@ fn run_with_checkpoints(
 /// (per-node time series), `powermap.jsonl` (the Fig. 6 per-node
 /// energy/power map) and, when tracing was on, `trace.jsonl` (flit
 /// lifecycle spans). Failures surface as I/O errors (exit code 1).
-fn write_observations(dir: &Path, config: &NetworkConfig, report: &Report) -> std::io::Result<()> {
+fn write_observations(dir: &Path, topology: &Topology, report: &Report) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("powermap.jsonl"), powermap_jsonl(config, report))?;
+    std::fs::write(dir.join("powermap.jsonl"), powermap_jsonl(topology, report))?;
     let Some(obs) = report.observations() else {
         return Ok(());
     };
@@ -327,10 +248,10 @@ fn write_observations(dir: &Path, config: &NetworkConfig, report: &Report) -> st
 
 /// Serializes the per-node energy/power map as one flat JSON object
 /// per node (the format the `powermap` subcommand renders).
-fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
+fn powermap_jsonl(topology: &Topology, report: &Report) -> String {
     let mut out = String::new();
     for node in 0..report.num_nodes() {
-        let coords = config.topology.coords(NodeId(node));
+        let coords = topology.coords(NodeId(node));
         let energy_j: f64 = Component::ALL
             .iter()
             .map(|c| report.node_component_energy(node, *c).0)
@@ -339,6 +260,7 @@ fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
             node,
             x: coords.first().copied().unwrap_or(0) as usize,
             y: coords.get(1).copied().unwrap_or(0) as usize,
+            z: coords.get(2).copied().unwrap_or(0) as usize,
             energy_j,
             power_w: report.node_power(node).0,
         };
@@ -347,8 +269,8 @@ fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
     out
 }
 
-fn render_human(preset: &str, rate: f64, report: &Report) -> String {
-    let mut out = format!("{preset} at {rate} packets/cycle/node\n");
+fn render_human(cell: &Cell, report: &Report) -> String {
+    let mut out = format!("{} at {} packets/cycle/node\n", cell.preset, cell.rate);
     out.push_str(&format!("outcome: {}\n", report.outcome()));
     out.push_str(&format!("{report}\n"));
     if let RunOutcome::Corrupted { violations, cycle } = report.outcome() {
@@ -362,67 +284,6 @@ fn render_human(preset: &str, rate: f64, report: &Report) -> String {
     if let Some(diag) = report.stall_diagnostics() {
         out.push_str(&format!("{diag}"));
     }
-    out
-}
-
-/// The `--json` report: report-summary floats are rounded to six
-/// places (artifacts keep full precision).
-fn render_json(preset: &str, rate: f64, report: &Report) -> String {
-    let stats = report.stats();
-    let mut out = String::new();
-    let mut o = Json::pretty(&mut out);
-    o.key("schema_version").num(JSON_SCHEMA_VERSION);
-    o.key("preset").str(preset);
-    o.key("offered_rate").fixed(rate, 6);
-    o.key("outcome").str(report.outcome().label());
-    o.key("saturated").bool(report.is_saturated());
-    o.key("avg_latency_cycles").fixed(report.avg_latency(), 6);
-    o.key("latency_p50_cycles")
-        .opt(stats.latency_percentile(50.0), Value::num);
-    o.key("latency_p99_cycles")
-        .opt(stats.latency_percentile(99.0), Value::num);
-    o.key("zero_load_latency_cycles")
-        .fixed(report.zero_load_latency(), 6);
-    o.key("measured_cycles").num(report.measured_cycles());
-    o.key("total_power_w").fixed(report.total_power().0, 6);
-    let mut packets = o.key("packets").object();
-    packets.key("injected").num(stats.packets_injected);
-    packets.key("delivered").num(stats.packets_delivered);
-    packets.end();
-    o.key("flits_delivered").num(stats.flits_delivered);
-    match report.outcome() {
-        RunOutcome::Deadlocked(diag) => {
-            let mut d = o.key("diagnostics").object();
-            d.key("kind").str(&diag.kind.to_string());
-            d.key("cycle").num(diag.cycle);
-            d.key("window").num(diag.window);
-            d.key("cycles_since_flit_movement")
-                .num(diag.cycles_since_flit_movement);
-            d.key("cycles_since_delivery")
-                .num(diag.cycles_since_delivery);
-            d.key("flits_in_network").num(diag.flits_in_network);
-            d.key("source_backlog").num(diag.source_backlog);
-            d.key("stalled_vcs").num(diag.stalled_vcs.len());
-            d.key("blocked_head_flits").num(diag.blocked_head_flits());
-            d.end();
-        }
-        _ => o.key("diagnostics").null(),
-    }
-    match report.outcome() {
-        RunOutcome::Corrupted { violations, cycle } => {
-            let mut audit = o.key("audit").object();
-            audit.key("cycle").num(cycle);
-            let mut kinds = audit.key("violations").array();
-            for v in violations {
-                kinds.item().str(v.kind());
-            }
-            kinds.end();
-            audit.end();
-        }
-        _ => o.key("audit").null(),
-    }
-    o.end();
-    out.push('\n');
     out
 }
 
@@ -454,63 +315,21 @@ mod tests {
             "simulate --preset vc16 --rate 0.03 {QUICK} --json"
         ))
         .unwrap();
-        assert!(
-            out.contains(&format!(
-                "\"schema_version\": {}",
-                crate::run::JSON_SCHEMA_VERSION
-            )),
-            "{out}"
+        let record = CellRecord::from_json_line(out.trim_end()).expect("a record line");
+        assert_eq!(record.outcome, "completed", "{out}");
+        assert_eq!(
+            record.cell,
+            "vc16/uniform/r0.030000/s0000000001/fc-flit-level/vd-unrestricted/pl005"
         );
-        assert!(out.contains("\"outcome\": \"completed\""), "{out}");
-        assert!(out.contains("\"latency_p50_cycles\": "), "{out}");
-        assert!(out.contains("\"latency_p99_cycles\": "), "{out}");
-        assert!(out.contains("\"flits_delivered\": "), "{out}");
-        assert!(out.contains("\"diagnostics\": null"), "{out}");
-        assert!(out.contains("\"audit\": null"), "{out}");
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
-        assert_eq!(out, GOLDEN_COMPLETED);
+        assert_eq!(out, format!("{GOLDEN_COMPLETED}\n"));
     }
 
-    /// Exact `simulate --json` bytes at `JSON_SCHEMA_VERSION` 5: a
-    /// completed run, a watchdog-stopped run (the `diagnostics`
-    /// object), and the first `powermap.jsonl` line of the former.
-    const GOLDEN_COMPLETED: &str = r#"{
-  "schema_version": 5,
-  "preset": "vc16",
-  "offered_rate": 0.030000,
-  "outcome": "completed",
-  "saturated": false,
-  "avg_latency_cycles": 16.620000,
-  "latency_p50_cycles": 16,
-  "latency_p99_cycles": 27,
-  "zero_load_latency_cycles": 15.533333,
-  "measured_cycles": 246,
-  "total_power_w": 2.351593,
-  "packets": {"injected": 110, "delivered": 111},
-  "flits_delivered": 548,
-  "diagnostics": null,
-  "audit": null
-}
-"#;
-    const GOLDEN_DEADLOCKED: &str = r#"{
-  "schema_version": 5,
-  "preset": "wh64",
-  "offered_rate": 0.500000,
-  "outcome": "livelocked",
-  "saturated": true,
-  "avg_latency_cycles": 447.361514,
-  "latency_p50_cycles": 445,
-  "latency_p99_cycles": 735,
-  "zero_load_latency_cycles": 12.400000,
-  "measured_cycles": 1095,
-  "total_power_w": 12.554632,
-  "packets": {"injected": 11786, "delivered": 2209},
-  "flits_delivered": 11027,
-  "diagnostics": {"kind": "livelock", "cycle": 1572, "window": 400, "cycles_since_flit_movement": 377, "cycles_since_delivery": 400, "flits_in_network": 2223, "source_backlog": 48642, "stalled_vcs": 36, "blocked_head_flits": 20},
-  "audit": null
-}
-"#;
-    const GOLDEN_POWERMAP_LINE: &str = r#"{"schema_version":1,"node":0,"x":0,"y":0,"total_energy_j":0.000000019761123414074402,"power_w":0.16065953995182441}"#;
+    /// Exact `simulate --json` bytes: the record line of a completed
+    /// run and of a run the divergence check stopped, and the first
+    /// `powermap.jsonl` line of the former.
+    const GOLDEN_COMPLETED: &str = r#"{"schema_version":4,"cell":"vc16/uniform/r0.030000/s0000000001/fc-flit-level/vd-unrestricted/pl005","fingerprint":"0cf230becf38e425","preset":"vc16","traffic":"uniform","rate":0.03,"seed":1,"derived_seed":7566668992343038379,"flow_control":"flit-level","vc_discipline":"unrestricted","packet_len":5,"outcome":"completed","error":null,"cell_outcome":"ok","attempts":1,"saturated":false,"avg_latency":16.59,"zero_load_latency":15.533333333333333,"measured_cycles":213,"throughput":2.60093896713615,"total_power_w":2.7749206661978363,"buffer_w":0.2703542281384565,"crossbar_w":1.3505711510805631,"arbiter_w":0.02110875176754931,"link_w":1.1328865352112676,"central_w":0,"packets_injected":109,"packets_delivered":111,"packets_dropped":0,"packets_detoured":0,"flits_delivered":554,"latency_p50":15,"latency_p99":26,"resumed_from_cycle":null,"checkpoints_written":0}"#;
+    const GOLDEN_DEGRADED: &str = r#"{"schema_version":4,"cell":"wh64/uniform/r0.500000/s0000000001/fc-flit-level/vd-unrestricted/pl005","fingerprint":"71e4b2abe2f3e63e","preset":"wh64","traffic":"uniform","rate":0.5,"seed":1,"derived_seed":2451078057092928356,"flow_control":"flit-level","vc_discipline":"unrestricted","packet_len":5,"outcome":"saturated","error":null,"cell_outcome":"ok","attempts":1,"saturated":true,"avg_latency":502.1170323928945,"zero_load_latency":12.4,"measured_cycles":1500,"throughput":9.084666666666667,"total_power_w":11.264795017192826,"buffer_w":2.5350042650377227,"crossbar_w":4.723556921925107,"arbiter_w":0.033270143829983445,"link_w":3.9729636864000137,"central_w":0,"packets_injected":11953,"packets_delivered":2731,"packets_dropped":0,"packets_detoured":0,"flits_delivered":13627,"latency_p50":498,"latency_p99":807,"resumed_from_cycle":null,"checkpoints_written":0}"#;
+    const GOLDEN_POWERMAP_LINE: &str = r#"{"schema_version":2,"node":0,"x":0,"y":0,"z":0,"total_energy_j":0.00000001543988562228,"power_w":0.14497545185239435}"#;
 
     #[test]
     fn audit_passes_cleanly_and_changes_no_numbers() {
@@ -530,13 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn audit_json_field_is_null_on_clean_runs() {
+    fn audited_clean_run_records_completed() {
         let out = run_line(&format!(
             "simulate --preset wh64 --rate 0.03 {QUICK} --audit-every 100 --json"
         ))
         .unwrap();
-        assert!(out.contains("\"outcome\": \"completed\""), "{out}");
-        assert!(out.contains("\"audit\": null"), "{out}");
+        let record = CellRecord::from_json_line(out.trim_end()).expect("a record line");
+        assert_eq!(record.outcome, "completed", "{out}");
     }
 
     #[test]
@@ -545,7 +364,7 @@ mod tests {
              --max-cycles 200000 --watchdog-cycles 400";
         assert_eq!(
             run_line(&format!("{line} --json")).unwrap(),
-            GOLDEN_DEADLOCKED
+            format!("{GOLDEN_DEGRADED}\n")
         );
         let out = run_full(line).unwrap();
         // A wormhole torus this deep past saturation either deadlocks
@@ -587,10 +406,10 @@ mod tests {
         assert!(run_line("simulate --trace-packets 8").is_err());
         // Workload selection errors are typed, not panics.
         assert!(run_line("simulate --traffic warp").is_err());
-        assert!(run_line("simulate --traffic broadcast").is_err()); // no src
-        assert!(run_line("simulate --traffic broadcast --traffic-src abc").is_err());
-        assert!(run_line("simulate --traffic broadcast --traffic-src 1").is_err());
-        assert!(run_line("simulate --traffic broadcast --traffic-src 9,9").is_err());
+        assert!(run_line("simulate --traffic broadcast").is_err()); // no source
+        assert!(run_line("simulate --traffic broadcast@abc").is_err());
+        assert!(run_line("simulate --traffic broadcast@1").is_err()); // 1 of 2 dims
+        assert!(run_line("simulate --traffic broadcast@9:9").is_err());
     }
 
     #[test]
@@ -601,18 +420,19 @@ mod tests {
             run_line(&line("vc8x8")).unwrap(),
             run_line(&line("vc64")).unwrap()
         );
-        // The design grammar's torus suffix is the `--topology` override.
-        let suffixed = run_line(&format!("{} --json", line("vc16-t8"))).unwrap();
-        let flagged = run_line(&format!("{} --topology 8x8 --json", line("vc16"))).unwrap();
-        assert!(suffixed.contains("\"preset\": \"vc16-t8\""), "{suffixed}");
-        assert_eq!(suffixed.replace("vc16-t8", "vc16"), flagged);
+        // The record names the canonical design.
+        let suffixed = run_line(&format!("{} --json", line("vc16-t8-n100"))).unwrap();
+        assert!(
+            suffixed.contains(r#""cell":"vc16-t8/uniform/"#),
+            "{suffixed}"
+        );
         // Every spec traffic name runs.
         for traffic in ["shuffle", "bit-reversal", "broadcast@1:2"] {
             let out = run_full(&format!("{} --traffic {traffic}", line("vc16"))).unwrap();
             assert_eq!(out.code, 0, "{traffic}: {}", out.text);
         }
         // An out-of-range source names the axis it broke.
-        let e = run_line("simulate --traffic broadcast --traffic-src 1,4").unwrap_err();
+        let e = run_line("simulate --traffic broadcast@1:4").unwrap_err();
         assert!(
             e.0.contains("out of range for dimension 1 (radix 4)"),
             "{e}"
@@ -707,7 +527,7 @@ mod tests {
         // sits strictly above the mean per-node energy (Fig. 6b).
         let dir = temp_dir("fig6b");
         let out = run_full(&format!(
-            "simulate --preset vc64 --rate 0.2 --traffic broadcast --traffic-src 1,2 \
+            "simulate --preset vc64 --rate 0.2 --traffic broadcast@1:2 \
              --warmup 200 --sample 300 --max-cycles 100000 --observe-dir {}",
             dir.display()
         ))
@@ -743,39 +563,59 @@ mod tests {
     }
 
     #[test]
-    fn topology_flag_overrides_the_preset_grid() {
+    fn design_suffix_sets_the_topology() {
         // An 8×8 torus has 64 nodes; the run completes and is
-        // deterministic under the override.
-        let line = format!("simulate --preset vc16 --topology 8x8 --rate 0.02 {QUICK}");
+        // deterministic.
+        let line = format!("simulate --preset vc16-t8 --rate 0.02 {QUICK}");
         let out = run_full(&line).unwrap();
         assert_eq!(out.code, 0, "{}", out.text);
         assert_eq!(run_line(&line).unwrap(), run_line(&line).unwrap());
-        // Mesh and 3-D presets parse and run.
-        assert!(run_line(&format!(
-            "simulate --preset vc16 --topology 4x4-mesh --rate 0.02 {QUICK}"
+        assert!(run_line(&format!("simulate --preset vc16-m4 --rate 0.02 {QUICK}")).is_ok());
+    }
+
+    #[test]
+    fn a_three_d_run_renders_one_powermap_plane_per_z() {
+        let dir = temp_dir("cube");
+        let out = run_full(&format!(
+            "simulate --preset vc16-t4x4x4 --rate 0.01 {QUICK} --observe-dir {}",
+            dir.display()
         ))
-        .is_ok());
-        assert!(run_line(&format!(
-            "simulate --preset vc16 --topology 4x4x4 --rate 0.01 {QUICK}"
-        ))
-        .is_ok());
+        .unwrap();
+        assert_eq!(out.code, 0, "{}", out.text);
+        let map = run_full(&format!("powermap --observe-dir {}", dir.display())).unwrap();
+        assert_eq!(map.code, 0, "{}", map.text);
+        assert!(
+            map.text.starts_with("per-node power map (4x4x4)"),
+            "{}",
+            map.text
+        );
+        for z in 0..4 {
+            assert!(map.text.contains(&format!("z = {z}\n")), "{}", map.text);
+        }
+        assert_eq!(
+            map.text.matches('*').count(),
+            2,
+            "one hotspot: {}",
+            map.text
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn topology_validation_errors_are_typed() {
         for bad in [
-            "4",        // 1-D: below the 2-dimension floor
-            "4x4x4x4",  // 4-D: above the 3-dimension ceiling
-            "1x4",      // radix below 2
-            "65x65",    // radix above MAX_TOPOLOGY_RADIX
-            "axb",      // not a number
-            "4x",       // trailing separator
-            "",         // empty
-            "4x4-ring", // unknown kind suffix
+            "vc16-t1",       // radix below 2
+            "vc16-t65",      // radix above the grammar's bound
+            "vc16-t4x4",     // 2-D takes one radix
+            "vc16-t4x4x8",   // non-square networks are not named
+            "vc16-t4x4x4x4", // 4-D
+            "vc16-tx",       // not a number
+            "vc16-t4-m4",    // two topologies
+            "vc16-ring4",    // unknown suffix
         ] {
             assert!(
-                run_line(&format!("simulate --topology {bad} --rate 0.02 {QUICK}")).is_err(),
-                "--topology {bad:?} should be rejected"
+                run_line(&format!("simulate --preset {bad} --rate 0.02 {QUICK}")).is_err(),
+                "--preset {bad:?} should be rejected"
             );
         }
     }
@@ -812,9 +652,9 @@ mod tests {
     fn foreign_shard_snapshot_degrades_to_cycle_zero_replay() {
         use orion_core::{RunCheckpoint, RunControl, RunHook};
 
-        // Persist a mid-run 4-shard checkpoint under the exact owner
-        // stamp the resuming `--shards 1` (default) command line will
-        // compute: the fingerprint matches, so only the network
+        // Persist a mid-run 4-shard checkpoint under the owner stamp
+        // the resuming `--shards 1` (default) command line uses, its
+        // cell's fingerprint: the stamp matches, so only the network
         // image's engine frame can reject it — and that rejection
         // must degrade to a clean cycle-0 replay, not an error.
         struct StopAtFirst(Option<RunCheckpoint>);
@@ -827,15 +667,12 @@ mod tests {
                 RunControl::Stop
             }
         }
+        let base = format!("simulate --preset vc16 --rate 0.03 {QUICK} --json");
+        let args = crate::args::Args::parse("simulate", &crate::args::toks(&base)[1..], &GRAMMAR);
+        let cell = cell(&args.unwrap()).unwrap();
         let mut stopper = StopAtFirst(None);
-        orion_core::Experiment::new(orion_core::presets::vc16_onchip())
-            .injection_rate(0.03)
-            .seed(1)
-            .warmup(100)
-            .sample_packets(100)
-            .max_cycles(20_000)
-            .watchdog_cycles(1000)
-            .shards(4)
+        cell.experiment(cell.derived_seed(), 4)
+            .expect("valid")
             .run_with_hook(&mut stopper, None)
             .expect("valid");
         let foreign = stopper.0.expect("captured a checkpoint");
@@ -843,11 +680,8 @@ mod tests {
         let dir = temp_dir("ckpt-shards");
         std::fs::create_dir_all(&dir).unwrap();
         let ck = dir.join("four-shards.ckpt");
-        let canon = "simulate|vc16||1|0.03|1|100|100|20000|1000|0|uniform|";
-        orion_ckpt::save_checkpoint(&ck, orion_ckpt::hash::fnv1a64(canon.as_bytes()), &foreign)
-            .unwrap();
+        orion_ckpt::save_checkpoint(&ck, cell.fingerprint(), &foreign).unwrap();
 
-        let base = format!("simulate --preset vc16 --rate 0.03 {QUICK} --json");
         let plain = run_full(&base).unwrap();
         let resumed = run_full(&format!("{base} --resume-from {}", ck.display())).unwrap();
         assert_eq!(

@@ -1,78 +1,64 @@
-//! The two front ends build the same experiment. A spec cell run by
+//! The two front ends run the same cell. A spec cell run by
 //! `orion_exp::run_cell` and the `simulate` command line that names the
-//! same design, traffic, rate, seed and measurement discipline must
-//! deliver the same packets and flits and report the same latency and
-//! power, so the names and the lowering cannot drift apart.
+//! same design, traffic, rate, seed and measurement discipline print
+//! the same record line, byte for byte, so the names, the lowering and
+//! the output cannot drift apart.
 
 mod common;
 
-use common::{cli, summary_u64};
+use common::cli;
 use orion_exp::{run_cell, ExperimentSpec};
 
-const SPEC: &str = "[experiment]\nname = \"front-ends\"\n\
-     [measure]\nwarmup = 300\nsample_packets = 600\nmax_cycles = 60000\nwatchdog_cycles = 1000\n\
-     [grid]\npresets = [\"vc64\"]\ntraffic = [\"broadcast@1:2\"]\nrates = [0.2]\n";
+const MEASURE: &str = "[measure]\nwarmup = 300\nsample_packets = 600\nmax_cycles = 60000\n";
 
-/// The text after `"key": ` up to the next `,` in a `--json` summary.
-fn summary_field<'a>(summary: &'a str, key: &str) -> &'a str {
-    let at = summary
-        .find(&format!("\"{key}\": "))
-        .unwrap_or_else(|| panic!("no `{key}` in {summary}"));
-    let rest = &summary[at + key.len() + 4..];
-    &rest[..rest.find(',').unwrap_or(rest.len())]
-}
-
-#[test]
-fn simulate_runs_the_experiment_a_spec_cell_runs() {
-    let cell = ExperimentSpec::parse(SPEC).unwrap().expand().remove(0);
+/// `simulate --json` for the one cell of a grid naming `preset`,
+/// `traffic` and `rate` (seed 1, [`MEASURE`]) at `shards`, checked
+/// against the line `run_cell` records for that cell.
+fn assert_same_line(preset: &str, traffic: &str, rate: &str, shards: &str) {
+    let spec = format!(
+        "[experiment]\nname = \"front-ends\"\n{MEASURE}\
+         [grid]\npresets = [\"{preset}\"]\ntraffic = [\"{traffic}\"]\nrates = [{rate}]\n"
+    );
+    let cell = ExperimentSpec::parse(&spec).unwrap().expand().remove(0);
     let record = run_cell(&cell);
     assert_eq!(record.outcome, "completed", "{record:?}");
 
-    let m = cell.measure;
-    let numbers = [
-        record.derived_seed,
-        m.warmup,
-        m.sample_packets,
-        m.max_cycles,
-        m.watchdog_cycles,
-    ]
-    .map(|n| n.to_string());
-    let [seed, warmup, sample, max_cycles, watchdog] = numbers.each_ref().map(String::as_str);
     let run = cli(
         &[
             "simulate",
             "--preset",
-            "vc64",
+            preset,
             "--traffic",
-            "broadcast",
-            "--traffic-src",
-            "1,2",
+            traffic,
             "--rate",
-            "0.2",
-            "--seed",
-            seed,
+            rate,
             "--warmup",
-            warmup,
+            "300",
             "--sample",
-            sample,
+            "600",
             "--max-cycles",
-            max_cycles,
-            "--watchdog-cycles",
-            watchdog,
+            "60000",
+            "--shards",
+            shards,
             "--json",
         ],
         None,
     );
     assert_eq!(run.code, 0, "{run:?}");
-    let json = &run.stdout;
-    assert_eq!(summary_u64(json, "delivered"), record.packets_delivered);
-    assert_eq!(summary_u64(json, "flits_delivered"), record.flits_delivered);
-    assert_eq!(
-        summary_field(json, "avg_latency_cycles"),
-        format!("{:.6}", record.avg_latency)
-    );
-    assert_eq!(
-        summary_field(json, "total_power_w"),
-        format!("{:.6}", record.total_power_w)
-    );
+    assert_eq!(run.stdout, format!("{}\n", record.to_json_line()));
+}
+
+#[test]
+fn simulate_runs_the_experiment_a_spec_cell_runs() {
+    assert_same_line("vc64", "broadcast@1:2", "0.2", "1");
+}
+
+#[test]
+fn a_three_d_design_is_the_same_cell_on_both_front_ends() {
+    assert_same_line("vc16-t4x4x4", "uniform", "0.01", "1");
+}
+
+#[test]
+fn the_shard_count_leaves_the_record_line_alone() {
+    assert_same_line("vc64", "broadcast@1:2", "0.2", "2");
 }

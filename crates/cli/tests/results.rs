@@ -739,6 +739,7 @@ fn fig5b(g: &Grid, v: &mut Verdicts) -> String {
     let n = vc64.len();
     let step = |i: usize| vc64[i].total_power_w - vc64[i - 1].total_power_w;
     let ramp = (vc64[4].total_power_w - vc64[0].total_power_w) / 4.0;
+    let track = g.at("vc64", 0.08).total_power_w / g.at("vc64", 0.04).total_power_w;
     let rows = vec![
         vec![
             "VC16 uses less power than WH64 at equal pre-saturation rates".into(),
@@ -796,6 +797,21 @@ fn fig5b(g: &Grid, v: &mut Verdicts) -> String {
                 not_top.is_empty(),
                 &every,
                 "",
+            ),
+        ],
+        vec![
+            "below saturation power rises with load".into(),
+            format!(
+                "VC64: {:.3} W at 0.08 / {:.3} W at 0.04 = {track:.2}×",
+                g.at("vc64", 0.08).total_power_w,
+                g.at("vc64", 0.04).total_power_w,
+            ),
+            "`fig5` vc64 @ 0.04, 0.08".into(),
+            v.mark(
+                "fig5b.power-tracks-load",
+                (1.6..=2.4).contains(&track),
+                &[g.at("vc64", 0.04), g.at("vc64", 0.08)],
+                " (within 1.6–2.4×)",
             ),
         ],
         vec![

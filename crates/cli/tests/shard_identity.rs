@@ -15,9 +15,9 @@ const SHARD16: &str = "[experiment]\nname = \"shard16\"\n\
      [measure]\nwarmup = 200\nsample_packets = 500\nmax_cycles = 50000\n\n\
      [grid]\npresets = [\"wh64-t16\", \"vc64-t16\"]\nrates = [0.01, 0.02]\n";
 
-/// `simulate` on a 16x16 override of `vc16` at `shards`, plus `extra`.
+/// `simulate` on `vc16` over a 16x16 torus at `shards`, plus `extra`.
 fn simulate(shards: &str, extra: &[&str]) -> String {
-    let mut args = vec!["simulate", "--preset", "vc16", "--topology", "16x16"];
+    let mut args = vec!["simulate", "--preset", "vc16-t16"];
     args.extend(["--rate", "0.02", "--warmup", "200", "--sample", "300"]);
     args.extend(["--max-cycles", "50000", "--shards", shards, "--json"]);
     args.extend(extra);

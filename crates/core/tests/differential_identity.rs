@@ -244,6 +244,117 @@ fn observed_low_rate_cells_match_golden() {
     }
 }
 
+// ---- Engine invariance of the paper's figure cells ----------------------
+
+/// A figure cell at seed 42 under `engine` (a shorter discipline than
+/// the golden grid's, so the ladders below stay cheap).
+fn run_engine(cfg: &NetworkConfig, rate: f64, engine: EngineMode) -> Report {
+    Experiment::new(cfg.clone())
+        .injection_rate(rate)
+        .seed(42)
+        .warmup(300)
+        .sample_packets(200)
+        .max_cycles(30_000)
+        .engine(engine)
+        .run()
+        .expect("valid config")
+}
+
+/// Every bit-sensitive observable of a report, rendered for exact
+/// engine-vs-engine comparison.
+fn bits(report: &Report) -> String {
+    let stats = report.stats();
+    let mut out = format!(
+        "{};{};{};{:?};{:016x};{}",
+        report.outcome().label(),
+        stats.packets_delivered,
+        stats.flits_delivered,
+        stats.latencies(),
+        report.avg_latency().to_bits(),
+        report.measured_cycles(),
+    );
+    for component in Component::ALL {
+        out.push_str(&format!(
+            ";{:016x}",
+            report.component_power(component).0.to_bits()
+        ));
+    }
+    out
+}
+
+/// Fig. 5 low-load plateau: deep below the knee, average latency is
+/// flat (within 10 % across a 5× rate range) — and every plateau cell
+/// is **bit-identical** between the sparse activity-driven engine and
+/// the dense reference, so the sparse engine cannot have moved the
+/// plateau.
+#[test]
+fn fig5_low_load_plateau_flat_and_engine_invariant() {
+    for (name, cfg) in [
+        ("wh64", presets::wh64_onchip()),
+        ("vc64", presets::vc64_onchip()),
+    ] {
+        let mut plateau = Vec::new();
+        for rate in [0.002, 0.005, 0.01] {
+            let sparse = run_engine(&cfg, rate, EngineMode::Sparse);
+            let dense = run_engine(&cfg, rate, EngineMode::DenseReference);
+            assert_eq!(
+                bits(&sparse),
+                bits(&dense),
+                "{name} @ {rate}: sparse and dense engines diverged"
+            );
+            plateau.push(sparse.avg_latency());
+        }
+        let lo = plateau.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = plateau.iter().cloned().fold(0.0, f64::max);
+        assert!(
+            hi <= lo * 1.10,
+            "{name} low-load plateau is not flat: {plateau:?}"
+        );
+    }
+}
+
+/// Fig. 5 knee position: probing a rate ladder from plateau to
+/// saturation, both engines agree on exactly which rates are saturated
+/// — the knee sits between the same two probe rates — and the knee
+/// lies above the golden grid's light-load band (> 0.02).
+#[test]
+fn fig5_knee_position_unchanged_under_sparse() {
+    for (name, cfg) in [
+        ("wh64", presets::wh64_onchip()),
+        ("vc64", presets::vc64_onchip()),
+    ] {
+        let probe = [0.02, 0.06, 0.10, 0.14, 0.18];
+        let saturated = |engine: EngineMode| -> Vec<bool> {
+            probe
+                .iter()
+                .map(|&rate| run_engine(&cfg, rate, engine).is_saturated())
+                .collect()
+        };
+        let sparse = saturated(EngineMode::Sparse);
+        let dense = saturated(EngineMode::DenseReference);
+        assert_eq!(
+            sparse, dense,
+            "{name}: engines disagree on saturation across {probe:?}"
+        );
+        assert!(
+            !sparse[0],
+            "{name}: rate 0.02 must sit on the plateau, below the knee"
+        );
+    }
+}
+
+/// Fig. 7 cells are engine-invariant too: the chip-to-chip XB and CB
+/// runs at 0.09 reproduce bit-identically under the dense reference
+/// stepper.
+#[test]
+fn fig7_cells_bit_identical_across_engines() {
+    for cfg in [presets::xb_chip_to_chip(), presets::cb_chip_to_chip()] {
+        let sparse = run_engine(&cfg, 0.09, EngineMode::Sparse);
+        let dense = run_engine(&cfg, 0.09, EngineMode::DenseReference);
+        assert_eq!(bits(&sparse), bits(&dense), "fig7 cell diverged");
+    }
+}
+
 /// Prints the current grid for golden regeneration (see module docs).
 #[test]
 #[ignore = "golden regeneration helper, run with --ignored --nocapture"]

@@ -26,7 +26,9 @@
 //!                                   input buffering per port
 //!           | "cb"                  paper alias for cb64
 //! suffix   := "-t" K                K×K torus (default: -t4, omitted)
+//!           | "-t" K "x" K "x" K    K×K×K torus (equal radices)
 //!           | "-m" K                K×K mesh
+//!           | "-m" K "x" K "x" K    K×K×K mesh (equal radices)
 //!           | "-n" NM               process node in nm: 800|350|250|
 //!                                   180|130|100|70 (default: -n100,
 //!                                   omitted)
@@ -123,8 +125,10 @@ pub struct DesignPoint {
     pub vcs: u32,
     /// Flit depth per VC (per-port total for `wh`/`cb` when `vcs`=1).
     pub depth: u32,
-    /// Per-dimension radix of the k×k network.
+    /// Per-dimension radix of the k×k (or k×k×k) network.
     pub radix: u32,
+    /// Network dimensions: 2 or 3.
+    pub dims: u32,
     /// Mesh instead of torus.
     pub mesh: bool,
     /// Process technology node.
@@ -196,10 +200,11 @@ impl DesignPoint {
                 }
             }
         };
-        if self.mesh {
-            out.push_str(&format!("-m{}", self.radix));
-        } else if self.radix != 4 {
-            out.push_str(&format!("-t{}", self.radix));
+        let kind = if self.mesh { 'm' } else { 't' };
+        match self.dims {
+            3 => out.push_str(&format!("-{kind}{0}x{0}x{0}", self.radix)),
+            _ if self.mesh || self.radix != 4 => out.push_str(&format!("-{kind}{}", self.radix)),
+            _ => {}
         }
         let nm = node_nm(self.node);
         if nm != 100 {
@@ -253,27 +258,22 @@ impl DesignPoint {
             return None;
         };
 
-        let mut radix = 4u32;
-        let mut mesh = false;
+        let (mut radix, mut dims, mut mesh) = (4u32, 2u32, false);
         let mut node = ProcessNode::Nm100;
         let mut seen_topo = false;
         let mut seen_node = false;
         for suffix in parts {
-            if let Some(rest) = suffix.strip_prefix('t') {
-                let k = parse_u32(rest)?;
-                if seen_topo || !(2..=MAX_RADIX).contains(&k) {
+            let topo = match suffix.split_at_checked(1) {
+                Some(("t", rest)) => Some((false, rest)),
+                Some(("m", rest)) => Some((true, rest)),
+                _ => None,
+            };
+            if let Some((is_mesh, rest)) = topo {
+                if seen_topo {
                     return None;
                 }
-                radix = k;
-                mesh = false;
-                seen_topo = true;
-            } else if let Some(rest) = suffix.strip_prefix('m') {
-                let k = parse_u32(rest)?;
-                if seen_topo || !(2..=MAX_RADIX).contains(&k) {
-                    return None;
-                }
-                radix = k;
-                mesh = true;
+                (radix, dims) = parse_radices(rest)?;
+                mesh = is_mesh;
                 seen_topo = true;
             } else if let Some(rest) = suffix.strip_prefix('n') {
                 let nm = parse_u32(rest)?;
@@ -293,6 +293,7 @@ impl DesignPoint {
             vcs,
             depth,
             radix,
+            dims,
             mesh,
             node,
         })
@@ -300,7 +301,7 @@ impl DesignPoint {
 
     /// The point's topology.
     pub fn topology(&self) -> Topology {
-        let dims = [self.radix, self.radix];
+        let dims = vec![self.radix; self.dims as usize];
         if self.mesh {
             Topology::mesh(&dims).expect("radix validated by the name grammar")
         } else {
@@ -340,6 +341,19 @@ impl fmt::Display for DesignPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.name())
     }
+}
+
+/// A topology suffix's radices: `K` (2-D) or `KxKxK` (3-D, equal
+/// radices), each in `2..=MAX_RADIX`; returns `(radix, dims)`.
+fn parse_radices(s: &str) -> Option<(u32, u32)> {
+    let radices: Vec<u32> = s.split('x').map(parse_u32).collect::<Option<_>>()?;
+    let radix = radices[0];
+    let dims = match radices.len() {
+        1 => 2,
+        3 if radices.iter().all(|&k| k == radix) => 3,
+        _ => return None,
+    };
+    (2..=MAX_RADIX).contains(&radix).then_some((radix, dims))
 }
 
 fn parse_vcs_x_depth(s: &str) -> Option<(u32, u32)> {
@@ -398,6 +412,8 @@ mod tests {
             "vc64-n70",
             "cb-m4-n180",
             "vc1x1",
+            "vc16-t4x4x4",
+            "wh64-m8x8x8-n70",
         ] {
             let p = DesignPoint::parse(name).unwrap();
             let canon = p.name();
@@ -433,6 +449,13 @@ mod tests {
             "vc4x4-n70-n70",
             "wh999999999999",
             "vc4x4-m0",
+            "vc4x4-t4x4",
+            "vc4x4-t4x4x8",
+            "vc4x4-t4x4x4x4",
+            "vc4x4-t1x1x1",
+            "vc4x4-t65x65x65",
+            "vc4x4-t4x4x4-m4",
+            "vc4x4-tx4x4",
             "wh64 ",
             " wh64",
             "vc-4x4",
@@ -464,6 +487,7 @@ mod tests {
                     vcs,
                     depth,
                     radix: 4,
+                    dims: 2,
                     mesh: false,
                     node: ProcessNode::Nm100,
                 };
@@ -494,6 +518,7 @@ mod tests {
             vcs: 8,
             depth: 8,
             radix: 4,
+            dims: 2,
             mesh: false,
             node: ProcessNode::Nm100,
         };
@@ -503,10 +528,26 @@ mod tests {
             vcs: 4,
             depth: 16,
             radix: 4,
+            dims: 2,
             mesh: false,
             node: ProcessNode::Nm100,
         };
         assert_eq!(b.name(), "cb");
+    }
+
+    #[test]
+    fn three_d_suffix_names_a_cube() {
+        let p = DesignPoint::parse("vc16-t4x4x4").unwrap();
+        assert_eq!((p.radix, p.dims, p.mesh), (4, 3, false));
+        assert_eq!(
+            p.name(),
+            "vc16-t4x4x4",
+            "a 3-D default radix is not omitted"
+        );
+        assert_eq!(p.topology().to_string(), "4x4x4-torus");
+        assert_eq!(p.config().topology.num_nodes(), 64);
+        let mesh = DesignPoint::parse("cb-m2x2x2").unwrap();
+        assert_eq!(mesh.topology().to_string(), "2x2x2-mesh");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use orion_ckpt::{checkpoint_path, run_checkpointed, CheckpointOptions};
 use orion_core::exec::panic_message;
-use orion_core::{failpoint, Experiment, RunResult};
+use orion_core::{failpoint, RunResult};
 
 use crate::cache::{CacheAppender, CacheLock, ResultCache};
 use crate::fingerprint::splitmix64;
@@ -436,21 +436,7 @@ pub(crate) fn run_attempt(
     shards: usize,
     checkpoint: Option<&CheckpointOptions>,
 ) -> CellRecord {
-    let config = cell.config();
-    let experiment = cell
-        .traffic
-        .pattern(&config.topology, cell.rate)
-        .map(|pattern| {
-            Experiment::new(config)
-                .workload(pattern)
-                .seed(seed)
-                .warmup(cell.measure.warmup)
-                .sample_packets(cell.measure.sample_packets)
-                .max_cycles(cell.measure.max_cycles)
-                .watchdog_cycles(cell.measure.watchdog_cycles)
-                .audit_every(cell.measure.audit_every)
-                .shards(shards.max(1))
-        });
+    let experiment = cell.experiment(seed, shards.max(1));
     let mut record = match (experiment, checkpoint) {
         (Err(e), _) => CellRecord::from_error(cell, &e.to_string()),
         (Ok(exp), None) => match exp.run() {

@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use orion_core::NetworkConfig;
+use orion_core::{Experiment, NetworkConfig};
 use orion_net::traffic::TrafficError;
 use orion_net::{Topology, TrafficPattern};
 use orion_sim::{FlowControl, VcDiscipline};
@@ -458,6 +458,29 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell a spec with no override axes expands to: flow control,
+    /// VC discipline and packet length are the preset's own. `preset`
+    /// must be a canonical design name.
+    pub fn new(
+        preset: String,
+        traffic: TrafficKind,
+        rate: f64,
+        seed: u64,
+        measure: MeasureSpec,
+    ) -> Cell {
+        let base = preset_config(&preset).expect("validated preset");
+        Cell {
+            preset,
+            traffic,
+            rate,
+            seed,
+            flow_control: base.flow_control,
+            vc_discipline: base.vc_discipline,
+            packet_len: base.packet_len,
+            measure,
+        }
+    }
+
     /// The stable, sortable identity of this parameter point. Rates are
     /// fixed-width so lexicographic order is numeric order per axis.
     pub fn key(&self) -> String {
@@ -505,6 +528,28 @@ impl Cell {
         cfg.flow_control(self.flow_control)
             .vc_discipline(self.vc_discipline)
             .packet_len(self.packet_len)
+    }
+
+    /// The one lowering of a cell to a runnable [`Experiment`] under an
+    /// explicit RNG seed and shard count: the cell's configuration,
+    /// traffic pattern at its rate and measurement discipline.
+    ///
+    /// # Errors
+    ///
+    /// A [`TrafficError`] when the pattern does not fit the topology
+    /// (a broadcast source off the grid) or the rate is out of range.
+    pub fn experiment(&self, seed: u64, shards: usize) -> Result<Experiment, TrafficError> {
+        let config = self.config();
+        let pattern = self.traffic.pattern(&config.topology, self.rate)?;
+        Ok(Experiment::new(config)
+            .workload(pattern)
+            .seed(seed)
+            .warmup(self.measure.warmup)
+            .sample_packets(self.measure.sample_packets)
+            .max_cycles(self.measure.max_cycles)
+            .watchdog_cycles(self.measure.watchdog_cycles)
+            .audit_every(self.measure.audit_every)
+            .shards(shards))
     }
 }
 

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use orion_core::exec::par_map;
 use orion_exp::frontier::{Objectives, ParetoFront};
 use orion_exp::runner::{CellRunner, RunnerStats, Supervision};
-use orion_exp::spec::{preset_config, Cell, TrafficKind};
+use orion_exp::spec::{Cell, TrafficKind};
 use orion_exp::CellRecord;
 use orion_obs::{MetricsRegistry, MetricsSnapshot};
 
@@ -120,17 +120,13 @@ pub struct ExploreReport {
 }
 
 fn candidate_cell(spec: &ExploreSpec, name: &str, traffic: TrafficKind) -> Cell {
-    let base = preset_config(name).expect("candidate names come from the design codec");
-    Cell {
-        preset: name.to_string(),
+    Cell::new(
+        name.to_string(),
         traffic,
-        rate: spec.rate,
-        seed: spec.workload_seed,
-        flow_control: base.flow_control,
-        vc_discipline: base.vc_discipline,
-        packet_len: base.packet_len,
-        measure: spec.measure,
-    }
+        spec.rate,
+        spec.workload_seed,
+        spec.measure,
+    )
 }
 
 fn objectives(record: &CellRecord) -> Objectives {

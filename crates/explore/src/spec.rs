@@ -131,6 +131,7 @@ impl Candidate {
             vcs: space.vcs[self.ix[1]],
             depth: space.depths[self.ix[2]],
             radix: space.radices[self.ix[3]],
+            dims: 2,
             mesh: space.topologies[self.ix[4]] == TopologyKind::Mesh,
             node: space.nodes[self.ix[5]],
         }
