@@ -14,20 +14,19 @@
 //! stdout. Exit codes follow the scheme
 //! in [`crate::run`]: 2 for bad input (spec errors, a cache directory
 //! locked by another live run), 1 for I/O failures, 3 when the run
-//! degraded (failed, crashed, timed-out or corrupted cells, or a cache
-//! sink that broke mid-run), 0 otherwise.
+//! degraded (failed, crashed or corrupted cells, or a cache sink that
+//! broke mid-run), 0 otherwise.
 //!
-//! Supervision knobs: `--retries` grants panicking cells reseeded
-//! extra attempts, `--cell-timeout-ms` sets a per-cell wall-clock
-//! budget, and `--audit-every` overrides the spec's invariant-audit
-//! cadence.
+//! Each cell runs once, under its derived seed; a panicking cell is
+//! quarantined as one `crashed` record. `--checkpoint-every` and
+//! `--shards` set how cells run, and `--audit-every` overrides the
+//! spec's invariant-audit cadence.
 //!
 //! `experiment explore` adds `--seed` / `--budget` overrides (the
 //! determinism contract keys on both — see `docs/EXPLORATION.md`) and
 //! `--observe-dir` to dump the `explore_*` metrics snapshot.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec, SpecError, Supervision};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
@@ -37,12 +36,12 @@ use crate::args::{ArgError, Args, Grammar};
 use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
 pub(crate) const RUN: Grammar = Grammar(
-    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --retries N --cell-timeout-ms N \
-     --audit-every N --checkpoint-every CYCLES --shards N --json --quiet",
+    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --audit-every N \
+     --checkpoint-every CYCLES --shards N --json --quiet",
 );
 pub(crate) const EXPLORE: Grammar = Grammar(
-    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --seed N --budget N --retries N \
-     --cell-timeout-ms N --checkpoint-every CYCLES --shards N --observe-dir DIR --json --quiet",
+    "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --seed N --budget N \
+     --checkpoint-every CYCLES --shards N --observe-dir DIR --json --quiet",
 );
 
 /// Reads and validates the spec file named by the positional argument
@@ -75,11 +74,9 @@ fn write_failure(what: &str, dir: &Path, e: std::io::Error) -> CmdOutput {
 }
 
 /// The supervision line both human summaries share.
-fn supervision_note(out: &mut String, crashed: u64, timed_out: u64, retried: u64) {
-    if crashed > 0 || timed_out > 0 || retried > 0 {
-        out.push_str(&format!(
-            "supervision: {crashed} crashed, {timed_out} timed out, {retried} recovered by retry\n"
-        ));
+fn supervision_note(out: &mut String, crashed: u64) {
+    if crashed > 0 {
+        out.push_str(&format!("supervision: {crashed} crashed\n"));
     }
 }
 
@@ -100,11 +97,9 @@ fn degraded_code(degraded: bool) -> u8 {
 }
 
 /// The supervision knobs `run`, `explore` and `serve` share, from
-/// `--retries`, `--cell-timeout-ms`, `--checkpoint-every` and `--shards`.
+/// `--checkpoint-every` and `--shards`.
 pub(crate) fn supervision(args: &Args) -> Result<Supervision, ArgError> {
     Ok(Supervision {
-        max_retries: args.u32_or("retries", 0)?,
-        cell_timeout: args.positive("cell-timeout-ms")?.map(Duration::from_millis),
         checkpoint_every: args.u64_or("checkpoint-every", 0)?,
         shards: args.positive("shards")?.unwrap_or(1) as usize,
     })
@@ -142,8 +137,6 @@ fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
         o.key("cache_hits").num(summary.cache_hits);
         o.key("failed").num(summary.failed);
         o.key("crashed").num(summary.crashed);
-        o.key("timed_out").num(summary.timed_out);
-        o.key("retried").num(summary.retried);
         o.key("corrupted").num(summary.corrupted);
         o.key("corrupt_cache_lines")
             .num(summary.corrupt_cache_lines);
@@ -167,12 +160,7 @@ fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
             summary.failed,
             elapsed,
         );
-        supervision_note(
-            &mut out,
-            summary.crashed as u64,
-            summary.timed_out as u64,
-            summary.retried as u64,
-        );
+        supervision_note(&mut out, summary.crashed as u64);
         if summary.corrupted > 0 {
             out.push_str(&format!(
                 "warning: {} cell(s) failed the runtime invariant audit (outcome `corrupted`)\n",
@@ -243,8 +231,6 @@ fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
         o.key("cache_hits").num(stats.cache_hits);
         o.key("executed").num(stats.executed);
         o.key("crashed").num(stats.crashed);
-        o.key("timed_out").num(stats.timed_out);
-        o.key("retried").num(stats.retried);
         o.key("failed").num(stats.failed);
         o.key("append_failures").num(stats.append_failures);
         o.key("elapsed_s").fixed(elapsed, 3);
@@ -278,7 +264,7 @@ fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
             "cells: {} cached, {} simulated, {} dominated points\n",
             stats.cache_hits, stats.executed, summary.dominated,
         ));
-        supervision_note(&mut out, stats.crashed, stats.timed_out, stats.retried);
+        supervision_note(&mut out, stats.crashed);
         append_note(&mut out, &summary.append_error, stats.append_failures);
         out.push_str(&format!(
             "artifacts: {}, {}\n",
@@ -356,8 +342,6 @@ rates = [0.02, 0.04]
             "run a.toml --threads",            // value-less option
             "run a.toml --bogus 1",            // unknown option
             "run /nonexistent.toml",           // unreadable file
-            "run a.toml --retries x",          // non-integer retries
-            "run a.toml --cell-timeout-ms 0",  // zero budget
             "run a.toml --audit-every",        // value-less option
             "run a.toml --checkpoint-every x", // non-integer cadence
             "run a.toml --json true",          // a switch takes no value
@@ -366,6 +350,24 @@ rates = [0.02, 0.04]
             let out = execute(&toks(line));
             assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
             assert!(out.text.starts_with("error:"), "{line:?} -> {}", out.text);
+        }
+    }
+
+    #[test]
+    fn removed_supervision_flags_are_unknown_options() {
+        for line in [
+            "run a.toml --retries 1",
+            "run a.toml --cell-timeout-ms 1",
+            "explore a.toml --retries 1",
+            "explore a.toml --cell-timeout-ms 1",
+        ] {
+            let out = execute(&toks(line));
+            assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
+            assert!(
+                out.text.contains("unknown option"),
+                "{line:?} -> {}",
+                out.text
+            );
         }
     }
 
@@ -502,7 +504,6 @@ depths = [4, 8]
             "explore a.toml --seed",               // value-less option
             "explore a.toml --bogus 1",            // unknown option
             "explore /nonexistent.toml",           // unreadable file
-            "explore a.toml --cell-timeout-ms 0",  // zero budget
             "explore a.toml --checkpoint-every x", // non-integer cadence
         ] {
             let out = execute(&toks(line));
@@ -614,7 +615,7 @@ depths = [4, 8]
             out_dir.display(),
         )));
         assert_eq!(explore.code, 0, "{}", explore.text);
-        // Exact bytes at `JSON_SCHEMA_VERSION` 5, with the two
+        // Exact bytes at `JSON_SCHEMA_VERSION` 6, with the two
         // run-dependent values (wall-clock, temp directory) masked.
         let masked = |text: &str| {
             let elapsed = text.find("\"elapsed_s\": ").expect("elapsed_s") + 13;
@@ -628,15 +629,13 @@ depths = [4, 8]
     }
 
     const GOLDEN_RUN_SUMMARY: &str = r#"{
-  "schema_version": 5,
+  "schema_version": 6,
   "experiment": "cli-smoke",
   "cells": 2,
   "simulated": 2,
   "cache_hits": 0,
   "failed": 0,
   "crashed": 0,
-  "timed_out": 0,
-  "retried": 0,
   "corrupted": 0,
   "corrupt_cache_lines": 0,
   "append_failures": 0,
@@ -645,7 +644,7 @@ depths = [4, 8]
 }
 "#;
     const GOLDEN_EXPLORE_SUMMARY: &str = r#"{
-  "schema_version": 5,
+  "schema_version": 6,
   "experiment": "cli-explore",
   "strategy": "grid-refine",
   "budget": 4,
@@ -658,8 +657,6 @@ depths = [4, 8]
   "cache_hits": 0,
   "executed": 4,
   "crashed": 0,
-  "timed_out": 0,
-  "retried": 0,
   "failed": 0,
   "append_failures": 0,
   "elapsed_s": T,

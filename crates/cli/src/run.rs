@@ -73,8 +73,8 @@ EXIT CODES:
   2  bad input (unknown options, malformed spec, invalid configuration,
      cache directory locked by another live run, serve included)
   3  degraded result (simulate: deadlock/saturation/budget/corrupted
-     audit; experiment: failed, crashed, timed-out or
-     corrupted cells, or a cache sink that broke mid-run so the cache
+     audit; experiment: failed, crashed or corrupted
+     cells, or a cache sink that broke mid-run so the cache
      cannot replay the results; serve: drain deadline expired with
      requests still in flight)
 
@@ -106,8 +106,10 @@ EXAMPLES:
 /// (`strategy`, `budget`, `seed`, `evaluations`, `rounds`, `frontier`,
 /// `dominated` and the four-file `artifacts` object); 5 removed the
 /// fault model's `packets.dropped`, `packets.detoured` and `drop_rate`
-/// from `simulate`, which since prints the cell's record line instead.
-pub const JSON_SCHEMA_VERSION: u32 = 5;
+/// from `simulate`, which since prints the cell's record line instead;
+/// 6 removed `timed_out` and `retried` from both `experiment`
+/// summaries (a cell runs once, under its derived seed).
+pub const JSON_SCHEMA_VERSION: u32 = 6;
 
 /// Exit code for runtime I/O failures (cache/artifact files).
 pub const EXIT_RUNTIME: u8 = 1;

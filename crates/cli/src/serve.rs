@@ -25,8 +25,8 @@ use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 /// same function; every other option maps onto a [`ServeConfig`] field.
 pub(crate) const GRAMMAR: Grammar = Grammar(
     "--addr HOST:PORT --cache-dir DIR --workers N --queue N --queue-patience-ms N \
-     --client-budget N --retries N --cell-timeout-ms N --drain-timeout-ms N \
-     --max-body-bytes N --checkpoint-every CYCLES --shards N",
+     --client-budget N --drain-timeout-ms N --max-body-bytes N \
+     --checkpoint-every CYCLES --shards N",
 );
 
 fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
@@ -96,9 +96,9 @@ mod tests {
     fn parses_full_flag_set() {
         let config = parse_args(&tokens(
             "--addr 0.0.0.0:9000 --cache-dir cache --workers 8 --queue 16 \
-             --queue-patience-ms 500 --client-budget 1000 --retries 2 \
-             --cell-timeout-ms 30000 --drain-timeout-ms 5000 --max-body-bytes 4096 \
-             --checkpoint-every 4096",
+             --queue-patience-ms 500 --client-budget 1000 \
+             --drain-timeout-ms 5000 --max-body-bytes 4096 \
+             --checkpoint-every 4096 --shards 2",
         ))
         .unwrap();
         assert_eq!(config.addr, "0.0.0.0:9000");
@@ -107,14 +107,10 @@ mod tests {
         assert_eq!(config.queue_depth, 16);
         assert_eq!(config.queue_patience, Duration::from_millis(500));
         assert_eq!(config.client_budget, 1000);
-        assert_eq!(config.supervision.max_retries, 2);
-        assert_eq!(
-            config.supervision.cell_timeout,
-            Some(Duration::from_secs(30))
-        );
         assert_eq!(config.drain_timeout, Duration::from_millis(5000));
         assert_eq!(config.max_body_bytes, 4096);
         assert_eq!(config.supervision.checkpoint_every, 4096);
+        assert_eq!(config.supervision.shards, 2);
     }
 
     #[test]
@@ -129,7 +125,7 @@ mod tests {
     fn bad_flags_are_typed_errors() {
         assert!(parse_args(&tokens("--workers 0")).is_err());
         assert!(parse_args(&tokens("--workers many")).is_err());
-        assert!(parse_args(&tokens("--cell-timeout-ms 0")).is_err());
+        assert!(parse_args(&tokens("--shards 0")).is_err());
         assert!(parse_args(&tokens("--nope")).is_err());
         assert!(parse_args(&tokens("--addr")).is_err());
     }
@@ -139,6 +135,20 @@ mod tests {
         let out = execute(&tokens("--bogus"));
         assert_eq!(out.code, EXIT_BAD_INPUT);
         assert!(out.text.contains("unknown option"));
+    }
+
+    #[test]
+    fn removed_supervision_flags_are_unknown_options() {
+        // Parsed, not executed: an accepted flag would start the daemon.
+        for line in ["--retries 1", "--cell-timeout-ms 1"] {
+            let out: CmdOutput = parse_args(&tokens(line)).unwrap_err().into();
+            assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
+            assert!(
+                out.text.contains("unknown option"),
+                "{line:?} -> {}",
+                out.text
+            );
+        }
     }
 
     #[test]

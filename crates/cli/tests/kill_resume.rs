@@ -70,14 +70,14 @@ fn a_run_killed_holding_the_lock_is_resumed_at_once_to_the_same_bytes() {
 fn a_live_run_refuses_a_second_by_pid_until_it_is_killed() {
     let sandbox = Sandbox::new("live-holder");
     let grid = sandbox.write("kill.toml", GRID);
-    // One cell that outlives the test (a minute at most) unless killed.
+    // One cell that outlives the test unless killed.
     let long = sandbox.write(
         "long.toml",
         "[experiment]\nname = \"long\"\n\n[measure]\nwarmup = 100\nsample_packets = 100000000\n\
          max_cycles = 4000000000\n\n[grid]\npresets = [\"vc64\"]\nrates = [0.01]\n",
     );
     let (cache, out) = (sandbox.path("cache"), sandbox.path("out"));
-    let mut args = vec!["experiment", "run", &long, "--cell-timeout-ms", "60000"];
+    let mut args = vec!["experiment", "run", &long];
     args.extend(["--cache-dir", &cache, "--out-dir", &out]);
     let mut holder = command(&args, None)
         .stderr(Stdio::piped())

@@ -7,7 +7,8 @@
 //!
 //! 1. every committed artifact is today's grid: its cell keys and
 //!    fingerprints are `ExperimentSpec::expand()`'s under today's
-//!    `MODEL_VERSION`, and its CSV is its JSONL's;
+//!    `MODEL_VERSION`, each record is one `ok` run under its cell's
+//!    derived seed, and its CSV is its JSONL's;
 //! 2. the cheapest cell of each spec, re-run, writes its committed line
 //!    byte for byte, so a model change that keeps every key still fails;
 //! 3. every `<!-- results:NAME -->` … `<!-- /results -->` block of
@@ -124,6 +125,20 @@ fn committed_artifacts_are_todays_grids() {
                 record.fingerprint,
                 cell.fingerprint(),
                 "{name}: {} was not run by today's model (re-run § Reproduce)",
+                record.cell
+            );
+            // A record is a pure function of its cell: one run, under
+            // the seed its key derives.
+            assert_eq!(
+                (record.cell_outcome.as_str(), record.attempts),
+                ("ok", 1),
+                "{name}: {}",
+                record.cell
+            );
+            assert_eq!(
+                record.derived_seed,
+                cell.derived_seed(),
+                "{name}: {} ran under another seed",
                 record.cell
             );
         }

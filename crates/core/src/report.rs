@@ -296,17 +296,6 @@ impl Report {
         }
     }
 
-    /// Whether the run delivered every tagged packet within its cycle
-    /// budget.
-    #[deprecated(
-        since = "0.1.0",
-        note = "inspect `Report::outcome()` instead; `completed()` collapses \
-                the outcome taxonomy back to a boolean"
-    )]
-    pub fn completed(&self) -> bool {
-        self.outcome.is_completed()
-    }
-
     /// Cycles in the measurement window.
     pub fn measured_cycles(&self) -> u64 {
         self.measured_cycles
@@ -546,21 +535,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn incomplete_run_is_saturated() {
         let r = outcome_report(RunOutcome::BudgetExhausted);
         assert!(r.is_saturated());
-        assert!(!r.completed(), "compat shim: unfinished is not completed");
+        assert!(!r.outcome().is_completed(), "unfinished is not completed");
         assert!(!r.deadlocked());
         assert_eq!(r.outcome(), &RunOutcome::BudgetExhausted);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn outcome_taxonomy_drives_predicates() {
         use orion_sim::{StallDiagnostics, StallKind};
         let sat = outcome_report(RunOutcome::Saturated);
-        assert!(sat.is_saturated() && !sat.completed() && !sat.deadlocked());
+        assert!(sat.is_saturated() && !sat.outcome().is_completed() && !sat.deadlocked());
 
         let diag = StallDiagnostics {
             kind: StallKind::Deadlock,
@@ -575,13 +562,13 @@ mod tests {
             stalled_vcs: Vec::new(),
         };
         let dead = outcome_report(RunOutcome::Deadlocked(diag.clone()));
-        assert!(dead.deadlocked() && dead.is_saturated() && !dead.completed());
+        assert!(dead.deadlocked() && dead.is_saturated() && !dead.outcome().is_completed());
         assert_eq!(dead.stall_diagnostics(), Some(&diag));
         assert_eq!(dead.outcome().label(), "deadlocked");
         assert!(dead.to_string().contains("deadlock"));
 
         let done = outcome_report(RunOutcome::Completed);
-        assert!(done.completed() && done.outcome().is_completed());
+        assert!(done.outcome().is_completed());
         assert_eq!(done.stall_diagnostics(), None);
     }
 

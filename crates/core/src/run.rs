@@ -774,7 +774,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn cycle_budget_bounds_saturated_runs() {
         // Far beyond saturation with a tiny budget: must return, marked
         // incomplete/saturated. With the watchdog disabled this is the
@@ -787,7 +786,10 @@ mod tests {
             .watchdog_cycles(0)
             .run()
             .unwrap();
-        assert!(!r.completed(), "deprecated shim still reports unfinished");
+        assert!(
+            !r.outcome().is_completed(),
+            "an exhausted budget is unfinished"
+        );
         assert!(r.is_saturated());
         assert_eq!(r.outcome(), &RunOutcome::BudgetExhausted);
     }

@@ -268,14 +268,17 @@ impl ResultCache {
                 let text = std::str::from_utf8(line).ok();
                 match text.and_then(CellRecord::from_json_line) {
                     // Later lines win: a re-simulated cell supersedes
-                    // its earlier entry.
-                    Some(rec) => {
+                    // its earlier entry. Only `ok` results are a
+                    // cell's record: anything else (a `retried` line
+                    // an older build wrote under a reseeded RNG) is
+                    // skipped like damage and compacted away.
+                    Some(rec) if rec.cell_outcome == "ok" => {
                         if entries.insert(rec.fingerprint, rec).is_some() {
                             superseded_lines += 1;
                         }
                     }
                     None if line.trim_ascii().is_empty() => {}
-                    None => corrupt_lines += 1,
+                    _ => corrupt_lines += 1,
                 }
             }
         }
@@ -309,7 +312,7 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Number of unparseable lines skipped at load.
+    /// Number of unparseable or non-`ok` lines skipped at load.
     pub fn corrupt_lines(&self) -> usize {
         self.corrupt_lines
     }
@@ -324,8 +327,7 @@ impl ResultCache {
     /// by cell key, via an atomic temp-file rename — healing torn and
     /// duplicate lines a killed run left behind. A no-op (returning
     /// `false`) when the file already matches. Also garbage-collects
-    /// checkpoint files of completed cells (see
-    /// [`gc_checkpoints`](Self::gc_checkpoints)).
+    /// the leftover checkpoint files of cached cells.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! time and hit counts*, never results — each cell's RNG is seeded
 //! from a hash of its parameter point, and the merged output is sorted
 //! by cell key before it is returned or written. How one cell becomes
-//! a record — caching, retries, quarantine, checkpoints, the append
+//! a record — caching, quarantine, checkpoints, the append
 //! sink — is the runner's business ([`crate::runner`]), not this
 //! module's.
 
@@ -19,7 +19,7 @@ use orion_core::exec::par_map;
 
 use crate::cache::{CacheLock, Manifest, ResultCache};
 use crate::record::CellRecord;
-use crate::runner::{run_attempt, CellRunner, Supervision};
+use crate::runner::{simulate, CellRunner, Supervision};
 use crate::spec::{Cell, ExperimentSpec};
 
 /// Execution options for [`run_spec`].
@@ -31,8 +31,7 @@ pub struct EngineOptions {
     pub cache_dir: Option<PathBuf>,
     /// Emit a live progress line to stderr.
     pub progress: bool,
-    /// Retry, wall-clock, checkpoint and shard knobs applied to every
-    /// cell of the grid.
+    /// Checkpoint and shard knobs applied to every cell of the grid.
     pub supervision: Supervision,
 }
 
@@ -47,12 +46,8 @@ pub struct RunSummary {
     pub cache_hits: usize,
     /// Cells whose configuration was rejected (outcome `"error"`).
     pub failed: usize,
-    /// Cells quarantined after panicking on every attempt.
+    /// Cells quarantined after panicking.
     pub crashed: usize,
-    /// Cells that exceeded the wall-clock budget.
-    pub timed_out: usize,
-    /// Cells that succeeded only after at least one retry.
-    pub retried: usize,
     /// Cells whose runtime invariant audit failed (`corrupted`).
     pub corrupted: usize,
     /// Unparseable cache lines skipped at load.
@@ -72,18 +67,14 @@ impl RunSummary {
     /// broke (the results are complete but the cache cannot replay
     /// them) — the condition the CLI maps to its degraded exit code.
     pub fn is_degraded(&self) -> bool {
-        self.failed > 0
-            || self.crashed > 0
-            || self.timed_out > 0
-            || self.corrupted > 0
-            || self.append_failures > 0
+        self.failed > 0 || self.crashed > 0 || self.corrupted > 0 || self.append_failures > 0
     }
 }
 
 /// Runs one cell to a record; never panics on configuration or
 /// workload errors — they become `outcome: "error"` records.
 pub fn run_cell(cell: &Cell) -> CellRecord {
-    run_attempt(cell, cell.derived_seed(), 1, None)
+    simulate(cell, 1, None)
 }
 
 /// Expands the spec's grid, runs every cell through one
@@ -97,7 +88,7 @@ pub fn run_cell(cell: &Cell) -> CellRecord {
 /// Returns an I/O error only for cache *setup* problems: a held lock
 /// ([`std::io::ErrorKind::AlreadyExists`]), or an unreadable existing
 /// cache. Simulation-level failures are data, not errors (`"error"`,
-/// `"crashed"`, `"timed-out"` records counted in the summary), and a
+/// `"crashed"` records counted in the summary), and a
 /// cache append that fails mid-run degrades to
 /// [`RunSummary::append_failures`] rather than aborting the grid.
 pub fn run_spec(
@@ -179,14 +170,13 @@ fn summarise(
     let total = records.len();
     let cache_hits = count(|r| r.cached);
     let crashed = count(CellRecord::is_crashed);
-    let timed_out = count(CellRecord::is_timed_out);
     if let Some(dir) = &opts.cache_dir {
         // Reporting-only progress marker; the cache contents, not the
         // manifest, decide what a resumed run re-simulates.
         let _ = Manifest {
             spec_name: spec.name.clone(),
             total_cells: total,
-            completed_cells: total - crashed - timed_out,
+            completed_cells: total - crashed,
         }
         .write(dir);
     }
@@ -196,8 +186,6 @@ fn summarise(
         cache_hits,
         failed: count(CellRecord::is_error),
         crashed,
-        timed_out,
-        retried: count(|r| r.cell_outcome == "retried"),
         corrupted: count(|r| r.outcome == "corrupted"),
         corrupt_cache_lines,
         append_failures,

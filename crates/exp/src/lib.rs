@@ -19,8 +19,7 @@
 //!    explicit `schema_version`, sorted by cell key so repeated runs
 //!    produce byte-identical files, written atomically so a killed run
 //!    never leaves a torn file ([`record`], [`artifact`]).
-//! 4. **Supervised execution** — a panicking cell is isolated,
-//!    retried with deterministically reseeded RNGs and, failing that,
+//! 4. **Supervised execution** — a panicking cell is isolated and
 //!    quarantined as one `crashed` record instead of killing the grid;
 //!    the cache directory is guarded by an exclusive lock and heals
 //!    its own torn lines. One executor ([`runner`]) does this for

@@ -62,12 +62,13 @@ pub struct CellRecord {
     /// Typed-error message for rejected configurations, or the panic
     /// payload for crashed cells.
     pub error: Option<String>,
-    /// Supervision verdict for this cell: `"ok"` (first-try success),
-    /// `"retried"` (succeeded after one or more panicking attempts),
-    /// `"crashed"` (every attempt panicked; quarantined) or
-    /// `"timed-out"` (exceeded its wall-clock budget).
+    /// Supervision verdict for this cell: `"ok"` (the cell ran to a
+    /// result), `"crashed"` (it panicked; quarantined) or `"drained"`
+    /// (stopped at a checkpoint boundary). Only `"ok"` records are
+    /// cached.
     pub cell_outcome: String,
-    /// Simulation attempts made (1 for a first-try success).
+    /// Simulation attempts made: always 1 (a schema-4 column that
+    /// leaves at the next `SCHEMA_VERSION` bump).
     pub attempts: u32,
     /// Whether the network was at or beyond saturation.
     pub saturated: bool,
@@ -189,30 +190,14 @@ impl CellRecord {
         }
     }
 
-    /// Builds the quarantine record for a cell whose every supervised
-    /// attempt panicked. The panic payload lands in `error`, so the
-    /// grid stays rectangular and the failure is inspectable, while
-    /// all other cells keep their results.
-    pub fn from_crash(cell: &Cell, panic_msg: &str, attempts: u32) -> CellRecord {
+    /// Builds the quarantine record for a cell whose supervised run
+    /// panicked. The panic payload lands in `error`, so the grid stays
+    /// rectangular and the failure is inspectable, while all other
+    /// cells keep their results.
+    pub fn from_crash(cell: &Cell, panic_msg: &str) -> CellRecord {
         let mut r = CellRecord::from_error(cell, panic_msg);
         r.outcome = "crashed".to_string();
         r.cell_outcome = "crashed".to_string();
-        r.attempts = attempts;
-        r
-    }
-
-    /// Builds the quarantine record for a cell whose attempt exceeded
-    /// its wall-clock budget. Classification is post-hoc (a running
-    /// cell cannot be preempted), so the overrun is recorded but its
-    /// numbers are discarded as untrustworthy under load.
-    pub fn from_timeout(cell: &Cell, budget_ms: u64, elapsed_ms: u64, attempts: u32) -> CellRecord {
-        let mut r = CellRecord::from_error(
-            cell,
-            &format!("cell exceeded its {budget_ms} ms wall-clock budget (took {elapsed_ms} ms)"),
-        );
-        r.outcome = "timed-out".to_string();
-        r.cell_outcome = "timed-out".to_string();
-        r.attempts = attempts;
         r
     }
 
@@ -242,14 +227,9 @@ impl CellRecord {
         self.cell_outcome == "drained"
     }
 
-    /// Whether every supervised attempt of this cell panicked.
+    /// Whether this cell's supervised run panicked.
     pub fn is_crashed(&self) -> bool {
         self.cell_outcome == "crashed"
-    }
-
-    /// Whether this cell exceeded its wall-clock budget.
-    pub fn is_timed_out(&self) -> bool {
-        self.cell_outcome == "timed-out"
     }
 
     /// Serializes to one JSON line (no trailing newline). Field order
@@ -798,22 +778,14 @@ mod tests {
     #[test]
     fn supervision_records_roundtrip() {
         let cell = sample_cell();
-        let crash = CellRecord::from_crash(&cell, "index out of bounds: 9 >= 5", 3);
-        assert!(crash.is_crashed() && !crash.is_error() && !crash.is_timed_out());
+        let crash = CellRecord::from_crash(&cell, "index out of bounds: 9 >= 5");
+        assert!(crash.is_crashed() && !crash.is_error() && !crash.is_drained());
         assert_eq!(crash.outcome, "crashed");
-        assert_eq!(crash.attempts, 3);
+        assert_eq!(crash.attempts, 1);
         let back = CellRecord::from_json_line(&crash.to_json_line()).unwrap();
         assert_eq!(back.cell_outcome, "crashed");
-        assert_eq!(back.attempts, 3);
+        assert_eq!(back.attempts, 1);
         assert_eq!(back.error.as_deref(), Some("index out of bounds: 9 >= 5"));
-
-        let timeout = CellRecord::from_timeout(&cell, 50, 1234, 1);
-        assert!(timeout.is_timed_out() && !timeout.is_crashed());
-        assert!(
-            timeout.error.as_deref().unwrap().contains("50 ms"),
-            "{:?}",
-            timeout.error
-        );
-        assert!(timeout.to_csv_row().contains(",timed-out,"));
+        assert!(crash.to_csv_row().contains(",crashed,"));
     }
 }

@@ -16,17 +16,17 @@
 //!   fingerprint collapse into one execution via [`InflightMap`]:
 //!   one leader simulates, every follower shares the record.
 //! * **Supervision** — one misbehaving cell never takes its callers
-//!   down. Panicking cells retry with deterministically reseeded RNGs
-//!   and quarantine as `crashed` records; wall-clock overruns classify
-//!   as `timed-out`. Quarantine verdicts are **not** cached — only
-//!   genuine simulation results are — so a fixed build retries them.
+//!   down. A cell runs once, under its derived seed; a panic is caught
+//!   and quarantined as a `crashed` record. Quarantine verdicts are
+//!   **not** cached — only genuine simulation results are — so a fixed
+//!   build re-simulates them.
 //! * **The append sink** — genuine results are made durable as they
 //!   complete. The first failed append closes the sink for the rest of
 //!   the runner's life (a torn tail must never be welded onto a later
 //!   record); every record after it counts as an append failure.
 //!
-//! Determinism: records are a pure function of (cell, attempt) — seeds
-//! derive from the cell key — so worker count, scheduling order and
+//! Determinism: records are a pure function of the cell — its seed
+//! derives from the cell key — so worker count, scheduling order and
 //! cache state change only wall-clock time and hit counts, and a
 //! runner shared by N racing clients yields byte-identical records to
 //! N sequential grids, with the overlap simulated exactly once.
@@ -36,33 +36,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
 use orion_ckpt::{checkpoint_path, run_checkpointed, CheckpointOptions};
 use orion_core::exec::panic_message;
 use orion_core::{failpoint, RunResult};
 
 use crate::cache::{CacheAppender, CacheLock, ResultCache};
-use crate::fingerprint::splitmix64;
 use crate::inflight::{lock_unpoisoned, Claim, InflightMap};
 use crate::record::CellRecord;
 use crate::spec::Cell;
 
 /// The supervision knobs of one request, grid or search — declared
 /// here once and carried whole by [`EngineOptions`](crate::EngineOptions)
-/// and the explore options (`--retries` / `--cell-timeout-ms` /
-/// `--checkpoint-every` / `--shards`).
+/// and the explore options (`--checkpoint-every` / `--shards`).
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
-    /// Extra attempts granted to a panicking cell (0 = fail fast).
-    /// Attempt `k > 0` reruns with a deterministically reseeded RNG —
-    /// `splitmix64(derived_seed ^ k)` — and the seed actually used is
-    /// recorded in the cell's `derived_seed` field for replayability.
-    pub max_retries: u32,
-    /// Wall-clock budget per cell attempt; overruns are classified
-    /// `timed-out` post-hoc (a running cell cannot be preempted).
-    /// `None` disables the budget.
-    pub cell_timeout: Option<Duration>,
     /// Persist a mid-run checkpoint of each executing cell every this
     /// many cycles (0 = off). Requires the runner to have a cache
     /// directory — checkpoints live at
@@ -118,12 +106,8 @@ runner_counters! {
     executed => "runner_executed",
     /// Requests that shared a concurrent in-flight execution.
     deduped => "runner_deduped",
-    /// Executions quarantined after panicking on every attempt.
+    /// Executions quarantined after panicking.
     crashed => "runner_crashed",
-    /// Executions that exceeded their wall-clock budget.
-    timed_out => "runner_timed_out",
-    /// Executions that succeeded only after at least one retry.
-    retried => "runner_retried",
     /// Executions whose configuration was rejected (`"error"`).
     failed => "runner_failed",
     /// Records that could not be appended to the disk cache: the one
@@ -212,11 +196,6 @@ impl CellRunner {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Produces the record for `cell`: from memory, from a concurrent
     /// in-flight execution, or by simulating under supervision. Safe
     /// to call from any number of threads; never panics on simulation
@@ -244,12 +223,11 @@ impl CellRunner {
                     return hit;
                 }
                 let record = self.execute(cell, sup);
-                // Quarantine verdicts are wall-clock-dependent and
-                // drained cells are incomplete — neither is
-                // remembered (a fixed build, a calmer machine or the
-                // next daemon retries/resumes them); genuine results
-                // are made durable and shared.
-                if !record.is_crashed() && !record.is_timed_out() && !record.is_drained() {
+                // Crashed cells are a bug and drained cells are
+                // incomplete — neither is remembered (a fixed build or
+                // the next daemon re-simulates/resumes them); genuine
+                // results are made durable and shared.
+                if !record.is_crashed() && !record.is_drained() {
                     self.remember(fp, &record);
                 }
                 guard.publish(&record);
@@ -346,98 +324,63 @@ impl CellRunner {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Supervised execution of one cell: bounded deterministic retries
-    /// on panic, post-hoc wall-clock classification, quarantine as a
-    /// `crashed` record when every attempt dies.
+    /// Supervised execution of one cell: it runs once, under its
+    /// derived seed, and a panic quarantines it as a `crashed` record.
     fn execute(&self, cell: &Cell, sup: &Supervision) -> CellRecord {
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
-        let mut last_panic = String::new();
-        for attempt in 0..=sup.max_retries {
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // The `cell.run` failpoint, keyed by the cell: an armed
-                // `error` ends the attempt exactly as a `panic` does.
-                if let Err(e) = failpoint::hit_with("cell.run", || cell.key()) {
-                    panic!("{e}");
-                }
-                let seed = retry_seed(cell.derived_seed(), attempt);
-                // Checkpointing covers attempt 0 only: retries reseed
-                // the RNG, and a snapshot persisted under the original
-                // seed must never resume a differently-seeded replay.
-                let checkpoint = match &self.cache_dir {
-                    Some(dir) if sup.checkpoint_every > 0 && attempt == 0 => {
-                        Some(CheckpointOptions {
-                            path: checkpoint_path(dir, cell.fingerprint()),
-                            fingerprint: cell.fingerprint(),
-                            every: sup.checkpoint_every,
-                            cancel: Some(Arc::clone(&self.draining)),
-                        })
-                    }
-                    _ => None,
-                };
-                run_attempt(cell, seed, sup.shards, checkpoint.as_ref())
-            }));
-            match outcome {
-                Ok(mut record) => {
-                    let elapsed = started.elapsed();
-                    record.attempts = attempt + 1;
-                    if attempt > 0 {
-                        record.cell_outcome = "retried".to_string();
-                        self.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if record.resumed_from_cycle.is_some() {
-                        self.counters.resumed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.counters
-                        .checkpoints_written
-                        .fetch_add(record.checkpoints_written, Ordering::Relaxed);
-                    // A drained cell is an administrative stop, not a
-                    // result — return it before wall-clock
-                    // classification can mislabel the partial run.
-                    if record.is_drained() {
-                        self.counters.drained.fetch_add(1, Ordering::Relaxed);
-                        return record;
-                    }
-                    if let Some(budget) = sup.cell_timeout {
-                        if elapsed > budget {
-                            self.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-                            return CellRecord::from_timeout(
-                                cell,
-                                budget.as_millis() as u64,
-                                elapsed.as_millis() as u64,
-                                attempt + 1,
-                            );
-                        }
-                    }
-                    if record.is_error() {
-                        self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return record;
-                }
-                Err(payload) => last_panic = panic_message(payload),
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // The `cell.run` failpoint, keyed by the cell: an armed
+            // `error` ends the run exactly as a `panic` does.
+            if let Err(e) = failpoint::hit_with("cell.run", || cell.key()) {
+                panic!("{e}");
             }
+            let checkpoint = match &self.cache_dir {
+                Some(dir) if sup.checkpoint_every > 0 => Some(CheckpointOptions {
+                    path: checkpoint_path(dir, cell.fingerprint()),
+                    fingerprint: cell.fingerprint(),
+                    every: sup.checkpoint_every,
+                    cancel: Some(Arc::clone(&self.draining)),
+                }),
+                _ => None,
+            };
+            simulate(cell, sup.shards, checkpoint.as_ref())
+        }));
+        let record = match outcome {
+            Ok(record) => record,
+            Err(payload) => {
+                self.counters.crashed.fetch_add(1, Ordering::Relaxed);
+                return CellRecord::from_crash(cell, &panic_message(payload));
+            }
+        };
+        if record.resumed_from_cycle.is_some() {
+            self.counters.resumed.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.crashed.fetch_add(1, Ordering::Relaxed);
-        CellRecord::from_crash(cell, &last_panic, sup.max_retries + 1)
+        self.counters
+            .checkpoints_written
+            .fetch_add(record.checkpoints_written, Ordering::Relaxed);
+        if record.is_drained() {
+            self.counters.drained.fetch_add(1, Ordering::Relaxed);
+        } else if record.is_error() {
+            self.counters.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        record
     }
 }
 
-/// One attempt of one cell under an explicit RNG seed (retries reseed;
-/// the record carries the seed actually used). Never panics on
+/// One run of one cell under its derived seed. Never panics on
 /// configuration or workload errors — they become `outcome: "error"`
-/// records. With `checkpoint`, the attempt runs under the checkpoint
+/// records. With `checkpoint`, the cell runs under the checkpoint
 /// policy: it resumes from a valid leftover snapshot (any corruption
 /// degrades to a cycle-0 replay), persists the in-flight state every
 /// `every` cycles, and stops at the next boundary once `cancel` is
 /// raised — the cell then comes back as a `drained` record.
-pub(crate) fn run_attempt(
+pub(crate) fn simulate(
     cell: &Cell,
-    seed: u64,
     shards: usize,
     checkpoint: Option<&CheckpointOptions>,
 ) -> CellRecord {
-    let experiment = cell.experiment(seed, shards.max(1));
-    let mut record = match (experiment, checkpoint) {
+    let experiment = cell.experiment(cell.derived_seed(), shards.max(1));
+    match (experiment, checkpoint) {
         (Err(e), _) => CellRecord::from_error(cell, &e.to_string()),
         (Ok(exp), None) => match exp.run() {
             Ok(report) => CellRecord::from_report(cell, &report),
@@ -455,18 +398,5 @@ pub(crate) fn run_attempt(
             }
             Err(e) => CellRecord::from_error(cell, &e.to_string()),
         },
-    };
-    record.derived_seed = seed;
-    record
-}
-
-/// The RNG seed for retry attempt `k` (attempt 0 is the cell's
-/// derived seed). Deterministic, so a retried cell's record is
-/// reproducible from its recorded seed alone.
-fn retry_seed(derived_seed: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        derived_seed
-    } else {
-        splitmix64(derived_seed ^ u64::from(attempt))
     }
 }

@@ -1,13 +1,14 @@
 //! End-to-end engine guarantees: thread-count invariance,
 //! cache-driven incremental resume, per-line corruption isolation,
-//! and supervised execution (timeouts, lockout). Panic quarantine and
-//! retries arm a process-global failpoint, so they live apart, in
-//! `supervision.rs`.
+//! and the cache lockout. Panic quarantine arms a process-global
+//! failpoint, so it lives apart, in `supervision.rs`.
 
 use std::fs;
 use std::path::PathBuf;
 
-use orion_exp::{artifact, run_spec, CacheLock, EngineOptions, ExperimentSpec, CACHE_FILE};
+use orion_exp::{
+    artifact, run_spec, CacheLock, CellRecord, EngineOptions, ExperimentSpec, CACHE_FILE,
+};
 
 /// A Fig.5-style grid kept quick: two presets (wormhole + VC) on the
 /// 4×4 torus, 8 injection rates, reduced measurement effort.
@@ -165,19 +166,40 @@ fn artifacts_written_sorted_and_versioned() {
 }
 
 #[test]
-fn zero_wall_clock_budget_times_every_cell_out() {
+fn a_stale_retried_cache_line_re_simulates_under_the_cell_seed() {
+    let dir = temp_dir("stale-retried");
     let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let mut timeout_opts = opts(2, None);
-    timeout_opts.supervision.cell_timeout = Some(std::time::Duration::from_nanos(1));
-    let (records, summary) = run_spec(&spec, &timeout_opts).unwrap();
-    assert_eq!(summary.timed_out, 16);
-    assert!(summary.is_degraded());
-    assert!(records.iter().all(|r| r.is_timed_out()));
-    assert!(records[0]
-        .error
-        .as_deref()
-        .unwrap()
-        .contains("wall-clock budget"));
+    let (clean, _) = run_spec(&spec, &opts(2, Some(dir.clone()))).unwrap();
+
+    // An older build's `retried` result: a second attempt under a
+    // reseeded RNG, cached under the cell's own fingerprint.
+    let path = dir.join(CACHE_FILE);
+    let text = fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let mut stale = CellRecord::from_json_line(&lines[5]).unwrap();
+    stale.cell_outcome = "retried".to_string();
+    stale.attempts = 2;
+    stale.derived_seed ^= 0x5eed;
+    stale.total_power_w *= 2.0;
+    lines[5] = stale.to_json_line();
+    fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let (second, s2) = run_spec(&spec, &opts(2, Some(dir.clone()))).unwrap();
+    assert_eq!(s2.simulated, 1, "the retried cell re-simulates");
+    assert_eq!(s2.cache_hits, 15);
+    assert_eq!(s2.corrupt_cache_lines, 1, "counted with damaged lines");
+    assert_eq!(
+        artifact::to_jsonl(&clean),
+        artifact::to_jsonl(&second),
+        "the re-simulated cell reproduces its clean record"
+    );
+
+    // Compaction replaced the stale line: the next run only reads.
+    let text = fs::read_to_string(&path).unwrap();
+    assert!(!text.contains("\"retried\""), "{text}");
+    let (_, s3) = run_spec(&spec, &opts(2, Some(dir.clone()))).unwrap();
+    assert_eq!((s3.cache_hits, s3.corrupt_cache_lines), (16, 0));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

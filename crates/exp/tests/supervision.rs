@@ -1,7 +1,7 @@
 //! Supervised execution under injected cell crashes: the `cell.run`
 //! failpoint panics chosen cells, and one crashing cell costs one
-//! `crashed` record — never the grid, the cache, a retry's determinism
-//! or a concurrent requester. Failpoints are process-global, so every
+//! `crashed` record — never the grid, the cache or a concurrent
+//! requester. Failpoints are process-global, so every
 //! test here holds one lock for its whole run and disarms on the way
 //! out; no other test binary arms anything.
 
@@ -127,49 +127,10 @@ fn crashed_cells_are_not_cached_and_heal_on_rerun() {
 }
 
 #[test]
-fn retries_reseed_deterministically_and_recover() {
-    let _serial = serial();
-    let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let (clean, _) = run_spec(&spec, &opts(2, None)).unwrap();
-
-    let mut retry_opts = opts(2, None);
-    retry_opts.supervision.max_retries = 2;
-    // Only the first attempt panics: `@1` fires once, then disarms.
-    let first_attempt_panics = format!("cell.run:{POISON_KEY}=panic@1");
-    failpoint::arm(&first_attempt_panics).unwrap();
-    let (records, summary) = run_spec(&spec, &retry_opts).unwrap();
-
-    assert_eq!(summary.crashed, 0);
-    assert_eq!(summary.retried, 1);
-    assert!(!summary.is_degraded());
-    let rec = records
-        .iter()
-        .find(|r| r.cell.starts_with(POISON_KEY))
-        .unwrap();
-    assert_eq!(rec.cell_outcome, "retried");
-    assert_eq!(rec.attempts, 2, "first attempt panicked, second ran");
-    let original = clean
-        .iter()
-        .find(|r| r.cell.starts_with(POISON_KEY))
-        .unwrap();
-    assert_ne!(
-        rec.derived_seed, original.derived_seed,
-        "the retry seed is annotated on the record for replayability"
-    );
-
-    // Retry outcomes are deterministic: same options, same record.
-    failpoint::arm(&first_attempt_panics).unwrap();
-    let (again, _) = run_spec(&spec, &retry_opts).unwrap();
-    assert_eq!(records, again);
-}
-
-#[test]
 fn crashing_leader_does_not_wedge_followers() {
     let _serial = serial();
     let runner = Arc::new(CellRunner::open(None).unwrap());
     let sup = Supervision {
-        max_retries: 0,
-        cell_timeout: None,
         checkpoint_every: 0,
         shards: 1,
     };

@@ -68,7 +68,7 @@ pub struct PointRecord {
     pub throughput: f64,
     /// Run outcome label (`completed`, `saturated`, `crashed`, …).
     pub outcome: String,
-    /// Supervision verdict (`ok`, `retried`, `crashed`, `timed-out`).
+    /// Supervision verdict (`ok` or `crashed`).
     pub cell_outcome: String,
     /// Whether the point is on its traffic pattern's final frontier.
     pub on_frontier: bool,

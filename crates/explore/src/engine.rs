@@ -93,10 +93,7 @@ impl ExploreSummary {
     /// Whether any cell was quarantined or the cache sink broke —
     /// results are usable but incomplete/unreplayable.
     pub fn is_degraded(&self) -> bool {
-        self.stats.crashed > 0
-            || self.stats.timed_out > 0
-            || self.stats.failed > 0
-            || self.stats.append_failures > 0
+        self.stats.crashed > 0 || self.stats.failed > 0 || self.stats.append_failures > 0
     }
 
     /// Total frontier members across traffic patterns.
@@ -303,9 +300,7 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
     metrics.add("explore_executed", stats.executed);
     metrics.add("explore_deduped", stats.deduped);
     metrics.add("explore_crashed", stats.crashed);
-    metrics.add("explore_timed_out", stats.timed_out);
     metrics.add("explore_failed", stats.failed);
-    metrics.add("explore_retried", stats.retried);
     metrics.set_gauge("explore_budget", budget as f64);
     metrics.set_gauge("explore_frontier_size", {
         let total: usize = frontier_sizes.iter().map(|(_, n)| n).sum();

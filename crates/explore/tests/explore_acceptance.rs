@@ -192,8 +192,6 @@ fn explore_cells_dedup_against_grid_run_cells() {
             cache_dir: Some(cache.clone()),
             progress: false,
             supervision: Supervision {
-                max_retries: 0,
-                cell_timeout: None,
                 checkpoint_every: 0,
                 shards: 1,
             },

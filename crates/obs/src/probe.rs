@@ -62,11 +62,6 @@ impl ProbeRow {
         self.energy_j.iter().sum()
     }
 
-    /// Total energy since the previous sample, joules.
-    pub fn delta_total_energy_j(&self) -> f64 {
-        self.delta_energy_j.iter().sum()
-    }
-
     /// Serializes the row as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut out = String::new();

@@ -39,7 +39,7 @@ impl Request {
 }
 
 /// Why a request could not be read. Each variant maps to one status
-/// code in [`reject`].
+/// code in the connection handler's reply.
 #[derive(Debug)]
 pub enum HttpError {
     /// Transport failed mid-read (peer gone, timeout).

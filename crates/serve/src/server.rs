@@ -41,10 +41,9 @@ pub struct ServeConfig {
     /// Cell tokens granted to each new client (`u64::MAX` = unmetered).
     pub client_budget: u64,
     /// How every request's cells run: the same knobs `experiment run`
-    /// takes. `X-Orion-Retries` and `X-Orion-Cell-Timeout-Ms` override
-    /// `max_retries` and `cell_timeout` per request. With a cache
-    /// directory and `checkpoint_every`, a drained daemon leaves each
-    /// unfinished cell's snapshot for the next one to resume.
+    /// takes. With a cache directory and `checkpoint_every`, a drained
+    /// daemon leaves each unfinished cell's snapshot for the next one
+    /// to resume.
     pub supervision: Supervision,
     /// How long shutdown waits for in-flight requests to finish.
     pub drain_timeout: Duration,
@@ -111,8 +110,9 @@ impl ServerState {
     }
 }
 
-/// A bound-but-not-yet-running daemon: inspect [`local_addr`]
-/// (Self::local_addr), take a [`ShutdownHandle`], then [`run`](Self::run).
+/// A bound-but-not-yet-running daemon: inspect
+/// [`local_addr`](Self::local_addr), take a [`ShutdownHandle`], then
+/// [`run`](Self::run).
 pub struct Server {
     state: Arc<ServerState>,
 }
@@ -336,8 +336,8 @@ fn handle_experiment(
     request: &Request,
 ) -> std::io::Result<()> {
     metric(state, "serve_requests");
-    let (sup, deadline) = match request_knobs(state, request) {
-        Ok(knobs) => knobs,
+    let deadline = match request_deadline(request) {
+        Ok(deadline) => deadline,
         Err(why) => {
             metric(state, "serve_rejected_bad_header");
             return error_response(stream, 400, "bad-header", &why);
@@ -382,7 +382,7 @@ fn handle_experiment(
             break;
         }
         let started = Instant::now();
-        let record = state.runner.run(cell, &sup);
+        let record = state.runner.run(cell, &state.config.supervision);
         state
             .cell_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -407,26 +407,10 @@ fn handle_experiment(
     body.finish()
 }
 
-/// The daemon's supervision with this request's `X-Orion-Retries` /
-/// `X-Orion-Cell-Timeout-Ms` overrides (the serving twin of `--retries`
-/// / `--cell-timeout-ms`), and its `X-Orion-Deadline-Ms` as an instant.
-fn request_knobs(
-    state: &ServerState,
-    request: &Request,
-) -> Result<(Supervision, Option<Instant>), String> {
-    let mut sup = state.config.supervision.clone();
-    if let Some(n) = header_u64(request, "x-orion-retries")? {
-        sup.max_retries =
-            u32::try_from(n).map_err(|_| "x-orion-retries out of range".to_string())?;
-    }
-    if let Some(ms) = header_u64(request, "x-orion-cell-timeout-ms")? {
-        sup.cell_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-    }
+/// This request's `X-Orion-Deadline-Ms` as an instant.
+fn request_deadline(request: &Request) -> Result<Option<Instant>, String> {
     let deadline = header_u64(request, "x-orion-deadline-ms")?;
-    Ok((
-        sup,
-        deadline.map(|ms| Instant::now() + Duration::from_millis(ms)),
-    ))
+    Ok(deadline.map(|ms| Instant::now() + Duration::from_millis(ms)))
 }
 
 fn header_u64(request: &Request, name: &str) -> Result<Option<u64>, String> {

@@ -11,7 +11,7 @@
 //! a signal without a timer. `EINTR` would not do: glibc's `signal()`
 //! installs handlers with `SA_RESTART`, so an interrupted `accept` just
 //! resumes. A [`ShutdownHandle`](crate::ShutdownHandle) wakes its own
-//! server through the same [`wake`].
+//! server through the same `wake`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

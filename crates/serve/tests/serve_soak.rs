@@ -182,7 +182,7 @@ fn health_ready_metrics_and_typed_errors() {
         &addr,
         "POST",
         "/v1/experiment",
-        &[("X-Orion-Retries", "many")],
+        &[("X-Orion-Deadline-Ms", "many")],
         &spec_toml("h", "[0.02]"),
     );
     assert_eq!(bad_header.status, 400);

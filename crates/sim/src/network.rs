@@ -182,8 +182,8 @@ struct CreditArrival {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Activity-driven stepping: only routers holding buffered flits
-    /// and sources with queued packets are visited, steered by the
-    /// [`Activity`] bitsets; a fully idle engine detects itself in
+    /// and sources with queued packets are visited, steered by
+    /// per-index activity bitsets; a fully idle engine detects itself in
     /// O(nodes/64) and can jump the clock over dead cycles (see
     /// [`Network::skip_idle_cycles`]). The default.
     #[default]
@@ -744,13 +744,6 @@ impl Network {
         self.stats = SimStats::new();
         self.delivery_log.clear();
         self.link_flits.fill(0);
-    }
-
-    /// The contiguous node range this engine owns: the whole topology
-    /// for [`Network::new`], one shard's slice for
-    /// [`Network::new_shard`].
-    pub fn owned_range(&self) -> (usize, usize) {
-        (self.lo, self.hi)
     }
 
     /// Delivery cycles parallel to [`SimStats::latencies`], recorded

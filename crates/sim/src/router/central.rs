@@ -330,27 +330,16 @@ impl CentralRouter {
         ledger: &mut EnergyLedger,
         arena: &mut FlitArena,
     ) -> StepOutput {
-        self.step_observed(cycle, ledger, None, arena)
-    }
-
-    /// [`CentralRouter::step`] with an optional observer receiving a
-    /// switch-traversal event per read-port grant (the CB analogue of a
-    /// crossbar router's SA grant).
-    pub fn step_observed(
-        &mut self,
-        cycle: u64,
-        ledger: &mut EnergyLedger,
-        obs: Option<&mut ObsSink>,
-        arena: &mut FlitArena,
-    ) -> StepOutput {
         let mut out = StepOutput::new();
-        self.step_into(cycle, ledger, obs, &mut out, arena);
+        self.step_into(cycle, ledger, None, &mut out, arena);
         out
     }
 
-    /// Allocation-free variant of [`CentralRouter::step_observed`]:
-    /// clears and fills a caller-owned [`StepOutput`]. The logical
-    /// per-output queues stay `VecDeque`s — they are ring buffers
+    /// Allocation-free variant of [`CentralRouter::step`], with an
+    /// optional observer receiving a switch-traversal event per
+    /// read-port grant (the CB analogue of a crossbar router's SA
+    /// grant): clears and fills a caller-owned [`StepOutput`]. The
+    /// logical per-output queues stay `VecDeque`s — they are ring buffers
     /// internally, so once grown to their steady-state occupancy they
     /// never reallocate. Flits are addressed through the shared
     /// [`FlitArena`] — the router moves 8-byte handles, never whole

@@ -866,28 +866,16 @@ impl VcRouter {
         ledger: &mut EnergyLedger,
         arena: &mut FlitArena,
     ) -> StepOutput {
-        self.step_observed(cycle, ledger, None, arena)
-    }
-
-    /// [`VcRouter::step`] with an optional observer receiving VA/SA
-    /// grant events. `step` is exactly `step_observed(.., None)`; the
-    /// split keeps the common unobserved call sites untouched.
-    pub fn step_observed(
-        &mut self,
-        cycle: u64,
-        ledger: &mut EnergyLedger,
-        obs: Option<&mut ObsSink>,
-        arena: &mut FlitArena,
-    ) -> StepOutput {
         let mut out = StepOutput::new();
-        self.step_into(cycle, ledger, obs, &mut out, arena);
+        self.step_into(cycle, ledger, None, &mut out, arena);
         out
     }
 
-    /// Allocation-free variant of [`VcRouter::step_observed`]: clears
-    /// and fills a caller-owned [`StepOutput`] instead of returning a
-    /// fresh one, so the network engine can reuse one output buffer
-    /// across all routers and cycles. Flits are addressed through the
+    /// Allocation-free variant of [`VcRouter::step`], with an optional
+    /// observer receiving VA/SA grant events: clears and fills a
+    /// caller-owned [`StepOutput`] instead of returning a fresh one, so
+    /// the network engine can reuse one output buffer across all
+    /// routers and cycles. Flits are addressed through the
     /// shared [`FlitArena`] — the router moves 8-byte handles, never
     /// whole `Flit` values.
     pub fn step_into(

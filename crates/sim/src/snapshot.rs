@@ -63,8 +63,9 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-/// Little-endian binary writer backing [`Network::snapshot`]
-/// (crate::network::Network::snapshot) and the checkpoint file format.
+/// Little-endian binary writer backing
+/// [`Network::snapshot`](crate::network::Network::snapshot) and the
+/// checkpoint file format.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
