@@ -3,8 +3,12 @@
 //!
 //! ```text
 //! orion-power-cli serve --addr 127.0.0.1:7774 --cache-dir .exp-cache \
-//!     --workers 4 --queue 8 --client-budget 100000
+//!     --workers 4 --queue 8
 //! ```
+//!
+//! Admission depends on capacity alone: `--workers` and `--queue` size
+//! the pool and its wait queue, and the daemon holds at most that many
+//! connections plus a fixed headroom for probes.
 //!
 //! Like `experiment`, this subcommand reports failures on stdout. Exit
 //! codes follow the scheme in [`crate::run`]: 2 for bad arguments or a
@@ -25,8 +29,7 @@ use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 /// same function; every other option maps onto a [`ServeConfig`] field.
 pub(crate) const GRAMMAR: Grammar = Grammar(
     "--addr HOST:PORT --cache-dir DIR --workers N --queue N --queue-patience-ms N \
-     --client-budget N --drain-timeout-ms N --max-body-bytes N \
-     --checkpoint-every CYCLES --shards N",
+     --drain-timeout-ms N --max-body-bytes N --checkpoint-every CYCLES --shards N",
 );
 
 fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
@@ -40,7 +43,6 @@ fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
         queue_patience: args
             .u64_opt("queue-patience-ms")?
             .map_or(d.queue_patience, Duration::from_millis),
-        client_budget: args.u64_or("client-budget", d.client_budget)?,
         supervision: supervision(&args)?,
         drain_timeout: args
             .u64_opt("drain-timeout-ms")?
@@ -96,7 +98,7 @@ mod tests {
     fn parses_full_flag_set() {
         let config = parse_args(&tokens(
             "--addr 0.0.0.0:9000 --cache-dir cache --workers 8 --queue 16 \
-             --queue-patience-ms 500 --client-budget 1000 \
+             --queue-patience-ms 500 \
              --drain-timeout-ms 5000 --max-body-bytes 4096 \
              --checkpoint-every 4096 --shards 2",
         ))
@@ -106,7 +108,6 @@ mod tests {
         assert_eq!(config.workers, 8);
         assert_eq!(config.queue_depth, 16);
         assert_eq!(config.queue_patience, Duration::from_millis(500));
-        assert_eq!(config.client_budget, 1000);
         assert_eq!(config.drain_timeout, Duration::from_millis(5000));
         assert_eq!(config.max_body_bytes, 4096);
         assert_eq!(config.supervision.checkpoint_every, 4096);
@@ -118,7 +119,6 @@ mod tests {
         let config = parse_args(&[]).unwrap();
         assert_eq!(config.addr, "127.0.0.1:7774");
         assert_eq!(config.cache_dir, None);
-        assert_eq!(config.client_budget, u64::MAX);
     }
 
     #[test]
@@ -138,9 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn removed_supervision_flags_are_unknown_options() {
+    fn removed_flags_are_unknown_options() {
         // Parsed, not executed: an accepted flag would start the daemon.
-        for line in ["--retries 1", "--cell-timeout-ms 1"] {
+        for line in ["--retries 1", "--cell-timeout-ms 1", "--client-budget 1"] {
             let out: CmdOutput = parse_args(&tokens(line)).unwrap_err().into();
             assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
             assert!(

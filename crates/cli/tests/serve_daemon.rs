@@ -1,10 +1,9 @@
 //! The CI `serve-soak` job as a tier-1 test. The built binary serves
 //! four overlapping clients the records a sequential `experiment run`
-//! writes, refuses a malformed and an over-budget request with typed
+//! writes, refuses a malformed spec and a malformed header with typed
 //! errors, drains on a real SIGTERM that lands mid-stream, and leaves a
-//! cache that a later `experiment run` replays to the same bytes. The
-//! stream it interrupts fits the client budget, so it is a stream and
-//! not a `429`. Under `ORION_FAILPOINTS`, a panicking connection
+//! cache that a later `experiment run` replays to the same bytes. Under
+//! `ORION_FAILPOINTS`, a panicking connection
 //! handler neither wedges the drain nor the next request, and a crashed
 //! cell is one `crashed` record that is never cached.
 
@@ -95,8 +94,6 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
         &[
             "--cache-dir",
             &cache,
-            "--client-budget",
-            "50",
             "--drain-timeout-ms",
             DRAIN_TIMEOUT_MS,
         ],
@@ -107,21 +104,14 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
     assert!(ready.body().contains("\"status\":\"ready\""));
 
     // Four overlapping clients: 8 requested cells, 3 distinct.
-    let grids = [
-        ("a", "0.01, 0.02"),
-        ("b", "0.02, 0.03"),
-        ("c", "0.01, 0.03"),
-        ("d", "0.01, 0.02"),
-    ];
+    let grids = ["0.01, 0.02", "0.02, 0.03", "0.01, 0.03", "0.01, 0.02"];
     let streams: Vec<String> = std::thread::scope(|scope| {
         let clients: Vec<_> = grids
             .iter()
-            .map(|(name, grid)| {
+            .map(|grid| {
                 let (addr, body) = (&addr, spec("soak", grid));
                 scope.spawn(move || {
-                    let client = format!("client-{name}");
-                    let headers = [("X-Orion-Client", client.as_str())];
-                    let reply = http(addr, "POST", "/v1/experiment", &headers, &body);
+                    let reply = http(addr, "POST", "/v1/experiment", &[], &body);
                     assert_eq!(reply.status, 200);
                     reply.body()
                 })
@@ -158,25 +148,23 @@ fn the_daemon_serves_refuses_drains_on_sigterm_and_leaves_a_resumable_cache() {
     );
     assert_eq!(bad.status, 400);
     assert!(bad.body().contains("\"code\":\"bad-spec\""));
-    let greedy = [("X-Orion-Client", "greedy")];
-    let big = spec("big", &many_rates(100));
-    let over = http(&addr, "POST", "/v1/experiment", &greedy, &big);
-    assert_eq!(over.status, 429);
-    assert!(over.body().contains("\"code\":\"budget-exhausted\""));
+    let many = [("X-Orion-Deadline-Ms", "many")];
+    let bad_header = http(&addr, "POST", "/v1/experiment", &many, &spec("h", "0.01"));
+    assert_eq!(bad_header.status, 400);
+    assert!(bad_header.body().contains("\"code\":\"bad-header\""));
     let metrics = http(&addr, "GET", "/metrics", &[], "").body();
     assert!(
         metrics.contains("\"serve_rejected_bad_spec\":1"),
         "{metrics}"
     );
     assert!(
-        metrics.contains("\"serve_rejected_budget_exhausted\":1"),
+        metrics.contains("\"serve_rejected_bad_header\":1"),
         "{metrics}"
     );
 
     // SIGTERM the moment the first record of a 40-cell stream arrives.
-    let streamer = [("X-Orion-Client", "streamer")];
     let long = spec("long", &many_rates(40));
-    let mut stream = http(&addr, "POST", "/v1/experiment", &streamer, &long);
+    let mut stream = http(&addr, "POST", "/v1/experiment", &[], &long);
     assert_eq!(stream.status, 200);
     let mut lines = Vec::new();
     while lines

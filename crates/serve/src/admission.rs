@@ -1,10 +1,9 @@
-//! Admission control: a bounded worker pool with a bounded wait queue,
-//! per-client token budgets, and a drain switch — every way a request
-//! can be refused is a typed [`Rejection`] that maps to one HTTP
-//! status, so clients can tell "back off" (429) from "go away" (503)
-//! from "you asked wrong" (4xx).
+//! Admission control: a bounded worker pool with a bounded wait queue
+//! and a drain switch. Admission depends on capacity alone — every way
+//! a request can be refused is a typed [`Rejection`] that maps to one
+//! HTTP status, so clients can tell "back off" (429) from "go away"
+//! (503) from "you asked wrong" (4xx).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -15,19 +14,13 @@ use orion_exp::inflight::lock_unpoisoned;
 /// bodies and metrics; see `docs/SERVING.md` for the full taxonomy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejection {
-    /// The worker pool and its wait queue are both full (HTTP 429).
+    /// The worker pool and its wait queue are both full, or the daemon
+    /// holds as many open connections as it admits (HTTP 429).
     OverCapacity {
         /// Configured pool size, echoed to the client.
         workers: usize,
         /// Configured queue depth, echoed to the client.
         queue: usize,
-    },
-    /// The client's token budget cannot cover this request (HTTP 429).
-    BudgetExhausted {
-        /// Tokens the request would need (one per grid cell).
-        needed: u64,
-        /// Tokens the client has left.
-        remaining: u64,
     },
     /// The daemon is draining and admits nothing new (HTTP 503).
     Draining,
@@ -37,7 +30,7 @@ impl Rejection {
     /// The HTTP status this rejection maps to.
     pub fn status(&self) -> u16 {
         match self {
-            Rejection::OverCapacity { .. } | Rejection::BudgetExhausted { .. } => 429,
+            Rejection::OverCapacity { .. } => 429,
             Rejection::Draining => 503,
         }
     }
@@ -46,7 +39,6 @@ impl Rejection {
     pub fn code(&self) -> &'static str {
         match self {
             Rejection::OverCapacity { .. } => "over-capacity",
-            Rejection::BudgetExhausted { .. } => "budget-exhausted",
             Rejection::Draining => "draining",
         }
     }
@@ -57,9 +49,6 @@ impl Rejection {
             Rejection::OverCapacity { workers, queue } => {
                 format!("all {workers} workers busy and all {queue} queue slots taken; retry later")
             }
-            Rejection::BudgetExhausted { needed, remaining } => format!(
-                "request needs {needed} cell tokens but the client budget has {remaining} left"
-            ),
             Rejection::Draining => "daemon is draining; no new work is admitted".to_string(),
         }
     }
@@ -146,7 +135,8 @@ impl AdmissionGate {
         Ok(Permit { gate: self })
     }
 
-    fn over_capacity(&self) -> Rejection {
+    /// The refusal for a full pool and queue, echoing both sizes.
+    pub(crate) fn over_capacity(&self) -> Rejection {
         Rejection::OverCapacity {
             workers: self.workers,
             queue: self.queue_depth,
@@ -166,56 +156,6 @@ impl Drop for Permit<'_> {
         state.active = state.active.saturating_sub(1);
         drop(state);
         self.gate.freed.notify_one();
-    }
-}
-
-/// Per-client token budgets: one token per grid cell, charged at
-/// admission (cached cells included — the budget bounds what a client
-/// may *ask*, which is what admission must decide before running
-/// anything).
-#[derive(Debug)]
-pub struct BudgetBook {
-    default_budget: u64,
-    remaining: Mutex<HashMap<String, u64>>,
-}
-
-impl BudgetBook {
-    /// A book granting every new client `default_budget` tokens.
-    /// `u64::MAX` effectively disables budgeting.
-    pub fn new(default_budget: u64) -> BudgetBook {
-        BudgetBook {
-            default_budget,
-            remaining: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Charges `client` for `cells` tokens.
-    ///
-    /// # Errors
-    ///
-    /// [`Rejection::BudgetExhausted`] when the remaining budget cannot
-    /// cover the request (nothing is charged).
-    pub fn charge(&self, client: &str, cells: u64) -> Result<(), Rejection> {
-        let mut book = lock_unpoisoned(&self.remaining);
-        let remaining = book
-            .entry(client.to_string())
-            .or_insert(self.default_budget);
-        if cells > *remaining {
-            return Err(Rejection::BudgetExhausted {
-                needed: cells,
-                remaining: *remaining,
-            });
-        }
-        *remaining -= cells;
-        Ok(())
-    }
-
-    /// Tokens `client` has left (the default for clients never seen).
-    pub fn remaining(&self, client: &str) -> u64 {
-        lock_unpoisoned(&self.remaining)
-            .get(client)
-            .copied()
-            .unwrap_or(self.default_budget)
     }
 }
 
@@ -268,17 +208,5 @@ mod tests {
         gate.start_draining();
         assert_eq!(queued.join().unwrap().unwrap_err(), Rejection::Draining);
         assert_eq!(gate.admit().unwrap_err().status(), 503);
-    }
-
-    #[test]
-    fn budgets_charge_per_client_and_exhaust() {
-        let book = BudgetBook::new(10);
-        book.charge("a", 7).unwrap();
-        let err = book.charge("a", 4).unwrap_err();
-        assert_eq!(err.code(), "budget-exhausted");
-        assert_eq!(book.remaining("a"), 3, "failed charge must not deduct");
-        book.charge("b", 10).expect("budgets are per client");
-        book.charge("a", 3).unwrap();
-        assert_eq!(book.remaining("a"), 0);
     }
 }

@@ -6,10 +6,11 @@
 //! one crash-safe result store, no duplicated work. Three mechanisms
 //! carry that:
 //!
-//! 1. **Admission control** ([`admission`]) — a bounded worker pool
-//!    with a bounded wait queue and per-client cell-token budgets;
-//!    every refusal is a *typed* rejection (HTTP 429/503 with a stable
-//!    machine-readable code), never a hang or a silent drop.
+//! 1. **Admission control** ([`admission`]) — by capacity alone: a
+//!    bounded worker pool with a bounded wait queue, and a bound on open
+//!    connections derived from the two; every refusal is a *typed*
+//!    rejection (HTTP 429/503 with a stable machine-readable code),
+//!    never a hang or a silent drop.
 //! 2. **Shared execution** — all requests run through one
 //!    [`CellRunner`](orion_exp::runner::CellRunner): results are
 //!    content-addressed in the cache, and identical cells submitted
@@ -35,7 +36,7 @@ pub mod http;
 pub mod server;
 pub mod signal;
 
-pub use admission::{AdmissionGate, BudgetBook, Permit, Rejection};
+pub use admission::{AdmissionGate, Permit, Rejection};
 pub use server::{ServeConfig, ServeOutcome, Server, ShutdownHandle};
 
 /// Version of the serve wire protocol: the `protocol` field of every
@@ -44,4 +45,4 @@ pub use server::{ServeConfig, ServeOutcome, Server, ShutdownHandle};
 /// ([`orion_exp::SCHEMA_VERSION`]); this constant versions everything
 /// the daemon adds around them, and bumps whenever a framing line
 /// gains, loses or retypes a field.
-pub const SERVE_PROTOCOL_VERSION: u32 = 1;
+pub const SERVE_PROTOCOL_VERSION: u32 = 2;

@@ -2,8 +2,9 @@
 //!
 //! One [`CellRunner`] (exclusive cache writer, in-flight dedup) is
 //! shared by every connection; an [`AdmissionGate`] bounds concurrent
-//! experiment requests; a [`BudgetBook`] bounds what each client may
-//! ask over the daemon's lifetime. Shutdown — by signal or by
+//! experiment requests, and the accept loop bounds open connections to
+//! what the gate can hold plus [`CONTROL_HEADROOM`], refusing the rest
+//! before a thread is started for them. Shutdown — by signal or by
 //! [`ShutdownHandle`] — stops admitting, lets in-flight cells finish,
 //! truncates their streams with a typed summary, flushes the cache,
 //! and reports whether the drain beat its deadline.
@@ -20,7 +21,7 @@ use orion_exp::{failpoint, ExperimentSpec};
 use orion_obs::json::Json;
 use orion_obs::MetricsRegistry;
 
-use crate::admission::{AdmissionGate, BudgetBook, Rejection};
+use crate::admission::{AdmissionGate, Rejection};
 use crate::http::{read_request, write_response, ChunkedBody, HttpError, Request};
 use crate::{signal, SERVE_PROTOCOL_VERSION};
 
@@ -38,8 +39,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// How long a queued request waits before giving up with 429.
     pub queue_patience: Duration,
-    /// Cell tokens granted to each new client (`u64::MAX` = unmetered).
-    pub client_budget: u64,
     /// How every request's cells run: the same knobs `experiment run`
     /// takes. With a cache directory and `checkpoint_every`, a drained
     /// daemon leaves each unfinished cell's snapshot for the next one
@@ -59,13 +58,18 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 8,
             queue_patience: Duration::from_secs(2),
-            client_budget: u64::MAX,
             supervision: Supervision::default(),
             drain_timeout: Duration::from_secs(10),
             max_body_bytes: 1 << 20,
         }
     }
 }
+
+/// Open connections allowed beyond `workers + queue_depth`: room for
+/// `/healthz`, `/readyz` and `/metrics` probes while every worker and
+/// queue slot is taken, and for handlers still finishing whose client
+/// has already hung up.
+pub const CONTROL_HEADROOM: usize = 16;
 
 /// What `run` observed by the time it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +90,9 @@ struct ServerState {
     listener: TcpListener,
     runner: CellRunner,
     gate: AdmissionGate,
-    budgets: BudgetBook,
     metrics: Mutex<MetricsRegistry>,
-    /// Open connections; each one decrements it as it ends and
+    /// Open connections, at most `workers + queue_depth +
+    /// CONTROL_HEADROOM`; each one decrements it as it ends and
     /// notifies `closed`, which the drain waits on.
     connections: Mutex<usize>,
     closed: Condvar,
@@ -144,14 +148,12 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let runner = CellRunner::open(config.cache_dir.as_deref())?;
         let gate = AdmissionGate::new(config.workers, config.queue_depth, config.queue_patience);
-        let budgets = BudgetBook::new(config.client_budget);
         Ok(Server {
             state: Arc::new(ServerState {
                 config,
                 listener,
                 runner,
                 gate,
-                budgets,
                 metrics: Mutex::new(MetricsRegistry::new()),
                 connections: Mutex::new(0),
                 closed: Condvar::new(),
@@ -195,10 +197,24 @@ impl Server {
                 break Ok(());
             }
             match state.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let open = OpenConnection::count(&state);
-                    std::thread::spawn(move || handle_connection(&open.0, stream));
-                }
+                Ok((mut stream, _peer)) => match OpenConnection::count(&state) {
+                    Some(open) => {
+                        std::thread::spawn(move || {
+                            handle_connection(&open.0, &mut stream);
+                            // Uncounted before the client sees the close:
+                            // a client that read its reply to the end
+                            // finds its slot free.
+                            drop(open);
+                        });
+                    }
+                    None => {
+                        // Refused on this thread; the reply fits in the
+                        // socket buffer, and a peer that never reads it
+                        // cannot hold the accept loop for long.
+                        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+                        let _ = reject(&state, &mut stream, &state.gate.over_capacity());
+                    }
+                },
                 // A woken listener fails every accept; the flag says why.
                 Err(_) if shutdown_asked(&state) => break Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -241,9 +257,16 @@ fn shutdown_asked(state: &ServerState) -> bool {
 struct OpenConnection(Arc<ServerState>);
 
 impl OpenConnection {
-    fn count(state: &Arc<ServerState>) -> OpenConnection {
-        *lock_unpoisoned(&state.connections) += 1;
-        OpenConnection(Arc::clone(state))
+    /// Counts one more connection, or `None` when the daemon already
+    /// holds as many as its pool, queue and headroom allow.
+    fn count(state: &Arc<ServerState>) -> Option<OpenConnection> {
+        let bound = state.config.workers + state.config.queue_depth + CONTROL_HEADROOM;
+        let mut open = lock_unpoisoned(&state.connections);
+        if *open >= bound {
+            return None;
+        }
+        *open += 1;
+        Some(OpenConnection(Arc::clone(state)))
     }
 }
 
@@ -257,40 +280,40 @@ impl Drop for OpenConnection {
 /// One connection = one request = one response, then close. The
 /// `serve.handle` failpoint fires first: `error` closes the connection
 /// unanswered, `panic` kills its thread.
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
     if failpoint::hit("serve.handle").is_err() {
         return;
     }
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let request = match read_request(&mut stream, state.config.max_body_bytes) {
+    let request = match read_request(stream, state.config.max_body_bytes) {
         Ok(req) => req,
         Err(HttpError::Io(_)) => return,
         Err(HttpError::Malformed(why)) => {
             metric(state, "serve_rejected_malformed_http");
-            let _ = error_response(&mut stream, 400, "malformed-request", why);
+            let _ = error_response(stream, 400, "malformed-request", why);
             return;
         }
         Err(HttpError::TooLarge { limit }) => {
             metric(state, "serve_rejected_payload_too_large");
             let why = format!("request body exceeds the {limit}-byte cap");
-            let _ = error_response(&mut stream, 413, "payload-too-large", &why);
+            let _ = error_response(stream, 413, "payload-too-large", &why);
             return;
         }
     };
     let (method, path) = (request.method.as_str(), request.path.as_str());
     let _ = match (method, path.split('?').next().unwrap_or_default()) {
-        ("GET", "/healthz") => handle_health(state, &mut stream),
-        ("GET", "/readyz") => handle_ready(state, &mut stream),
-        ("GET", "/metrics") => handle_metrics(state, &mut stream),
-        ("POST", "/v1/experiment") => handle_experiment(state, &mut stream, &request),
+        ("GET", "/healthz") => handle_health(state, stream),
+        ("GET", "/readyz") => handle_ready(state, stream),
+        ("GET", "/metrics") => handle_metrics(state, stream),
+        ("POST", "/v1/experiment") => handle_experiment(state, stream, &request),
         ("GET" | "POST" | "HEAD" | "PUT" | "DELETE", _) => {
             let why = format!("no route for {method} {path}");
-            error_response(&mut stream, 404, "not-found", &why)
+            error_response(stream, 404, "not-found", &why)
         }
         _ => {
             let why = format!("method {method} is not served");
-            error_response(&mut stream, 405, "method-not-allowed", &why)
+            error_response(stream, 405, "method-not-allowed", &why)
         }
     };
 }
@@ -329,7 +352,7 @@ fn handle_metrics(state: &ServerState, stream: &mut TcpStream) -> std::io::Resul
     write_response(stream, 200, &[], body.as_bytes())
 }
 
-/// The streaming endpoint: validate → admit → charge → stream.
+/// The streaming endpoint: validate → admit → stream.
 fn handle_experiment(
     state: &ServerState,
     stream: &mut TcpStream,
@@ -351,18 +374,10 @@ fn handle_experiment(
         }
     };
     let cells = spec.expand();
-
-    // Admission before budget: a request that would be queued out
-    // anyway must not burn the client's tokens.
     let permit = match state.gate.admit() {
         Ok(permit) => permit,
         Err(rejection) => return reject(state, stream, &rejection),
     };
-    let client = request.header("x-orion-client").unwrap_or("anonymous");
-    if let Err(rejection) = state.budgets.charge(client, cells.len() as u64) {
-        drop(permit);
-        return reject(state, stream, &rejection);
-    }
     state.requests.fetch_add(1, Ordering::SeqCst);
 
     let mut body = ChunkedBody::begin(stream)?;
@@ -397,30 +412,23 @@ fn handle_experiment(
     };
     metric(state, done);
     lock_unpoisoned(&state.metrics).add("serve_records_streamed", streamed as u64);
-    let budget_remaining = state.budgets.remaining(client);
     body.line(&protocol_line("summary", |o| {
         o.key("status").str(status);
         o.key("streamed").num(streamed);
         o.key("cells").num(cells.len());
-        o.key("budget_remaining").num(budget_remaining);
     }))?;
     body.finish()
 }
 
 /// This request's `X-Orion-Deadline-Ms` as an instant.
 fn request_deadline(request: &Request) -> Result<Option<Instant>, String> {
-    let deadline = header_u64(request, "x-orion-deadline-ms")?;
-    Ok(deadline.map(|ms| Instant::now() + Duration::from_millis(ms)))
-}
-
-fn header_u64(request: &Request, name: &str) -> Result<Option<u64>, String> {
-    match request.header(name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("header {name} must be a non-negative integer, got {v:?}")),
-    }
+    let Some(v) = request.header("x-orion-deadline-ms") else {
+        return Ok(None);
+    };
+    let ms = v.parse::<u64>().map_err(|_| {
+        format!("header x-orion-deadline-ms must be a non-negative integer, got {v:?}")
+    })?;
+    Ok(Some(Instant::now() + Duration::from_millis(ms)))
 }
 
 fn reject(
@@ -430,7 +438,6 @@ fn reject(
 ) -> std::io::Result<()> {
     let key = match rejection {
         Rejection::OverCapacity { .. } => "serve_rejected_over_capacity",
-        Rejection::BudgetExhausted { .. } => "serve_rejected_budget_exhausted",
         Rejection::Draining => "serve_rejected_draining",
     };
     metric(state, key);
@@ -522,7 +529,61 @@ mod tests {
         }
     }
 
-    const GOLDEN_ERROR: &str = r#"{"type":"error","protocol":1,"code":"bad-spec","message":"line 4: unknown preset `wa\"rp\\9`\n\u0001é"}"#;
+    /// The non-test source of `file`: a string literal counts only
+    /// where the daemon itself can say it.
+    fn daemon_source(file: &'static str) -> &'static str {
+        file.split("#[cfg(test)]").next().unwrap_or_default()
+    }
+
+    /// The first backticked word of every row of the table whose head
+    /// row starts with `head`.
+    fn first_column<'a>(doc: &'a str, head: &str) -> Vec<&'a str> {
+        let mut lines = doc.lines().skip_while(|l| !l.starts_with(head)).skip(2);
+        std::iter::from_fn(|| lines.next().filter(|l| l.starts_with('|')))
+            .filter_map(|row| row.split('`').nth(1))
+            .collect()
+    }
+
+    #[test]
+    fn serving_md_tables_match_the_daemon() {
+        let doc = include_str!("../../../docs/SERVING.md");
+        let sources = [
+            daemon_source(include_str!("server.rs")),
+            daemon_source(include_str!("admission.rs")),
+        ];
+        let codes = first_column(doc, "| `code` |");
+        for rejection in [
+            Rejection::OverCapacity {
+                workers: 1,
+                queue: 0,
+            },
+            Rejection::Draining,
+        ] {
+            let code = rejection.code();
+            assert!(codes.contains(&code), "docs/SERVING.md lacks a {code} row");
+        }
+        for code in &codes {
+            let literal = format!("\"{code}\"");
+            assert!(
+                sources.iter().any(|src| src.contains(&literal)),
+                "docs/SERVING.md lists code {code}, which the daemon never sends"
+            );
+        }
+        let headers = first_column(doc, "| header |");
+        assert!(
+            !headers.is_empty(),
+            "docs/SERVING.md lacks its header table"
+        );
+        for header in headers {
+            let literal = format!("\"{}\"", header.to_ascii_lowercase());
+            assert!(
+                header.starts_with("X-Orion-") && sources[0].contains(&literal),
+                "docs/SERVING.md lists header {header}, which the daemon does not read"
+            );
+        }
+    }
+
+    const GOLDEN_ERROR: &str = r#"{"type":"error","protocol":2,"code":"bad-spec","message":"line 4: unknown preset `wa\"rp\\9`\n\u0001é"}"#;
 
     #[test]
     fn retry_after_with_no_history_is_one_second() {

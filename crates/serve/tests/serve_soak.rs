@@ -1,6 +1,7 @@
-//! Soak scenario from the issue: a live daemon under concurrent
-//! clients with overlapping grids, malformed and over-budget requests,
-//! a mid-stream drain, and a byte-identical cache resume afterwards.
+//! Soak scenario: a live daemon under concurrent clients with
+//! overlapping grids, malformed requests, more open connections than it
+//! admits, a mid-stream drain, and a byte-identical cache resume
+//! afterwards.
 //!
 //! The client side is a deliberately tiny HTTP/1.1 implementation over
 //! `TcpStream` (the same zero-dependency constraint as the server),
@@ -15,6 +16,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use orion_exp::{run_spec, EngineOptions, ExperimentSpec};
+use orion_serve::server::CONTROL_HEADROOM;
 use orion_serve::{ServeConfig, Server};
 
 const FAST_MEASURE: &str = "[measure]\nwarmup = 100\nsample_packets = 100\nmax_cycles = 20000\n";
@@ -302,46 +304,85 @@ fn extract_gauge(metrics_json: &str, key: &str) -> f64 {
 }
 
 #[test]
-fn budget_and_capacity_rejections_are_typed() {
-    let (addr, handle, join) = start_server(ServeConfig {
-        client_budget: 3,
-        ..ServeConfig::default()
-    });
+fn deadline_truncates_with_a_typed_summary() {
+    let (addr, handle, join) = start_server(ServeConfig::default());
 
-    // 4 cells against a 3-token budget: rejected before running
-    // anything, with the accounting intact.
-    let over = request(
-        &addr,
-        "POST",
-        "/v1/experiment",
-        &[("X-Orion-Client", "greedy")],
-        &spec_toml("big", "[0.02, 0.04, 0.06, 0.08]"),
+    // A 1-cell spec with an immediate deadline is admitted and
+    // truncated with a typed summary instead of burning simulation
+    // time. `X-Orion-Client` is an unknown header like any other: the
+    // summary is the same bytes with or without it.
+    let spec = spec_toml("d", "[0.02]");
+    let deadline = [("X-Orion-Deadline-Ms", "0")];
+    let named = [("X-Orion-Client", "greedy"), ("X-Orion-Deadline-Ms", "0")];
+    let plain = request(&addr, "POST", "/v1/experiment", &deadline, &spec);
+    let greedy = request(&addr, "POST", "/v1/experiment", &named, &spec);
+    assert_eq!(plain.status, 200);
+    assert_eq!(greedy.status, 200);
+    assert_eq!(
+        plain.summary_line(),
+        r#"{"type":"summary","protocol":2,"status":"deadline-exceeded","streamed":0,"cells":1}"#
     );
-    assert_eq!(over.status, 429);
-    assert!(over.body.contains("\"code\":\"budget-exhausted\""));
-    assert!(over.body.contains("needs 4 cell tokens"));
-
-    // A different client still has its own full budget; a 1-cell spec
-    // with an immediate deadline is admitted, charged, and truncated
-    // with a typed summary instead of burning simulation time.
-    let deadline = request(
-        &addr,
-        "POST",
-        "/v1/experiment",
-        &[("X-Orion-Client", "other"), ("X-Orion-Deadline-Ms", "0")],
-        &spec_toml("d", "[0.02]"),
-    );
-    assert_eq!(deadline.status, 200);
-    let summary = deadline.summary_line();
-    assert!(summary.contains("\"status\":\"deadline-exceeded\""));
-    assert!(summary.contains("\"streamed\":0"));
-    assert!(summary.contains("\"budget_remaining\":2"));
+    assert_eq!(greedy.summary_line(), plain.summary_line());
 
     let metrics = request(&addr, "GET", "/metrics", &[], "");
-    assert!(metrics
-        .body
-        .contains("\"serve_rejected_budget_exhausted\":1"));
-    assert!(metrics.body.contains("\"serve_streams_truncated\":1"));
+    assert!(metrics.body.contains("\"serve_streams_truncated\":2"));
+
+    let outcome = join.finish(&handle);
+    assert!(outcome.drained);
+}
+
+#[test]
+fn connections_beyond_the_bound_are_refused_429_without_a_handler() {
+    // One worker, zero queue slots: the daemon holds at most
+    // 1 + CONTROL_HEADROOM open connections.
+    let (addr, handle, join) = start_server(ServeConfig {
+        workers: 1,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    });
+    let bound = 1 + CONTROL_HEADROOM;
+    let mut idle: Vec<TcpStream> = (0..bound)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+
+    // The accept loop takes connections in order, so by the time the
+    // next one is answered every idle one before it has been counted.
+    let mut refused = TcpStream::connect(&addr).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reply = String::new();
+    refused
+        .read_to_string(&mut reply)
+        .expect("refused on the accept thread, not left to a handler");
+    assert!(reply.starts_with("HTTP/1.1 429"), "{reply}");
+    assert!(reply.contains("\r\nRetry-After: "), "{reply}");
+    assert!(reply.contains("\"code\":\"over-capacity\""), "{reply}");
+
+    // A counted connection is still served.
+    let mut counted = idle.pop().unwrap();
+    send_request(&mut counted, "GET", "/metrics", &[], "");
+    let mut metrics = String::new();
+    counted.read_to_string(&mut metrics).unwrap();
+    assert!(
+        metrics.contains("\"serve_rejected_over_capacity\":1"),
+        "{metrics}"
+    );
+
+    // Once the idle clients hang up and read their sockets out, their
+    // slots are free again.
+    for mut socket in idle {
+        socket.shutdown(std::net::Shutdown::Write).unwrap();
+        let _ = socket.read_to_end(&mut Vec::new());
+    }
+    let served = request(
+        &addr,
+        "POST",
+        "/v1/experiment",
+        &[("X-Orion-Deadline-Ms", "0")],
+        &spec_toml("after", "[0.02]"),
+    );
+    assert_eq!(served.status, 200);
 
     let outcome = join.finish(&handle);
     assert!(outcome.drained);
