@@ -431,6 +431,50 @@ mod tests {
     }
 
     #[test]
+    fn a_previous_snapshot_version_replays_from_zero() {
+        // A checkpoint whose network image an older build wrote (one
+        // snapshot version back) passes the file's framing and checksum,
+        // is rejected by restore with the typed `WrongVersion`, and the
+        // run replays from cycle 0 to the baseline's result.
+        let path = temp("old-snapshot");
+        let baseline = quick().run().unwrap();
+        let cancel = Arc::new(AtomicBool::new(true));
+        run_checkpointed(
+            quick(),
+            &CheckpointOptions {
+                path: path.clone(),
+                fingerprint: 7,
+                every: 64,
+                cancel: Some(cancel),
+            },
+        )
+        .unwrap();
+        let mut ck = crate::file::load_checkpoint(&path, 7).unwrap();
+        let old = orion_sim::SNAPSHOT_VERSION - 1;
+        ck.net[..4].copy_from_slice(&old.to_le_bytes());
+        crate::file::save_checkpoint(&path, 7, &ck).unwrap();
+        let out = run_checkpointed(
+            quick(),
+            &CheckpointOptions {
+                path: path.clone(),
+                fingerprint: 7,
+                every: 0,
+                cancel: None,
+            },
+        )
+        .unwrap();
+        assert_eq!(out.resumed_from_cycle, None, "fallback replay");
+        let why = out.resume_error.expect("the rejection is reported");
+        let typed = orion_sim::SnapshotError::WrongVersion(old).to_string();
+        assert!(why.contains(&typed), "{why}");
+        assert_eq!(
+            report_fingerprint(&out.result),
+            report_fingerprint(&RunResult::Finished(Box::new(baseline)))
+        );
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn a_reused_buffer_leaves_no_stale_tail() {
         use crate::file::encode_checkpoint;
         let path = temp("shrink");

@@ -402,7 +402,7 @@ impl Experiment {
                 // A synthetic run measures until its tagged sample has
                 // all ejected (injection continues); a replay
                 // until the trace is exhausted and the network drains.
-                // `is_drained` is O(nodes): once per iteration, replays only.
+                // `is_drained` reads the flit counters (O(shards)).
                 let work_left = match &workload {
                     Workload::Synthetic { pattern, .. } => {
                         pattern.total_injection_rate() > 0.0

@@ -8,9 +8,10 @@
 //! * [`topology`] — k-ary n-cube [`Topology`] (torus or mesh) with the
 //!   paper's five-port router convention (local injection/ejection port
 //!   plus ± ports per dimension),
-//! * [`routing`] — source dimension-ordered routing ([`dor_route`])
-//!   with configurable dimension order (the paper routes the y-axis
-//!   first, §4.3),
+//! * [`routing`] — source dimension-ordered routing ([`dor_route`],
+//!   and [`DorPath`], the same route as a fixed-size value a flit
+//!   carries) with configurable dimension order (the paper routes the
+//!   y-axis first, §4.3),
 //! * [`traffic`] — synthetic [`TrafficPattern`]s: uniform random,
 //!   broadcast, transpose, bit-complement, tornado, hotspot and
 //!   nearest-neighbour, all driven by a Bernoulli injection process,
@@ -41,7 +42,7 @@ pub mod topology;
 pub mod trace;
 pub mod traffic;
 
-pub use routing::{dor_route, DimensionOrder, Route};
-pub use topology::{Direction, NodeId, Port, Topology, TopologyError, TopologyKind};
+pub use routing::{dor_route, DimensionOrder, DorPath, Route};
+pub use topology::{Direction, NodeId, Port, Topology, TopologyError, TopologyKind, MAX_DIMS};
 pub use trace::{TraceEvent, TraceTraffic};
 pub use traffic::{PatternKind, TrafficPattern};

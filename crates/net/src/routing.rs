@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::topology::{Direction, NodeId, Port, Topology};
+use crate::topology::{Direction, NodeId, Port, Topology, MAX_DIMS};
 
 /// The order in which dimensions are exhausted.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -137,6 +137,129 @@ pub fn dor_route(topology: &Topology, src: NodeId, dst: NodeId, order: Dimension
     }
     hops.push(Port::Local);
     Route { hops }
+}
+
+/// A dimension-ordered route as a fixed-size `Copy` value: at most one
+/// leg per dimension, each a run of hops out of one port, then
+/// ejection. It holds the same hops as [`dor_route`] without a heap
+/// object, so a flit can carry its route inline and read its output
+/// port at any hop in a few compares.
+///
+/// ```
+/// use orion_net::{dor_route, DimensionOrder, DorPath, NodeId, Topology};
+///
+/// let t = Topology::torus(&[4, 4])?;
+/// let order = DimensionOrder::YFirst;
+/// let path = DorPath::new(&t, NodeId(0), NodeId(5), &order.order(t.dims()));
+/// let route = dor_route(&t, NodeId(0), NodeId(5), order);
+/// assert!(path.hops().eq(route.hops().iter().copied()));
+/// # Ok::<(), orion_net::TopologyError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DorPath {
+    /// Dense port index ([`Port::index`]) of each leg, in visit order.
+    ports: [u8; MAX_DIMS],
+    /// Hop index one past each leg's last hop.
+    ends: [u16; MAX_DIMS],
+    /// Legs in use. The hop after the last leg is the ejection.
+    legs: u8,
+}
+
+impl DorPath {
+    /// The dimension-ordered path from `src` to `dst`, visiting
+    /// dimensions in `visit` order (as [`DimensionOrder::order`]
+    /// returns it). Along each dimension the packet takes the minimal
+    /// direction; on a torus a half-ring tie goes positive — the rule
+    /// of [`dor_route`], which stays the reference. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range, if `visit` names a
+    /// dimension the topology lacks, or if the route is longer than a
+    /// flit's `u16` hop index can count.
+    pub fn new(topology: &Topology, src: NodeId, dst: NodeId, visit: &[usize]) -> DorPath {
+        let (from, to) = (topology.coord_array(src), topology.coord_array(dst));
+        let mut path = DorPath::empty();
+        let mut end = 0u64;
+        for &dim in visit {
+            let offset = topology.dim_offset(from[dim], to[dim], dim);
+            if offset == 0 {
+                continue;
+            }
+            let dir = if offset > 0 {
+                Direction::Plus
+            } else {
+                Direction::Minus
+            };
+            end += offset.unsigned_abs();
+            path.push(
+                Port::Dir {
+                    dim: dim as u8,
+                    dir,
+                },
+                end,
+            );
+        }
+        path
+    }
+
+    /// The same hops as `route`, one leg per run of equal ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route has more than [`MAX_DIMS`] such runs before
+    /// its ejection, or more hops than a `u16` hop index can count.
+    pub fn from_route(route: &Route) -> DorPath {
+        let hops = &route.hops()[..route.network_hops()];
+        let mut path = DorPath::empty();
+        for (i, &port) in hops.iter().enumerate() {
+            if hops.get(i + 1) != Some(&port) {
+                path.push(port, i as u64 + 1);
+            }
+        }
+        path
+    }
+
+    fn empty() -> DorPath {
+        DorPath {
+            ports: [0; MAX_DIMS],
+            ends: [0; MAX_DIMS],
+            legs: 0,
+        }
+    }
+
+    fn push(&mut self, port: Port, end: u64) {
+        let legs = self.legs as usize;
+        assert!(legs < MAX_DIMS, "a path has at most {MAX_DIMS} legs");
+        self.ports[legs] = port.index() as u8;
+        self.ends[legs] = u16::try_from(end).expect("a path's hop index fits in u16");
+        self.legs += 1;
+    }
+
+    /// The output port taken at hop `hop`; [`Port::Local`] at and past
+    /// the ejection hop.
+    pub fn port(&self, hop: u16) -> Port {
+        for leg in 0..self.legs as usize {
+            if hop < self.ends[leg] {
+                return Port::from_index(self.ports[leg] as usize, MAX_DIMS as u8);
+            }
+        }
+        Port::Local
+    }
+
+    /// Routers visited, the destination's ejection included (the length
+    /// of [`Route::hops`] for the same route).
+    pub fn hop_count(&self) -> usize {
+        match self.legs {
+            0 => 1,
+            legs => self.ends[legs as usize - 1] as usize + 1,
+        }
+    }
+
+    /// The output ports hop by hop, ending with [`Port::Local`].
+    pub fn hops(&self) -> impl Iterator<Item = Port> + '_ {
+        (0..self.hop_count()).map(|hop| self.port(hop as u16))
+    }
 }
 
 #[cfg(test)]
@@ -275,6 +398,43 @@ mod tests {
     fn custom_order_rejects_bad_permutation() {
         let t = t44();
         let _ = dor_route(&t, NodeId(0), NodeId(1), DimensionOrder::Custom(vec![0, 0]));
+    }
+
+    #[test]
+    fn paths_match_reference_routes() {
+        for t in [
+            t44(),
+            Topology::mesh(&[3, 5]).unwrap(),
+            Topology::torus(&[5, 2, 4]).unwrap(),
+        ] {
+            for order in [DimensionOrder::XFirst, DimensionOrder::YFirst] {
+                let visit = order.order(t.dims());
+                for src in t.nodes() {
+                    for dst in t.nodes() {
+                        let route = dor_route(&t, src, dst, order.clone());
+                        let path = DorPath::new(&t, src, dst, &visit);
+                        assert!(path.hops().eq(route.hops().iter().copied()), "{src}->{dst}");
+                        assert_eq!(path, DorPath::from_route(&route), "{src}->{dst}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 legs")]
+    fn from_route_rejects_zigzags() {
+        let east = Port::Dir {
+            dim: 0,
+            dir: Direction::Plus,
+        };
+        let north = Port::Dir {
+            dim: 1,
+            dir: Direction::Plus,
+        };
+        let mut hops: Vec<Port> = [east, north].repeat(5);
+        hops.push(Port::Local);
+        let _ = DorPath::from_route(&Route::new(hops));
     }
 
     #[test]

@@ -11,6 +11,9 @@
 use std::error::Error;
 use std::fmt;
 
+/// The most dimensions a [`Topology`] may have.
+pub const MAX_DIMS: usize = 8;
+
 /// Identifier of a network node (router + its attached terminal).
 ///
 /// Nodes are numbered in mixed-radix order: node id
@@ -211,7 +214,7 @@ impl Topology {
         if radices.is_empty() {
             return Err(TopologyError::NoDimensions);
         }
-        if radices.len() > 8 {
+        if radices.len() > MAX_DIMS {
             return Err(TopologyError::TooManyDimensions(radices.len()));
         }
         for (dim, &radix) in radices.iter().enumerate() {
@@ -270,6 +273,20 @@ impl Topology {
                 c
             })
             .collect()
+    }
+
+    /// Coordinates of `node` in a fixed-size array (entries past
+    /// [`Topology::dims`] are zero): [`Topology::coords`] without the
+    /// allocation, for per-packet paths.
+    pub(crate) fn coord_array(&self, node: NodeId) -> [u32; MAX_DIMS] {
+        assert!(node.0 < self.num_nodes(), "node {node} out of range");
+        let mut out = [0; MAX_DIMS];
+        let mut rem = node.0;
+        for (c, &k) in out.iter_mut().zip(&self.radices) {
+            *c = (rem % k as usize) as u32;
+            rem /= k as usize;
+        }
+        out
     }
 
     /// Node at the given coordinates.

@@ -6,7 +6,8 @@
 //! and chunked transfer encoding for streaming JSONL. Anything outside
 //! that scope is rejected with a typed [`HttpError`] that maps to a
 //! 4xx response — a malformed peer can waste one connection, never
-//! wedge the daemon.
+//! wedge the daemon. A peer that closes before sending a byte (a port
+//! probe) is no request at all and gets no response.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -44,6 +45,10 @@ impl Request {
 pub enum HttpError {
     /// Transport failed mid-read (peer gone, timeout).
     Io(std::io::Error),
+    /// The peer closed the connection before the first byte of a
+    /// request line — a port probe, or a client that hung up. Not a
+    /// request: the handler closes quietly and counts nothing.
+    Closed,
     /// The bytes on the wire are not an HTTP/1.1 request.
     Malformed(&'static str),
     /// The declared body exceeds the server's cap.
@@ -64,11 +69,13 @@ impl From<std::io::Error> for HttpError {
 ///
 /// # Errors
 ///
-/// [`HttpError::Malformed`] for protocol violations, [`HttpError::TooLarge`]
-/// for oversized bodies, [`HttpError::Io`] for transport failures.
+/// [`HttpError::Closed`] when the peer sends nothing before closing,
+/// [`HttpError::Malformed`] for protocol violations (a request cut off
+/// after its first byte included), [`HttpError::TooLarge`] for
+/// oversized bodies, [`HttpError::Io`] for transport failures.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let request_line = read_head_line(&mut reader)?;
+    let request_line = read_head_line(&mut reader)?.ok_or(HttpError::Closed)?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
@@ -86,7 +93,8 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut headers = Vec::new();
     let mut head_bytes = request_line.len();
     loop {
-        let line = read_head_line(&mut reader)?;
+        let line = read_head_line(&mut reader)?
+            .ok_or(HttpError::Malformed("connection closed mid-head"))?;
         if line.is_empty() {
             break;
         }
@@ -119,13 +127,13 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     })
 }
 
-/// Reads one CRLF-terminated head line, tolerating bare LF.
-fn read_head_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, HttpError> {
+/// Reads one CRLF-terminated head line, tolerating bare LF; `None` at
+/// end of stream before the line's first byte.
+fn read_head_line(reader: &mut BufReader<&mut TcpStream>) -> Result<Option<String>, HttpError> {
     let mut line = String::new();
     let mut limited = reader.take(MAX_HEAD_BYTES as u64 + 1);
-    let n = limited.read_line(&mut line)?;
-    if n == 0 {
-        return Err(HttpError::Malformed("connection closed mid-head"));
+    if limited.read_line(&mut line)? == 0 {
+        return Ok(None);
     }
     if line.len() > MAX_HEAD_BYTES {
         return Err(HttpError::Malformed("head line too large"));
@@ -133,7 +141,7 @@ fn read_head_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, Http
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Ok(line)
+    Ok(Some(line))
 }
 
 /// The reason phrase sent with each status the daemon answers.

@@ -154,7 +154,7 @@ impl Server {
                 listener,
                 runner,
                 gate,
-                metrics: Mutex::new(MetricsRegistry::new()),
+                metrics: Mutex::new(zeroed_rejection_counters()),
                 connections: Mutex::new(0),
                 closed: Condvar::new(),
                 requests: AtomicUsize::new(0),
@@ -288,7 +288,7 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let request = match read_request(stream, state.config.max_body_bytes) {
         Ok(req) => req,
-        Err(HttpError::Io(_)) => return,
+        Err(HttpError::Io(_) | HttpError::Closed) => return,
         Err(HttpError::Malformed(why)) => {
             metric(state, "serve_rejected_malformed_http");
             let _ = error_response(stream, 400, "malformed-request", why);
@@ -489,6 +489,23 @@ fn error_body(code: &str, message: &str) -> String {
         o.key("code").str(code);
         o.key("message").str(message);
     })
+}
+
+/// A registry exporting every rejection counter from the start, so a
+/// scrape reads 0 for "none yet" instead of omitting the key.
+fn zeroed_rejection_counters() -> MetricsRegistry {
+    let mut metrics = MetricsRegistry::new();
+    for key in [
+        "serve_rejected_bad_spec",
+        "serve_rejected_bad_header",
+        "serve_rejected_malformed_http",
+        "serve_rejected_payload_too_large",
+        "serve_rejected_over_capacity",
+        "serve_rejected_draining",
+    ] {
+        metrics.add(key, 0);
+    }
+    metrics
 }
 
 fn metric(state: &ServerState, key: &'static str) {

@@ -207,6 +207,43 @@ fn health_ready_metrics_and_typed_errors() {
     assert!(outcome.drained);
 }
 
+/// Half-closes a fresh connection after sending `bytes` and returns
+/// everything the daemon wrote back before closing its side.
+fn send_and_hang_up(addr: &str, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    let _ = stream.read_to_string(&mut reply);
+    reply
+}
+
+#[test]
+fn port_probes_are_not_malformed_requests() {
+    let (addr, handle, join) = start_server(ServeConfig::default());
+    // Connect and close without a byte, as a TCP port probe does: no
+    // reply, no counter. Reading to end of stream waits for the
+    // handler to finish, so the scrape below sees its effect.
+    for _ in 0..3 {
+        assert_eq!(send_and_hang_up(&addr, b""), "");
+    }
+    let metrics = request(&addr, "GET", "/metrics", &[], "");
+    assert!(
+        metrics.body.contains("\"serve_rejected_malformed_http\":0"),
+        "{}",
+        metrics.body
+    );
+    // A request line cut off after its first bytes is still malformed.
+    assert!(send_and_hang_up(&addr, b"GET").starts_with("HTTP/1.1 400"));
+    let metrics = request(&addr, "GET", "/metrics", &[], "");
+    assert!(
+        metrics.body.contains("\"serve_rejected_malformed_http\":1"),
+        "{}",
+        metrics.body
+    );
+    assert!(join.finish(&handle).drained);
+}
+
 #[test]
 fn concurrent_overlapping_clients_dedup_and_match_sequential() {
     let dir = temp_dir("overlap");

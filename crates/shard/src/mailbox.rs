@@ -12,8 +12,8 @@
 //! Each slot is written by exactly one shard (the `src` of its pair),
 //! in that shard's deterministic intra-cycle emission order, and
 //! drained whole by exactly one shard (`dst`). The per-slot mutexes
-//! therefore never contend; they exist to make the grid `Sync` so a
-//! scoped thread per shard can send through a shared reference.
+//! therefore never contend; they exist to make the grid `Sync` so the
+//! shard workers can send through a shared reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -141,11 +141,14 @@ impl MailGrid {
 
     /// Restores slot contents encoded by [`MailGrid::encode`],
     /// replacing this grid's state. Message indices are validated
-    /// against `topology`; on error the grid must be discarded.
+    /// against `topology`, and boundary flits' routes rebuilt along
+    /// `visit` (see [`FlitMsg::decode`]); on error the grid must be
+    /// discarded. Call only at a cycle barrier.
     pub fn restore(
-        &mut self,
+        &self,
         r: &mut ByteReader<'_>,
         topology: &Topology,
+        visit: &[usize],
     ) -> Result<(), SnapshotError> {
         if r.usize()? != self.shards {
             return Err(SnapshotError::Mismatch("mailbox shard count"));
@@ -155,7 +158,7 @@ impl MailGrid {
             let n = r.count(1)?;
             let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
-                msgs.push(FlitMsg::decode(r, topology)?);
+                msgs.push(FlitMsg::decode(r, topology, visit)?);
             }
             live += n as u64;
             *slot.lock().expect("poisoned mailbox") = msgs;

@@ -6,10 +6,13 @@
 //! every shard drains its inbound mailboxes for the cycle, runs the
 //! engine's normal compute/commit phases, and deposits boundary
 //! traffic for future cycles; the end of the cycle is the only
-//! synchronisation barrier. Results are bit-identical to the
-//! single-engine simulator for any shard count (see `docs/SCALING.md`
-//! for the argument, and this crate's tests for the proof by
-//! comparison).
+//! synchronisation barrier. Threaded stepping runs shards `1..` on
+//! persistent worker threads and shard 0 on the caller. Results are
+//! bit-identical to the single-engine simulator for any shard count
+//! (see `docs/SCALING.md` for the argument, and this crate's tests for
+//! the proof by comparison).
+
+use std::sync::Arc;
 
 use orion_net::{NodeId, TopologyKind};
 use orion_obs::{NodeState, ObsEvent, ObsSink};
@@ -21,10 +24,11 @@ use orion_tech::Joules;
 
 use crate::mailbox::{MailGrid, MailboxIo};
 use crate::plan::ShardPlan;
+use crate::workers::Workers;
 
 /// One shard: its engine plus reusable per-cycle scratch.
 #[derive(Debug)]
-struct ShardCell {
+pub(crate) struct ShardCell {
     net: Network,
     /// Inbound boundary flits, indexed by source shard (own index
     /// unused). Refilled from the grid each cycle.
@@ -37,7 +41,7 @@ struct ShardCell {
 impl ShardCell {
     /// Drains this cycle's inbound mail and runs one engine cycle,
     /// sending boundary traffic through `grid`.
-    fn step(&mut self, me: usize, grid: &MailGrid, cycle: u64) {
+    pub(crate) fn step(&mut self, me: usize, grid: &MailGrid, cycle: u64) {
         for src in 0..grid.shards() {
             if src == me {
                 continue;
@@ -56,7 +60,7 @@ impl ShardCell {
 #[derive(Debug)]
 pub struct ShardedNetwork {
     cells: Vec<ShardCell>,
-    grid: MailGrid,
+    grid: Arc<MailGrid>,
     plan: ShardPlan,
     spec: NetworkSpec,
     /// The single global packet-id sequence, threaded through
@@ -73,6 +77,8 @@ pub struct ShardedNetwork {
     /// canonical order. (A lone engine holds the master sink itself.)
     obs: Option<Box<ObsSink>>,
     parallel: bool,
+    /// The persistent workers, started by the first threaded step.
+    workers: Option<Workers>,
 }
 
 impl ShardedNetwork {
@@ -110,7 +116,7 @@ impl ShardedNetwork {
             .collect();
         ShardedNetwork {
             cells,
-            grid: MailGrid::new(shards),
+            grid: Arc::new(MailGrid::new(shards)),
             plan,
             spec,
             next_packet: 0,
@@ -119,6 +125,7 @@ impl ShardedNetwork {
             parallel: std::thread::available_parallelism()
                 .map(|n| n.get() > 1)
                 .unwrap_or(false),
+            workers: None,
         }
     }
 
@@ -137,9 +144,11 @@ impl ShardedNetwork {
         &self.spec
     }
 
-    /// Whether [`ShardedNetwork::step`] runs shards on scoped threads.
+    /// Whether [`ShardedNetwork::step`] runs shards on worker threads.
     /// Either mode is bit-identical; threading only changes wall-clock
     /// time. Defaults to `true` when the host has more than one CPU.
+    /// The `shards − 1` workers start at the first threaded step and
+    /// live until the network is dropped.
     pub fn parallel(&self) -> bool {
         self.parallel
     }
@@ -206,15 +215,20 @@ impl ShardedNetwork {
     /// events. The return from this method is the inter-shard barrier:
     /// all boundary traffic produced this cycle sits in the mailboxes,
     /// due at `cycle + 1` (credits) or `cycle + 2` (flits).
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of any shard's step (the lowest shard's if
+    /// several panic), after every worker has finished the cycle; the
+    /// network must then be discarded.
     pub fn step(&mut self) {
         let cycle = self.cycle();
         let grid = &self.grid;
         if self.parallel && self.cells.len() > 1 {
-            std::thread::scope(|s| {
-                for (me, cell) in self.cells.iter_mut().enumerate() {
-                    s.spawn(move || cell.step(me, grid, cycle));
-                }
-            });
+            let workers = self
+                .workers
+                .get_or_insert_with(|| Workers::start(self.cells.len() - 1, Arc::clone(grid)));
+            workers.step(&mut self.cells, cycle, |cell| cell.step(0, grid, cycle));
         } else {
             for (me, cell) in self.cells.iter_mut().enumerate() {
                 cell.step(me, grid, cycle);
@@ -393,17 +407,28 @@ impl ShardedNetwork {
             .sum()
     }
 
-    /// Flits anywhere in the system: shard engines plus boundary
-    /// mailboxes.
+    /// Flits anywhere in the system — shard engines plus boundary
+    /// mailboxes — in O(shards): network-wide enqueues minus ejections.
+    /// [`ShardedNetwork::audit`] re-counts them structurally.
     pub fn flits_in_flight(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| c.net.flits_in_flight())
-            .sum::<usize>()
+        let (enqueued, ejected) = self.audit_counters();
+        let n = (enqueued - ejected) as usize;
+        debug_assert_eq!(
+            n,
+            self.flits_held(),
+            "flit counters disagree with the shards"
+        );
+        n
+    }
+
+    /// Flits held by the shard engines and the mailboxes, counted
+    /// structurally (O(nodes)).
+    fn flits_held(&self) -> usize {
+        self.cells.iter().map(|c| c.net.flits_held()).sum::<usize>()
             + self.grid.in_transit() as usize
     }
 
-    /// `true` when no flits remain in any shard or mailbox.
+    /// `true` when no flits remain in any shard or mailbox (O(shards)).
     pub fn is_drained(&self) -> bool {
         self.flits_in_flight() == 0
     }
@@ -475,7 +500,7 @@ impl ShardedNetwork {
             cycles_since_flit_movement: cycle - self.last_progress_cycle(),
             cycles_since_delivery: cycle - self.last_delivery_cycle(),
             cycles_since_credit: cycle - self.last_credit_cycle(),
-            flits_in_network: self.flits_in_flight() - source_backlog,
+            flits_in_network: self.flits_held() - source_backlog,
             source_backlog,
             packets_delivered: self.packets_delivered(),
             stalled_vcs,
@@ -497,7 +522,7 @@ impl ShardedNetwork {
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
         let (enqueued, ejected) = self.audit_counters();
-        let in_flight = self.flits_in_flight() as u64;
+        let in_flight = self.flits_held() as u64;
         if enqueued != ejected + in_flight {
             violations.push(AuditViolation::FlitConservation {
                 enqueued,
@@ -630,7 +655,8 @@ impl ShardedNetwork {
             let payload = r.take_bytes(len)?;
             cell.net.restore(payload)?;
         }
-        self.grid.restore(&mut r, &self.spec.topology)?;
+        let visit = self.spec.dim_order.order(topo.dims());
+        self.grid.restore(&mut r, topo, &visit)?;
         let cycle = self.cells[0].net.cycle();
         if self.cells.iter().any(|c| c.net.cycle() != cycle) {
             return Err(SnapshotError::Invalid("shard cycles out of step"));
@@ -645,5 +671,85 @@ fn topology_kind_tag(kind: TopologyKind) -> u8 {
     match kind {
         TopologyKind::Torus => 0,
         TopologyKind::Mesh => 1,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use orion_net::{DimensionOrder, Topology};
+    use orion_power::{
+        ArbiterKind, ArbiterParams, ArbiterPower, BufferParams, BufferPower, CrossbarKind,
+        CrossbarParams, CrossbarPower, LinkPower,
+    };
+    use orion_sim::{CreditMsg, RouterKind, VcRouterSpec};
+    use orion_tech::{Microns, ProcessNode, Technology};
+
+    use super::*;
+
+    fn two_shards() -> ShardedNetwork {
+        let tech = Technology::new(ProcessNode::Nm100);
+        let crossbar =
+            CrossbarPower::new(&CrossbarParams::new(CrossbarKind::Matrix, 5, 5, 64), tech)
+                .expect("valid");
+        let arbiter = ArbiterPower::new(&ArbiterParams::new(ArbiterKind::Matrix, 5), tech)
+            .expect("valid")
+            .with_control_energy(crossbar.control_energy());
+        let models = PowerModels {
+            flit_bits: 64,
+            buffer: BufferPower::new(&BufferParams::new(16, 64), tech).expect("valid"),
+            crossbar,
+            arbiter,
+            link: LinkPower::on_chip(Microns::from_mm(3.0), 64, tech),
+            central: None,
+        };
+        let spec = NetworkSpec {
+            topology: Topology::torus(&[4, 4]).expect("valid"),
+            router: RouterKind::Vc(VcRouterSpec::virtual_channel(5, 2, 4, 64)),
+            packet_len: 5,
+            dim_order: DimensionOrder::YFirst,
+        };
+        let mut net = ShardedNetwork::new(spec, models, 2);
+        net.set_parallel(true);
+        net
+    }
+
+    #[test]
+    fn a_panicking_worker_step_panics_step_and_the_network_still_drops() {
+        let mut net = two_shards();
+        net.step();
+        assert!(
+            net.workers.is_some(),
+            "the first threaded step starts the workers"
+        );
+        // A credit for a VC shard 1's router lacks, due at shard 1's
+        // next step: indexing it panics on the worker thread.
+        let node = net.plan.bounds()[1];
+        let credit = CreditMsg {
+            dest: node,
+            out_port: 1,
+            vc: 99,
+        };
+        net.grid.send_credit(0, 1, net.cycle(), credit);
+        let caught = catch_unwind(AssertUnwindSafe(|| net.step()));
+        assert!(caught.is_err(), "the worker's panic reaches the caller");
+        assert_eq!(net.cells.len(), 2, "every shard came back");
+        drop(net);
+    }
+
+    #[test]
+    fn a_panicking_caller_step_waits_for_the_workers() {
+        let mut net = two_shards();
+        net.step();
+        let credit = CreditMsg {
+            dest: 0,
+            out_port: 1,
+            vc: 99,
+        };
+        net.grid.send_credit(1, 0, net.cycle(), credit);
+        let caught = catch_unwind(AssertUnwindSafe(|| net.step()));
+        assert!(caught.is_err(), "shard 0's panic reaches the caller");
+        assert_eq!(net.cells.len(), 2, "every shard came back");
     }
 }

@@ -7,66 +7,19 @@
 //! audits. Sequential and threaded stepping are also compared against
 //! each other.
 
+mod common;
+
+use common::{models, spec_on, Lcg};
 use orion_net::{DimensionOrder, NodeId, Topology};
 use orion_obs::{keys, ObsSink};
-use orion_power::{
-    ArbiterKind, ArbiterParams, ArbiterPower, BufferParams, BufferPower, CrossbarKind,
-    CrossbarParams, CrossbarPower, LinkPower,
-};
 use orion_shard::ShardedNetwork;
 use orion_sim::energy::Component;
 use orion_sim::snapshot::ByteWriter;
-use orion_sim::{Network, NetworkSpec, PowerModels, RouterKind, StallKind, VcRouterSpec};
-use orion_tech::{Microns, ProcessNode, Technology};
-
-fn models(ports: u32) -> PowerModels {
-    let tech = Technology::new(ProcessNode::Nm100);
-    let crossbar = CrossbarPower::new(
-        &CrossbarParams::new(CrossbarKind::Matrix, ports, ports, 64),
-        tech,
-    )
-    .expect("valid");
-    let arbiter = ArbiterPower::new(&ArbiterParams::new(ArbiterKind::Matrix, ports), tech)
-        .expect("valid")
-        .with_control_energy(crossbar.control_energy());
-    PowerModels {
-        flit_bits: 64,
-        buffer: BufferPower::new(&BufferParams::new(16, 64), tech).expect("valid"),
-        crossbar,
-        arbiter,
-        link: LinkPower::on_chip(Microns::from_mm(3.0), 64, tech),
-        central: None,
-    }
-}
+use orion_sim::{Network, NetworkSpec, StallKind};
 
 fn spec(radices: &[u32], vcs: usize) -> NetworkSpec {
     let topology = Topology::torus(radices).expect("valid");
-    let ports = topology.ports_per_router();
-    let router = if vcs > 1 {
-        RouterKind::Vc(VcRouterSpec::virtual_channel(ports, vcs, 4, 64))
-    } else {
-        RouterKind::Vc(VcRouterSpec::wormhole(ports, 16, 64))
-    };
-    NetworkSpec {
-        topology,
-        router,
-        packet_len: 5,
-        dim_order: DimensionOrder::YFirst,
-    }
-}
-
-/// Deterministic traffic: a fixed multiplicative stream drives
-/// src/dst/tag choices identically on every network under comparison.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
+    spec_on(topology, vcs, DimensionOrder::YFirst)
 }
 
 /// Drives `inject_cycles` cycles of random traffic plus a drain tail,
@@ -385,5 +338,108 @@ fn snapshot_from_other_shard_count_is_typed_mismatch() {
             assert!(what.contains("shard"), "unexpected mismatch field: {what}");
         }
         other => panic!("expected shard-count mismatch, got {other:?}"),
+    }
+}
+
+/// Everything a run's outcome consists of, in comparable form: merged
+/// counters and latency sample, per-node per-component energies (as
+/// bits), per-channel link flits, and the final cycle.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    counts: [u64; 5],
+    latencies: Vec<u64>,
+    energy_bits: Vec<u64>,
+    link_flits: Vec<u64>,
+    cycle: u64,
+}
+
+fn outcome(net: &ShardedNetwork) -> Outcome {
+    let topology = &net.spec().topology;
+    let s = net.stats_merged();
+    let nodes = 0..topology.num_nodes();
+    assert!(net.audit().is_empty(), "{:?}", net.audit());
+    Outcome {
+        counts: [
+            s.packets_injected,
+            s.packets_delivered,
+            s.flits_delivered,
+            s.tagged_injected,
+            s.tagged_delivered,
+        ],
+        latencies: s.latencies().to_vec(),
+        energy_bits: nodes
+            .clone()
+            .flat_map(|n| Component::ALL.iter().map(move |&c| (n, c)))
+            .map(|(n, c)| net.node_energy(n, c).0.to_bits())
+            .collect(),
+        link_flits: nodes
+            .flat_map(|n| (0..topology.ports_per_router()).map(move |p| (n, p)))
+            .map(|(n, p)| net.link_flits(n, p))
+            .collect(),
+        cycle: net.cycle(),
+    }
+}
+
+/// A 5×5 torus (odd radix; 3 and 4 shards split it unevenly) on
+/// worker threads, whatever the host's core count.
+fn threaded(shards: usize) -> ShardedNetwork {
+    let mut net = ShardedNetwork::new(spec(&[5, 5], 2), models(5), shards);
+    net.set_parallel(true);
+    net
+}
+
+/// 300 cycles of traffic and a drain; at `restore_at`, the network is
+/// snapshotted, dropped, and the run continues on a fresh network
+/// restored from the image.
+fn threaded_run(shards: usize, restore_at: Option<u64>) -> Outcome {
+    let mut net = threaded(shards);
+    let mut rng = Lcg(17);
+    for cycle in 0..300 {
+        if restore_at == Some(cycle) {
+            let image = net.snapshot();
+            net = threaded(shards);
+            net.restore(&image).expect("own image restores");
+        }
+        for _ in 0..2 {
+            let src = (rng.next() as usize) % 25;
+            let dst = (rng.next() as usize) % 25;
+            net.enqueue_packet(NodeId(src), NodeId(dst), cycle >= 50);
+        }
+        net.step();
+    }
+    let mut guard = 0;
+    while !net.is_drained() {
+        net.step();
+        guard += 1;
+        assert!(guard < 20_000, "drain did not converge");
+    }
+    outcome(&net)
+}
+
+#[test]
+fn threaded_shards_match_one_shard_across_a_mid_run_restore() {
+    let reference = threaded_run(1, None);
+    for shards in [2, 3, 4] {
+        assert_eq!(threaded_run(shards, None), reference, "{shards} shards");
+        assert_eq!(
+            threaded_run(shards, Some(150)),
+            reference,
+            "{shards} shards, restored at cycle 150"
+        );
+    }
+}
+
+#[test]
+fn threaded_observed_runs_match_one_shard() {
+    let observed = |shards: usize| {
+        let mut net = threaded(shards);
+        net.set_obs(ObsSink::new().with_tracer(32));
+        drive(&mut net, &[5, 5], 300, 29);
+        let obs = net.take_obs().expect("sink").into_observations(10);
+        (outcome(&net), obs.metrics, obs.spans)
+    };
+    let reference = observed(1);
+    for shards in [2, 3, 4] {
+        assert!(observed(shards) == reference, "{shards} shards");
     }
 }

@@ -175,12 +175,6 @@ impl FlitArena {
         self.slots.len()
     }
 
-    /// Iterates over the live flits in slot-index order (a stable,
-    /// deterministic order for snapshot encoding).
-    pub(crate) fn iter_live(&self) -> impl Iterator<Item = &Flit> {
-        self.slots.iter().filter_map(|s| s.flit.as_ref())
-    }
-
     /// `true` when `handle` refers to a live flit of the current
     /// generation. Snapshot decoding uses this to reject corrupted
     /// handles with a typed error instead of a later panic.

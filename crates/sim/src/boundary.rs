@@ -22,7 +22,7 @@
 //!   contiguous ascending node ranges this reproduces the single-shard
 //!   engine's ascending-source-node slot order bit for bit.
 
-use orion_net::Port;
+use orion_net::{DorPath, NodeId};
 
 use crate::flit::Flit;
 
@@ -83,7 +83,9 @@ impl ShardIo for NullIo {
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 
 impl FlitMsg {
-    /// Serialises the message (route inline) for mailbox snapshots.
+    /// Serialises the message for mailbox snapshots. The flit's route
+    /// is not written: it is a function of the topology and the
+    /// flit's endpoints, rebuilt by [`FlitMsg::decode`].
     pub fn encode(&self, w: &mut ByteWriter) {
         w.usize(self.dest);
         w.usize(self.in_port);
@@ -95,10 +97,6 @@ impl FlitMsg {
         w.u32(f.packet_len);
         w.usize(f.src.0);
         w.usize(f.dst.0);
-        w.usize(f.route.hops().len());
-        for hop in f.route.hops() {
-            w.u8(hop.index() as u8);
-        }
         w.u16(f.hop);
         w.u64(f.payload);
         w.u64(f.created);
@@ -109,10 +107,13 @@ impl FlitMsg {
     }
 
     /// Decodes a message encoded by [`FlitMsg::encode`], validating
-    /// every index against `topology`.
+    /// every index against `topology` and rebuilding the flit's route
+    /// along `visit`, the network's dimension visit order (see
+    /// [`DimensionOrder::order`](orion_net::DimensionOrder::order)).
     pub fn decode(
         r: &mut ByteReader<'_>,
         topology: &orion_net::Topology,
+        visit: &[usize],
     ) -> Result<FlitMsg, SnapshotError> {
         let n = topology.num_nodes();
         let dims = topology.dims();
@@ -138,24 +139,9 @@ impl FlitMsg {
         if src >= n || dst >= n {
             return Err(SnapshotError::Invalid("boundary flit endpoint"));
         }
-        let hop_count = r.count(1)?;
-        if hop_count == 0 {
-            return Err(SnapshotError::Invalid("boundary flit route"));
-        }
-        let mut hops = Vec::with_capacity(hop_count);
-        for _ in 0..hop_count {
-            let idx = r.u8()? as usize;
-            if idx != 0 && (idx - 1) / 2 >= dims {
-                return Err(SnapshotError::Invalid("boundary flit route port"));
-            }
-            hops.push(Port::from_index(idx, dims as u8));
-        }
-        if *hops.last().expect("nonempty") != Port::Local {
-            return Err(SnapshotError::Invalid("boundary flit route end"));
-        }
-        let route = std::sync::Arc::new(orion_net::Route::new(hops));
+        let path = DorPath::new(topology, NodeId(src), NodeId(dst), visit);
         let hop = r.u16()?;
-        if hop as usize >= route.hops().len() {
+        if hop as usize >= path.hop_count() {
             return Err(SnapshotError::Invalid("boundary flit hop"));
         }
         Ok(FlitMsg {
@@ -167,9 +153,9 @@ impl FlitMsg {
                 packet,
                 seq,
                 packet_len,
-                src: orion_net::NodeId(src),
-                dst: orion_net::NodeId(dst),
-                route,
+                src: NodeId(src),
+                dst: NodeId(dst),
+                path,
                 hop,
                 payload: r.u64()?,
                 created: r.u64()?,

@@ -3,12 +3,13 @@
 //! A flit is "the smallest unit of flow control … a fixed-sized unit of a
 //! packet" (paper §3.3). The paper's experiments use 5-flit packets — a
 //! head flit leading 4 data flits (§4.1). Since the paper prescribes
-//! source routing, every flit carries an [`Arc<Route>`] and its current
-//! hop index.
+//! source routing, every flit carries its packet's route inline — a
+//! [`DorPath`], a fixed-size `Copy` value built once per packet — and
+//! its current hop index. No flit holds a heap object or a refcount.
 
 use std::sync::Arc;
 
-use orion_net::{NodeId, Port, Route};
+use orion_net::{DorPath, NodeId, Port, Route};
 
 /// Unique identifier of a packet within a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,10 +34,11 @@ pub struct Flit {
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// The source route (shared across the packet's flits).
-    pub route: Arc<Route>,
-    /// Index into `route.hops()` of the output port to take at the
-    /// *current* router.
+    /// The source route, inline (the same value in every flit of the
+    /// packet).
+    pub path: DorPath,
+    /// Index of the hop the flit takes at the *current* router (see
+    /// [`DorPath::port`]).
     pub hop: u16,
     /// 64-bit payload sample used for switching-activity tracking;
     /// widths other than 64 are handled by scaling (see
@@ -71,12 +73,8 @@ impl Flit {
     }
 
     /// The output port this flit takes at the current router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hop index has run past the route.
     pub fn out_port(&self) -> Port {
-        self.route.hops()[self.hop as usize]
+        self.path.port(self.hop)
     }
 }
 
@@ -106,7 +104,7 @@ pub fn make_packet_each(
     id: PacketId,
     src: NodeId,
     dst: NodeId,
-    route: &Arc<Route>,
+    path: DorPath,
     len: u32,
     created: u64,
     tagged: bool,
@@ -120,7 +118,7 @@ pub fn make_packet_each(
             packet_len: len,
             src,
             dst,
-            route: Arc::clone(route),
+            path,
             hop: 0,
             payload: payload_for(id, seq),
             created,
@@ -132,11 +130,12 @@ pub fn make_packet_each(
     }
 }
 
-/// Builds the flits of one packet.
+/// Builds the flits of one packet along `route`.
 ///
 /// # Panics
 ///
-/// Panics if `len` is zero.
+/// Panics if `len` is zero, or if `route` is not dimension-ordered
+/// enough to fit a [`DorPath`] (see [`DorPath::from_route`]).
 #[allow(clippy::too_many_arguments)]
 pub fn make_packet(
     id: PacketId,
@@ -148,9 +147,8 @@ pub fn make_packet(
     tagged: bool,
 ) -> Vec<Flit> {
     let mut flits = Vec::with_capacity(len as usize);
-    make_packet_each(id, src, dst, &route, len, created, tagged, |f| {
-        flits.push(f)
-    });
+    let path = DorPath::from_route(&route);
+    make_packet_each(id, src, dst, path, len, created, tagged, |f| flits.push(f));
     flits
 }
 

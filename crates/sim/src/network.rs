@@ -14,9 +14,8 @@
 //! a cycle cannot change results.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use orion_net::{dor_route, DimensionOrder, NodeId, Port, Topology, TopologyKind};
+use orion_net::{DimensionOrder, DorPath, NodeId, Port, Topology, TopologyKind};
 use orion_obs::{NodeState, ObsSink};
 
 use crate::arena::{FlitArena, FlitRef};
@@ -486,7 +485,9 @@ pub struct Network {
     link_flits: Vec<u64>,
     sources: Vec<Source>,
     sinks: HashMap<PacketId, Progress>,
-    route_cache: HashMap<(usize, usize), Arc<orion_net::Route>>,
+    /// `spec.dim_order` resolved once to the dimension visit order
+    /// every packet's [`DorPath`] follows.
+    visit: Vec<usize>,
     stats: SimStats,
     cycle: u64,
     next_packet: u64,
@@ -638,7 +639,7 @@ impl Network {
             link_flits: vec![0; n * ports],
             sources: (lo..hi).map(|_| Source::default()).collect(),
             sinks: HashMap::new(),
-            route_cache: HashMap::new(),
+            visit: spec.dim_order.order(spec.topology.dims()),
             stats: SimStats::new(),
             cycle: 0,
             next_packet: 0,
@@ -854,18 +855,7 @@ impl Network {
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.packet_injected(id.0, src.0, dst.0, len as usize, self.cycle);
         }
-        let route = self
-            .route_cache
-            .entry((src.0, dst.0))
-            .or_insert_with(|| {
-                Arc::new(dor_route(
-                    &self.spec.topology,
-                    src,
-                    dst,
-                    self.spec.dim_order.clone(),
-                ))
-            })
-            .clone();
+        let path = DorPath::new(&self.spec.topology, src, dst, &self.visit);
         assert!(
             src.0 >= self.lo && src.0 < self.hi,
             "packet source n{} outside owned range {}..{}",
@@ -875,7 +865,7 @@ impl Network {
         );
         let arena = &mut self.arena;
         let queue = &mut self.sources[src.0 - self.lo].queue;
-        make_packet_each(id, src, dst, &route, len, self.cycle, tagged, |flit| {
+        make_packet_each(id, src, dst, path, len, self.cycle, tagged, |flit| {
             queue.push_back(arena.alloc(flit));
         });
         self.activity.wake_source(src.0 - self.lo);
@@ -883,10 +873,31 @@ impl Network {
         id
     }
 
-    /// Flits currently anywhere in the system (source queues, routers,
-    /// links).
+    /// Flits currently anywhere in the network (source queues, routers,
+    /// links), in O(1): the difference of the monotone enqueue and
+    /// eject counters. [`Network::audit`] re-derives the number from
+    /// the structure ([`Network::flits_held`]), so flit conservation
+    /// still compares two independent counts. A shard engine's
+    /// counters split a boundary packet across engines, so there this
+    /// is [`Network::flits_held`].
     pub fn flits_in_flight(&self) -> usize {
-        self.sources.iter().map(|s| s.queue.len()).sum::<usize>()
+        if self.shard_bounds.len() > 2 {
+            return self.flits_held();
+        }
+        let n = (self.audit_enqueued - self.audit_ejected) as usize;
+        debug_assert_eq!(
+            n,
+            self.flits_held(),
+            "flit counters disagree with the engine"
+        );
+        n
+    }
+
+    /// Flits this engine holds, counted structurally: its source
+    /// queues, router buffers and flit wheel. O(nodes) — the audit's
+    /// side of flit conservation.
+    pub fn flits_held(&self) -> usize {
+        self.source_backlog()
             + self
                 .routers
                 .iter()
@@ -895,7 +906,8 @@ impl Network {
             + self.flit_wheel.len()
     }
 
-    /// `true` when no flits remain anywhere.
+    /// `true` when no flits remain anywhere. O(1) on a whole network
+    /// (see [`Network::flits_in_flight`]).
     pub fn is_drained(&self) -> bool {
         self.flits_in_flight() == 0
     }
@@ -996,7 +1008,7 @@ impl Network {
             cycles_since_flit_movement: self.cycles_since_progress(),
             cycles_since_delivery: self.cycle - self.last_delivery,
             cycles_since_credit: self.cycle - self.last_credit,
-            flits_in_network: self.flits_in_flight() - source_backlog,
+            flits_in_network: self.flits_held() - source_backlog,
             source_backlog,
             packets_delivered: self.stats.packets_delivered,
             stalled_vcs,
@@ -1016,7 +1028,7 @@ impl Network {
         // Flit conservation over the run's whole lifetime: the audit
         // counters are never reset, so a flit leaked at any point —
         // even before a measurement reset — stays visible forever.
-        let in_flight = self.flits_in_flight() as u64;
+        let in_flight = self.flits_held() as u64;
         if self.audit_enqueued != self.audit_ejected + in_flight {
             violations.push(AuditViolation::FlitConservation {
                 enqueued: self.audit_enqueued,
@@ -1050,7 +1062,7 @@ impl Network {
         // was recycled twice without tripping a generation check. The
         // equation holds per shard: a boundary flit leaves the arena
         // when it is shipped and re-homes on arrival.
-        let expected = self.flits_in_flight() as u64;
+        let expected = self.flits_held() as u64;
         if self.arena.live() as u64 != expected {
             violations.push(AuditViolation::ArenaAccounting {
                 live: self.arena.live() as u64,
@@ -1722,33 +1734,12 @@ impl Network {
         self.stats.encode(w);
         self.ledger.encode(w);
 
-        // Route table: every distinct Arc<Route> reachable from a live
-        // flit, in first-seen slot order (deterministic).
-        let mut table: Vec<Arc<orion_net::Route>> = Vec::new();
-        let mut route_index: HashMap<*const orion_net::Route, u32> = HashMap::new();
-        for flit in self.arena.iter_live() {
-            route_index
-                .entry(Arc::as_ptr(&flit.route))
-                .or_insert_with(|| {
-                    table.push(Arc::clone(&flit.route));
-                    (table.len() - 1) as u32
-                });
-        }
-        w.usize(table.len());
-        for route in &table {
-            w.usize(route.hops().len());
-            for hop in route.hops() {
-                w.u8(hop.index() as u8);
-            }
-        }
-
         self.arena.encode_with(w, &mut |f, w| {
             w.u64(f.packet.0);
             w.u32(f.seq);
             w.u32(f.packet_len);
             w.usize(f.src.0);
             w.usize(f.dst.0);
-            w.u32(route_index[&Arc::as_ptr(&f.route)]);
             w.u16(f.hop);
             w.u64(f.payload);
             w.u64(f.created);
@@ -1878,28 +1869,6 @@ impl Network {
         let stats = SimStats::decode(&mut r)?;
         self.ledger.decode_into(&mut r)?;
 
-        let dims = self.spec.topology.dims();
-        let route_count = r.count(9)?;
-        let mut routes: Vec<Arc<orion_net::Route>> = Vec::with_capacity(route_count);
-        for _ in 0..route_count {
-            let hop_count = r.count(1)?;
-            if hop_count == 0 {
-                return Err(SnapshotError::Invalid("empty route"));
-            }
-            let mut hops = Vec::with_capacity(hop_count);
-            for _ in 0..hop_count {
-                let idx = r.u8()? as usize;
-                if idx != 0 && (idx - 1) / 2 >= dims {
-                    return Err(SnapshotError::Invalid("route port index"));
-                }
-                hops.push(Port::from_index(idx, dims as u8));
-            }
-            if *hops.last().expect("nonempty") != Port::Local {
-                return Err(SnapshotError::Invalid("route does not end locally"));
-            }
-            routes.push(Arc::new(orion_net::Route::new(hops)));
-        }
-
         let arena = FlitArena::decode_with(&mut r, &mut |r| {
             let packet = PacketId(r.u64()?);
             let seq = r.u32()?;
@@ -1912,11 +1881,11 @@ impl Network {
             if src >= n_total || dst >= n_total {
                 return Err(SnapshotError::Invalid("flit endpoint"));
             }
-            let route = routes
-                .get(r.u32()? as usize)
-                .ok_or(SnapshotError::Invalid("flit route index"))?;
+            // The route is a function of the topology and the
+            // endpoints, so the image carries only the hop index.
+            let path = DorPath::new(&self.spec.topology, NodeId(src), NodeId(dst), &self.visit);
             let hop = r.u16()?;
-            if hop as usize >= route.hops().len() {
+            if hop as usize >= path.hop_count() {
                 return Err(SnapshotError::Invalid("flit hop index"));
             }
             Ok(Flit {
@@ -1925,7 +1894,7 @@ impl Network {
                 packet_len,
                 src: NodeId(src),
                 dst: NodeId(dst),
-                route: Arc::clone(route),
+                path,
                 hop,
                 payload: r.u64()?,
                 created: r.u64()?,
@@ -1962,7 +1931,7 @@ impl Network {
             }
             let crossed_dim = if r.bool()? {
                 let d = r.u8()?;
-                if (d as usize) >= dims {
+                if (d as usize) >= self.spec.topology.dims() {
                     return Err(SnapshotError::Invalid("flit arrival dimension"));
                 }
                 Some(d)
@@ -2064,7 +2033,6 @@ impl Network {
         self.credit_scratch.clear();
         self.sources = sources;
         self.sinks = sinks;
-        self.route_cache.clear();
         self.stats = stats;
         self.delivery_log = delivery_log;
         self.link_last = link_last;
@@ -2090,7 +2058,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("topology", &self.spec.topology)
             .field("cycle", &self.cycle)
-            .field("flits_in_flight", &self.flits_in_flight())
+            .field("flits_held", &self.flits_held())
             .finish_non_exhaustive()
     }
 }
