@@ -290,14 +290,12 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
         Ok(req) => req,
         Err(HttpError::Io(_) | HttpError::Closed) => return,
         Err(HttpError::Malformed(why)) => {
-            metric(state, "serve_rejected_malformed_http");
-            let _ = error_response(stream, 400, "malformed-request", why);
+            let _ = refuse(state, stream, 400, "malformed-request", why);
             return;
         }
         Err(HttpError::TooLarge { limit }) => {
-            metric(state, "serve_rejected_payload_too_large");
             let why = format!("request body exceeds the {limit}-byte cap");
-            let _ = error_response(stream, 413, "payload-too-large", &why);
+            let _ = refuse(state, stream, 413, "payload-too-large", &why);
             return;
         }
     };
@@ -361,17 +359,11 @@ fn handle_experiment(
     metric(state, "serve_requests");
     let deadline = match request_deadline(request) {
         Ok(deadline) => deadline,
-        Err(why) => {
-            metric(state, "serve_rejected_bad_header");
-            return error_response(stream, 400, "bad-header", &why);
-        }
+        Err(why) => return refuse(state, stream, 400, "bad-header", &why),
     };
     let spec = match ExperimentSpec::parse_bytes(&request.body) {
         Ok(spec) => spec,
-        Err(e) => {
-            metric(state, "serve_rejected_bad_spec");
-            return error_response(stream, 400, "bad-spec", &e.to_string());
-        }
+        Err(e) => return refuse(state, stream, 400, "bad-spec", &e.to_string()),
     };
     let cells = spec.expand();
     let permit = match state.gate.admit() {
@@ -436,11 +428,7 @@ fn reject(
     stream: &mut TcpStream,
     rejection: &Rejection,
 ) -> std::io::Result<()> {
-    let key = match rejection {
-        Rejection::OverCapacity { .. } => "serve_rejected_over_capacity",
-        Rejection::Draining => "serve_rejected_draining",
-    };
-    metric(state, key);
+    count_refusal(state, rejection.code());
     // Mean wall-clock duration of the cells completed so far; zero
     // before the first one finishes.
     let cells = state.cells_timed.load(Ordering::Relaxed).max(1);
@@ -491,21 +479,47 @@ fn error_body(code: &str, message: &str) -> String {
     })
 }
 
-/// A registry exporting every rejection counter from the start, so a
-/// scrape reads 0 for "none yet" instead of omitting the key.
+/// The error code of every refusal the daemon counts, with its
+/// counter: one row each of docs/SERVING.md's failure taxonomy. Every
+/// counter is exported at 0 from startup, so a scrape reads 0 for
+/// "none yet" instead of omitting the key.
+const COUNTED_REFUSALS: [(&str, &str); 6] = [
+    ("bad-spec", "serve_rejected_bad_spec"),
+    ("bad-header", "serve_rejected_bad_header"),
+    ("malformed-request", "serve_rejected_malformed_http"),
+    ("payload-too-large", "serve_rejected_payload_too_large"),
+    ("over-capacity", "serve_rejected_over_capacity"),
+    ("draining", "serve_rejected_draining"),
+];
+
 fn zeroed_rejection_counters() -> MetricsRegistry {
     let mut metrics = MetricsRegistry::new();
-    for key in [
-        "serve_rejected_bad_spec",
-        "serve_rejected_bad_header",
-        "serve_rejected_malformed_http",
-        "serve_rejected_payload_too_large",
-        "serve_rejected_over_capacity",
-        "serve_rejected_draining",
-    ] {
+    for (_, key) in COUNTED_REFUSALS {
         metrics.add(key, 0);
     }
     metrics
+}
+
+/// Counts a refusal with error `code` in its `serve_rejected_*`
+/// counter.
+fn count_refusal(state: &ServerState, code: &str) {
+    let (_, key) = COUNTED_REFUSALS
+        .iter()
+        .find(|(counted, _)| *counted == code)
+        .expect("every refusal code has a row in COUNTED_REFUSALS");
+    metric(state, key);
+}
+
+/// Answers with the error line for `code` and counts it.
+fn refuse(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    status: u16,
+    code: &str,
+    message: &str,
+) -> std::io::Result<()> {
+    count_refusal(state, code);
+    error_response(stream, status, code, message)
 }
 
 fn metric(state: &ServerState, key: &'static str) {
@@ -552,11 +566,19 @@ mod tests {
         file.split("#[cfg(test)]").next().unwrap_or_default()
     }
 
+    /// The body rows of the table whose head row starts with `head`.
+    fn rows<'a>(doc: &'a str, head: &'static str) -> impl Iterator<Item = &'a str> {
+        let mut lines = doc
+            .lines()
+            .skip_while(move |l| !l.starts_with(head))
+            .skip(2);
+        std::iter::from_fn(move || lines.next().filter(|l| l.starts_with('|')))
+    }
+
     /// The first backticked word of every row of the table whose head
     /// row starts with `head`.
-    fn first_column<'a>(doc: &'a str, head: &str) -> Vec<&'a str> {
-        let mut lines = doc.lines().skip_while(|l| !l.starts_with(head)).skip(2);
-        std::iter::from_fn(|| lines.next().filter(|l| l.starts_with('|')))
+    fn first_column<'a>(doc: &'a str, head: &'static str) -> Vec<&'a str> {
+        rows(doc, head)
             .filter_map(|row| row.split('`').nth(1))
             .collect()
     }
@@ -586,6 +608,19 @@ mod tests {
                 "docs/SERVING.md lists code {code}, which the daemon never sends"
             );
         }
+        // Every counted refusal is a taxonomy row naming its counter,
+        // and every counter named there is counted (and zeroed).
+        let counted: Vec<(&str, &str)> = rows(doc, "| `code` |")
+            .filter_map(|row| {
+                let cols: Vec<&str> = row.split('|').map(str::trim).collect();
+                let metric = cols.get(4)?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((cols[1].trim_matches('`'), metric))
+            })
+            .collect();
+        assert_eq!(
+            counted, COUNTED_REFUSALS,
+            "docs/SERVING.md's metric column disagrees with COUNTED_REFUSALS"
+        );
         let headers = first_column(doc, "| header |");
         assert!(
             !headers.is_empty(),

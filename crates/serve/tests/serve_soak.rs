@@ -462,7 +462,7 @@ fn over_capacity_rejects_429() {
     assert_eq!(busy.join().unwrap().status, 200);
 
     let metrics = request(&addr, "GET", "/metrics", &[], "");
-    assert!(metrics.body.contains("\"serve_rejected_over_capacity\":"));
+    assert!(metrics.body.contains("\"serve_rejected_over_capacity\":1"));
 
     let outcome = join.finish(&handle);
     assert!(outcome.drained);

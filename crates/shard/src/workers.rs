@@ -14,9 +14,11 @@
 //! [`SPIN`], then yield their core to any other runnable thread until
 //! [`YIELD`] has passed, then park. A wait that ends within a cycle's
 //! skew never pays a wake-up from a park (hundreds of microseconds on
-//! a virtual machine), and a host with more shard threads than cores
-//! does not lose a core per idle worker: a yielding waiter runs only
-//! when nothing else wants its core, and a parked one not at all.
+//! a virtual machine). A yielding waiter stays runnable and is charged
+//! the time it yields (Linux does not lower its priority), so with
+//! more shard threads than cores it still competes for a core; the
+//! measured cost of that is in `docs/SCALING.md` § Performance
+//! expectations.
 //!
 //! A panic in a worker's step is caught there, its shard is returned
 //! all the same, and the coordinator resumes the panic on the caller
