@@ -122,6 +122,21 @@ fn a_malformed_failpoint_list_is_bad_input_not_a_silent_no_op() {
 }
 
 #[test]
+fn a_router_wider_than_the_state_layout_is_bad_input_not_a_panic() {
+    // 5 ports x 26 VCs = 130 input VCs: more than the 128 a router holds.
+    let run = cli(
+        &[
+            "simulate", "--preset", "vc26x2", "--warmup", "10", "--sample", "10",
+        ],
+        None,
+    );
+    assert_eq!(run.code, 2, "{run:?}");
+    assert!(run.stderr.contains("130 input VCs"), "{run:?}");
+    assert!(!run.stderr.contains("panicked"), "{run:?}");
+    assert!(run.stdout.is_empty(), "{run:?}");
+}
+
+#[test]
 fn an_observed_simulate_run_emits_valid_json_everywhere() {
     let sandbox = Sandbox::new("smoke-observe");
     let obs = sandbox.path("obs");

@@ -8,9 +8,10 @@ use orion_power::{
     CentralBufferParams, CentralBufferPower, CrossbarKind, CrossbarParams, CrossbarPower,
     LinkPower, ModelError,
 };
+use orion_sim::fifo::MAX_CAPACITY;
 use orion_sim::{
     CentralRouterSpec, FlowControl, NetworkSpec, PowerModels, RouterKind, VcDiscipline,
-    VcRouterSpec,
+    VcRouterSpec, MAX_INPUT_VCS,
 };
 use orion_tech::{Hertz, Microns, Technology, Watts};
 
@@ -42,6 +43,17 @@ pub enum ConfigError {
         /// Nodes in the configured topology.
         nodes: usize,
     },
+    /// A router larger than the simulator's state layout holds: more
+    /// than [`MAX_INPUT_VCS`] input VCs (ports × VCs), or a per-VC
+    /// buffer deeper than [`MAX_CAPACITY`] flits.
+    RouterTooLarge {
+        /// Ports per router (set by the topology).
+        ports: usize,
+        /// Virtual channels per port.
+        vcs: usize,
+        /// Buffer depth per VC, in flits.
+        depth: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -61,6 +73,22 @@ impl std::fmt::Display for ConfigError {
                 "shard count {shards} invalid for a {nodes}-node topology \
                  (expected 1..={nodes})"
             ),
+            ConfigError::RouterTooLarge { ports, vcs, depth } => {
+                if ports * vcs > MAX_INPUT_VCS {
+                    write!(
+                        f,
+                        "router has {ports} ports x {vcs} VCs = {} input VCs; \
+                         the simulator supports at most {MAX_INPUT_VCS}",
+                        ports * vcs
+                    )
+                } else {
+                    write!(
+                        f,
+                        "buffer depth {depth} flits exceeds the simulator's limit \
+                         of {MAX_CAPACITY} flits per buffer"
+                    )
+                }
+            }
         }
     }
 }
@@ -272,18 +300,29 @@ impl NetworkConfig {
     }
 
     /// Validates the parts of the configuration that the simulator
-    /// would otherwise reject with a panic: packet length and custom
-    /// dimension orders. (Power-model parameters are validated by
-    /// [`build`](NetworkConfig::build), which returns
-    /// [`ModelError`] wrapped in [`ConfigError::Model`] via the runner.)
+    /// would otherwise reject with a panic: packet length, custom
+    /// dimension orders and the router's size limits. (Power-model
+    /// parameters are validated by [`build`](NetworkConfig::build),
+    /// which returns [`ModelError`] wrapped in [`ConfigError::Model`]
+    /// via the runner.)
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroPacketLength`] or
-    /// [`ConfigError::BadDimensionOrder`].
+    /// Returns [`ConfigError::ZeroPacketLength`],
+    /// [`ConfigError::BadDimensionOrder`] or
+    /// [`ConfigError::RouterTooLarge`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.packet_len == 0 {
             return Err(ConfigError::ZeroPacketLength);
+        }
+        let (vcs, depth) = match self.router {
+            RouterConfig::Wormhole { buffer_flits } => (1, buffer_flits),
+            RouterConfig::VirtualChannel { vcs, depth } => (vcs, depth),
+            RouterConfig::CentralBuffer { input_depth, .. } => (1, input_depth),
+        };
+        let (ports, vcs, depth) = (self.ports(), vcs as usize, depth as usize);
+        if ports * vcs > MAX_INPUT_VCS || depth > MAX_CAPACITY {
+            return Err(ConfigError::RouterTooLarge { ports, vcs, depth });
         }
         if let DimensionOrder::Custom(order) = &self.dim_order {
             let dims = self.topology.dims() as u8;
@@ -611,6 +650,35 @@ mod tests {
                 other => panic!("expected BadDimensionOrder for {bad:?}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_routers_beyond_the_state_layout() {
+        let router = |router| NetworkConfig::new(Topology::torus(&[4, 4]).unwrap(), router, 256);
+        // 5 ports x 25 VCs = 125 input VCs fit; 5 x 26 = 130 do not.
+        let widest = router(RouterConfig::VirtualChannel { vcs: 25, depth: 2 });
+        assert_eq!(widest.validate(), Ok(()));
+        let too_wide = router(RouterConfig::VirtualChannel { vcs: 26, depth: 2 });
+        let err = too_wide.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::RouterTooLarge {
+                ports: 5,
+                vcs: 26,
+                depth: 2
+            }
+        );
+        assert!(err.to_string().contains("130 input VCs"), "{err}");
+        let deepest = router(RouterConfig::Wormhole {
+            buffer_flits: MAX_CAPACITY as u32,
+        });
+        assert_eq!(deepest.validate(), Ok(()));
+        let too_deep = router(RouterConfig::Wormhole {
+            buffer_flits: MAX_CAPACITY as u32 + 1,
+        });
+        let err = too_deep.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::RouterTooLarge { vcs: 1, .. }));
+        assert!(err.to_string().contains("buffer depth 65536"), "{err}");
     }
 
     #[test]

@@ -144,6 +144,18 @@ pub struct ArbiterPower {
     /// Flip-flop model for priority bits / token ring.
     flipflop: FlipFlopPower,
     leakage: orion_tech::Watts,
+    /// Per-event constants, computed once in [`ArbiterPower::new`]:
+    /// `E_req`, `E_gnt`, `E_req + E_int` (one toggled request line),
+    /// and the kind's per-flip energy (`E_pri` for matrix, a flop
+    /// toggle for round-robin; unused by queuing).
+    e_request: Joules,
+    e_grant: Joules,
+    e_request_internal: Joules,
+    e_flip: Joules,
+    /// The queuing FIFO's uniform write and read energies (zero for the
+    /// other kinds).
+    e_queue_write: Joules,
+    e_queue_read: Joules,
 }
 
 impl ArbiterPower {
@@ -204,10 +216,22 @@ impl ArbiterPower {
                 + queue.as_ref().map(|q| q.leakage_power().0).unwrap_or(0.0),
         );
 
+        let vdd = tech.vdd();
+        let e_request = switch_energy(c_request, vdd);
+        let e_flip = match params.kind {
+            ArbiterKind::Matrix => switch_energy(c_priority, vdd),
+            ArbiterKind::RoundRobin => ff.toggle_energy(),
+            ArbiterKind::Queuing => Joules::ZERO,
+        };
+        let (e_queue_write, e_queue_read) = queue
+            .as_ref()
+            .map(|q| (q.write_energy_uniform(), q.read_energy()))
+            .unwrap_or((Joules::ZERO, Joules::ZERO));
+
         Ok(ArbiterPower {
             kind: params.kind,
             requesters: params.requesters,
-            vdd: tech.vdd(),
+            vdd,
             c_request,
             c_priority,
             c_internal,
@@ -216,6 +240,12 @@ impl ArbiterPower {
             queue,
             flipflop: ff,
             leakage,
+            e_request,
+            e_grant: switch_energy(c_grant, vdd),
+            e_request_internal: e_request + switch_energy(c_internal, vdd),
+            e_flip,
+            e_queue_write,
+            e_queue_read,
         })
     }
 
@@ -265,37 +295,26 @@ impl ArbiterPower {
 
     /// Energy of one arbitration given explicit switching statistics.
     pub fn arbitration_energy_with(&self, activity: &ArbiterActivity) -> Joules {
-        let e_req = switch_energy(self.c_request, self.vdd);
-        let e_gnt = switch_energy(self.c_grant, self.vdd);
         match self.kind {
-            ArbiterKind::Matrix => {
-                let e_pri = switch_energy(self.c_priority, self.vdd);
-                let e_int = switch_energy(self.c_internal, self.vdd);
-                // Each toggled request line disturbs the internal NOR
-                // nodes along its row (one per other requester on the
-                // granted path — modelled as one node per toggle).
-                activity.request_toggles as f64 * (e_req + e_int)
-                    + activity.priority_flips as f64 * e_pri
-                    + e_gnt
-                    + self.control_energy
-            }
-            ArbiterKind::RoundRobin => {
-                // Token moves between two ring flops per arbitration
-                // (leave one, enter another) plus carry propagation
-                // approximated by the internal node per request toggle.
-                let e_int = switch_energy(self.c_internal, self.vdd);
-                activity.request_toggles as f64 * (e_req + e_int)
-                    + activity.priority_flips as f64 * self.flipflop.toggle_energy()
-                    + e_gnt
+            // Matrix: each toggled request line disturbs the internal
+            // NOR nodes along its row (one per other requester on the
+            // granted path — modelled as one node per toggle); each
+            // priority flip charges `E_pri`. Round-robin: the token
+            // moves between two ring flops per arbitration (leave one,
+            // enter another), carry propagation approximated by the
+            // internal node per request toggle.
+            ArbiterKind::Matrix | ArbiterKind::RoundRobin => {
+                activity.request_toggles as f64 * self.e_request_internal
+                    + activity.priority_flips as f64 * self.e_flip
+                    + self.e_grant
                     + self.control_energy
             }
             ArbiterKind::Queuing => {
-                let q = self.queue.as_ref().expect("queuing arbiter has a FIFO");
                 // Each new request enqueues its ID; each grant dequeues.
-                activity.new_requests as f64 * q.write_energy_uniform()
-                    + q.read_energy()
-                    + activity.request_toggles as f64 * e_req
-                    + e_gnt
+                activity.new_requests as f64 * self.e_queue_write
+                    + self.e_queue_read
+                    + activity.request_toggles as f64 * self.e_request
+                    + self.e_grant
                     + self.control_energy
             }
         }

@@ -145,6 +145,14 @@ pub struct BufferPower {
     c_sense_amp: Farads,
     decoder: Option<DecoderPower>,
     leakage: orion_tech::Watts,
+    /// Per-event constants, computed once in [`BufferPower::new`]:
+    /// `E_wl`, `E_bw`, `E_cell`, the decoder access and the whole
+    /// (data-independent) `E_read`.
+    e_wordline: Joules,
+    e_bitline_write: Joules,
+    e_cell: Joules,
+    e_decoder: Joules,
+    e_read: Joules,
 }
 
 impl BufferPower {
@@ -204,12 +212,26 @@ impl BufferPower {
             None
         };
 
+        let vdd = tech.vdd();
+        let c_sense_amp = tech.sense_amp_cap();
+        let e_wordline = switch_energy(c_wordline, vdd);
+        let e_decoder = decoder
+            .map(|d| d.access_energy_sequential())
+            .unwrap_or(Joules::ZERO);
+        // E_read = E_wl + F (E_br + 2 E_chg + E_amp) + E_dec
+        let e_read = e_wordline
+            + params.flit_bits as f64
+                * (switch_energy(c_bitline_read, vdd)
+                    + 2.0 * switch_energy(c_precharge, vdd)
+                    + switch_energy(c_sense_amp, vdd))
+            + e_decoder;
+
         Ok(BufferPower {
             params_flits: params.flits,
             params_bits: params.flit_bits,
             read_ports: params.read_ports,
             write_ports: params.write_ports,
-            vdd: tech.vdd(),
+            vdd,
             wordline_len,
             bitline_len,
             c_wordline,
@@ -217,9 +239,14 @@ impl BufferPower {
             c_bitline_write,
             c_precharge,
             c_cell,
-            c_sense_amp: tech.sense_amp_cap(),
+            c_sense_amp,
             decoder,
             leakage,
+            e_wordline,
+            e_bitline_write: switch_energy(c_bitline_write, vdd),
+            e_cell: switch_energy(c_cell, vdd),
+            e_decoder,
+            e_read,
         })
     }
 
@@ -290,12 +317,6 @@ impl BufferPower {
         self.leakage
     }
 
-    fn decoder_energy(&self) -> Joules {
-        self.decoder
-            .map(|d| d.access_energy_sequential())
-            .unwrap_or(Joules::ZERO)
-    }
-
     /// Energy of one read operation:
     /// `E_read = E_wl + F (E_br + 2 E_chg + E_amp)`.
     ///
@@ -303,22 +324,16 @@ impl BufferPower {
     /// precharges both back, independent of the data — hence no activity
     /// factor.
     pub fn read_energy(&self) -> Joules {
-        let e_wl = switch_energy(self.c_wordline, self.vdd);
-        let e_br = switch_energy(self.c_bitline_read, self.vdd);
-        let e_chg = switch_energy(self.c_precharge, self.vdd);
-        let e_amp = switch_energy(self.c_sense_amp, self.vdd);
-        e_wl + self.params_bits as f64 * (e_br + 2.0 * e_chg + e_amp) + self.decoder_energy()
+        self.e_read
     }
 
     /// Energy of one write operation:
     /// `E_wrt = E_wl + δ_bw E_bw + δ_bc E_cell`.
     pub fn write_energy(&self, activity: &WriteActivity) -> Joules {
-        let e_wl = switch_energy(self.c_wordline, self.vdd);
-        let e_bw = switch_energy(self.c_bitline_write, self.vdd);
-        let e_cell = switch_energy(self.c_cell, self.vdd);
-        e_wl + activity.switching_bitlines * e_bw
-            + activity.switching_cells * e_cell
-            + self.decoder_energy()
+        self.e_wordline
+            + activity.switching_bitlines * self.e_bitline_write
+            + activity.switching_cells * self.e_cell
+            + self.e_decoder
     }
 
     /// Convenience: write energy under the expected uniform-random

@@ -133,6 +133,11 @@ pub struct CrossbarPower {
     c_mux_stage: Farads,
     mux_depth: u32,
     leakage: orion_tech::Watts,
+    /// Per-bit traversal constants, computed once in
+    /// [`CrossbarPower::new`]: `E_in` plus the mux-tree stages (zero
+    /// for matrix), and `E_out`.
+    e_input_path: Joules,
+    e_output_line: Joules,
 }
 
 impl CrossbarPower {
@@ -196,12 +201,18 @@ impl CrossbarPower {
         let total_width = i * o * w * s.crossbar_connector + (i + o) * w * (w_id + w_od);
         let leakage = tech.leakage_power(total_width);
 
+        let vdd = tech.vdd();
+        let e_mux = match params.kind {
+            CrossbarKind::Matrix => Joules::ZERO,
+            CrossbarKind::MuxTree => mux_depth as f64 * switch_energy(c_mux_stage, vdd),
+        };
+
         Ok(CrossbarPower {
             kind: params.kind,
             inputs: params.inputs,
             outputs: params.outputs,
             width: params.width,
-            vdd: tech.vdd(),
+            vdd,
             input_line_len,
             output_line_len,
             c_input_line,
@@ -210,6 +221,8 @@ impl CrossbarPower {
             c_mux_stage,
             mux_depth,
             leakage,
+            e_input_path: switch_energy(c_input_line, vdd) + e_mux,
+            e_output_line: switch_energy(c_output_line, vdd),
         })
     }
 
@@ -297,14 +310,7 @@ impl CrossbarPower {
             switching_in >= 0.0 && switching_out >= 0.0,
             "switching bits must be non-negative"
         );
-        let e_mux = match self.kind {
-            CrossbarKind::Matrix => Joules::ZERO,
-            CrossbarKind::MuxTree => {
-                self.mux_depth as f64 * switch_energy(self.c_mux_stage, self.vdd)
-            }
-        };
-        switching_in * (switch_energy(self.c_input_line, self.vdd) + e_mux)
-            + switching_out * switch_energy(self.c_output_line, self.vdd)
+        switching_in * self.e_input_path + switching_out * self.e_output_line
     }
 
     /// Expected traversal energy under uniform random data (half the

@@ -141,14 +141,16 @@ impl MailGrid {
 
     /// Restores slot contents encoded by [`MailGrid::encode`],
     /// replacing this grid's state. Message indices are validated
-    /// against `topology`, and boundary flits' routes rebuilt along
-    /// `visit` (see [`FlitMsg::decode`]); on error the grid must be
-    /// discarded. Call only at a cycle barrier.
+    /// against `topology` and the routers' `vcs` virtual channels per
+    /// port, and boundary flits' routes rebuilt along `visit` (see
+    /// [`FlitMsg::decode`]); on error the grid must be discarded. Call
+    /// only at a cycle barrier.
     pub fn restore(
         &self,
         r: &mut ByteReader<'_>,
         topology: &Topology,
         visit: &[usize],
+        vcs: usize,
     ) -> Result<(), SnapshotError> {
         if r.usize()? != self.shards {
             return Err(SnapshotError::Mismatch("mailbox shard count"));
@@ -158,7 +160,7 @@ impl MailGrid {
             let n = r.count(1)?;
             let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
-                msgs.push(FlitMsg::decode(r, topology, visit)?);
+                msgs.push(FlitMsg::decode(r, topology, visit, vcs)?);
             }
             live += n as u64;
             *slot.lock().expect("poisoned mailbox") = msgs;
@@ -167,7 +169,7 @@ impl MailGrid {
             let n = r.count(1)?;
             let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
-                msgs.push(CreditMsg::decode(r, topology)?);
+                msgs.push(CreditMsg::decode(r, topology, vcs)?);
             }
             *slot.lock().expect("poisoned mailbox") = msgs;
         }

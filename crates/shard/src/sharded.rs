@@ -656,7 +656,8 @@ impl ShardedNetwork {
             cell.net.restore(payload)?;
         }
         let visit = self.spec.dim_order.order(topo.dims());
-        self.grid.restore(&mut r, topo, &visit)?;
+        self.grid
+            .restore(&mut r, topo, &visit, self.spec.router.vcs())?;
         let cycle = self.cells[0].net.cycle();
         if self.cells.iter().any(|c| c.net.cycle() != cycle) {
             return Err(SnapshotError::Invalid("shard cycles out of step"));
@@ -736,6 +737,25 @@ mod tests {
         assert!(caught.is_err(), "the worker's panic reaches the caller");
         assert_eq!(net.cells.len(), 2, "every shard came back");
         drop(net);
+    }
+
+    #[test]
+    fn a_mailbox_credit_for_a_missing_vc_fails_restore_with_a_typed_error() {
+        let source = two_shards();
+        // A 2-VC router has no VC 99: the image's mailbox is
+        // checksum-clean but inconsistent with the spec.
+        let credit = CreditMsg {
+            dest: source.plan.bounds()[1],
+            out_port: 1,
+            vc: 99,
+        };
+        source.grid.send_credit(0, 1, source.cycle() + 1, credit);
+        let image = source.snapshot();
+        let mut target = two_shards();
+        assert!(matches!(
+            target.restore(&image),
+            Err(SnapshotError::Invalid("boundary credit vc"))
+        ));
     }
 
     #[test]

@@ -10,6 +10,20 @@ use orion_power::arbiter::ArbiterActivity;
 
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 
+/// Set bits of a request or priority mask. Every on-chip paper router
+/// has at most 40 requesters, so the high word is almost always zero
+/// and skipping it halves the software popcount on targets built
+/// without a hardware one.
+#[inline]
+fn popcount(mask: u128) -> u32 {
+    let (low, high) = (mask as u64, (mask >> 64) as u64);
+    if high == 0 {
+        low.count_ones()
+    } else {
+        low.count_ones() + high.count_ones()
+    }
+}
+
 /// Outcome of one arbitration round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
@@ -134,8 +148,8 @@ impl MatrixArbiter {
 
     /// One arbitration round.
     pub fn arbitrate(&mut self, requests: u128) -> Grant {
-        let toggles = (requests ^ self.prev_requests).count_ones();
-        let new = (requests & !self.prev_requests).count_ones();
+        let toggles = popcount(requests ^ self.prev_requests);
+        let new = popcount(requests & !self.prev_requests);
         self.prev_requests = requests;
         // The winner beats every other requester: its row covers the
         // request mask (minus itself). Checked per set bit in ascending
@@ -157,7 +171,7 @@ impl MatrixArbiter {
         if let Some(g) = winner {
             // Granted requester drops below everyone else: row g loses
             // every beat it held, and every other row gains its bit.
-            flips += self.beats[g].count_ones();
+            flips += popcount(self.beats[g]);
             self.beats[g] = 0;
             let gbit = 1u128 << g;
             for j in 0..self.requesters {
@@ -222,8 +236,8 @@ impl RoundRobinArbiter {
 
     /// One arbitration round.
     pub fn arbitrate(&mut self, requests: u128) -> Grant {
-        let toggles = (requests ^ self.prev_requests).count_ones();
-        let new = (requests & !self.prev_requests).count_ones();
+        let toggles = popcount(requests ^ self.prev_requests);
+        let new = popcount(requests & !self.prev_requests);
         self.prev_requests = requests;
         // First requester at or after the token, wrapping — found with
         // two trailing-zero counts instead of a rotating scan (request
@@ -272,9 +286,9 @@ impl RoundRobinArbiter {
         let mut last = Grant {
             winner: None,
             activity: ArbiterActivity {
-                request_toggles: (requests ^ self.prev_requests).count_ones(),
+                request_toggles: popcount(requests ^ self.prev_requests),
                 priority_flips: 0,
-                new_requests: (requests & !self.prev_requests).count_ones(),
+                new_requests: popcount(requests & !self.prev_requests),
             },
         };
         for _ in 0..max_grants {

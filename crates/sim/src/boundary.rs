@@ -107,13 +107,15 @@ impl FlitMsg {
     }
 
     /// Decodes a message encoded by [`FlitMsg::encode`], validating
-    /// every index against `topology` and rebuilding the flit's route
-    /// along `visit`, the network's dimension visit order (see
+    /// every index against `topology` and the routers' `vcs` virtual
+    /// channels per port, and rebuilding the flit's route along
+    /// `visit`, the network's dimension visit order (see
     /// [`DimensionOrder::order`](orion_net::DimensionOrder::order)).
     pub fn decode(
         r: &mut ByteReader<'_>,
         topology: &orion_net::Topology,
         visit: &[usize],
+        vcs: usize,
     ) -> Result<FlitMsg, SnapshotError> {
         let n = topology.num_nodes();
         let dims = topology.dims();
@@ -144,6 +146,14 @@ impl FlitMsg {
         if hop as usize >= path.hop_count() {
             return Err(SnapshotError::Invalid("boundary flit hop"));
         }
+        let payload = r.u64()?;
+        let created = r.u64()?;
+        let ready = r.u64()?;
+        let vc_class = r.u8()?;
+        let target_vc = r.u8()?;
+        if vc_class > 1 || target_vc as usize >= vcs {
+            return Err(SnapshotError::Invalid("boundary flit vc"));
+        }
         Ok(FlitMsg {
             dest,
             in_port,
@@ -157,11 +167,11 @@ impl FlitMsg {
                 dst: NodeId(dst),
                 path,
                 hop,
-                payload: r.u64()?,
-                created: r.u64()?,
-                ready: r.u64()?,
-                vc_class: r.u8()?,
-                target_vc: r.u8()?,
+                payload,
+                created,
+                ready,
+                vc_class,
+                target_vc,
                 tagged: r.bool()?,
             },
         })
@@ -176,10 +186,13 @@ impl CreditMsg {
         w.usize(self.vc);
     }
 
-    /// Decodes a message encoded by [`CreditMsg::encode`].
+    /// Decodes a message encoded by [`CreditMsg::encode`], validating
+    /// its indices against `topology` and the routers' `vcs` virtual
+    /// channels per port.
     pub fn decode(
         r: &mut ByteReader<'_>,
         topology: &orion_net::Topology,
+        vcs: usize,
     ) -> Result<CreditMsg, SnapshotError> {
         let dest = r.usize()?;
         let out_port = r.usize()?;
@@ -188,6 +201,59 @@ impl CreditMsg {
         {
             return Err(SnapshotError::Invalid("boundary credit port"));
         }
+        if vc >= vcs {
+            return Err(SnapshotError::Invalid("boundary credit vc"));
+        }
         Ok(CreditMsg { dest, out_port, vc })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use orion_net::{DimensionOrder, Topology};
+
+    use super::*;
+    use crate::flit::{make_packet_each, PacketId};
+
+    fn flit_msg(topology: &Topology, visit: &[usize], target_vc: u8) -> FlitMsg {
+        let path = DorPath::new(topology, NodeId(0), NodeId(5), visit);
+        let mut flit = None;
+        make_packet_each(PacketId(3), NodeId(0), NodeId(5), path, 1, 0, true, |f| {
+            flit = Some(f)
+        });
+        let mut flit = flit.expect("one flit");
+        flit.target_vc = target_vc;
+        FlitMsg {
+            dest: 4,
+            in_port: 4,
+            crossed_dim: 1,
+            wraparound: false,
+            flit,
+        }
+    }
+
+    #[test]
+    fn decoders_reject_a_vc_the_router_lacks() {
+        let topology = Topology::torus(&[4, 4]).expect("valid");
+        let visit = DimensionOrder::YFirst.order(2);
+        for (target_vc, ok) in [(1, true), (2, false)] {
+            let mut w = ByteWriter::new();
+            flit_msg(&topology, &visit, target_vc).encode(&mut w);
+            let bytes = w.into_vec();
+            let decoded = FlitMsg::decode(&mut ByteReader::new(&bytes), &topology, &visit, 2);
+            assert_eq!(decoded.is_ok(), ok, "target vc {target_vc}");
+        }
+        for (vc, ok) in [(1, true), (2, false)] {
+            let mut w = ByteWriter::new();
+            CreditMsg {
+                dest: 1,
+                out_port: 2,
+                vc,
+            }
+            .encode(&mut w);
+            let bytes = w.into_vec();
+            let decoded = CreditMsg::decode(&mut ByteReader::new(&bytes), &topology, 2);
+            assert_eq!(decoded.is_ok(), ok, "credit vc {vc}");
+        }
     }
 }

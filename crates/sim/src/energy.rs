@@ -113,15 +113,29 @@ pub struct PowerModels {
     pub central: Option<CentralBufferPower>,
 }
 
+/// One node's accumulators: an event charges one row.
+#[derive(Debug, Clone, Copy)]
+struct NodeRow {
+    /// Energy per component.
+    energy: [Joules; 5],
+    /// Charged operations per component.
+    counts: [u64; 5],
+}
+
+impl NodeRow {
+    const ZERO: NodeRow = NodeRow {
+        energy: [Joules::ZERO; 5],
+        counts: [0; 5],
+    };
+}
+
 /// Accumulates energy per node and component by dispatching simulator
 /// events to the power models.
 #[derive(Debug, Clone)]
 pub struct EnergyLedger {
     models: PowerModels,
-    /// energy[node][component]
-    energy: Vec<[Joules; 5]>,
-    /// counts[node][component] — number of charged operations.
-    counts: Vec<[u64; 5]>,
+    /// One row per node.
+    rows: Vec<NodeRow>,
 }
 
 impl EnergyLedger {
@@ -129,8 +143,7 @@ impl EnergyLedger {
     pub fn new(models: PowerModels, num_nodes: usize) -> EnergyLedger {
         EnergyLedger {
             models,
-            energy: vec![[Joules::ZERO; 5]; num_nodes],
-            counts: vec![[0; 5]; num_nodes],
+            rows: vec![NodeRow::ZERO; num_nodes],
         }
     }
 
@@ -141,22 +154,18 @@ impl EnergyLedger {
 
     /// Number of nodes tracked.
     pub fn num_nodes(&self) -> usize {
-        self.energy.len()
+        self.rows.len()
     }
 
     /// Zeroes all accumulators (the paper's warm-up exclusion).
     pub fn reset(&mut self) {
-        for node in &mut self.energy {
-            *node = [Joules::ZERO; 5];
-        }
-        for node in &mut self.counts {
-            *node = [0; 5];
-        }
+        self.rows.fill(NodeRow::ZERO);
     }
 
     fn charge(&mut self, node: usize, component: Component, e: Joules) {
-        self.energy[node][component.idx()] += e;
-        self.counts[node][component.idx()] += 1;
+        let row = &mut self.rows[node];
+        row.energy[component.idx()] += e;
+        row.counts[component.idx()] += 1;
     }
 
     /// *Buffer write* event (Figure 2 walkthrough: `E_wrt`).
@@ -235,17 +244,17 @@ impl EnergyLedger {
 
     /// Accumulated energy of `component` at `node`.
     pub fn energy(&self, node: usize, component: Component) -> Joules {
-        self.energy[node][component.idx()]
+        self.rows[node].energy[component.idx()]
     }
 
     /// Total energy of `node` across all components.
     pub fn node_energy(&self, node: usize) -> Joules {
-        self.energy[node].iter().copied().sum()
+        self.rows[node].energy.iter().copied().sum()
     }
 
     /// Network-wide energy of `component`.
     pub fn component_energy(&self, component: Component) -> Joules {
-        self.energy.iter().map(|n| n[component.idx()]).sum()
+        self.rows.iter().map(|n| n.energy[component.idx()]).sum()
     }
 
     /// Network-wide total energy.
@@ -258,25 +267,25 @@ impl EnergyLedger {
 
     /// Number of operations charged to `component` at `node`.
     pub fn op_count(&self, node: usize, component: Component) -> u64 {
-        self.counts[node][component.idx()]
+        self.rows[node].counts[component.idx()]
     }
 
     /// Network-wide operation count for `component`.
     pub fn total_ops(&self, component: Component) -> u64 {
-        self.counts.iter().map(|n| n[component.idx()]).sum()
+        self.rows.iter().map(|n| n.counts[component.idx()]).sum()
     }
 
     /// Encodes the accumulators (not the models — those are rebuilt
     /// from configuration) for a snapshot.
     pub(crate) fn encode(&self, w: &mut crate::snapshot::ByteWriter) {
-        w.usize(self.energy.len());
-        for node in &self.energy {
-            for j in node {
+        w.usize(self.rows.len());
+        for row in &self.rows {
+            for j in &row.energy {
                 w.f64(j.0);
             }
         }
-        for node in &self.counts {
-            for &c in node {
+        for row in &self.rows {
+            for &c in &row.counts {
                 w.u64(c);
             }
         }
@@ -288,18 +297,18 @@ impl EnergyLedger {
         &mut self,
         r: &mut crate::snapshot::ByteReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        if r.usize()? != self.energy.len() {
+        if r.usize()? != self.rows.len() {
             return Err(crate::snapshot::SnapshotError::Mismatch(
                 "ledger node count",
             ));
         }
-        for node in self.energy.iter_mut() {
-            for j in node.iter_mut() {
+        for row in self.rows.iter_mut() {
+            for j in row.energy.iter_mut() {
                 *j = Joules(r.f64()?);
             }
         }
-        for node in self.counts.iter_mut() {
-            for c in node.iter_mut() {
+        for row in self.rows.iter_mut() {
+            for c in row.counts.iter_mut() {
                 *c = r.u64()?;
             }
         }

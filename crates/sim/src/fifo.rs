@@ -4,32 +4,287 @@
 //! per write: `δ_bw` (write bitlines toggling relative to the previous
 //! value driven on the write port) and `δ_bc` (memory cells flipping —
 //! the new value against the *old contents of the slot being
-//! overwritten*). [`FlitFifo`] mirrors the SRAM ring so both are
-//! computed exactly from the 64-bit payload samples.
+//! overwritten*). The ring mirrors the SRAM so both are computed
+//! exactly from the 64-bit payload samples.
 //!
-//! Storage is a fixed-capacity ring buffer allocated once at
-//! construction — the steady-state push/pop path never touches the
+//! The ring logic lives once, in the crate-private `RingState`: head,
+//! length, write pointer and last write-bus value, acting on a slot
+//! slice the caller owns. [`FlitFifo`] is that state plus its own slot
+//! array; the
+//! virtual-channel router keeps one `RingState` per input VC and one
+//! `ports × vcs × depth` slot slab for the whole router, so a router
+//! cycle reads contiguous rows instead of one heap block per VC. Each
+//! slot holds the queued item, its stored flag and the SRAM mirror
+//! word of the same physical row; storage is allocated once at
+//! construction, so the steady-state push/pop path never touches the
 //! allocator (the hot-loop contract of the allocation-free core; see
 //! docs/PERFORMANCE.md). The original `VecDeque`-backed implementation
 //! is preserved as [`reference::VecFlitFifo`], and a property test pins
 //! the ring observationally equivalent to it under arbitrary
 //! push/pop/peek sequences.
 //!
-//! **Bit-identity invariant**: the SRAM mirror (`slots`, `wr_ptr`,
-//! `last_bus`) is deliberately decoupled from the logical queue — a
-//! push that bypasses an empty queue must *not* advance the mirror,
-//! because no SRAM write happened. Both implementations share this
-//! behaviour exactly.
+//! **Bit-identity invariant**: the SRAM mirror (slot mirror words,
+//! write pointer, last bus value) is deliberately decoupled from the
+//! logical queue — a push that bypasses an empty queue must *not*
+//! advance the mirror, because no SRAM write happened. Both
+//! implementations share this behaviour exactly.
 
 use orion_power::WriteActivity;
 
 use crate::energy::scaled_hamming;
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 
+/// The largest ring capacity: the ring state keeps its indices in `u16`
+/// so a VC's whole queue state fits a 16-byte row.
+pub const MAX_CAPACITY: usize = u16::MAX as usize;
+
+/// One physical ring row.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot<T> {
+    /// The queued item and whether it was physically written to the
+    /// SRAM (false = bypassed an empty queue); `None` while free.
+    entry: Option<(T, bool)>,
+    /// Payload last stored in this row (the SRAM mirror), indexed by
+    /// the write pointer independently of the logical queue. Kept as
+    /// two 32-bit halves so a row holding an 8-byte arena handle packs
+    /// into 20 bytes instead of 24.
+    mirror: [u32; 2],
+}
+
+impl<T> Slot<T> {
+    /// A free row holding an all-zero mirror word.
+    pub(crate) fn empty() -> Slot<T> {
+        Slot {
+            entry: None,
+            mirror: [0; 2],
+        }
+    }
+
+    fn mirror(&self) -> u64 {
+        u64::from(self.mirror[0]) | u64::from(self.mirror[1]) << 32
+    }
+
+    fn set_mirror(&mut self, payload: u64) {
+        self.mirror = [payload as u32, (payload >> 32) as u32];
+    }
+}
+
+/// The state of one ring FIFO over a caller-supplied slot slice whose
+/// length is the capacity: logical head and length, the SRAM write
+/// pointer and the last value driven on the write bitlines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RingState {
+    head: u16,
+    len: u16,
+    wr_ptr: u16,
+    last_bus: u64,
+}
+
+/// `i` (below `2 * capacity`) wrapped into the ring — a compare
+/// instead of `% capacity`: the flit-hop path never divides.
+fn wrap(i: usize, capacity: usize) -> usize {
+    if i >= capacity {
+        i - capacity
+    } else {
+        i
+    }
+}
+
+impl RingState {
+    /// Number of items queued.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when nothing is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slot index of the `offset`-th queued item.
+    fn slot_index(&self, offset: usize, capacity: usize) -> usize {
+        wrap(self.head as usize + offset, capacity)
+    }
+
+    /// The item at the head of the queue, if any.
+    pub(crate) fn head<'s, T>(&self, slots: &'s [Slot<T>]) -> Option<&'s T> {
+        if self.len == 0 {
+            return None;
+        }
+        slots[self.head as usize]
+            .entry
+            .as_ref()
+            .map(|(item, _)| item)
+    }
+
+    fn enqueue<T>(&mut self, slots: &mut [Slot<T>], item: T, stored: bool) {
+        let tail = self.slot_index(self.len(), slots.len());
+        debug_assert!(slots[tail].entry.is_none(), "tail slot must be free");
+        slots[tail].entry = Some((item, stored));
+        self.len += 1;
+    }
+
+    /// Computes the SRAM write activity for `payload` and advances the
+    /// mirror (write bus + row contents + write pointer).
+    fn mirror_write<T>(
+        &mut self,
+        slots: &mut [Slot<T>],
+        width: u32,
+        payload: u64,
+    ) -> WriteActivity {
+        let row = &mut slots[self.wr_ptr as usize];
+        let activity = WriteActivity {
+            switching_bitlines: scaled_hamming(payload, self.last_bus, width),
+            switching_cells: scaled_hamming(payload, row.mirror(), width),
+        };
+        row.set_mirror(payload);
+        self.wr_ptr = wrap(self.wr_ptr as usize + 1, slots.len()) as u16;
+        self.last_bus = payload;
+        activity
+    }
+
+    fn assert_room(&self, capacity: usize) {
+        assert!(
+            self.len() < capacity,
+            "fifo overflow: credit flow control violated"
+        );
+    }
+
+    /// See [`FlitFifo::push`].
+    pub(crate) fn push<T>(
+        &mut self,
+        slots: &mut [Slot<T>],
+        width: u32,
+        item: T,
+        payload: u64,
+    ) -> Option<WriteActivity> {
+        self.assert_room(slots.len());
+        if self.len == 0 {
+            self.enqueue(slots, item, false);
+            return None;
+        }
+        let activity = self.mirror_write(slots, width, payload);
+        self.enqueue(slots, item, true);
+        activity.into()
+    }
+
+    /// See [`FlitFifo::push_stored`].
+    pub(crate) fn push_stored<T>(
+        &mut self,
+        slots: &mut [Slot<T>],
+        width: u32,
+        item: T,
+        payload: u64,
+    ) -> WriteActivity {
+        self.assert_room(slots.len());
+        let activity = self.mirror_write(slots, width, payload);
+        self.enqueue(slots, item, true);
+        activity
+    }
+
+    /// See [`FlitFifo::pop`].
+    pub(crate) fn pop<T>(&mut self, slots: &mut [Slot<T>]) -> Option<(T, bool)> {
+        if self.len == 0 {
+            return None;
+        }
+        let entry = slots[self.head as usize]
+            .entry
+            .take()
+            .expect("head slot is occupied");
+        self.head = wrap(self.head as usize + 1, slots.len()) as u16;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    /// The queued items from head to tail.
+    pub(crate) fn iter<'s, T>(&self, slots: &'s [Slot<T>]) -> impl Iterator<Item = &'s T> {
+        let ring = *self;
+        (0..ring.len()).map(move |offset| {
+            let (item, _) = slots[ring.slot_index(offset, slots.len())]
+                .entry
+                .as_ref()
+                .expect("queued slot is occupied");
+            item
+        })
+    }
+
+    /// Encodes the full FIFO state (geometry, queue contents
+    /// head→tail, SRAM mirror, pointers) with `encode_item` serialising
+    /// each item.
+    pub(crate) fn encode_with<T>(
+        &self,
+        slots: &[Slot<T>],
+        width: u32,
+        w: &mut ByteWriter,
+        encode_item: &mut dyn FnMut(&T, &mut ByteWriter),
+    ) {
+        w.usize(slots.len());
+        w.u32(width);
+        w.usize(self.head as usize);
+        w.usize(self.len());
+        for offset in 0..self.len() {
+            let (item, stored) = slots[self.slot_index(offset, slots.len())]
+                .entry
+                .as_ref()
+                .expect("queued slot is occupied");
+            encode_item(item, w);
+            w.bool(*stored);
+        }
+        for slot in slots {
+            w.u64(slot.mirror());
+        }
+        w.usize(self.wr_ptr as usize);
+        w.u64(self.last_bus);
+    }
+
+    /// Restores state encoded by [`RingState::encode_with`] over
+    /// `slots`, which must have the same geometry (capacity and width)
+    /// — a mismatch means the snapshot was taken on a different
+    /// configuration and is rejected.
+    pub(crate) fn decode_into_with<T>(
+        &mut self,
+        slots: &mut [Slot<T>],
+        width: u32,
+        r: &mut ByteReader<'_>,
+        decode_item: &mut dyn FnMut(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let capacity = slots.len();
+        if r.usize()? != capacity {
+            return Err(SnapshotError::Mismatch("fifo capacity"));
+        }
+        if r.u32()? != width {
+            return Err(SnapshotError::Mismatch("fifo width"));
+        }
+        let head = r.usize()?;
+        let len = r.usize()?;
+        if head >= capacity || len > capacity {
+            return Err(SnapshotError::Invalid("fifo pointers"));
+        }
+        slots.iter_mut().for_each(|slot| slot.entry = None);
+        self.head = head as u16;
+        self.len = 0;
+        for _ in 0..len {
+            let item = decode_item(r)?;
+            let stored = r.bool()?;
+            self.enqueue(slots, item, stored);
+        }
+        for slot in slots.iter_mut() {
+            slot.set_mirror(r.u64()?);
+        }
+        let wr_ptr = r.usize()?;
+        if wr_ptr >= capacity {
+            return Err(SnapshotError::Invalid("fifo write pointer"));
+        }
+        self.wr_ptr = wr_ptr as u16;
+        self.last_bus = r.u64()?;
+        Ok(())
+    }
+}
+
 /// A bounded FIFO of flits that reports exact per-write switching
-/// activity.
+/// activity: a ring state over its own slot array (one allocation).
 ///
-/// Generic over the stored item so the routers can queue lightweight
+/// Generic over the stored item so routers can queue lightweight
 /// [`FlitRef`](crate::arena::FlitRef) arena handles while tests and
 /// benches queue owned [`Flit`](crate::flit::Flit)s; the 64-bit payload
 /// sample that drives the SRAM activity model is passed explicitly on
@@ -43,21 +298,11 @@ use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlitFifo<T> {
-    /// Ring storage: `capacity` slots, logical head at `head`. Each
-    /// occupied slot holds the item and whether it was physically
-    /// written to the SRAM (false = bypassed an empty queue).
-    ring: Box<[Option<(T, bool)>]>,
-    head: usize,
-    len: usize,
-    capacity: usize,
+    ring: RingState,
     /// Flit width in bits (for activity scaling).
     width: u32,
-    /// Payload last stored in each physical slot (SRAM ring mirror).
-    slots: Vec<u64>,
-    /// Next slot the write pointer targets.
-    wr_ptr: usize,
-    /// Last value driven on the write bitlines.
-    last_bus: u64,
+    /// `capacity` rows; the logical head is at `ring.head`.
+    slots: Box<[Slot<T>]>,
 }
 
 impl<T> FlitFifo<T> {
@@ -65,83 +310,45 @@ impl<T> FlitFifo<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `width` is zero.
+    /// Panics if `capacity` or `width` is zero, or `capacity` exceeds
+    /// [`MAX_CAPACITY`].
     pub fn new(capacity: usize, width: u32) -> FlitFifo<T> {
         assert!(capacity > 0, "fifo capacity must be positive");
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "fifo capacity must be at most {MAX_CAPACITY}"
+        );
         assert!(width > 0, "flit width must be positive");
         FlitFifo {
-            ring: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-            capacity,
+            ring: RingState::default(),
             width,
-            slots: vec![0; capacity],
-            wr_ptr: 0,
-            last_bus: 0,
+            slots: (0..capacity).map(|_| Slot::empty()).collect(),
         }
     }
 
     /// Number of flits currently buffered.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// `true` when no flits are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
     /// Free slots.
     pub fn free(&self) -> usize {
-        self.capacity - self.len
+        self.slots.len() - self.ring.len()
     }
 
     /// Total capacity in flits.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// The item at the head of the queue, if any.
     pub fn head(&self) -> Option<&T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.ring[self.head].as_ref().map(|(item, _)| item)
-    }
-
-    /// `i` (below `2 * capacity`) wrapped into the ring — a compare
-    /// instead of `% capacity`: the flit-hop path never divides.
-    fn wrap(&self, i: usize) -> usize {
-        if i >= self.capacity {
-            i - self.capacity
-        } else {
-            i
-        }
-    }
-
-    /// Ring index of the `offset`-th queued flit.
-    fn slot_index(&self, offset: usize) -> usize {
-        self.wrap(self.head + offset)
-    }
-
-    fn enqueue(&mut self, item: T, stored: bool) {
-        let tail = self.slot_index(self.len);
-        debug_assert!(self.ring[tail].is_none(), "tail slot must be free");
-        self.ring[tail] = Some((item, stored));
-        self.len += 1;
-    }
-
-    /// Computes the SRAM write activity for `payload` and advances the
-    /// mirror (write bus + slot contents + write pointer).
-    fn mirror_write(&mut self, payload: u64) -> WriteActivity {
-        let activity = WriteActivity {
-            switching_bitlines: scaled_hamming(payload, self.last_bus, self.width),
-            switching_cells: scaled_hamming(payload, self.slots[self.wr_ptr], self.width),
-        };
-        self.slots[self.wr_ptr] = payload;
-        self.wr_ptr = self.wrap(self.wr_ptr + 1);
-        self.last_bus = payload;
-        activity
+        self.ring.head(&self.slots)
     }
 
     /// Pushes a flit. Returns `Some(activity)` when the flit was
@@ -154,17 +361,7 @@ impl<T> FlitFifo<T> {
     /// Panics if the FIFO is full — flow control must prevent this; a
     /// violation indicates a credit-accounting bug.
     pub fn push(&mut self, item: T, payload: u64) -> Option<WriteActivity> {
-        assert!(
-            self.len < self.capacity,
-            "fifo overflow: credit flow control violated"
-        );
-        if self.len == 0 {
-            self.enqueue(item, false);
-            return None;
-        }
-        let activity = self.mirror_write(payload);
-        self.enqueue(item, true);
-        activity.into()
+        self.ring.push(&mut self.slots, self.width, item, payload)
     }
 
     /// Pushes a flit, always charging the SRAM write (no bypass) — used
@@ -175,36 +372,20 @@ impl<T> FlitFifo<T> {
     ///
     /// Panics if the FIFO is full.
     pub fn push_stored(&mut self, item: T, payload: u64) -> WriteActivity {
-        assert!(
-            self.len < self.capacity,
-            "fifo overflow: credit flow control violated"
-        );
-        let activity = self.mirror_write(payload);
-        self.enqueue(item, true);
-        activity
+        self.ring
+            .push_stored(&mut self.slots, self.width, item, payload)
     }
 
     /// Pops the head flit, reporting whether an SRAM read is due
     /// (`false` for flits that bypassed the array). Reads have no
     /// data-dependent activity factor (Table 2).
     pub fn pop(&mut self) -> Option<(T, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let entry = self.ring[self.head].take().expect("head slot is occupied");
-        self.head = self.wrap(self.head + 1);
-        self.len -= 1;
-        Some(entry)
+        self.ring.pop(&mut self.slots)
     }
 
     /// Iterates over the buffered items from head to tail.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        (0..self.len).map(move |offset| {
-            let (item, _) = self.ring[self.slot_index(offset)]
-                .as_ref()
-                .expect("queued slot is occupied");
-            item
-        })
+        self.ring.iter(&self.slots)
     }
 
     /// Encodes the full FIFO state (queue contents head→tail, SRAM
@@ -214,22 +395,8 @@ impl<T> FlitFifo<T> {
         w: &mut ByteWriter,
         encode_item: &mut dyn FnMut(&T, &mut ByteWriter),
     ) {
-        w.usize(self.capacity);
-        w.u32(self.width);
-        w.usize(self.head);
-        w.usize(self.len);
-        for offset in 0..self.len {
-            let (item, stored) = self.ring[self.slot_index(offset)]
-                .as_ref()
-                .expect("queued slot is occupied");
-            encode_item(item, w);
-            w.bool(*stored);
-        }
-        for &s in &self.slots {
-            w.u64(s);
-        }
-        w.usize(self.wr_ptr);
-        w.u64(self.last_bus);
+        self.ring
+            .encode_with(&self.slots, self.width, w, encode_item);
     }
 
     /// Restores state encoded by [`FlitFifo::encode_with`] into this
@@ -241,35 +408,8 @@ impl<T> FlitFifo<T> {
         r: &mut ByteReader<'_>,
         decode_item: &mut dyn FnMut(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
     ) -> Result<(), SnapshotError> {
-        if r.usize()? != self.capacity {
-            return Err(SnapshotError::Mismatch("fifo capacity"));
-        }
-        if r.u32()? != self.width {
-            return Err(SnapshotError::Mismatch("fifo width"));
-        }
-        let head = r.usize()?;
-        let len = r.usize()?;
-        if head >= self.capacity || len > self.capacity {
-            return Err(SnapshotError::Invalid("fifo pointers"));
-        }
-        self.ring.iter_mut().for_each(|slot| *slot = None);
-        self.head = head;
-        self.len = 0;
-        for _ in 0..len {
-            let item = decode_item(r)?;
-            let stored = r.bool()?;
-            self.enqueue(item, stored);
-        }
-        for s in self.slots.iter_mut() {
-            *s = r.u64()?;
-        }
-        let wr_ptr = r.usize()?;
-        if wr_ptr >= self.capacity {
-            return Err(SnapshotError::Invalid("fifo write pointer"));
-        }
-        self.wr_ptr = wr_ptr;
-        self.last_bus = r.u64()?;
-        Ok(())
+        self.ring
+            .decode_into_with(&mut self.slots, self.width, r, decode_item)
     }
 }
 

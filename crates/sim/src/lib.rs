@@ -110,7 +110,7 @@ pub use fifo::FlitFifo;
 pub use flit::{Flit, PacketId};
 pub use network::{EngineMode, Network, NetworkSpec, RouterKind, WheelHorizonError};
 pub use router::central::{CentralRouter, CentralRouterSpec};
-pub use router::vc::{FlowControl, VcDiscipline, VcRouter, VcRouterSpec};
+pub use router::vc::{FlowControl, VcDiscipline, VcRouter, VcRouterSpec, MAX_INPUT_VCS};
 pub use snapshot::{SnapshotError, SNAPSHOT_VERSION};
 pub use stats::{zero_load_latency, SimStats};
 pub use watchdog::{StallDiagnostics, StallKind, StalledVc};

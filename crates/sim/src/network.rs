@@ -50,6 +50,15 @@ impl RouterKind {
             RouterKind::Central(_) => 2,
         }
     }
+
+    /// Virtual channels per input port (a central router's input FIFO
+    /// is a single channel).
+    pub fn vcs(&self) -> usize {
+        match self {
+            RouterKind::Vc(s) => s.vcs,
+            RouterKind::Central(_) => 1,
+        }
+    }
 }
 
 /// Full specification of a simulated network.
@@ -66,9 +75,12 @@ pub struct NetworkSpec {
     pub dim_order: DimensionOrder,
 }
 
+/// The routers of a network, one row each. The central router is
+/// boxed so that the row stays a VC router's size: the engine walks
+/// this array every cycle.
 enum AnyRouter {
     Vc(VcRouter),
-    Central(CentralRouter),
+    Central(Box<CentralRouter>),
 }
 
 impl AnyRouter {
@@ -431,10 +443,23 @@ struct Progress {
 /// Wiring of one router output port.
 #[derive(Debug, Clone, Copy)]
 struct Wire {
-    dest: usize,
-    dest_in_port: usize,
+    dest: u32,
+    dest_in_port: u8,
     dim: u8,
     wraparound: bool,
+}
+
+/// One directional channel's row, indexed `node * ports + out_port`:
+/// its wiring and the per-link state a departure updates, side by side.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// `None` for the local port and for mesh edges.
+    wire: Option<Wire>,
+    /// Last payload carried, for link switching activity.
+    last: u64,
+    /// Flits carried since the last measurement reset — the
+    /// per-channel load behind hot-spot analysis.
+    flits: u64,
 }
 
 /// A complete simulated network — or, in a sharded run, the engine for
@@ -478,11 +503,8 @@ pub struct Network {
     flit_scratch: Vec<FlitArrival>,
     credit_scratch: Vec<CreditArrival>,
     step_out: StepOutput,
-    /// Last payload per (node, out_port) for link switching activity.
-    link_last: Vec<u64>,
-    /// Flits carried per (node, out_port) since the last measurement
-    /// reset — the per-channel load behind hot-spot analysis.
-    link_flits: Vec<u64>,
+    /// One row per (node, out_port), whole-network sized.
+    links: Vec<Link>,
     sources: Vec<Source>,
     sinks: HashMap<PacketId, Progress>,
     /// `spec.dim_order` resolved once to the dimension visit order
@@ -503,8 +525,6 @@ pub struct Network {
     /// the livelock clock restarts after a quiet gap (see
     /// [`StallKind::classify`]).
     busy_since: u64,
-    /// wires[node * ports + out_port]; None for the local port.
-    wires: Vec<Option<Wire>>,
     /// Monotone audit counters, never reset (unlike [`SimStats`], which
     /// rewinds at the warm-up boundary): flits ever handed to a source
     /// queue and ever ejected at a sink. Flit conservation demands
@@ -585,11 +605,11 @@ impl Network {
                 }
                 RouterKind::Central(s) => {
                     assert_eq!(s.ports, ports, "router ports must match topology");
-                    AnyRouter::Central(CentralRouter::new(node, s.clone(), s.input_depth))
+                    AnyRouter::Central(Box::new(CentralRouter::new(node, s.clone(), s.input_depth)))
                 }
             })
             .collect();
-        let mut wires = vec![None; n * ports];
+        let mut links = vec![Link::default(); n * ports];
         for node in spec.topology.nodes() {
             for idx in 1..ports {
                 let port = Port::from_index(idx, spec.topology.dims() as u8);
@@ -607,9 +627,9 @@ impl Network {
                     let wraparound = spec.topology.kind() == TopologyKind::Torus
                         && ((dir == orion_net::Direction::Plus && c == k - 1)
                             || (dir == orion_net::Direction::Minus && c == 0));
-                    wires[node.0 * ports + idx] = Some(Wire {
-                        dest: nb.0,
-                        dest_in_port,
+                    links[node.0 * ports + idx].wire = Some(Wire {
+                        dest: nb.0 as u32,
+                        dest_in_port: dest_in_port as u8,
                         dim,
                         wraparound,
                     });
@@ -635,8 +655,7 @@ impl Network {
             flit_scratch: Vec::new(),
             credit_scratch: Vec::new(),
             step_out: StepOutput::new(),
-            link_last: vec![0; n * ports],
-            link_flits: vec![0; n * ports],
+            links,
             sources: (lo..hi).map(|_| Source::default()).collect(),
             sinks: HashMap::new(),
             visit: spec.dim_order.order(spec.topology.dims()),
@@ -647,7 +666,6 @@ impl Network {
             last_delivery: 0,
             last_credit: 0,
             busy_since: 0,
-            wires,
             audit_enqueued: 0,
             audit_ejected: 0,
             obs: None,
@@ -704,7 +722,10 @@ impl Network {
                 NodeState {
                     buffered_flits: router.buffered_flits(),
                     free_credits: router.free_credits(),
-                    link_flits: (0..ports).map(|p| self.link_flits[node * ports + p]).sum(),
+                    link_flits: self.links[node * ports..(node + 1) * ports]
+                        .iter()
+                        .map(|link| link.flits)
+                        .sum(),
                     energy_j: energy,
                 }
             })
@@ -744,7 +765,7 @@ impl Network {
         self.ledger.reset();
         self.stats = SimStats::new();
         self.delivery_log.clear();
-        self.link_flits.fill(0);
+        self.links.iter_mut().for_each(|link| link.flits = 0);
     }
 
     /// Delivery cycles parallel to [`SimStats::latencies`], recorded
@@ -789,7 +810,7 @@ impl Network {
     pub fn link_flits(&self, node: usize, out_port: usize) -> u64 {
         let ports = self.spec.topology.ports_per_router();
         assert!(out_port < ports, "port out of range");
-        self.link_flits[node * ports + out_port]
+        self.links[node * ports + out_port].flits
     }
 
     /// The cycle at which a flit last moved.
@@ -1580,31 +1601,30 @@ impl Network {
                     )?;
                     continue;
                 }
-                let wire = self.wires[node * ports + dep.out_port]
-                    .expect("departures only on wired ports");
-                let key = node * ports + dep.out_port;
+                let link = &mut self.links[node * ports + dep.out_port];
+                let wire = link.wire.expect("departures only on wired ports");
                 let f = self.arena.get(dep.flit);
                 let payload = f.payload;
                 let packet = f.packet;
-                self.ledger
-                    .link_traversal(node, self.link_last[key], payload);
-                self.link_last[key] = payload;
-                self.link_flits[key] += 1;
+                self.ledger.link_traversal(node, link.last, payload);
+                link.last = payload;
+                link.flits += 1;
+                let (dest, dest_in_port) = (wire.dest as usize, wire.dest_in_port as usize);
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.link_traversal(node, packet.0, cycle);
                 }
-                if wire.dest < self.lo || wire.dest >= self.hi {
+                if dest < self.lo || dest >= self.hi {
                     // Boundary link: link energy and switching state
                     // were charged at this (owning) node above; the
                     // flit itself leaves our arena and re-homes in the
                     // destination shard on delivery.
                     let flit = self.arena.take(dep.flit);
                     io.send_flit(
-                        self.shard_of(wire.dest),
+                        self.shard_of(dest),
                         cycle + 2,
                         FlitMsg {
-                            dest: wire.dest,
-                            in_port: wire.dest_in_port,
+                            dest,
+                            in_port: dest_in_port,
                             crossed_dim: wire.dim,
                             wraparound: wire.wraparound,
                             flit,
@@ -1615,8 +1635,8 @@ impl Network {
                 self.flit_wheel.schedule(
                     cycle + 2,
                     FlitArrival {
-                        dest: wire.dest,
-                        in_port: wire.dest_in_port,
+                        dest,
+                        in_port: dest_in_port,
                         crossed_dim: Some(wire.dim),
                         wraparound: wire.wraparound,
                         to_sink: false,
@@ -1636,12 +1656,10 @@ impl Network {
                 // Links are symmetric: the wire leaving through this
                 // input port's direction ends at the upstream router,
                 // on the very port that router sends to us from.
-                let Wire {
-                    dest: upstream,
-                    dest_in_port: out_port,
-                    ..
-                } = self.wires[node * ports + credit.in_port]
+                let wire = self.links[node * ports + credit.in_port]
+                    .wire
                     .expect("torus/mesh wiring exists for used ports");
+                let (upstream, out_port) = (wire.dest as usize, wire.dest_in_port as usize);
                 if upstream < self.lo || upstream >= self.hi {
                     io.send_credit(
                         self.shard_of(upstream),
@@ -1723,13 +1741,13 @@ impl Network {
         for &c in &self.delivery_log {
             w.u64(c);
         }
-        w.usize(self.link_last.len());
-        for &v in &self.link_last {
-            w.u64(v);
+        w.usize(self.links.len());
+        for link in &self.links {
+            w.u64(link.last);
         }
-        w.usize(self.link_flits.len());
-        for &v in &self.link_flits {
-            w.u64(v);
+        w.usize(self.links.len());
+        for link in &self.links {
+            w.u64(link.flits);
         }
         self.stats.encode(w);
         self.ledger.encode(w);
@@ -1852,19 +1870,19 @@ impl Network {
         for _ in 0..log_count {
             delivery_log.push(r.u64()?);
         }
-        let mut link_last = vec![0u64; n_total * ports];
-        if r.count(8)? != link_last.len() {
+        let mut links = self.links.clone();
+        debug_assert_eq!(links.len(), n_total * ports);
+        if r.count(8)? != links.len() {
             return Err(SnapshotError::Mismatch("link table length"));
         }
-        for v in link_last.iter_mut() {
-            *v = r.u64()?;
+        for link in links.iter_mut() {
+            link.last = r.u64()?;
         }
-        let mut link_flits = vec![0u64; n_total * ports];
-        if r.count(8)? != link_flits.len() {
+        if r.count(8)? != links.len() {
             return Err(SnapshotError::Mismatch("link table length"));
         }
-        for v in link_flits.iter_mut() {
-            *v = r.u64()?;
+        for link in links.iter_mut() {
+            link.flits = r.u64()?;
         }
         let stats = SimStats::decode(&mut r)?;
         self.ledger.decode_into(&mut r)?;
@@ -2035,8 +2053,7 @@ impl Network {
         self.sinks = sinks;
         self.stats = stats;
         self.delivery_log = delivery_log;
-        self.link_last = link_last;
-        self.link_flits = link_flits;
+        self.links = links;
         self.cycle = cycle;
         self.next_packet = next_packet;
         self.last_progress = last_progress;

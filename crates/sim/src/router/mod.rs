@@ -40,6 +40,9 @@ pub struct StepOutput {
     pub departures: Vec<Departure>,
     /// Credits to return to upstream routers.
     pub credits: Vec<CreditReturn>,
+    /// The VC router's VA/SA scratch: dead between steps, so one set
+    /// serves every router the engine steps with this output.
+    pub(crate) scratch: vc::Scratch,
 }
 
 impl StepOutput {
@@ -48,9 +51,9 @@ impl StepOutput {
         StepOutput::default()
     }
 
-    /// Empties both lists, keeping their allocations for reuse — the
-    /// network engine holds one `StepOutput` and clears it per router
-    /// per cycle instead of allocating fresh vectors.
+    /// Empties both lists, keeping their allocations (and the scratch)
+    /// for reuse — the network engine holds one `StepOutput` and clears
+    /// it per router per cycle instead of allocating fresh vectors.
     pub fn clear(&mut self) {
         self.departures.clear();
         self.credits.clear();

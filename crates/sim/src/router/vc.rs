@@ -84,10 +84,15 @@ use orion_obs::ObsSink;
 use crate::arb::{FunctionalArbiter, RoundRobinArbiter};
 use crate::arena::{FlitArena, FlitRef};
 use crate::energy::EnergyLedger;
-use crate::fifo::FlitFifo;
+use crate::fifo::{RingState, Slot};
 use crate::flit::Flit;
 use crate::router::{CreditReturn, Departure, StepOutput};
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
+
+/// The most input VCs (`ports × vcs`) a [`VcRouter`] holds: its VA/SA
+/// request masks are `u128` and its output VCs record their owner as a
+/// `u8` flat index.
+pub const MAX_INPUT_VCS: usize = 128;
 
 /// Configuration of a [`VcRouter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,9 +194,16 @@ impl VcRouterSpec {
             self.has_va_stage || self.vcs == 1,
             "a wormhole (no-VA) router has a single VC"
         );
-        assert!(
-            self.ports * self.vcs <= 128,
-            "at most 128 input VCs per router"
+        // Configuration validation rejects these with a typed error
+        // (`orion_core::ConfigError::RouterTooLarge`).
+        debug_assert!(
+            self.ports * self.vcs <= MAX_INPUT_VCS,
+            "at most {MAX_INPUT_VCS} input VCs per router"
+        );
+        debug_assert!(
+            self.depth <= crate::fifo::MAX_CAPACITY,
+            "at most {} flits per VC buffer",
+            crate::fifo::MAX_CAPACITY
         );
         assert!(self.sa_iterations >= 1, "need at least one SA iteration");
     }
@@ -255,16 +267,15 @@ enum VcState {
     /// output port.
     Routing,
     /// Packet holds output `(port, vc)` until its tail passes.
-    Active { out_port: usize, out_vc: usize },
+    Active { out_port: u8, out_vc: u8 },
 }
 
+/// One input VC's row: its FIFO's ring state (the slots live in the
+/// router's slab) and its packet state. At most 48 bytes, so a router
+/// cycle's scan touches few cache lines.
 #[derive(Debug, Clone)]
 struct InputVc {
-    /// The input port this VC belongs to (`r / vcs`, fixed at
-    /// construction so the per-cycle scans never divide).
-    port: u8,
-    fifo: FlitFifo<FlitRef>,
-    state: VcState,
+    ring: RingState,
     /// Earliest cycle the head flit may compete for SA (set by VA).
     sa_ready: u64,
     /// Cached fields of the head flit, refreshed whenever the head
@@ -274,17 +285,21 @@ struct InputVc {
     /// per-cycle VA/SA scans skip the arena lookup and the route
     /// indirection entirely.
     head_ready: u64,
+    head_len: u32,
+    state: VcState,
+    /// The input port this VC belongs to (`r / vcs`, fixed at
+    /// construction so the per-cycle scans never divide).
+    port: u8,
     head_out_port: u8,
     head_vc_class: u8,
     head_is_head: bool,
-    head_len: u32,
 }
 
 impl InputVc {
     /// Re-caches the head flit's fields from the arena. No-op when the
-    /// FIFO is empty.
-    fn refresh_head(&mut self, arena: &FlitArena) {
-        if let Some(&h) = self.fifo.head() {
+    /// FIFO (over `slots`, this VC's rows of the slab) is empty.
+    fn refresh_head(&mut self, slots: &[Slot<FlitRef>], arena: &FlitArena) {
+        if let Some(&h) = self.ring.head(slots) {
             let f = arena.get(h);
             self.head_ready = f.ready;
             self.head_out_port = f.out_port().index() as u8;
@@ -297,9 +312,9 @@ impl InputVc {
 
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    /// The input VC (flat index `port * vcs + vc`) whose packet
-    /// currently holds this output VC.
-    owner: Option<usize>,
+    /// The input VC (flat index `port * vcs + vc`, below 128) whose
+    /// packet currently holds this output VC.
+    owner: Option<u8>,
     /// Free buffer slots in the downstream input VC.
     credits: u32,
 }
@@ -313,12 +328,13 @@ struct SwitchRequest {
     claims: bool,
 }
 
-/// Pre-sized scratch buffers for the VA/SA stages, owned by the router
-/// so the per-cycle hot path never allocates (stages borrow them beside
-/// the router state by destructuring `self`). Input VCs are addressed
-/// by flat index `r = port * vcs + vc` throughout.
-#[derive(Debug, Clone)]
-struct Scratch {
+/// Scratch buffers for the VA/SA stages. They are dead between steps,
+/// so one set lives in the [`StepOutput`] the engine reuses across
+/// routers and cycles, sized on first use — the per-cycle hot path
+/// never allocates. Input VCs are addressed by flat index
+/// `r = port * vcs + vc` throughout.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
     /// VA: requesting input VCs binned by output port.
     requests_per_out: Vec<u128>,
     /// VA: dateline class per requesting input VC (only entries whose
@@ -336,14 +352,18 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new(ports: usize, vcs: usize) -> Scratch {
-        Scratch {
-            requests_per_out: vec![0; ports],
-            classes: vec![0; ports * vcs],
-            cand: vec![SwitchRequest::default(); ports * vcs],
-            targets: vec![0; ports],
-            nominee: vec![0; ports],
-            nom_by_out: vec![0; ports],
+    /// Sizes the buffers for a `ports × vcs` router; a no-op once they
+    /// fit (every router of a network shares one geometry).
+    fn fit(&mut self, ports: usize, vcs: usize) {
+        if self.targets.len() != ports || self.cand.len() != ports * vcs {
+            *self = Scratch {
+                requests_per_out: vec![0; ports],
+                classes: vec![0; ports * vcs],
+                cand: vec![SwitchRequest::default(); ports * vcs],
+                targets: vec![0; ports],
+                nominee: vec![0; ports],
+                nom_by_out: vec![0; ports],
+            };
         }
     }
 }
@@ -356,7 +376,7 @@ fn sa_candidate(
     outputs: &[OutputVc],
     cycle: u64,
 ) -> Option<SwitchRequest> {
-    if ivc.fifo.is_empty() || cycle < ivc.head_ready {
+    if ivc.ring.is_empty() || cycle < ivc.head_ready {
         return None;
     }
     let (out_port, out_vc, claims) = match ivc.state {
@@ -364,7 +384,7 @@ fn sa_candidate(
         // Wormhole only: heads bid for a free output port directly in SA.
         VcState::Routing if spec.has_va_stage => return None,
         VcState::Routing => (ivc.head_out_port as usize, 0, true),
-        VcState::Active { out_port, out_vc } => (out_port, out_vc, false),
+        VcState::Active { out_port, out_vc } => (out_port as usize, out_vc as usize, false),
     };
     let slot = &outputs[out_port * spec.vcs + out_vc];
     if claims {
@@ -396,6 +416,9 @@ pub struct VcRouter {
     /// Input VCs, flat: index `r = port * vcs + vc` (the bit numbering
     /// of `occupied` and of every VA/SA mask).
     inputs: Vec<InputVc>,
+    /// Every input VC's FIFO rows in one slab: VC `r` owns
+    /// `r * depth .. (r + 1) * depth`.
+    slots: Box<[Slot<FlitRef>]>,
     /// Output VCs, flat: index `out_port * vcs + out_vc`.
     outputs: Vec<OutputVc>,
     /// Flits across all input VCs (kept in sync with the FIFOs so the
@@ -405,16 +428,34 @@ pub struct VcRouter {
     /// (the spec validates `ports * vcs <= 128`). Lets the per-cycle
     /// stages walk only occupied VCs instead of scanning all P·V.
     occupied: u128,
-    /// VA: one multi-grant arbiter per output port over input VCs.
-    va_arbiters: Vec<RoundRobinArbiter>,
-    /// SA stage 1: per input port, over its VCs (only used when vcs > 1).
-    sa_input_arbiters: Vec<RoundRobinArbiter>,
-    /// SA stage 2: per output port, over input ports.
-    sa_output_arbiters: Vec<FunctionalArbiter>,
-    /// Last payload observed on each crossbar input / output line.
-    xb_in_last: Vec<u64>,
-    xb_out_last: Vec<u64>,
-    scratch: Scratch,
+    /// Per-port arbiters and crossbar line history, one row per port.
+    port_states: Vec<PortState>,
+}
+
+/// Everything a router keeps per port `p`, in one row.
+#[derive(Debug, Clone)]
+struct PortState {
+    /// VA: the multi-grant arbiter of output port `p` over input VCs.
+    va: RoundRobinArbiter,
+    /// SA stage 1: input port `p`'s arbiter over its VCs (used only
+    /// when vcs > 1).
+    sa_input: RoundRobinArbiter,
+    /// SA stage 2: output port `p`'s arbiter over input ports.
+    sa_output: FunctionalArbiter,
+    /// Last payload observed on crossbar input line `p` and output
+    /// line `p`.
+    xb_in_last: u64,
+    xb_out_last: u64,
+}
+
+/// VC `r`'s rows of a router's slot slab.
+fn vc_slots(slots: &[Slot<FlitRef>], depth: usize, r: usize) -> &[Slot<FlitRef>] {
+    &slots[r * depth..(r + 1) * depth]
+}
+
+/// Mutable [`vc_slots`].
+fn vc_slots_mut(slots: &mut [Slot<FlitRef>], depth: usize, r: usize) -> &mut [Slot<FlitRef>] {
+    &mut slots[r * depth..(r + 1) * depth]
 }
 
 impl VcRouter {
@@ -428,16 +469,19 @@ impl VcRouter {
         spec.validate();
         let inputs = (0..spec.ports * spec.vcs)
             .map(|r| InputVc {
-                port: (r / spec.vcs) as u8,
-                fifo: FlitFifo::new(spec.depth, spec.flit_bits),
-                state: VcState::Idle,
+                ring: RingState::default(),
                 sa_ready: 0,
                 head_ready: 0,
+                head_len: 0,
+                state: VcState::Idle,
+                port: (r / spec.vcs) as u8,
                 head_out_port: 0,
                 head_vc_class: 0,
                 head_is_head: false,
-                head_len: 0,
             })
+            .collect();
+        let slots = (0..spec.ports * spec.vcs * spec.depth)
+            .map(|_| Slot::empty())
             .collect();
         let outputs = vec![
             OutputVc {
@@ -446,30 +490,24 @@ impl VcRouter {
             };
             spec.ports * spec.vcs
         ];
-        let va_arbiters = (0..spec.ports)
-            .map(|_| RoundRobinArbiter::new((spec.ports * spec.vcs).max(2)))
+        let port_states = (0..spec.ports)
+            .map(|_| PortState {
+                va: RoundRobinArbiter::new((spec.ports * spec.vcs).max(2)),
+                sa_input: RoundRobinArbiter::new(spec.vcs.max(2)),
+                sa_output: FunctionalArbiter::new(spec.arbiter_kind, spec.ports),
+                xb_in_last: 0,
+                xb_out_last: 0,
+            })
             .collect();
-        let sa_input_arbiters = (0..spec.ports)
-            .map(|_| RoundRobinArbiter::new(spec.vcs.max(2)))
-            .collect();
-        let sa_output_arbiters = (0..spec.ports)
-            .map(|_| FunctionalArbiter::new(spec.arbiter_kind, spec.ports))
-            .collect();
-        let ports = spec.ports;
-        let vcs = spec.vcs;
         VcRouter {
             node,
             spec,
             inputs,
+            slots,
             outputs,
             buffered: 0,
             occupied: 0,
-            va_arbiters,
-            sa_input_arbiters,
-            sa_output_arbiters,
-            xb_in_last: vec![0; ports],
-            xb_out_last: vec![0; ports],
-            scratch: Scratch::new(ports, vcs),
+            port_states,
         }
     }
 
@@ -491,21 +529,21 @@ impl VcRouter {
     /// Free slots in input `(port, vc)` — used by the local source,
     /// which sees its own router's buffer occupancy directly.
     pub fn input_free(&self, port: usize, vc: usize) -> usize {
-        self.inputs[self.flat(port, vc)].fifo.free()
+        self.spec.depth - self.inputs[self.flat(port, vc)].ring.len()
     }
 
     /// Total flits buffered in the router (for drain detection).
     pub fn buffered_flits(&self) -> usize {
         debug_assert_eq!(
             self.buffered,
-            self.inputs.iter().map(|vc| vc.fifo.len()).sum::<usize>(),
+            self.inputs.iter().map(|vc| vc.ring.len()).sum::<usize>(),
             "buffered counter out of sync with FIFO occupancy"
         );
         #[cfg(debug_assertions)]
         {
             let mut expect = 0u128;
             for (r, ivc) in self.inputs.iter().enumerate() {
-                if !ivc.fifo.is_empty() {
+                if !ivc.ring.is_empty() {
                     expect |= 1 << r;
                 }
             }
@@ -523,11 +561,11 @@ impl VcRouter {
         &'a self,
         arena: &'a FlitArena,
     ) -> impl Iterator<Item = (usize, usize, usize, &'a Flit, bool)> + 'a {
-        let vcs = self.spec.vcs;
+        let (vcs, depth) = (self.spec.vcs, self.spec.depth);
         self.inputs.iter().enumerate().filter_map(move |(r, ivc)| {
-            ivc.fifo.head().map(|&head| {
+            ivc.ring.head(vc_slots(&self.slots, depth, r)).map(|&head| {
                 let waiting = !matches!(ivc.state, VcState::Active { .. });
-                (r / vcs, r % vcs, ivc.fifo.len(), arena.get(head), waiting)
+                (r / vcs, r % vcs, ivc.ring.len(), arena.get(head), waiting)
             })
         })
     }
@@ -562,8 +600,9 @@ impl VcRouter {
         self.buffered += 1;
         self.occupied |= 1 << r;
         let ivc = &mut self.inputs[r];
-        let becomes_head = ivc.fifo.is_empty();
-        if let Some(activity) = ivc.fifo.push(flit, payload) {
+        let becomes_head = ivc.ring.is_empty();
+        let slots = vc_slots_mut(&mut self.slots, self.spec.depth, r);
+        if let Some(activity) = ivc.ring.push(slots, self.spec.flit_bits, flit, payload) {
             ledger.buffer_write(self.node, &activity);
         }
         if becomes_head {
@@ -598,14 +637,14 @@ impl VcRouter {
     /// rest of the cycle; VA touches only `Routing` VCs, which cannot
     /// bid before the next cycle. Returns whether any VC requested VA,
     /// and the `live` mask of VCs bidding for the switch.
-    fn collect_requests(&mut self, cycle: u64) -> (bool, u128) {
+    fn collect_requests(&mut self, cycle: u64, scratch: &mut Scratch) -> (bool, u128) {
         let Self {
             spec,
             inputs,
             outputs,
-            scratch,
             ..
         } = self;
+        scratch.fit(spec.ports, spec.vcs);
         scratch.requests_per_out.fill(0);
         scratch.targets.fill(0);
         let (mut va_any, mut live) = (false, 0u128);
@@ -646,13 +685,14 @@ impl VcRouter {
         ledger: &mut EnergyLedger,
         mut obs: Option<&mut ObsSink>,
         arena: &FlitArena,
+        scratch: &Scratch,
     ) {
         let Self {
             spec,
             inputs,
+            slots,
             outputs,
-            va_arbiters,
-            scratch,
+            port_states,
             ..
         } = self;
         let node = self.node;
@@ -691,18 +731,21 @@ impl VcRouter {
                 if eligible == 0 {
                     continue;
                 }
-                let grant = va_arbiters[out_port].arbitrate(eligible);
+                let grant = port_states[out_port].va.arbitrate(eligible);
                 ledger.arbitration(node, &grant.activity);
                 let Some(w) = grant.winner else { continue };
                 requesters &= !(1 << w);
                 let ivc = &mut inputs[w];
                 if let Some(o) = obs.as_deref_mut() {
-                    if let Some(&head) = ivc.fifo.head() {
+                    if let Some(&head) = ivc.ring.head(vc_slots(slots, spec.depth, w)) {
                         o.va_grant(node, arena.get(head).packet.0, cycle);
                     }
                 }
-                slot.owner = Some(w);
-                ivc.state = VcState::Active { out_port, out_vc };
+                slot.owner = Some(w as u8);
+                ivc.state = VcState::Active {
+                    out_port: out_port as u8,
+                    out_vc: out_vc as u8,
+                };
                 ivc.sa_ready = cycle + 1;
             }
         }
@@ -730,14 +773,16 @@ impl VcRouter {
         let Self {
             spec,
             inputs,
+            slots,
             outputs,
-            sa_input_arbiters,
-            sa_output_arbiters,
-            xb_in_last,
-            xb_out_last,
-            scratch,
+            port_states,
             ..
         } = self;
+        let StepOutput {
+            departures,
+            credits,
+            scratch,
+        } = out;
         let node = self.node;
         let (ports, vcs) = (spec.ports, spec.vcs);
         let vc_mask = (1u128 << vcs) - 1;
@@ -771,7 +816,7 @@ impl VcRouter {
                 let in_vc = if vcs == 1 {
                     0
                 } else {
-                    let grant = sa_input_arbiters[in_port].arbitrate(mask);
+                    let grant = port_states[in_port].sa_input.arbitrate(mask);
                     ledger.arbitration(node, &grant.activity);
                     grant.winner.expect("nonzero mask yields a winner")
                 };
@@ -786,7 +831,7 @@ impl VcRouter {
                 if mask == 0 {
                     continue;
                 }
-                let grant = sa_output_arbiters[out_port].arbitrate(mask);
+                let grant = port_states[out_port].sa_output.arbitrate(mask);
                 ledger.arbitration(node, &grant.activity);
                 let in_port = grant.winner.expect("nonzero mask yields a winner");
                 let r = scratch.nominee[in_port];
@@ -803,16 +848,20 @@ impl VcRouter {
                 let ovc = &mut outputs[out_port * vcs + out_vc];
                 // Wormhole late binding: claim the output port at first grant.
                 if claims {
-                    ovc.owner = Some(r);
-                    ivc.state = VcState::Active { out_port, out_vc };
+                    ovc.owner = Some(r as u8);
+                    ivc.state = VcState::Active {
+                        out_port: out_port as u8,
+                        out_vc: out_vc as u8,
+                    };
                 }
 
-                let (flit, stored) = ivc.fifo.pop().expect("granted VC has a flit");
+                let vc_rows = vc_slots_mut(slots, spec.depth, r);
+                let (flit, stored) = ivc.ring.pop(vc_rows).expect("granted VC has a flit");
                 self.buffered -= 1;
-                if ivc.fifo.is_empty() {
+                if ivc.ring.is_empty() {
                     self.occupied &= !(1u128 << r);
                 } else {
-                    ivc.refresh_head(arena);
+                    ivc.refresh_head(vc_rows, arena);
                 }
                 if stored {
                     ledger.buffer_read(node);
@@ -829,16 +878,16 @@ impl VcRouter {
                 // Crossbar traversal with exact line-switching activity.
                 ledger.crossbar_traversal(
                     node,
-                    xb_in_last[in_port],
-                    xb_out_last[out_port],
+                    port_states[in_port].xb_in_last,
+                    port_states[out_port].xb_out_last,
                     payload,
                 );
-                xb_in_last[in_port] = payload;
-                xb_out_last[out_port] = payload;
+                port_states[in_port].xb_in_last = payload;
+                port_states[out_port].xb_out_last = payload;
 
                 // Credit back upstream for the freed slot (the network skips
                 // this for the local injection port).
-                out.credits.push(CreditReturn {
+                credits.push(CreditReturn {
                     in_port,
                     vc: r - in_port * vcs,
                 });
@@ -854,7 +903,7 @@ impl VcRouter {
                     ivc.state = VcState::Idle;
                 }
 
-                out.departures.push(Departure { out_port, flit });
+                departures.push(Departure { out_port, flit });
             }
         }
     }
@@ -890,18 +939,17 @@ impl VcRouter {
         if self.buffered_flits() == 0 {
             return;
         }
-        let (va_any, live) = self.collect_requests(cycle);
+        let (va_any, live) = self.collect_requests(cycle, &mut out.scratch);
         if va_any {
-            self.va_stage(cycle, ledger, obs.as_deref_mut(), arena);
+            self.va_stage(cycle, ledger, obs.as_deref_mut(), arena, &out.scratch);
         }
         self.sa_stage(live, cycle, ledger, out, obs, arena);
     }
 
     /// Encodes the full router state (input VCs, output VC owners and
     /// credits, arbiter state, crossbar line history) for a snapshot.
-    /// The per-cycle [`Scratch`] buffers are excluded — they are dead
-    /// outside a `step` call, which is the only place snapshots are not
-    /// taken.
+    /// The per-cycle VA/SA scratch lives in the engine's [`StepOutput`]
+    /// and is dead outside a `step` call, so no snapshot sees it.
     pub(crate) fn encode(
         &self,
         w: &mut ByteWriter,
@@ -910,15 +958,17 @@ impl VcRouter {
         w.usize(self.buffered);
         w.u128(self.occupied);
         // Flat order is port-major, the order the nested layout wrote.
-        for ivc in &self.inputs {
-            ivc.fifo.encode_with(w, encode_ref);
+        let (width, depth) = (self.spec.flit_bits, self.spec.depth);
+        for (r, ivc) in self.inputs.iter().enumerate() {
+            ivc.ring
+                .encode_with(vc_slots(&self.slots, depth, r), width, w, encode_ref);
             match ivc.state {
                 VcState::Idle => w.u8(0),
                 VcState::Routing => w.u8(1),
                 VcState::Active { out_port, out_vc } => {
                     w.u8(2);
-                    w.usize(out_port);
-                    w.usize(out_vc);
+                    w.usize(out_port as usize);
+                    w.usize(out_vc as usize);
                 }
             }
             w.u64(ivc.sa_ready);
@@ -932,27 +982,28 @@ impl VcRouter {
             match ovc.owner {
                 Some(r) => {
                     w.bool(true);
-                    w.usize(r / self.spec.vcs);
-                    w.usize(r % self.spec.vcs);
+                    w.usize(r as usize / self.spec.vcs);
+                    w.usize(r as usize % self.spec.vcs);
                 }
                 None => w.bool(false),
             }
             w.u32(ovc.credits);
         }
-        for a in &self.va_arbiters {
-            a.encode(w);
+        // Field-major: each field for every port, in snapshot order.
+        for p in &self.port_states {
+            p.va.encode(w);
         }
-        for a in &self.sa_input_arbiters {
-            a.encode(w);
+        for p in &self.port_states {
+            p.sa_input.encode(w);
         }
-        for a in &self.sa_output_arbiters {
-            a.encode(w);
+        for p in &self.port_states {
+            p.sa_output.encode(w);
         }
-        for &x in &self.xb_in_last {
-            w.u64(x);
+        for p in &self.port_states {
+            w.u64(p.xb_in_last);
         }
-        for &x in &self.xb_out_last {
-            w.u64(x);
+        for p in &self.port_states {
+            w.u64(p.xb_out_last);
         }
     }
 
@@ -965,10 +1016,12 @@ impl VcRouter {
     ) -> Result<(), SnapshotError> {
         let ports = self.spec.ports;
         let vcs = self.spec.vcs;
+        let (width, depth) = (self.spec.flit_bits, self.spec.depth);
         let buffered = r.usize()?;
         let occupied = r.u128()?;
-        for ivc in self.inputs.iter_mut() {
-            ivc.fifo.decode_into_with(r, decode_ref)?;
+        for (i, ivc) in self.inputs.iter_mut().enumerate() {
+            let rows = vc_slots_mut(&mut self.slots, depth, i);
+            ivc.ring.decode_into_with(rows, width, r, decode_ref)?;
             ivc.state = match r.u8()? {
                 0 => VcState::Idle,
                 1 => VcState::Routing,
@@ -978,7 +1031,10 @@ impl VcRouter {
                     if out_port >= ports || out_vc >= vcs {
                         return Err(SnapshotError::Invalid("vc state output"));
                     }
-                    VcState::Active { out_port, out_vc }
+                    VcState::Active {
+                        out_port: out_port as u8,
+                        out_vc: out_vc as u8,
+                    }
                 }
                 _ => return Err(SnapshotError::Invalid("vc state tag")),
             };
@@ -996,7 +1052,7 @@ impl VcRouter {
                 if p >= ports || v >= vcs {
                     return Err(SnapshotError::Invalid("output vc owner"));
                 }
-                Some(p * vcs + v)
+                Some((p * vcs + v) as u8)
             } else {
                 None
             };
@@ -1006,20 +1062,20 @@ impl VcRouter {
             }
             ovc.credits = credits;
         }
-        for a in self.va_arbiters.iter_mut() {
-            a.decode_into(r)?;
+        for p in self.port_states.iter_mut() {
+            p.va.decode_into(r)?;
         }
-        for a in self.sa_input_arbiters.iter_mut() {
-            a.decode_into(r)?;
+        for p in self.port_states.iter_mut() {
+            p.sa_input.decode_into(r)?;
         }
-        for a in self.sa_output_arbiters.iter_mut() {
-            a.decode_into(r)?;
+        for p in self.port_states.iter_mut() {
+            p.sa_output.decode_into(r)?;
         }
-        for x in self.xb_in_last.iter_mut() {
-            *x = r.u64()?;
+        for p in self.port_states.iter_mut() {
+            p.xb_in_last = r.u64()?;
         }
-        for x in self.xb_out_last.iter_mut() {
-            *x = r.u64()?;
+        for p in self.port_states.iter_mut() {
+            p.xb_out_last = r.u64()?;
         }
         self.buffered = buffered;
         self.occupied = occupied;
@@ -1376,6 +1432,12 @@ mod tests {
             sent += r.step(cycle, &mut led, &mut arena).departures.len();
         }
         assert_eq!(sent, 5);
+    }
+
+    #[test]
+    fn per_vc_rows_stay_narrow() {
+        assert!(std::mem::size_of::<InputVc>() <= 48);
+        assert!(std::mem::size_of::<OutputVc>() <= 8);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! the whole-network payload.
 //!
 //! The payload deliberately excludes everything reconstructible from
-//! configuration (specs, power models, wiring, route caches) and everything that is per-cycle scratch (drain buffers,
-//! stage scratch): a snapshot is taken and applied only at a cycle
-//! boundary, where scratch state is dead.
+//! configuration (specs, power models, wiring, the routes flits carry
+//! inline) and everything that is per-cycle scratch (drain buffers,
+//! the VA/SA stage scratch): a snapshot is taken and applied only at a
+//! cycle boundary, where scratch state is dead.
 //!
 //! Framing (magic, schema version, checksum, fingerprint) is the
 //! checkpoint *file* format's job, not this module's: these payloads
