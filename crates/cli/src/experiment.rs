@@ -4,9 +4,9 @@
 //!
 //! ```text
 //! orion-power-cli experiment run examples/specs/fig5.toml \
-//!     --threads 8 --cache-dir .exp-cache --out-dir experiments
+//!     --cache-dir .exp-cache --out-dir experiments
 //! orion-power-cli experiment explore examples/specs/explore_smoke.toml \
-//!     --threads 8 --cache-dir .exp-cache --out-dir experiments
+//!     --cache-dir .exp-cache --out-dir experiments
 //! ```
 //!
 //! Unlike the component subcommands, `experiment run`/`explore` declare
@@ -18,9 +18,9 @@
 //! broke mid-run), 0 otherwise.
 //!
 //! Each cell runs once, under its derived seed; a panicking cell is
-//! quarantined as one `crashed` record. `--checkpoint-every` and
-//! `--shards` set how cells run, and `--audit-every` overrides the
-//! spec's invariant-audit cadence.
+//! quarantined as one `crashed` record. `--threads` (default: every
+//! core) is the run's core budget, `--checkpoint-every` sets how cells
+//! run, and `--audit-every` overrides the spec's audit cadence.
 //!
 //! `experiment explore` adds `--seed` / `--budget` overrides (the
 //! determinism contract keys on both — see `docs/EXPLORATION.md`) and
@@ -28,6 +28,7 @@
 
 use std::path::{Path, PathBuf};
 
+use orion_core::exec::host_cores;
 use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec, SpecError, Supervision};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
 use orion_obs::json::Json;
@@ -37,11 +38,11 @@ use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SC
 
 pub(crate) const RUN: Grammar = Grammar(
     "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --audit-every N \
-     --checkpoint-every CYCLES --shards N --json --quiet",
+     --checkpoint-every CYCLES --json --quiet",
 );
 pub(crate) const EXPLORE: Grammar = Grammar(
     "<spec.toml> --threads N --cache-dir DIR --out-dir DIR --seed N --budget N \
-     --checkpoint-every CYCLES --shards N --observe-dir DIR --json --quiet",
+     --checkpoint-every CYCLES --observe-dir DIR --json --quiet",
 );
 
 /// Reads and validates the spec file named by the positional argument
@@ -96,18 +97,16 @@ fn degraded_code(degraded: bool) -> u8 {
     }
 }
 
-/// The supervision knobs `run`, `explore` and `serve` share, from
-/// `--checkpoint-every` and `--shards`.
+/// The supervision knobs `run`, `explore` and `serve` share.
 pub(crate) fn supervision(args: &Args) -> Result<Supervision, ArgError> {
     Ok(Supervision {
         checkpoint_every: args.u64_or("checkpoint-every", 0)?,
-        shards: args.positive("shards")?.unwrap_or(1) as usize,
     })
 }
 
 fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
     let opts = EngineOptions {
-        threads: args.u64_or("threads", 1)? as usize,
+        threads: args.u64_or("threads", host_cores() as u64)? as usize,
         cache_dir: args.path("cache-dir"),
         progress: !args.flag("quiet") && !args.flag("json"),
         supervision: supervision(args)?,
@@ -188,7 +187,7 @@ fn run_grid(args: &Args) -> Result<CmdOutput, CmdOutput> {
 
 fn run_search(args: &Args) -> Result<CmdOutput, CmdOutput> {
     let opts = ExploreOptions {
-        threads: args.u64_or("threads", 1)? as usize,
+        threads: args.u64_or("threads", host_cores() as u64)? as usize,
         cache_dir: args.path("cache-dir"),
         progress: !args.flag("quiet") && !args.flag("json"),
         supervision: supervision(args)?,
@@ -358,8 +357,10 @@ rates = [0.02, 0.04]
         for line in [
             "run a.toml --retries 1",
             "run a.toml --cell-timeout-ms 1",
+            "run a.toml --shards 2",
             "explore a.toml --retries 1",
             "explore a.toml --cell-timeout-ms 1",
+            "explore a.toml --shards 2",
         ] {
             let out = execute(&toks(line));
             assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
@@ -384,6 +385,33 @@ rates = [0.02, 0.04]
         assert_eq!(out.code, EXIT_BAD_INPUT);
         assert!(out.text.contains("warp9"), "{}", out.text);
         assert!(out.text.contains("line 4"), "{}", out.text);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unrunnable_designs_exit_2_before_any_cell_runs() {
+        let dir = temp_dir("unrunnable");
+        for (name, grid) in [
+            (
+                "bubble",
+                "presets = [\"vc16\"]\nflow_control = [\"bubble\"]\n",
+            ),
+            ("wide", "presets = [\"vc26x2\"]\n"),
+        ] {
+            let path = dir.join(format!("{name}.toml"));
+            let text = format!("[experiment]\nname = \"{name}\"\n[grid]\nrates = [0.02]\n{grid}");
+            fs::write(&path, text).unwrap();
+            let out = execute(&toks(&format!(
+                "run {} --cache-dir {} --out-dir {}",
+                path.display(),
+                dir.join("cache").display(),
+                dir.join("out").display(),
+            )));
+            assert_eq!(out.code, EXIT_BAD_INPUT, "{name}: {}", out.text);
+            assert!(out.text.contains("spec line 5: design"), "{}", out.text);
+            assert!(!dir.join("cache").exists(), "{name}: a cache was made");
+            assert!(!dir.join("out").exists(), "{name}: a record was written");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -25,11 +25,11 @@ use crate::args::{ArgError, Args, Grammar};
 use crate::experiment::{engine_failure, supervision};
 use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 
-/// `serve`: the supervision options are `experiment run`'s, read by the
+/// `serve`: the supervision option is `experiment run`'s, read by the
 /// same function; every other option maps onto a [`ServeConfig`] field.
 pub(crate) const GRAMMAR: Grammar = Grammar(
     "--addr HOST:PORT --cache-dir DIR --workers N --queue N --queue-patience-ms N \
-     --drain-timeout-ms N --max-body-bytes N --checkpoint-every CYCLES --shards N",
+     --drain-timeout-ms N --max-body-bytes N --checkpoint-every CYCLES",
 );
 
 fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
@@ -100,7 +100,7 @@ mod tests {
             "--addr 0.0.0.0:9000 --cache-dir cache --workers 8 --queue 16 \
              --queue-patience-ms 500 \
              --drain-timeout-ms 5000 --max-body-bytes 4096 \
-             --checkpoint-every 4096 --shards 2",
+             --checkpoint-every 4096",
         ))
         .unwrap();
         assert_eq!(config.addr, "0.0.0.0:9000");
@@ -111,7 +111,6 @@ mod tests {
         assert_eq!(config.drain_timeout, Duration::from_millis(5000));
         assert_eq!(config.max_body_bytes, 4096);
         assert_eq!(config.supervision.checkpoint_every, 4096);
-        assert_eq!(config.supervision.shards, 2);
     }
 
     #[test]
@@ -125,7 +124,6 @@ mod tests {
     fn bad_flags_are_typed_errors() {
         assert!(parse_args(&tokens("--workers 0")).is_err());
         assert!(parse_args(&tokens("--workers many")).is_err());
-        assert!(parse_args(&tokens("--shards 0")).is_err());
         assert!(parse_args(&tokens("--nope")).is_err());
         assert!(parse_args(&tokens("--addr")).is_err());
     }
@@ -140,7 +138,12 @@ mod tests {
     #[test]
     fn removed_flags_are_unknown_options() {
         // Parsed, not executed: an accepted flag would start the daemon.
-        for line in ["--retries 1", "--cell-timeout-ms 1", "--client-budget 1"] {
+        for line in [
+            "--retries 1",
+            "--cell-timeout-ms 1",
+            "--client-budget 1",
+            "--shards 2",
+        ] {
             let out: CmdOutput = parse_args(&tokens(line)).unwrap_err().into();
             assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
             assert!(

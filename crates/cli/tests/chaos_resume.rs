@@ -65,6 +65,10 @@ fn run_experiment(
         out.to_str().unwrap(),
         "--checkpoint-every",
         "64",
+        // One cell at a time: the failpoints count checkpoint writes
+        // across the whole run.
+        "--threads",
+        "1",
         "--quiet",
     ]);
     cmd.env_remove("ORION_FAILPOINTS");

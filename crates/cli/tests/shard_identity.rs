@@ -1,8 +1,9 @@
 //! The CI `shard-identity` job as a tier-1 test: the shard count is an
 //! execution detail of the built binary, never part of a result. A
-//! 16x16 sweep writes the same artifacts at 1 and 4 shards, `simulate`
-//! prints the same bytes, and a checkpointed sharded run matches the
-//! plain one and leaves no checkpoint file behind.
+//! sweep with a 28x28 cell writes the same artifacts under a core
+//! budget of 1 (one shard) and of 4 (the wide cell sharded), `simulate`
+//! prints the same bytes at 1 and 4 shards, and a checkpointed sharded
+//! run matches the plain one and leaves no checkpoint file behind.
 
 mod common;
 
@@ -10,10 +11,12 @@ use std::path::Path;
 
 use common::{assert_same_bytes, cli, summary_u64, Sandbox};
 
-const SHARD16: &str = "[experiment]\nname = \"shard16\"\n\
-     description = \"16x16 torus sweep, run at two shard counts\"\n\n\
-     [measure]\nwarmup = 200\nsample_packets = 500\nmax_cycles = 50000\n\n\
-     [grid]\npresets = [\"wh64-t16\", \"vc64-t16\"]\nrates = [0.01, 0.02]\n";
+/// One cell below the runner's sharding threshold (4x4) and one above
+/// it (28x28, 784 nodes).
+const SWEEP: &str = "[experiment]\nname = \"budget\"\n\
+     description = \"a narrow and a wide torus, run under two core budgets\"\n\n\
+     [measure]\nwarmup = 100\nsample_packets = 300\nmax_cycles = 50000\n\n\
+     [grid]\npresets = [\"vc16\", \"vc64-t28\"]\nrates = [0.01]\n";
 
 /// `simulate` on `vc16` over a 16x16 torus at `shards`, plus `extra`.
 fn simulate(shards: &str, extra: &[&str]) -> String {
@@ -27,29 +30,31 @@ fn simulate(shards: &str, extra: &[&str]) -> String {
 }
 
 #[test]
-fn a_sweep_writes_the_same_artifacts_at_one_and_four_shards() {
-    let sandbox = Sandbox::new("shard-sweep");
-    let spec = sandbox.write("shard16.toml", SHARD16);
-    for shards in ["1", "4"] {
+fn a_sweep_writes_the_same_artifacts_under_budgets_of_one_and_four() {
+    let sandbox = Sandbox::new("budget-sweep");
+    let spec = sandbox.write("budget.toml", SWEEP);
+    for threads in ["1", "4"] {
         let (cache, out) = (
-            sandbox.path(&format!("cache-{shards}")),
-            sandbox.path(&format!("out-{shards}")),
+            sandbox.path(&format!("cache-{threads}")),
+            sandbox.path(&format!("out-{threads}")),
         );
-        let mut args = vec!["experiment", "run", &spec, "--threads", "1"];
-        args.extend([
-            "--shards",
-            shards,
+        let args = [
+            "experiment",
+            "run",
+            &spec,
+            "--threads",
+            threads,
             "--cache-dir",
             &cache,
             "--out-dir",
             &out,
             "--json",
-        ]);
+        ];
         let run = cli(&args, None);
         assert_eq!(run.code, 0, "{run:?}");
-        assert_eq!(summary_u64(&run.stdout, "simulated"), 4, "{run:?}");
+        assert_eq!(summary_u64(&run.stdout, "simulated"), 2, "{run:?}");
     }
-    for file in ["shard16.jsonl", "shard16.csv"] {
+    for file in ["budget.jsonl", "budget.csv"] {
         assert_same_bytes(
             &sandbox.path(&format!("out-1/{file}")),
             &sandbox.path(&format!("out-4/{file}")),

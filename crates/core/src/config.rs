@@ -54,6 +54,19 @@ pub enum ConfigError {
         /// Buffer depth per VC, in flits.
         depth: usize,
     },
+    /// A per-VC buffer too shallow for the flow control: cut-through
+    /// needs a whole packet, bubble two.
+    BufferTooShallow {
+        /// Buffer depth per VC, in flits.
+        depth: usize,
+        /// The configured flow control.
+        flow_control: FlowControl,
+        /// Packet length in flits.
+        packet_len: u32,
+    },
+    /// Dateline or escape VC allocation on a virtual-channel router
+    /// with a single VC: both split the VCs into two classes.
+    DisciplineNeedsTwoVcs(VcDiscipline),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -89,6 +102,20 @@ impl std::fmt::Display for ConfigError {
                     )
                 }
             }
+            ConfigError::BufferTooShallow {
+                depth,
+                flow_control,
+                packet_len,
+            } => write!(
+                f,
+                "buffer depth {depth} flits too small for {flow_control:?} flow control \
+                 with {packet_len}-flit packets (needs {})",
+                flow_control.min_depth(*packet_len)
+            ),
+            ConfigError::DisciplineNeedsTwoVcs(discipline) => write!(
+                f,
+                "{discipline:?} VC allocation needs at least 2 VCs per port"
+            ),
         }
     }
 }
@@ -301,7 +328,9 @@ impl NetworkConfig {
 
     /// Validates the parts of the configuration that the simulator
     /// would otherwise reject with a panic: packet length, custom
-    /// dimension orders and the router's size limits. (Power-model
+    /// dimension orders, the router's size limits, the buffer depth
+    /// its flow control needs and the VCs its discipline needs.
+    /// (Power-model
     /// parameters are validated by [`build`](NetworkConfig::build),
     /// which returns [`ModelError`] wrapped in [`ConfigError::Model`]
     /// via the runner.)
@@ -309,8 +338,10 @@ impl NetworkConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroPacketLength`],
-    /// [`ConfigError::BadDimensionOrder`] or
-    /// [`ConfigError::RouterTooLarge`].
+    /// [`ConfigError::BadDimensionOrder`],
+    /// [`ConfigError::RouterTooLarge`],
+    /// [`ConfigError::BufferTooShallow`] or
+    /// [`ConfigError::DisciplineNeedsTwoVcs`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.packet_len == 0 {
             return Err(ConfigError::ZeroPacketLength);
@@ -323,6 +354,19 @@ impl NetworkConfig {
         let (ports, vcs, depth) = (self.ports(), vcs as usize, depth as usize);
         if ports * vcs > MAX_INPUT_VCS || depth > MAX_CAPACITY {
             return Err(ConfigError::RouterTooLarge { ports, vcs, depth });
+        }
+        let vc_router = matches!(self.router, RouterConfig::VirtualChannel { .. });
+        if vc_router && vcs < 2 && self.vc_discipline != VcDiscipline::Unrestricted {
+            return Err(ConfigError::DisciplineNeedsTwoVcs(self.vc_discipline));
+        }
+        // Central-buffered routers ignore the flow control.
+        let flow_controlled = !matches!(self.router, RouterConfig::CentralBuffer { .. });
+        if flow_controlled && depth < self.flow_control.min_depth(self.packet_len) {
+            return Err(ConfigError::BufferTooShallow {
+                depth,
+                flow_control: self.flow_control,
+                packet_len: self.packet_len,
+            });
         }
         if let DimensionOrder::Custom(order) = &self.dim_order {
             let dims = self.topology.dims() as u8;
@@ -679,6 +723,66 @@ mod tests {
         let err = too_deep.validate().unwrap_err();
         assert!(matches!(err, ConfigError::RouterTooLarge { vcs: 1, .. }));
         assert!(err.to_string().contains("buffer depth 65536"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_buffers_too_shallow_for_the_flow_control() {
+        // vc16: 2 VCs x 8 flits, 5-flit packets.
+        let vc16 = || {
+            NetworkConfig::new(
+                Topology::torus(&[4, 4]).unwrap(),
+                RouterConfig::VirtualChannel { vcs: 2, depth: 8 },
+                256,
+            )
+            .packet_len(5)
+        };
+        assert_eq!(
+            vc16().flow_control(FlowControl::CutThrough).validate(),
+            Ok(())
+        );
+        let bubble = vc16().flow_control(FlowControl::Bubble);
+        let err = bubble.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BufferTooShallow {
+                depth: 8,
+                flow_control: FlowControl::Bubble,
+                packet_len: 5
+            }
+        );
+        assert!(err.to_string().contains("(needs 10)"), "{err}");
+        assert_eq!(bubble.packet_len(4).validate(), Ok(()));
+        let cut = vc16().flow_control(FlowControl::CutThrough).packet_len(9);
+        assert!(matches!(
+            cut.validate(),
+            Err(ConfigError::BufferTooShallow { depth: 8, .. })
+        ));
+        // Flit-level credits run on one flit of buffering.
+        let one = NetworkConfig::new(
+            Topology::torus(&[4, 4]).unwrap(),
+            RouterConfig::Wormhole { buffer_flits: 1 },
+            256,
+        )
+        .packet_len(5);
+        assert_eq!(one.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_dateline_and_escape_on_one_vc() {
+        let vcs = |vcs| {
+            NetworkConfig::new(
+                Topology::torus(&[4, 4]).unwrap(),
+                RouterConfig::VirtualChannel { vcs, depth: 8 },
+                256,
+            )
+        };
+        for discipline in [VcDiscipline::Dateline, VcDiscipline::Escape] {
+            let err = vcs(1).vc_discipline(discipline).validate().unwrap_err();
+            assert_eq!(err, ConfigError::DisciplineNeedsTwoVcs(discipline));
+            assert!(err.to_string().contains("at least 2 VCs"), "{err}");
+            assert_eq!(vcs(2).vc_discipline(discipline).validate(), Ok(()));
+        }
+        assert_eq!(vcs(1).validate(), Ok(()));
     }
 
     #[test]

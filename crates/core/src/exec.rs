@@ -65,6 +65,12 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
+/// The host's cores (`available_parallelism`, 1 when unknown): the
+/// default core budget of a run.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Renders a panic payload as a message. Most panics carry a `&str`
 /// (literal) or `String` (formatted); anything else gets a fixed tag
 /// so the caller still learns *that* the item crashed.

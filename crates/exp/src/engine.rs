@@ -25,13 +25,14 @@ use crate::spec::{Cell, ExperimentSpec};
 /// Execution options for [`run_spec`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Worker threads (0 or 1 = run inline).
+    /// Worker threads (0 or 1 = run inline), and the runner's core
+    /// budget: a large cell may run on up to this many shards.
     pub threads: usize,
     /// Cache directory; `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
     /// Emit a live progress line to stderr.
     pub progress: bool,
-    /// Checkpoint and shard knobs applied to every cell of the grid.
+    /// Checkpoint knobs applied to every cell of the grid.
     pub supervision: Supervision,
 }
 
@@ -128,7 +129,7 @@ pub fn run_spec(
         }
     }
 
-    let runner = CellRunner::open(opts.cache_dir.as_deref())?;
+    let runner = CellRunner::open_with_budget(opts.cache_dir.as_deref(), opts.threads)?;
     let (done, hits) = (AtomicUsize::new(0), AtomicUsize::new(0));
     progress(0, 0);
     let records = par_map(opts.threads, cells, |cell| {

@@ -65,6 +65,7 @@
 
 pub mod artifact;
 pub mod cache;
+mod cores;
 pub mod design;
 pub mod engine;
 pub mod fingerprint;

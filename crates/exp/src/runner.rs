@@ -20,6 +20,10 @@
 //!   and quarantined as a `crashed` record. Quarantine verdicts are
 //!   **not** cached — only genuine simulation results are — so a fixed
 //!   build re-simulates them.
+//! * **One core budget** — an executing cell runs on the shards its
+//!   size earns and holds that many of the budget's tokens, so the
+//!   shard threads of all executing cells never outnumber it (results
+//!   are bit-identical at every shard count).
 //! * **The append sink** — genuine results are made durable as they
 //!   complete. The first failed append closes the sink for the rest of
 //!   the runner's life (a torn tail must never be welded onto a later
@@ -42,13 +46,16 @@ use orion_core::exec::panic_message;
 use orion_core::{failpoint, RunResult};
 
 use crate::cache::{CacheAppender, CacheLock, ResultCache};
+use crate::cores::{shards_for, CorePool};
 use crate::inflight::{lock_unpoisoned, Claim, InflightMap};
 use crate::record::CellRecord;
 use crate::spec::Cell;
 
 /// The supervision knobs of one request, grid or search — declared
 /// here once and carried whole by [`EngineOptions`](crate::EngineOptions)
-/// and the explore options (`--checkpoint-every` / `--shards`).
+/// and the explore options (`--checkpoint-every`). How many cores a
+/// cell uses is the runner's choice, not a knob (see
+/// [`CellRunner::open_with_budget`]).
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
     /// Persist a mid-run checkpoint of each executing cell every this
@@ -60,11 +67,6 @@ pub struct Supervision {
     /// ([`CellRunner::request_drain`]) stop in-flight cells at a
     /// resumable boundary.
     pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
-    /// Results are bit-identical at every shard count, so this knob is
-    /// deliberately **outside** the cell fingerprint: a cache written
-    /// at one shard count serves every other.
-    pub shards: usize,
 }
 
 /// Declares each runner counter once: its [`RunnerStats`] field, its
@@ -146,6 +148,7 @@ pub struct CellRunner {
     /// Raised by [`request_drain`](Self::request_drain); checkpointed
     /// executions observe it at their next checkpoint boundary.
     draining: Arc<AtomicBool>,
+    cores: CorePool,
 }
 
 impl CellRunner {
@@ -159,6 +162,19 @@ impl CellRunner {
     /// holds the directory; other I/O errors from reading or healing
     /// the cache.
     pub fn open(cache_dir: Option<&Path>) -> std::io::Result<CellRunner> {
+        CellRunner::open_with_budget(cache_dir, 1)
+    }
+
+    /// [`open`](Self::open) with a budget of `cores` cores, shared by
+    /// every cell it executes: a large cell runs on up to that many
+    /// shards, and the shard threads of all executing cells never
+    /// outnumber the budget. Driven from at most `cores` threads, a
+    /// small cell never waits.
+    ///
+    /// # Errors
+    ///
+    /// As [`open`](Self::open).
+    pub fn open_with_budget(cache_dir: Option<&Path>, cores: usize) -> std::io::Result<CellRunner> {
         let (lock, entries, appender, corrupt_cache_lines) = match cache_dir {
             Some(dir) => {
                 let lock = CacheLock::acquire(dir)?;
@@ -184,6 +200,7 @@ impl CellRunner {
             inflight: InflightMap::new(),
             counters: Counters::default(),
             draining: Arc::new(AtomicBool::new(false)),
+            cores: CorePool::new(cores),
         })
     }
 
@@ -325,7 +342,8 @@ impl CellRunner {
     }
 
     /// Supervised execution of one cell: it runs once, under its
-    /// derived seed, and a panic quarantines it as a `crashed` record.
+    /// derived seed, on the shards its size earns, holding that many
+    /// core tokens; a panic quarantines it as a `crashed` record.
     fn execute(&self, cell: &Cell, sup: &Supervision) -> CellRecord {
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -343,7 +361,9 @@ impl CellRunner {
                 }),
                 _ => None,
             };
-            simulate(cell, sup.shards, checkpoint.as_ref())
+            let shards = shards_for(cell.config().topology.num_nodes(), self.cores.budget());
+            let _tokens = self.cores.acquire(shards);
+            simulate(cell, shards, checkpoint.as_ref())
         }));
         let record = match outcome {
             Ok(record) => record,

@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use orion_core::{Experiment, NetworkConfig};
+use orion_core::{ConfigError, Experiment, NetworkConfig};
 use orion_net::traffic::TrafficError;
 use orion_net::{Topology, TrafficPattern};
 use orion_sim::{FlowControl, VcDiscipline};
@@ -134,6 +134,18 @@ pub enum SpecError {
         /// 1-based line of the key.
         line: usize,
     },
+    /// A design the simulator cannot run once the grid's override
+    /// axes are applied (a buffer too shallow for the flow control, a
+    /// router wider than the state layout holds, dateline or escape
+    /// on one VC).
+    UnrunnableDesign {
+        /// The design and its resolved overrides, rendered.
+        design: String,
+        /// Why the configuration is rejected.
+        error: ConfigError,
+        /// 1-based line of the `presets` axis.
+        line: usize,
+    },
     /// A design-space dimension holds a value outside its domain
     /// (unknown family/topology/node name, out-of-range size).
     BadDimension {
@@ -214,6 +226,11 @@ impl fmt::Display for SpecError {
                 "spec line {line}: budget {value} must be a positive \
                  integer (max candidate evaluations)"
             ),
+            SpecError::UnrunnableDesign {
+                design,
+                error,
+                line,
+            } => write!(f, "spec line {line}: design {design} cannot run: {error}"),
             SpecError::BadDimension {
                 key,
                 value,
@@ -864,7 +881,7 @@ impl ExperimentSpec {
             }
         })?;
 
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             name,
             description,
             measure,
@@ -875,7 +892,29 @@ impl ExperimentSpec {
             flow_control,
             vc_discipline,
             packet_len,
-        })
+        };
+        // Accepted means runnable: every design × override combination
+        // passes the checks the engine would otherwise assert.
+        let line = doc.get("grid", "presets").map_or(0, |e| e.line);
+        for preset in &spec.presets {
+            let base = preset_config(preset).expect("validated preset");
+            for (fc, vd, pl) in spec.variants(&base) {
+                let config = base
+                    .clone()
+                    .flow_control(fc)
+                    .vc_discipline(vd)
+                    .packet_len(pl);
+                if let Err(error) = config.validate() {
+                    let (fc, vd) = (flow_control_name(fc), vc_discipline_name(vd));
+                    return Err(SpecError::UnrunnableDesign {
+                        design: format!("`{preset}` ({fc}, {vd}, {pl}-flit packets)"),
+                        error,
+                        line,
+                    });
+                }
+            }
+        }
+        Ok(spec)
     }
 
     /// The number of cells the grid expands to.
@@ -894,43 +933,44 @@ impl ExperimentSpec {
     pub fn expand(&self) -> Vec<Cell> {
         let mut cells = Vec::with_capacity(self.grid_size());
         for preset in &self.presets {
-            let base = preset_config(preset).expect("validated preset");
-            let fcs: Vec<FlowControl> = self
-                .flow_control
-                .clone()
-                .unwrap_or_else(|| vec![base.flow_control]);
-            let vds: Vec<VcDiscipline> = self
-                .vc_discipline
-                .clone()
-                .unwrap_or_else(|| vec![base.vc_discipline]);
-            let pls: Vec<u32> = self
-                .packet_len
-                .clone()
-                .unwrap_or_else(|| vec![base.packet_len]);
+            let variants = self.variants(&preset_config(preset).expect("validated preset"));
             for &traffic in &self.traffic {
                 for &rate in &self.rates {
                     for &seed in &self.seeds {
-                        for &flow_control in &fcs {
-                            for &vc_discipline in &vds {
-                                for &packet_len in &pls {
-                                    cells.push(Cell {
-                                        preset: preset.clone(),
-                                        traffic,
-                                        rate,
-                                        seed,
-                                        flow_control,
-                                        vc_discipline,
-                                        packet_len,
-                                        measure: self.measure,
-                                    });
-                                }
-                            }
+                        for &(flow_control, vc_discipline, packet_len) in &variants {
+                            cells.push(Cell {
+                                preset: preset.clone(),
+                                traffic,
+                                rate,
+                                seed,
+                                flow_control,
+                                vc_discipline,
+                                packet_len,
+                                measure: self.measure,
+                            });
                         }
                     }
                 }
             }
         }
         cells
+    }
+
+    /// Every flow control × VC discipline × packet length the override
+    /// axes give a design whose defaults are `base`, in grid order.
+    fn variants(&self, base: &NetworkConfig) -> Vec<(FlowControl, VcDiscipline, u32)> {
+        fn axis<T: Clone>(over: &Option<Vec<T>>, default: T) -> Vec<T> {
+            over.clone().unwrap_or_else(|| vec![default])
+        }
+        let mut out = Vec::new();
+        for fc in axis(&self.flow_control, base.flow_control) {
+            for vd in axis(&self.vc_discipline, base.vc_discipline) {
+                for pl in axis(&self.packet_len, base.packet_len) {
+                    out.push((fc, vd, pl));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -1201,5 +1241,54 @@ traffic = ["uniform", "transpose", "bit-complement", "tornado", "shuffle", "bit-
             let error = record.error.unwrap_or_default();
             assert!(error.contains(message), "{traffic}: {error}");
         }
+    }
+
+    #[test]
+    fn designs_the_engine_cannot_run_are_line_numbered_spec_errors() {
+        let spec = |grid: &str| {
+            ExperimentSpec::parse(&format!(
+                "[experiment]\nname = \"u\"\n[grid]\nrates = [0.02]\n{grid}"
+            ))
+        };
+        // vc16 has 8-flit buffers; bubble needs two 5-flit packets.
+        let err =
+            spec("presets = [\"wh64\", \"vc16\"]\nflow_control = [\"bubble\"]\n").unwrap_err();
+        assert!(matches!(
+            err,
+            SpecError::UnrunnableDesign {
+                error: ConfigError::BufferTooShallow { depth: 8, .. },
+                line: 5,
+                ..
+            }
+        ));
+        let text = err.to_string();
+        assert!(
+            text.starts_with("spec line 5: design `vc16` (bubble"),
+            "{text}"
+        );
+        assert!(text.contains("(needs 10)"), "{text}");
+        // 5 ports x 26 VCs is past the 128 input VCs a router holds.
+        let err = spec("presets = [\"vc26x2\"]\n").unwrap_err();
+        assert!(matches!(
+            err,
+            SpecError::UnrunnableDesign {
+                error: ConfigError::RouterTooLarge { vcs: 26, .. },
+                line: 5,
+                ..
+            }
+        ));
+        let err = spec("presets = [\"vc1x8\"]\nvc_discipline = [\"dateline\"]\n").unwrap_err();
+        assert!(matches!(
+            err,
+            SpecError::UnrunnableDesign {
+                error: ConfigError::DisciplineNeedsTwoVcs(VcDiscipline::Dateline),
+                line: 5,
+                ..
+            }
+        ));
+        // Shorter packets fit the same buffers; every other design of
+        // the axis is checked with the same overrides.
+        let ok = "presets = [\"wh64\", \"vc16\"]\nflow_control = [\"bubble\"]\npacket_len = [4]\n";
+        assert_eq!(spec(ok).unwrap().grid_size(), 2);
     }
 }

@@ -152,7 +152,6 @@ fn drain_persists_checkpoint_and_next_runner_resumes_bit_identically() {
     let cell = spec("drainable", "[0.02]").expand().remove(0);
     let sup = Supervision {
         checkpoint_every: 64,
-        ..Supervision::default()
     };
 
     // Ground truth: the same cell run uninterrupted, uncached.
@@ -206,7 +205,6 @@ fn corrupt_checkpoint_degrades_to_cycle_zero_replay() {
     let cell = spec("corruptible", "[0.02]").expand().remove(0);
     let sup = Supervision {
         checkpoint_every: 64,
-        ..Supervision::default()
     };
     let baseline = CellRunner::open(None).unwrap().run(&cell, &sup);
 

@@ -132,7 +132,6 @@ fn crashing_leader_does_not_wedge_followers() {
     let runner = Arc::new(CellRunner::open(None).unwrap());
     let sup = Supervision {
         checkpoint_every: 0,
-        shards: 1,
     };
     let cell = ExperimentSpec::parse(
         r#"

@@ -30,15 +30,16 @@ use crate::strategy::{Evaluated, Evolutionary, GridRefine, SearchStrategy, Searc
 /// Knobs of one exploration run.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Worker threads for batch evaluation (0 or 1 = inline).
+    /// Worker threads for batch evaluation (0 or 1 = inline), and the
+    /// runner's core budget: a large cell may run on up to this many
+    /// shards.
     pub threads: usize,
     /// Cache directory; `None` disables on-disk caching (the in-memory
     /// layer still dedups within the run).
     pub cache_dir: Option<PathBuf>,
     /// Emit a live progress line to stderr.
     pub progress: bool,
-    /// Retry, wall-clock, checkpoint and shard knobs applied to every
-    /// evaluated cell. With checkpointing on (and a cache directory),
+    /// Checkpoint knobs applied to every evaluated cell. With checkpointing on (and a cache directory),
     /// long candidate evaluations survive a kill mid-cell:
     /// the next search over the same cache resumes from the last
     /// interval.
@@ -168,7 +169,7 @@ pub fn run_explore(spec: &ExploreSpec, opts: &ExploreOptions) -> io::Result<Expl
         }
     };
 
-    let runner = CellRunner::open(opts.cache_dir.as_deref())?;
+    let runner = CellRunner::open_with_budget(opts.cache_dir.as_deref(), opts.threads)?;
 
     let mut metrics = MetricsRegistry::new();
     let mut evaluated: BTreeMap<String, Evaluated> = BTreeMap::new();

@@ -193,7 +193,6 @@ fn explore_cells_dedup_against_grid_run_cells() {
             progress: false,
             supervision: Supervision {
                 checkpoint_every: 0,
-                shards: 1,
             },
         },
     )

@@ -33,7 +33,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Result-cache directory; `None` serves from memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Concurrent experiment requests actually running.
+    /// Concurrent experiment requests actually running, and the
+    /// runner's core budget: a large cell may run on up to this many
+    /// shards.
     pub workers: usize,
     /// Requests allowed to wait for a worker slot before 429.
     pub queue_depth: usize,
@@ -146,7 +148,7 @@ impl Server {
     /// holds the cache directory.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let runner = CellRunner::open(config.cache_dir.as_deref())?;
+        let runner = CellRunner::open_with_budget(config.cache_dir.as_deref(), config.workers)?;
         let gate = AdmissionGate::new(config.workers, config.queue_depth, config.queue_patience);
         Ok(Server {
             state: Arc::new(ServerState {

@@ -589,13 +589,8 @@ impl Network {
             .map(|node| match &spec.router {
                 RouterKind::Vc(s) => {
                     assert_eq!(s.ports, ports, "router ports must match topology");
-                    let needed = match s.flow_control {
-                        crate::router::vc::FlowControl::FlitLevel => 1,
-                        crate::router::vc::FlowControl::CutThrough => spec.packet_len as usize,
-                        crate::router::vc::FlowControl::Bubble => 2 * spec.packet_len as usize,
-                    };
                     assert!(
-                        s.depth >= needed,
+                        s.depth >= s.flow_control.min_depth(spec.packet_len),
                         "buffer depth {} too small for {:?} flow control with {}-flit packets",
                         s.depth,
                         s.flow_control,
@@ -2314,6 +2309,23 @@ mod tests {
         );
         // 9 flits can never fit an 8-deep buffer whole.
         net.enqueue_packet_len(NodeId(0), NodeId(5), 9, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 input VCs per router")]
+    fn a_hand_built_router_past_the_input_vc_limit_is_refused() {
+        // 3 ring ports x 43 VCs = 129 input VCs, one past what the
+        // request masks hold. The check is an `assert!`: it holds in
+        // release builds, where the masks would otherwise wrap.
+        Network::new(
+            NetworkSpec {
+                topology: Topology::torus(&[4]).unwrap(),
+                router: RouterKind::Vc(VcRouterSpec::virtual_channel(3, 43, 2, 64)),
+                packet_len: 1,
+                dim_order: DimensionOrder::XFirst,
+            },
+            models(64),
+        );
     }
 
     #[test]

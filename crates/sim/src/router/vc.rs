@@ -53,6 +53,18 @@ pub enum FlowControl {
     Bubble,
 }
 
+impl FlowControl {
+    /// The shallowest per-VC buffer this flow control can run with:
+    /// one flit, a whole packet for cut-through, two for bubble.
+    pub fn min_depth(self, packet_len: u32) -> usize {
+        match self {
+            FlowControl::FlitLevel => 1,
+            FlowControl::CutThrough => packet_len as usize,
+            FlowControl::Bubble => 2 * packet_len as usize,
+        }
+    }
+}
+
 /// How output virtual channels may be allocated on a torus.
 ///
 /// Dimension-ordered routing on a torus has cyclic channel dependencies
@@ -195,12 +207,14 @@ impl VcRouterSpec {
             "a wormhole (no-VA) router has a single VC"
         );
         // Configuration validation rejects these with a typed error
-        // (`orion_core::ConfigError::RouterTooLarge`).
-        debug_assert!(
+        // (`orion_core::ConfigError::RouterTooLarge`); a spec built by
+        // hand past them would wrap the request masks and truncate the
+        // narrow owner and ring indices.
+        assert!(
             self.ports * self.vcs <= MAX_INPUT_VCS,
             "at most {MAX_INPUT_VCS} input VCs per router"
         );
-        debug_assert!(
+        assert!(
             self.depth <= crate::fifo::MAX_CAPACITY,
             "at most {} flits per VC buffer",
             crate::fifo::MAX_CAPACITY
