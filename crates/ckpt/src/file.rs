@@ -36,12 +36,15 @@ use crate::io::write_atomic;
 /// Leading magic bytes of every checkpoint file.
 pub const CKPT_MAGIC: [u8; 4] = *b"ORCK";
 
-/// Version of the checkpoint *file* framing (magic, fingerprint,
-/// checksum). The run-state payload is versioned separately by
-/// [`orion_core::RUN_CHECKPOINT_VERSION`]. Version 2: the footer is
-/// FNV-1a over little-endian words instead of bytes, so a version-1
-/// file is a typed [`CkptError::WrongVersion`] (cycle-0 replay).
-pub const CKPT_SCHEMA_VERSION: u32 = 2;
+/// The one version of a checkpoint file: its framing (magic,
+/// fingerprint, checksum), the [`RunCheckpoint`] encoding and the
+/// canonical network image inside it, none of which carries a version
+/// of its own. Version 2: the footer is FNV-1a over little-endian
+/// words instead of bytes. Version 3: the network image is the
+/// canonical one, the same at every shard count, and the run-state
+/// payload lost its leading version word. An older file is a typed
+/// [`CkptError::WrongVersion`] (cycle-0 replay).
+pub const CKPT_SCHEMA_VERSION: u32 = 3;
 
 /// Why a checkpoint file could not be saved or loaded. Every variant
 /// is a typed, recoverable condition — corruption of any kind degrades
@@ -348,19 +351,26 @@ mod tests {
 
     #[test]
     fn frame_differs_from_version_1_only_in_version_and_footer() {
+        // Since version 3 the payload has also lost its leading
+        // run-checkpoint version word (2 in the version-1 file); the
+        // frame around it is unchanged.
         let v1: Vec<u8> = (0..V1_FRAME_HEX.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&V1_FRAME_HEX[i..i + 2], 16).unwrap())
             .collect();
-        let v2 = encode_checkpoint(42, &sample());
-        assert_eq!(v2.len(), v1.len(), "same layout, same size");
-        let end = v1.len() - 8;
-        assert_eq!(v2[..4], v1[..4], "magic");
+        let v3 = encode_checkpoint(42, &sample());
+        assert_eq!(v3.len() + 4, v1.len(), "one word shorter");
+        let (end1, end3) = (v1.len() - 8, v3.len() - 8);
+        assert_eq!(v3[..4], v1[..4], "magic");
         assert_eq!(v1[4..8], 1u32.to_le_bytes());
-        assert_eq!(v2[4..8], CKPT_SCHEMA_VERSION.to_le_bytes());
-        assert_eq!(v2[8..end], v1[8..end], "owner, length and payload");
-        assert_eq!(v1[end..], crate::hash::fnv1a64(&v1[..end]).to_le_bytes());
-        assert_eq!(v2[end..], fnv1a64_words(&v2[..end]).to_le_bytes());
+        assert_eq!(v3[4..8], CKPT_SCHEMA_VERSION.to_le_bytes());
+        assert_eq!(v3[8..16], v1[8..16], "owner");
+        let len = |b: &[u8]| u64::from_le_bytes(b[16..24].try_into().unwrap());
+        assert_eq!(len(&v3) + 4, len(&v1), "payload length");
+        assert_eq!(v1[24..28], 2u32.to_le_bytes(), "the retired word");
+        assert_eq!(v3[24..end3], v1[28..end1], "payload");
+        assert_eq!(v1[end1..], crate::hash::fnv1a64(&v1[..end1]).to_le_bytes());
+        assert_eq!(v3[end3..], fnv1a64_words(&v3[..end3]).to_le_bytes());
         // A file an older build left behind is version skew, which
         // every caller turns into a cycle-0 replay.
         assert!(matches!(

@@ -12,7 +12,7 @@
 //!   owner stamp), derived seeds and the benchmark's digests. It never
 //!   changes: a different value would re-key every cache.
 //! * `fnv1a64_words` — the same recurrence over little-endian `u64`
-//!   words — is the checkpoint file footer (`CKPT_SCHEMA_VERSION` 2),
+//!   words — is the checkpoint file footer (since `CKPT_SCHEMA_VERSION` 2),
 //!   where it reads megabytes per checkpoint at a word a step.
 //! * [`splitmix64`] whitens fingerprints into RNG seeds so that keys
 //!   sharing long prefixes still get well-spread seeds.

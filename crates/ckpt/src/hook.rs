@@ -432,10 +432,11 @@ mod tests {
 
     #[test]
     fn a_previous_snapshot_version_replays_from_zero() {
-        // A checkpoint whose network image an older build wrote (one
-        // snapshot version back) passes the file's framing and checksum,
-        // is rejected by restore with the typed `WrongVersion`, and the
-        // run replays from cycle 0 to the baseline's result.
+        // A checkpoint an older build wrote (one file version back,
+        // whose network image is not the canonical one) is rejected
+        // by the frame with the typed `WrongVersion` before its
+        // payload is parsed, and the run replays from cycle 0 to the
+        // baseline's result.
         let path = temp("old-snapshot");
         let baseline = quick().run().unwrap();
         let cancel = Arc::new(AtomicBool::new(true));
@@ -449,10 +450,13 @@ mod tests {
             },
         )
         .unwrap();
-        let mut ck = crate::file::load_checkpoint(&path, 7).unwrap();
-        let old = orion_sim::SNAPSHOT_VERSION - 1;
-        ck.net[..4].copy_from_slice(&old.to_le_bytes());
-        crate::file::save_checkpoint(&path, 7, &ck).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let old = crate::file::CKPT_SCHEMA_VERSION - 1;
+        let end = bytes.len() - 8;
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        let sum = crate::hash::fnv1a64_words(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
         let out = run_checkpointed(
             quick(),
             &CheckpointOptions {
@@ -465,8 +469,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.resumed_from_cycle, None, "fallback replay");
         let why = out.resume_error.expect("the rejection is reported");
-        let typed = orion_sim::SnapshotError::WrongVersion(old).to_string();
-        assert!(why.contains(&typed), "{why}");
+        assert_eq!(why, CkptError::WrongVersion(old).to_string());
         assert_eq!(
             report_fingerprint(&out.result),
             report_fingerprint(&RunResult::Finished(Box::new(baseline)))

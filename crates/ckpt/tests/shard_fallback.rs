@@ -1,10 +1,8 @@
 //! Durable-checkpoint behavior across shard counts. The owner
-//! fingerprint is the first line of defense, but fingerprints collide
-//! by design when a caller reuses one across engine settings — so the
-//! network image's own identity (topology shape + shard
-//! count) must catch a shard-count change, and [`run_checkpointed`]
-//! must degrade that typed mismatch into a clean cycle-0 replay
-//! rather than an error or silent corruption.
+//! fingerprint is shard-agnostic, and so is the network image: a
+//! checkpoint file written at one shard count resumes through
+//! [`run_checkpointed`] at any other, from its own cycle, to the report
+//! of the uninterrupted run — with invariant auditing on or off.
 
 use orion_ckpt::{run_checkpointed, save_checkpoint, CheckpointOptions};
 use orion_core::{presets, Experiment, RunCheckpoint, RunControl, RunHook, RunResult};
@@ -45,7 +43,9 @@ struct StopAtFirst {
 
 impl RunHook for StopAtFirst {
     fn every(&self) -> u64 {
-        100
+        // Past the 150-cycle warm-up, so an audited run has an energy
+        // baseline to carry.
+        200
     }
     fn on_checkpoint(&mut self, checkpoint: &RunCheckpoint) -> RunControl {
         self.taken = Some(checkpoint.clone());
@@ -53,84 +53,63 @@ impl RunHook for StopAtFirst {
     }
 }
 
-/// A checkpoint captured at `--shards 4` restored at `--shards 1`
-/// (same owner fingerprint, simulating a caller that changed engine
-/// settings between process runs): the run must fall back to a clean
-/// cycle-0 replay and still produce the exact single-engine report.
-#[test]
-fn foreign_shard_checkpoint_degrades_to_cycle_zero_replay() {
-    let path = temp("foreign-shards");
-    let _ = fs::remove_file(&path);
+/// Saves the first checkpoint of a `written`-shard run under owner
+/// `fingerprint`, resumes it through [`run_checkpointed`] at `resumed`
+/// shards, and asserts a resume from the checkpoint's cycle to the
+/// plain `resumed`-shard report, with auditing off and on.
+fn assert_file_resumes_across_counts(written: usize, resumed: usize, fingerprint: u64) {
+    for audit in [0, 40] {
+        let path = temp(&format!("{written}-to-{resumed}-audit-{audit}"));
+        let _ = fs::remove_file(&path);
+        let mut stopper = StopAtFirst { taken: None };
+        quick(written)
+            .audit_every(audit)
+            .run_with_hook(&mut stopper, None)
+            .expect("valid");
+        let ck = stopper.taken.expect("hook captured a checkpoint");
+        save_checkpoint(&path, fingerprint, &ck).expect("save");
 
-    // Persist a genuine mid-run 4-shard checkpoint under fingerprint 7.
-    let mut stopper = StopAtFirst { taken: None };
-    quick(4).run_with_hook(&mut stopper, None).expect("valid");
-    let foreign = stopper.taken.expect("hook captured a checkpoint");
-    save_checkpoint(&path, 7, &foreign).expect("save");
-
-    let baseline = quick(1).run().expect("valid");
-    let out = run_checkpointed(
-        quick(1),
-        &CheckpointOptions {
-            path: path.clone(),
-            fingerprint: 7,
-            every: 0,
-            cancel: None,
-        },
-    )
-    .expect("fallback must not surface a resume error");
-    assert_eq!(
-        out.resumed_from_cycle, None,
-        "a discarded foreign checkpoint must not report as a resume"
-    );
-    let got = fingerprint_of(&out.result);
-    assert_eq!(
-        got,
-        (
-            baseline.avg_latency().to_bits(),
-            baseline.total_power().0.to_bits(),
-            baseline.stats().packets_delivered,
-        ),
-        "cycle-0 fallback diverged from the plain run"
-    );
-    assert!(
-        !path.exists(),
-        "the mismatched checkpoint file must be discarded"
-    );
+        let baseline = quick(resumed).audit_every(audit).run().expect("valid");
+        let out = run_checkpointed(
+            quick(resumed).audit_every(audit),
+            &CheckpointOptions {
+                path: path.clone(),
+                fingerprint,
+                every: 0,
+                cancel: None,
+            },
+        )
+        .expect("valid");
+        let case = format!("written at {written}, resumed at {resumed}, audit {audit}");
+        assert_eq!(out.resumed_from_cycle, Some(ck.cycle), "{case}");
+        assert_eq!(out.resume_error, None, "{case}");
+        assert_eq!(
+            fingerprint_of(&out.result),
+            (
+                baseline.avg_latency().to_bits(),
+                baseline.total_power().0.to_bits(),
+                baseline.stats().packets_delivered,
+            ),
+            "{case}"
+        );
+        assert!(!path.exists(), "a finished run must GC its checkpoint");
+    }
 }
 
-/// The mirror-image restore: a single-engine checkpoint offered to a
-/// sharded run likewise replays from cycle 0 and matches the plain
-/// sharded report (which itself is bit-identical to the mono report).
+/// A checkpoint captured at `--shards 4` resumes at `--shards 1` and
+/// `--shards 2` (this once asserted a cycle-0 replay: the image named
+/// its shard count).
+#[test]
+fn foreign_shard_checkpoint_degrades_to_cycle_zero_replay() {
+    assert_file_resumes_across_counts(4, 1, 7);
+    assert_file_resumes_across_counts(4, 2, 7);
+}
+
+/// The mirror image: a single-engine checkpoint resumes under a
+/// 4-shard run (this once asserted a cycle-0 replay too).
 #[test]
 fn mono_checkpoint_degrades_under_sharded_run() {
-    let path = temp("mono-into-sharded");
-    let _ = fs::remove_file(&path);
-
-    let mut stopper = StopAtFirst { taken: None };
-    quick(1).run_with_hook(&mut stopper, None).expect("valid");
-    save_checkpoint(&path, 9, &stopper.taken.expect("checkpoint")).expect("save");
-
-    let baseline = quick(2).run().expect("valid");
-    let out = run_checkpointed(
-        quick(2),
-        &CheckpointOptions {
-            path,
-            fingerprint: 9,
-            every: 0,
-            cancel: None,
-        },
-    )
-    .expect("fallback must not surface a resume error");
-    assert_eq!(out.resumed_from_cycle, None);
-    assert_eq!(
-        fingerprint_of(&out.result),
-        (
-            baseline.avg_latency().to_bits(),
-            baseline.total_power().0.to_bits(),
-            baseline.stats().packets_delivered,
-        )
-    );
+    assert_file_resumes_across_counts(1, 4, 9);
 }
 
 /// Sharded runs themselves checkpoint and resume durably: a cancel

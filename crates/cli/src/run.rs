@@ -457,8 +457,6 @@ mod tests {
                 "SERVE_PROTOCOL_VERSION",
                 orion_serve::SERVE_PROTOCOL_VERSION,
             ),
-            ("SNAPSHOT_VERSION", orion_sim::SNAPSHOT_VERSION),
-            ("RUN_CHECKPOINT_VERSION", orion_core::RUN_CHECKPOINT_VERSION),
             ("CKPT_SCHEMA_VERSION", orion_ckpt::CKPT_SCHEMA_VERSION),
         ];
         let design = include_str!("../../../DESIGN.md");

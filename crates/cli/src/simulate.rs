@@ -648,50 +648,61 @@ mod tests {
         assert!(run_line("simulate --shards many").is_err());
     }
 
+    /// A checkpoint written at one shard count resumes at another: the
+    /// owner stamp is the cell's shard-agnostic fingerprint and the
+    /// network image is the same at every count, so the run continues
+    /// to the uninterrupted output (this once asserted a cycle-0
+    /// replay).
     #[test]
     fn foreign_shard_snapshot_degrades_to_cycle_zero_replay() {
         use orion_core::{RunCheckpoint, RunControl, RunHook};
 
-        // Persist a mid-run 4-shard checkpoint under the owner stamp
-        // the resuming `--shards 1` (default) command line uses, its
-        // cell's fingerprint: the stamp matches, so only the network
-        // image's engine frame can reject it — and that rejection
-        // must degrade to a clean cycle-0 replay, not an error.
         struct StopAtFirst(Option<RunCheckpoint>);
         impl RunHook for StopAtFirst {
             fn every(&self) -> u64 {
-                100
+                150
             }
             fn on_checkpoint(&mut self, ck: &RunCheckpoint) -> RunControl {
                 self.0 = Some(ck.clone());
                 RunControl::Stop
             }
         }
-        let base = format!("simulate --preset vc16 --rate 0.03 {QUICK} --json");
-        let args = crate::args::Args::parse("simulate", &crate::args::toks(&base)[1..], &GRAMMAR);
-        let cell = cell(&args.unwrap()).unwrap();
-        let mut stopper = StopAtFirst(None);
-        cell.experiment(cell.derived_seed(), 4)
-            .expect("valid")
-            .run_with_hook(&mut stopper, None)
-            .expect("valid");
-        let foreign = stopper.0.expect("captured a checkpoint");
-
         let dir = temp_dir("ckpt-shards");
         std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join("four-shards.ckpt");
-        orion_ckpt::save_checkpoint(&ck, cell.fingerprint(), &foreign).unwrap();
+        for audit in ["", " --audit-every 40"] {
+            let base = format!("simulate --preset vc16 --rate 0.03 {QUICK}{audit} --json");
+            let args =
+                crate::args::Args::parse("simulate", &crate::args::toks(&base)[1..], &GRAMMAR);
+            let cell = cell(&args.unwrap()).unwrap();
+            for (written, resumed) in [(4, 1), (4, 2), (1, 4)] {
+                let mut stopper = StopAtFirst(None);
+                cell.experiment(cell.derived_seed(), written)
+                    .expect("valid")
+                    .run_with_hook(&mut stopper, None)
+                    .expect("valid");
+                let from = dir.join("written.ckpt");
+                let to = dir.join("resumed.ckpt");
+                let ck = stopper.0.expect("captured a checkpoint");
+                orion_ckpt::save_checkpoint(&from, cell.fingerprint(), &ck).unwrap();
+                assert!(from.exists());
 
-        let plain = run_full(&base).unwrap();
-        let resumed = run_full(&format!("{base} --resume-from {}", ck.display())).unwrap();
-        assert_eq!(
-            resumed.code, 0,
-            "a foreign snapshot must never fail the run"
-        );
-        assert_eq!(
-            plain.text, resumed.text,
-            "cycle-0 fallback reproduces the uninterrupted output"
-        );
+                let plain = run_full(&format!("{base} --shards {resumed}")).unwrap();
+                let out = run_full(&format!(
+                    "{base} --shards {resumed} --checkpoint-every 1000 \
+                     --checkpoint-file {} --resume-from {}",
+                    to.display(),
+                    from.display()
+                ))
+                .unwrap();
+                let case = format!("written at {written}, resumed at {resumed}{audit}");
+                assert_eq!(out.code, 0, "{case}");
+                // stdout is a pure function of the result (the resume
+                // is reported on stderr, which `tests/shard_identity.rs`
+                // reads from the built binary).
+                assert_eq!(out.text, plain.text, "{case}");
+                assert!(!to.exists(), "a finished run GCs its checkpoint");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

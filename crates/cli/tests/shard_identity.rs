@@ -2,8 +2,9 @@
 //! execution detail of the built binary, never part of a result. A
 //! sweep with a 28x28 cell writes the same artifacts under a core
 //! budget of 1 (one shard) and of 4 (the wide cell sharded), `simulate`
-//! prints the same bytes at 1 and 4 shards, and a checkpointed sharded
-//! run matches the plain one and leaves no checkpoint file behind.
+//! prints the same bytes at 1 and 4 shards, a checkpointed sharded
+//! run matches the plain one and leaves no checkpoint file behind, and
+//! a checkpoint file written at one shard count resumes at another.
 
 mod common;
 
@@ -78,4 +79,51 @@ fn simulate_prints_the_same_bytes_at_one_and_four_shards_checkpointed_or_not() {
         !Path::new(&ckpt).exists(),
         "a completed run removes its checkpoint"
     );
+}
+
+/// `simulate` on the 4x4 `vc16` at `shards`, plus `extra`.
+fn quick(shards: &str, extra: &[&str], failpoints: Option<&str>) -> common::Run {
+    let mut args = vec!["simulate", "--preset", "vc16", "--rate", "0.03"];
+    args.extend([
+        "--warmup",
+        "100",
+        "--sample",
+        "150",
+        "--max-cycles",
+        "20000",
+    ]);
+    args.extend(["--shards", shards, "--json"]);
+    args.extend(extra);
+    cli(&args, failpoints)
+}
+
+#[test]
+fn a_checkpoint_written_at_one_shard_count_resumes_at_another() {
+    let sandbox = Sandbox::new("cross-count-resume");
+    let file = sandbox.path("cell.ckpt");
+    for audit in [&[][..], &["--audit-every", "40"][..]] {
+        for (written, resumed) in [("4", "1"), ("4", "2"), ("1", "4")] {
+            let case = format!("written at {written}, resumed at {resumed}, {audit:?}");
+            // The second checkpoint write kills the process: the first,
+            // at cycle 150, is durable on disk.
+            let mut write = vec!["--checkpoint-every", "150", "--checkpoint-file", &file];
+            write.extend(audit);
+            let killed = quick(written, &write, Some("ckpt.write=kill@2"));
+            assert_eq!(killed.code, -1, "{case}: {killed:?}");
+            assert!(Path::new(&file).exists(), "{case}");
+
+            let plain = quick(resumed, audit, None);
+            let mut resume = vec!["--resume-from", &file];
+            resume.extend(audit);
+            let run = quick(resumed, &resume, None);
+            assert_eq!(run.code, 0, "{case}: {run:?}");
+            assert!(
+                run.stderr.contains("at cycle 150"),
+                "{case}: {}",
+                run.stderr
+            );
+            assert_eq!(run.stdout, plain.stdout, "{case}");
+            assert!(!Path::new(&file).exists(), "{case}: a finished run GCs");
+        }
+    }
 }

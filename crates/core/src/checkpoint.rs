@@ -25,12 +25,6 @@ use orion_sim::SnapshotError;
 use crate::config::ConfigError;
 use crate::report::Report;
 
-/// Version of the [`RunCheckpoint`] byte encoding. Version 2: the
-/// `net` image is the engine's own self-identifying snapshot (no
-/// monolithic/sharded frame around it), so a version-1 checkpoint is a
-/// typed [`SnapshotError::WrongVersion`], never a mis-restore.
-pub const RUN_CHECKPOINT_VERSION: u32 = 2;
-
 /// Which phase of the §4.1 measurement discipline a checkpoint was
 /// taken in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,16 +62,18 @@ pub struct RunCheckpoint {
     pub trace_cursor: usize,
     /// The invariant auditor's energy-monotonicity baseline.
     pub auditor_energy: f64,
-    /// The network state image (`orion_shard::ShardedNetwork::snapshot`:
-    /// topology identity, shard plan, then every shard engine's
-    /// [`orion_sim::Network::snapshot`] and the boundary mailboxes).
+    /// The network state image: the canonical bytes of
+    /// [`orion_sim::network::image`], which
+    /// [`orion_sim::Network::snapshot`] and
+    /// `orion_shard::ShardedNetwork::snapshot` write alike, so it
+    /// restores at any shard count.
     pub net: Vec<u8>,
 }
 
 impl RunCheckpoint {
-    /// Serialises the checkpoint. The encoding is versioned
-    /// ([`RUN_CHECKPOINT_VERSION`]) and round-trips exactly through
-    /// [`RunCheckpoint::from_bytes`].
+    /// Serialises the checkpoint. The encoding carries no version of
+    /// its own (the checkpoint file frame versions it) and round-trips
+    /// exactly through [`RunCheckpoint::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.encode(&mut w);
@@ -87,7 +83,6 @@ impl RunCheckpoint {
     /// Appends exactly [`RunCheckpoint::to_bytes`]'s bytes to `w`, so
     /// the checkpoint file codec frames the payload without a copy.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.u32(RUN_CHECKPOINT_VERSION);
         match self.phase {
             RunPhase::Warmup { done } => {
                 w.u8(0);
@@ -125,10 +120,6 @@ impl RunCheckpoint {
     /// resume time.)
     pub fn from_bytes(bytes: &[u8]) -> Result<RunCheckpoint, SnapshotError> {
         let mut r = ByteReader::new(bytes);
-        let version = r.u32()?;
-        if version != RUN_CHECKPOINT_VERSION {
-            return Err(SnapshotError::WrongVersion(version));
-        }
         let phase = match r.u8()? {
             0 => RunPhase::Warmup { done: r.u64()? },
             1 => RunPhase::Measure,
@@ -291,13 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_and_trailing_bytes_rejected() {
+    fn bad_phase_tag_and_trailing_bytes_rejected() {
         let mut bytes = sample().to_bytes();
-        bytes[0] ^= 0xFF;
-        assert!(matches!(
+        bytes[0] = 2; // the phase tag leads
+        assert_eq!(
             RunCheckpoint::from_bytes(&bytes),
-            Err(SnapshotError::WrongVersion(_))
-        ));
+            Err(SnapshotError::Invalid("run phase tag"))
+        );
         let mut bytes = sample().to_bytes();
         bytes.push(0);
         assert!(RunCheckpoint::from_bytes(&bytes).is_err());

@@ -57,9 +57,7 @@ pub mod presets;
 pub mod report;
 pub mod run;
 
-pub use checkpoint::{
-    RunCheckpoint, RunControl, RunError, RunHook, RunPhase, RunResult, RUN_CHECKPOINT_VERSION,
-};
+pub use checkpoint::{RunCheckpoint, RunControl, RunError, RunHook, RunPhase, RunResult};
 pub use config::{ConfigError, LinkConfig, NetworkConfig, RouterConfig};
 pub use report::{Report, RunOutcome};
 pub use run::{Experiment, ObserveOptions};

@@ -1345,8 +1345,8 @@ mod tests {
             .run_with_hook(&mut quiet, Some(bad))
             .unwrap_err();
         assert!(matches!(err, RunError::Resume(_)), "got {err}");
-        // An image behind a leading engine-kind tag, as 0.8.0 framed
-        // it, reads as an unknown version — never as a shifted image.
+        // An image behind a leading byte, as 0.8.0 framed it, reads as
+        // a foreign topology — never as a shifted image.
         let mut old_frame = (*ck).clone();
         old_frame.net.insert(0, 1);
         let mut quiet = CollectHook::new(0, None);
@@ -1354,7 +1354,10 @@ mod tests {
             .run_with_hook(&mut quiet, Some(old_frame))
             .unwrap_err();
         assert!(
-            matches!(err, RunError::Resume(SnapshotError::WrongVersion(_))),
+            matches!(
+                err,
+                RunError::Resume(SnapshotError::Mismatch("topology kind"))
+            ),
             "got {err}"
         );
         // A checkpoint from a different experiment shape too.

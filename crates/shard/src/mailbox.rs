@@ -18,8 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use orion_net::Topology;
-use orion_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
+use orion_sim::network::image::Mail;
 use orion_sim::{CreditMsg, FlitMsg, ShardIo};
 
 /// Cycle slots per mailbox ring — matches the engine's event wheels
@@ -118,63 +117,46 @@ impl MailGrid {
                 .all(|s| s.lock().expect("poisoned mailbox").is_empty())
     }
 
-    /// Serialises every slot (pairs in `(src, dst)` order, slots in
-    /// ring order) for a sharded-network snapshot. Boundary flits in
-    /// flight at a cycle boundary live here and nowhere else.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.usize(self.shards);
-        for slot in &self.flit_slots {
-            let msgs = slot.lock().expect("poisoned mailbox");
-            w.usize(msgs.len());
-            for m in msgs.iter() {
-                m.encode(w);
-            }
-        }
-        for slot in &self.credit_slots {
-            let msgs = slot.lock().expect("poisoned mailbox");
-            w.usize(msgs.len());
-            for m in msgs.iter() {
-                m.encode(w);
-            }
-        }
+    /// Copies of every flit and credit in the grid at the barrier
+    /// before `cycle`, with their delivery cycles: every message is
+    /// due within the ring's 4 cycles, so the slot of delivery cycle
+    /// `t ≥ cycle` holds only messages due at `t`.
+    pub fn contents(&self, cycle: u64) -> (Vec<Mail<FlitMsg>>, Vec<Mail<CreditMsg>>) {
+        (
+            self.collect(&self.flit_slots, cycle),
+            self.collect(&self.credit_slots, cycle),
+        )
     }
 
-    /// Restores slot contents encoded by [`MailGrid::encode`],
-    /// replacing this grid's state. Message indices are validated
-    /// against `topology` and the routers' `vcs` virtual channels per
-    /// port, and boundary flits' routes rebuilt along `visit` (see
-    /// [`FlitMsg::decode`]); on error the grid must be discarded. Call
-    /// only at a cycle barrier.
-    pub fn restore(
-        &self,
-        r: &mut ByteReader<'_>,
-        topology: &Topology,
-        visit: &[usize],
-        vcs: usize,
-    ) -> Result<(), SnapshotError> {
-        if r.usize()? != self.shards {
-            return Err(SnapshotError::Mismatch("mailbox shard count"));
-        }
-        let mut live = 0u64;
-        for slot in &self.flit_slots {
-            let n = r.count(1)?;
-            let mut msgs = Vec::with_capacity(n);
-            for _ in 0..n {
-                msgs.push(FlitMsg::decode(r, topology, visit, vcs)?);
+    fn collect<T: Clone>(&self, slots: &[Mutex<Vec<T>>], cycle: u64) -> Vec<Mail<T>> {
+        let mut out = Vec::new();
+        for from in 0..self.shards {
+            for to in (0..self.shards).filter(|&to| to != from) {
+                for at in cycle..cycle + SLOTS as u64 {
+                    let slot = slots[self.index(from, to, at)]
+                        .lock()
+                        .expect("poisoned mailbox");
+                    out.extend(slot.iter().map(|msg| Mail {
+                        from,
+                        to,
+                        cycle: at,
+                        msg: msg.clone(),
+                    }));
+                }
             }
-            live += n as u64;
-            *slot.lock().expect("poisoned mailbox") = msgs;
+        }
+        out
+    }
+
+    /// Empties every slot. Call only at a cycle barrier.
+    pub fn clear(&self) {
+        for slot in &self.flit_slots {
+            slot.lock().expect("poisoned mailbox").clear();
         }
         for slot in &self.credit_slots {
-            let n = r.count(1)?;
-            let mut msgs = Vec::with_capacity(n);
-            for _ in 0..n {
-                msgs.push(CreditMsg::decode(r, topology, vcs)?);
-            }
-            *slot.lock().expect("poisoned mailbox") = msgs;
+            slot.lock().expect("poisoned mailbox").clear();
         }
-        self.in_transit.store(live, Ordering::Relaxed);
-        Ok(())
+        self.in_transit.store(0, Ordering::Relaxed);
     }
 }
 

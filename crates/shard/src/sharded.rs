@@ -14,11 +14,12 @@
 
 use std::sync::Arc;
 
-use orion_net::{NodeId, TopologyKind};
+use orion_net::NodeId;
 use orion_obs::{NodeState, ObsEvent, ObsSink};
 use orion_sim::energy::Component;
+use orion_sim::network::image::{self, merge_stats, Coordinator};
 use orion_sim::network::{EngineMode, Network, NetworkSpec};
-use orion_sim::snapshot::{ByteReader, ByteWriter, SnapshotError, SNAPSHOT_VERSION};
+use orion_sim::snapshot::{ByteWriter, SnapshotError};
 use orion_sim::{AuditViolation, PacketId, PowerModels, SimStats, StallDiagnostics, StallKind};
 use orion_tech::Joules;
 
@@ -354,37 +355,12 @@ impl ShardedNetwork {
     /// sample re-interleaved into whole-network delivery order (cycle,
     /// then ascending shard — which is ascending destination node).
     pub fn stats_merged(&self) -> SimStats {
-        if self.cells.len() == 1 {
-            return self.cells[0].net.stats().clone();
-        }
-        let mut out = SimStats::new();
-        for cell in &self.cells {
-            let s = cell.net.stats();
-            out.packets_injected += s.packets_injected;
-            out.packets_delivered += s.packets_delivered;
-            out.flits_delivered += s.flits_delivered;
-            out.tagged_injected += s.tagged_injected;
-            out.tagged_delivered += s.tagged_delivered;
-        }
-        let mut idx = vec![0usize; self.cells.len()];
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (s, cell) in self.cells.iter().enumerate() {
-                let log = cell.net.delivery_log();
-                debug_assert_eq!(log.len(), cell.net.stats().latencies().len());
-                if idx[s] < log.len() {
-                    let c = log[idx[s]];
-                    // Strict < keeps the lowest shard on ties.
-                    if best.is_none_or(|(bc, _)| c < bc) {
-                        best = Some((c, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            out.push_latency_sample(self.cells[s].net.stats().latencies()[idx[s]]);
-            idx[s] += 1;
-        }
-        out
+        merge_stats(&self.engines())
+    }
+
+    /// The shard engines in shard order.
+    fn engines(&self) -> Vec<&Network> {
+        self.cells.iter().map(|c| &c.net).collect()
     }
 
     /// Tagged packets still in flight. A boundary packet is injected
@@ -543,14 +519,23 @@ impl ShardedNetwork {
         self.cells[s].net.ledger().energy(node, component)
     }
 
-    /// Total accumulated energy, summed shard by shard in shard order
-    /// (deterministic; may differ from a single ledger's node-by-node
-    /// sum by float rounding only).
+    /// Total accumulated energy: each component summed over the nodes
+    /// in node order from the owners' rows, then over components — the
+    /// summation [`EnergyLedger::total_energy`](orion_sim::EnergyLedger::total_energy)
+    /// does on one engine, so the bits are the same at every shard
+    /// count.
     pub fn total_energy_j(&self) -> f64 {
-        self.cells
+        let nodes = 0..self.plan.num_nodes();
+        Component::ALL
             .iter()
-            .map(|c| c.net.ledger().total_energy().0)
-            .sum()
+            .map(|&c| {
+                nodes
+                    .clone()
+                    .map(|n| self.node_energy(n, c))
+                    .sum::<Joules>()
+            })
+            .sum::<Joules>()
+            .0
     }
 
     /// Flits carried by the channel leaving `node` through `out_port`
@@ -577,101 +562,50 @@ impl ShardedNetwork {
         }
     }
 
-    /// Serialises the complete sharded state: the network's identity
-    /// (topology kind, dimensions, radices and the shard plan), packet
-    /// sequence, watchdog clock, every shard engine's payload, and the
-    /// boundary mailboxes.
+    /// Serialises the network's state into the canonical image (see
+    /// [`orion_sim::network::image`]): the bytes a single [`Network`]
+    /// at this cycle writes, whatever the shard count. Boundary flits
+    /// and credits in the mailboxes are written as the wheel entries
+    /// the single engine holds for them.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.snapshot_into(&mut w);
         w.into_vec()
     }
 
-    /// Appends exactly [`ShardedNetwork::snapshot`]'s bytes to `w`:
-    /// each shard's image goes straight into `w` behind a length
-    /// prefix patched once the image is written, so a run that reuses
-    /// one buffer copies every image once.
+    /// Appends exactly [`ShardedNetwork::snapshot`]'s bytes to `w`, so
+    /// a run that reuses one buffer stops allocating for the image.
     pub fn snapshot_into(&self, w: &mut ByteWriter) {
-        w.u32(SNAPSHOT_VERSION);
-        let topo = &self.spec.topology;
-        w.u8(topology_kind_tag(topo.kind()));
-        w.u8(topo.dims() as u8);
-        for dim in 0..topo.dims() {
-            w.u32(topo.radix(dim));
-        }
-        w.usize(self.plan.shards());
-        for &b in self.plan.bounds() {
-            w.usize(b);
-        }
-        w.u64(self.next_packet);
-        w.u64(self.busy_since);
-        for cell in &self.cells {
-            let at = w.len();
-            w.u64(0);
-            cell.net.snapshot_into(w);
-            w.set_u64(at, (w.len() - at - 8) as u64);
-        }
-        self.grid.encode(w);
+        let (flits, credits) = self.grid.contents(self.cycle());
+        let coord = Coordinator {
+            next_packet: self.next_packet,
+            busy_since: self.busy_since,
+            flits,
+            credits,
+        };
+        image::write_image(&self.engines(), &coord, w);
     }
 
-    /// Restores state captured by [`ShardedNetwork::snapshot`] into
-    /// this network, which must have been freshly built from the same
-    /// spec, models and plan. The image's identity is validated before
-    /// any state is touched: a snapshot taken on a different topology
-    /// kind or shape, or at a different shard count, is a typed
-    /// [`SnapshotError::Mismatch`], never a panic or a silently wrong
-    /// resume ([`Network::restore`] alone cannot tell a torus image
-    /// from a same-size mesh one).
+    /// Restores a canonical image — written by a [`Network`] or by a
+    /// sharded network at any shard count — into this network, which
+    /// must have been built from the same spec and models. The image
+    /// is split over this network's shards; messages whose link
+    /// crosses this partition go into the mailboxes. A topology,
+    /// router or corruption mismatch is a typed [`SnapshotError`]; on
+    /// error the network must be discarded.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::WrongVersion(version));
+        let mut engines: Vec<&mut Network> = self.cells.iter_mut().map(|c| &mut c.net).collect();
+        let coord = image::restore_image(&mut engines, bytes)?;
+        self.grid.clear();
+        for m in coord.flits {
+            self.grid.send_flit(m.from, m.to, m.cycle, m.msg);
         }
-        let topo = &self.spec.topology;
-        if r.u8()? != topology_kind_tag(topo.kind()) {
-            return Err(SnapshotError::Mismatch("topology kind"));
+        for m in coord.credits {
+            self.grid.send_credit(m.from, m.to, m.cycle, m.msg);
         }
-        if r.u8()? != topo.dims() as u8 {
-            return Err(SnapshotError::Mismatch("topology dimensions"));
-        }
-        for dim in 0..topo.dims() {
-            if r.u32()? != topo.radix(dim) {
-                return Err(SnapshotError::Mismatch("topology radix"));
-            }
-        }
-        if r.usize()? != self.plan.shards() {
-            return Err(SnapshotError::Mismatch("shard count"));
-        }
-        for &b in self.plan.bounds() {
-            if r.usize()? != b {
-                return Err(SnapshotError::Mismatch("shard bounds"));
-            }
-        }
-        let next_packet = r.u64()?;
-        let busy_since = r.u64()?;
-        for cell in &mut self.cells {
-            let len = r.count(1)?;
-            let payload = r.take_bytes(len)?;
-            cell.net.restore(payload)?;
-        }
-        let visit = self.spec.dim_order.order(topo.dims());
-        self.grid
-            .restore(&mut r, topo, &visit, self.spec.router.vcs())?;
-        let cycle = self.cells[0].net.cycle();
-        if self.cells.iter().any(|c| c.net.cycle() != cycle) {
-            return Err(SnapshotError::Invalid("shard cycles out of step"));
-        }
-        self.next_packet = next_packet;
-        self.busy_since = busy_since;
+        self.next_packet = coord.next_packet;
+        self.busy_since = coord.busy_since;
         Ok(())
-    }
-}
-
-fn topology_kind_tag(kind: TopologyKind) -> u8 {
-    match kind {
-        TopologyKind::Torus => 0,
-        TopologyKind::Mesh => 1,
     }
 }
 
@@ -754,8 +688,29 @@ mod tests {
         let mut target = two_shards();
         assert!(matches!(
             target.restore(&image),
-            Err(SnapshotError::Invalid("boundary credit vc"))
+            Err(SnapshotError::Invalid("credit arrival vc"))
         ));
+    }
+
+    #[test]
+    fn boundary_mail_is_written_as_the_single_engines_wheel_entries() {
+        let mut net = two_shards();
+        net.set_parallel(false);
+        let mut mono = Network::new(net.spec.clone(), net.cells[0].net.ledger().models().clone());
+        let mut seen = 0;
+        for cycle in 0..80u64 {
+            let (src, dst) = ((cycle * 5) as usize % 16, (cycle * 11 + 3) as usize % 16);
+            net.enqueue_packet(NodeId(src), NodeId(dst), true);
+            mono.enqueue_packet(NodeId(src), NodeId(dst), true);
+            net.step();
+            mono.step();
+            let (flits, credits) = net.grid.contents(net.cycle());
+            if !flits.is_empty() && !credits.is_empty() {
+                seen += 1;
+                assert_eq!(net.snapshot(), mono.snapshot(), "cycle {cycle}");
+            }
+        }
+        assert!(seen >= 3, "boundary flits and credits were in transit");
     }
 
     #[test]

@@ -324,6 +324,9 @@ fn snapshot_into_a_used_writer_appends_exactly_the_snapshot() {
     }
 }
 
+/// The image is the same at every shard count, so one written at four
+/// shards resumes at two bit-identically (this once asserted the typed
+/// shard-count mismatch the canonical image retired).
 #[test]
 fn snapshot_from_other_shard_count_is_typed_mismatch() {
     let radices = [4u32, 4];
@@ -333,12 +336,12 @@ fn snapshot_from_other_shard_count_is_typed_mismatch() {
     four.step();
     let image = four.snapshot();
     let mut two = ShardedNetwork::new(spec(&radices, 2), models(5), 2);
-    match two.restore(&image) {
-        Err(orion_sim::SnapshotError::Mismatch(what)) => {
-            assert!(what.contains("shard"), "unexpected mismatch field: {what}");
-        }
-        other => panic!("expected shard-count mismatch, got {other:?}"),
-    }
+    two.restore(&image)
+        .expect("an image restores at any shard count");
+    assert_eq!(two.snapshot(), image);
+    drive(&mut four, &radices, 100, 31);
+    drive(&mut two, &radices, 100, 31);
+    assert_eq!(outcome(&two), outcome(&four));
 }
 
 /// Everything a run's outcome consists of, in comparable form: merged

@@ -17,7 +17,6 @@
 //! this to prove allocate/release conservation under random schedules.
 
 use crate::flit::Flit;
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 
 /// A copyable handle to a flit stored in a [`FlitArena`].
 ///
@@ -27,20 +26,6 @@ use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 pub struct FlitRef {
     index: u32,
     generation: u32,
-}
-
-impl FlitRef {
-    /// The raw `(index, generation)` pair, for snapshot encoding.
-    pub(crate) fn raw(self) -> (u32, u32) {
-        (self.index, self.generation)
-    }
-
-    /// Rebuilds a handle from a snapshot's raw pair. Validity against
-    /// the arena is checked by [`FlitArena::decode_with`]'s consistency
-    /// rules plus the usual generation check on first use.
-    pub(crate) fn from_raw(index: u32, generation: u32) -> FlitRef {
-        FlitRef { index, generation }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -173,82 +158,6 @@ impl FlitArena {
     /// Slab high-water mark: slots ever allocated (live + recycled).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// `true` when `handle` refers to a live flit of the current
-    /// generation. Snapshot decoding uses this to reject corrupted
-    /// handles with a typed error instead of a later panic.
-    pub(crate) fn is_live(&self, handle: FlitRef) -> bool {
-        self.slots
-            .get(handle.index as usize)
-            .is_some_and(|s| s.generation == handle.generation && s.flit.is_some())
-    }
-
-    /// Encodes the full arena (slot generations, occupancy, free list)
-    /// with `encode_flit` serialising each live flit.
-    pub(crate) fn encode_with(
-        &self,
-        w: &mut ByteWriter,
-        encode_flit: &mut dyn FnMut(&Flit, &mut ByteWriter),
-    ) {
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            w.u32(slot.generation);
-            match &slot.flit {
-                Some(f) => {
-                    w.bool(true);
-                    encode_flit(f, w);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.usize(self.free.len());
-        for &i in &self.free {
-            w.u32(i);
-        }
-        w.usize(self.live);
-    }
-
-    /// Decodes an arena encoded by [`FlitArena::encode_with`],
-    /// validating internal consistency (free list covers exactly the
-    /// empty slots, live count matches occupancy).
-    pub(crate) fn decode_with(
-        r: &mut ByteReader<'_>,
-        decode_flit: &mut dyn FnMut(&mut ByteReader<'_>) -> Result<Flit, SnapshotError>,
-    ) -> Result<FlitArena, SnapshotError> {
-        let slot_count = r.count(5)?;
-        let mut slots = Vec::with_capacity(slot_count);
-        let mut occupied = 0usize;
-        for _ in 0..slot_count {
-            let generation = r.u32()?;
-            let flit = if r.bool()? {
-                occupied += 1;
-                Some(decode_flit(r)?)
-            } else {
-                None
-            };
-            slots.push(Slot { generation, flit });
-        }
-        let free_count = r.count(4)?;
-        if free_count != slot_count - occupied {
-            return Err(SnapshotError::Invalid("arena free-list size"));
-        }
-        let mut free = Vec::with_capacity(free_count);
-        let mut seen = vec![false; slot_count];
-        for _ in 0..free_count {
-            let i = r.u32()?;
-            let idx = i as usize;
-            if idx >= slot_count || slots[idx].flit.is_some() || seen[idx] {
-                return Err(SnapshotError::Invalid("arena free-list entry"));
-            }
-            seen[idx] = true;
-            free.push(i);
-        }
-        let live = r.usize()?;
-        if live != occupied {
-            return Err(SnapshotError::Invalid("arena live count"));
-        }
-        Ok(FlitArena { slots, free, live })
     }
 }
 

@@ -275,42 +275,31 @@ impl EnergyLedger {
         self.rows.iter().map(|n| n.counts[component.idx()]).sum()
     }
 
-    /// Encodes the accumulators (not the models — those are rebuilt
-    /// from configuration) for a snapshot.
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::ByteWriter) {
-        w.usize(self.rows.len());
-        for row in &self.rows {
-            for j in &row.energy {
-                w.f64(j.0);
-            }
+    /// Encodes `node`'s accumulators (not the models — those are
+    /// rebuilt from configuration) for a state image.
+    pub(crate) fn encode_row(&self, node: usize, w: &mut crate::snapshot::ByteWriter) {
+        let row = &self.rows[node];
+        for j in &row.energy {
+            w.f64(j.0);
         }
-        for row in &self.rows {
-            for &c in &row.counts {
-                w.u64(c);
-            }
+        for &c in &row.counts {
+            w.u64(c);
         }
     }
 
-    /// Restores accumulators encoded by [`EnergyLedger::encode`] into
-    /// this ledger, which must track the same number of nodes.
-    pub(crate) fn decode_into(
+    /// Restores `node`'s accumulators encoded by
+    /// [`EnergyLedger::encode_row`].
+    pub(crate) fn decode_row(
         &mut self,
+        node: usize,
         r: &mut crate::snapshot::ByteReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        if r.usize()? != self.rows.len() {
-            return Err(crate::snapshot::SnapshotError::Mismatch(
-                "ledger node count",
-            ));
+        let row = &mut self.rows[node];
+        for j in row.energy.iter_mut() {
+            *j = Joules(r.f64()?);
         }
-        for row in self.rows.iter_mut() {
-            for j in row.energy.iter_mut() {
-                *j = Joules(r.f64()?);
-            }
-        }
-        for row in self.rows.iter_mut() {
-            for c in row.counts.iter_mut() {
-                *c = r.u64()?;
-            }
+        for c in row.counts.iter_mut() {
+            *c = r.u64()?;
         }
         Ok(())
     }

@@ -27,10 +27,12 @@
 //! * [`audit`] — the opt-in invariant auditor: flit conservation,
 //!   credit/occupancy bounds and energy-ledger sanity, reported as
 //!   typed [`AuditViolation`]s instead of silently wrong numbers,
-//! * [`snapshot`] — the byte codec behind [`Network::snapshot`] /
-//!   [`Network::restore`]: versioned, validated serialisation of the
-//!   complete simulation state for mid-run checkpointing, with a
-//!   resume path bit-identical to an uninterrupted run.
+//! * [`snapshot`] — the byte primitives behind [`Network::snapshot`] /
+//!   [`Network::restore`], whose one image codec
+//!   ([`network::image`]) serialises the complete simulation state
+//!   canonically — the same bytes at every shard count — for mid-run
+//!   checkpointing, with a resume path bit-identical to an
+//!   uninterrupted run.
 //!
 //! Observability hangs off [`Network::set_obs`]: with an
 //! [`orion_obs::ObsSink`] attached, the engine publishes injection,
@@ -111,7 +113,7 @@ pub use flit::{Flit, PacketId};
 pub use network::{EngineMode, Network, NetworkSpec, RouterKind, WheelHorizonError};
 pub use router::central::{CentralRouter, CentralRouterSpec};
 pub use router::vc::{FlowControl, VcDiscipline, VcRouter, VcRouterSpec, MAX_INPUT_VCS};
-pub use snapshot::{SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::SnapshotError;
 pub use stats::{zero_load_latency, SimStats};
 pub use watchdog::{StallDiagnostics, StallKind, StalledVc};
 

@@ -22,13 +22,15 @@ use crate::arena::{FlitArena, FlitRef};
 use crate::audit::AuditViolation;
 use crate::boundary::{CreditMsg, FlitMsg, NullIo, ShardIo};
 use crate::energy::{EnergyLedger, PowerModels};
-use crate::flit::{make_packet_each, Flit, PacketId};
+use crate::flit::{make_packet_each, PacketId};
 use crate::router::central::{CentralRouter, CentralRouterSpec};
 use crate::router::vc::{VcRouter, VcRouterSpec};
 use crate::router::StepOutput;
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::{ByteWriter, SnapshotError};
 use crate::stats::SimStats;
 use crate::watchdog::{StallDiagnostics, StallKind, StalledVc};
+
+pub mod image;
 
 /// Which router microarchitecture populates the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,42 +298,6 @@ impl<T> Wheel<T> {
     fn len(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
     }
-
-    /// Encodes the wheel (base + every slot in physical index order)
-    /// with `encode_item` serialising each scheduled event.
-    fn encode_with(&self, w: &mut ByteWriter, encode_item: &mut dyn FnMut(&T, &mut ByteWriter)) {
-        w.u64(self.base);
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            w.usize(slot.len());
-            for item in slot {
-                encode_item(item, w);
-            }
-        }
-    }
-
-    /// Decodes a wheel encoded by [`Wheel::encode_with`] into `self`,
-    /// which must have the same horizon.
-    fn decode_into_with(
-        &mut self,
-        r: &mut ByteReader<'_>,
-        decode_item: &mut dyn FnMut(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
-        let base = r.u64()?;
-        let horizon = r.usize()?;
-        if horizon != self.slots.len() {
-            return Err(SnapshotError::Mismatch("wheel horizon"));
-        }
-        for slot in self.slots.iter_mut() {
-            slot.clear();
-            let n = r.count(8)?;
-            for _ in 0..n {
-                slot.push(decode_item(r)?);
-            }
-        }
-        self.base = base;
-        Ok(())
-    }
 }
 
 /// Structure-of-arrays activity state for the sparse stepper: one bit
@@ -434,6 +400,8 @@ struct Source {
 /// Reassembly progress of a packet at its destination sink.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
+    /// The destination node, where the packet reassembles.
+    dst: u32,
     received: u32,
     len: u32,
     created: u64,
@@ -1433,6 +1401,7 @@ impl Network {
             obs.flit_ejected();
         }
         let progress = self.sinks.entry(flit.packet).or_insert(Progress {
+            dst: flit.dst.0 as u32,
             received: 0,
             len: flit.packet_len,
             created: flit.created,
@@ -1693,9 +1662,10 @@ impl Network {
     }
 
     /// Serialises the complete deterministic state of the network —
-    /// flit arena, event wheels, per-router buffers and arbiters,
-    /// sources, sinks, energy ledger, statistics and cycle counter —
-    /// into a versioned byte image.
+    /// routers with their buffered flits, sources, links, energy
+    /// ledger, event wheels, sinks, statistics and clocks — into the
+    /// canonical image (see [`image`]). A sharded network at the same
+    /// cycle writes the same bytes.
     ///
     /// A network built from the same [`NetworkSpec`] and
     /// [`PowerModels`] and then [restored](Network::restore) from this
@@ -1716,351 +1686,37 @@ impl Network {
 
     /// Appends exactly [`Network::snapshot`]'s bytes to `w`, so a
     /// caller that checkpoints repeatedly can reuse one buffer.
+    ///
+    /// # Panics
+    ///
+    /// If this engine is one shard of a partition (snapshot the
+    /// partition through its coordinator).
     pub fn snapshot_into(&self, w: &mut ByteWriter) {
-        w.u32(SNAPSHOT_VERSION);
-        let n = self.routers.len();
-        let ports = self.spec.topology.ports_per_router();
-        w.usize(n);
-        w.usize(ports);
-        w.usize(self.lo);
-        w.usize(self.hi);
-        w.u64(self.cycle);
-        w.u64(self.next_packet);
-        w.u64(self.last_progress);
-        w.u64(self.last_delivery);
-        w.u64(self.last_credit);
-        w.u64(self.busy_since);
-        w.u64(self.audit_enqueued);
-        w.u64(self.audit_ejected);
-        w.usize(self.delivery_log.len());
-        for &c in &self.delivery_log {
-            w.u64(c);
-        }
-        w.usize(self.links.len());
-        for link in &self.links {
-            w.u64(link.last);
-        }
-        w.usize(self.links.len());
-        for link in &self.links {
-            w.u64(link.flits);
-        }
-        self.stats.encode(w);
-        self.ledger.encode(w);
-
-        self.arena.encode_with(w, &mut |f, w| {
-            w.u64(f.packet.0);
-            w.u32(f.seq);
-            w.u32(f.packet_len);
-            w.usize(f.src.0);
-            w.usize(f.dst.0);
-            w.u16(f.hop);
-            w.u64(f.payload);
-            w.u64(f.created);
-            w.u64(f.ready);
-            w.u8(f.vc_class);
-            w.u8(f.target_vc);
-            w.bool(f.tagged);
-        });
-
-        let mut enc_ref = |h: &FlitRef, w: &mut ByteWriter| {
-            let (index, generation) = h.raw();
-            w.u32(index);
-            w.u32(generation);
+        let coord = image::Coordinator {
+            next_packet: self.next_packet,
+            busy_since: self.busy_since,
+            ..image::Coordinator::default()
         };
-        self.flit_wheel.encode_with(w, &mut |a, w| {
-            w.usize(a.dest);
-            w.usize(a.in_port);
-            match a.crossed_dim {
-                Some(d) => {
-                    w.bool(true);
-                    w.u8(d);
-                }
-                None => w.bool(false),
-            }
-            w.bool(a.wraparound);
-            w.bool(a.to_sink);
-            enc_ref(&a.flit, w);
-        });
-        self.credit_wheel.encode_with(w, &mut |c, w| {
-            w.usize(c.dest);
-            w.usize(c.out_port);
-            w.usize(c.vc);
-        });
-
-        w.usize(self.sources.len());
-        for s in &self.sources {
-            w.usize(s.queue.len());
-            for h in &s.queue {
-                enc_ref(h, w);
-            }
-            w.usize(s.current_vc);
-            w.u32(s.remaining);
-        }
-
-        // Sinks in PacketId order: HashMap iteration order must not
-        // leak into the byte image.
-        let mut sinks: Vec<(&PacketId, &Progress)> = self.sinks.iter().collect();
-        sinks.sort_by_key(|(id, _)| id.0);
-        w.usize(sinks.len());
-        for (id, p) in sinks {
-            w.u64(id.0);
-            w.u32(p.received);
-            w.u32(p.len);
-            w.u64(p.created);
-            w.bool(p.tagged);
-        }
-
-        w.usize(self.routers.len());
-        for router in &self.routers {
-            match router {
-                AnyRouter::Vc(r) => {
-                    w.u8(0);
-                    r.encode(w, &mut enc_ref);
-                }
-                AnyRouter::Central(r) => {
-                    w.u8(1);
-                    r.encode(w, &mut enc_ref);
-                }
-            }
-        }
+        image::write_image(&[self], &coord, w);
     }
 
-    /// Restores state captured by [`Network::snapshot`] into this
-    /// network, which must have been freshly built from the same
-    /// [`NetworkSpec`] and [`PowerModels`].
+    /// Restores a canonical image — written by [`Network::snapshot`]
+    /// or by a sharded network at any shard count — into this network,
+    /// which must have been built from the same [`NetworkSpec`] and
+    /// [`PowerModels`].
     ///
     /// Corrupted, truncated or mismatched images return a typed
     /// [`SnapshotError`]; this method never panics on bad bytes. On
     /// error the network is left in an unspecified (but memory-safe)
     /// state and must be discarded — rebuild from the spec before
     /// retrying.
+    ///
+    /// # Panics
+    ///
+    /// If this engine is one shard of a partition.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::WrongVersion(version));
-        }
-        let n = self.routers.len();
-        let n_total = self.spec.topology.num_nodes();
-        let ports = self.spec.topology.ports_per_router();
-        if r.usize()? != n {
-            return Err(SnapshotError::Mismatch("router count"));
-        }
-        if r.usize()? != ports {
-            return Err(SnapshotError::Mismatch("ports per router"));
-        }
-        if r.usize()? != self.lo || r.usize()? != self.hi {
-            return Err(SnapshotError::Mismatch("owned node range"));
-        }
-        let cycle = r.u64()?;
-        let next_packet = r.u64()?;
-        let last_progress = r.u64()?;
-        let last_delivery = r.u64()?;
-        let last_credit = r.u64()?;
-        let busy_since = r.u64()?;
-        let audit_enqueued = r.u64()?;
-        let audit_ejected = r.u64()?;
-        let log_count = r.count(8)?;
-        let mut delivery_log = Vec::with_capacity(log_count);
-        for _ in 0..log_count {
-            delivery_log.push(r.u64()?);
-        }
-        let mut links = self.links.clone();
-        debug_assert_eq!(links.len(), n_total * ports);
-        if r.count(8)? != links.len() {
-            return Err(SnapshotError::Mismatch("link table length"));
-        }
-        for link in links.iter_mut() {
-            link.last = r.u64()?;
-        }
-        if r.count(8)? != links.len() {
-            return Err(SnapshotError::Mismatch("link table length"));
-        }
-        for link in links.iter_mut() {
-            link.flits = r.u64()?;
-        }
-        let stats = SimStats::decode(&mut r)?;
-        self.ledger.decode_into(&mut r)?;
-
-        let arena = FlitArena::decode_with(&mut r, &mut |r| {
-            let packet = PacketId(r.u64()?);
-            let seq = r.u32()?;
-            let packet_len = r.u32()?;
-            if seq >= packet_len {
-                return Err(SnapshotError::Invalid("flit sequence"));
-            }
-            let src = r.usize()?;
-            let dst = r.usize()?;
-            if src >= n_total || dst >= n_total {
-                return Err(SnapshotError::Invalid("flit endpoint"));
-            }
-            // The route is a function of the topology and the
-            // endpoints, so the image carries only the hop index.
-            let path = DorPath::new(&self.spec.topology, NodeId(src), NodeId(dst), &self.visit);
-            let hop = r.u16()?;
-            if hop as usize >= path.hop_count() {
-                return Err(SnapshotError::Invalid("flit hop index"));
-            }
-            Ok(Flit {
-                packet,
-                seq,
-                packet_len,
-                src: NodeId(src),
-                dst: NodeId(dst),
-                path,
-                hop,
-                payload: r.u64()?,
-                created: r.u64()?,
-                ready: r.u64()?,
-                vc_class: r.u8()?,
-                target_vc: r.u8()?,
-                tagged: r.bool()?,
-            })
-        })?;
-
-        // Every live flit is referenced by exactly one owner (a source
-        // queue, a wheel slot, or a router buffer). Decoded handles
-        // must be live and unique, or a later `take` would panic.
-        let mut claimed = vec![false; arena.capacity()];
-        let mut claims = 0usize;
-        let mut dec_ref = |r: &mut ByteReader<'_>| -> Result<FlitRef, SnapshotError> {
-            let index = r.u32()?;
-            let generation = r.u32()?;
-            let h = FlitRef::from_raw(index, generation);
-            if !arena.is_live(h) || claimed[index as usize] {
-                return Err(SnapshotError::Invalid("flit handle"));
-            }
-            claimed[index as usize] = true;
-            claims += 1;
-            Ok(h)
-        };
-
-        let mut flit_wheel: Wheel<FlitArrival> = Wheel::new(self.flit_wheel.slots.len());
-        flit_wheel.decode_into_with(&mut r, &mut |r| {
-            let dest = r.usize()?;
-            let in_port = r.usize()?;
-            if dest < self.lo || dest >= self.hi || in_port >= ports {
-                return Err(SnapshotError::Invalid("flit arrival port"));
-            }
-            let crossed_dim = if r.bool()? {
-                let d = r.u8()?;
-                if (d as usize) >= self.spec.topology.dims() {
-                    return Err(SnapshotError::Invalid("flit arrival dimension"));
-                }
-                Some(d)
-            } else {
-                None
-            };
-            Ok(FlitArrival {
-                dest,
-                in_port,
-                crossed_dim,
-                wraparound: r.bool()?,
-                to_sink: r.bool()?,
-                flit: dec_ref(r)?,
-            })
-        })?;
-        if flit_wheel.base != cycle {
-            return Err(SnapshotError::Invalid("flit wheel base"));
-        }
-        let mut credit_wheel: Wheel<CreditArrival> = Wheel::new(self.credit_wheel.slots.len());
-        credit_wheel.decode_into_with(&mut r, &mut |r| {
-            let dest = r.usize()?;
-            let out_port = r.usize()?;
-            let vc = r.usize()?;
-            if dest < self.lo || dest >= self.hi || out_port >= ports {
-                return Err(SnapshotError::Invalid("credit arrival port"));
-            }
-            Ok(CreditArrival { dest, out_port, vc })
-        })?;
-        if credit_wheel.base != cycle {
-            return Err(SnapshotError::Invalid("credit wheel base"));
-        }
-
-        if r.count(8)? != n {
-            return Err(SnapshotError::Mismatch("source count"));
-        }
-        let mut sources = Vec::with_capacity(n);
-        for node in 0..n {
-            let queued = r.count(8)?;
-            let mut queue = std::collections::VecDeque::with_capacity(queued);
-            for _ in 0..queued {
-                queue.push_back(dec_ref(&mut r)?);
-            }
-            let current_vc = r.usize()?;
-            if current_vc >= self.routers[node].vcs() {
-                return Err(SnapshotError::Invalid("source virtual channel"));
-            }
-            let remaining = r.u32()?;
-            sources.push(Source {
-                queue,
-                current_vc,
-                remaining,
-            });
-        }
-
-        let sink_count = r.count(25)?;
-        let mut sinks = HashMap::with_capacity(sink_count);
-        for _ in 0..sink_count {
-            let id = PacketId(r.u64()?);
-            let received = r.u32()?;
-            let len = r.u32()?;
-            if received >= len {
-                return Err(SnapshotError::Invalid("sink progress"));
-            }
-            let progress = Progress {
-                received,
-                len,
-                created: r.u64()?,
-                tagged: r.bool()?,
-            };
-            if sinks.insert(id, progress).is_some() {
-                return Err(SnapshotError::Invalid("duplicate sink"));
-            }
-        }
-
-        if r.count(1)? != n {
-            return Err(SnapshotError::Mismatch("router count"));
-        }
-        for router in self.routers.iter_mut() {
-            let tag = r.u8()?;
-            match (tag, router) {
-                (0, AnyRouter::Vc(router)) => router.decode_into(&mut r, &mut dec_ref)?,
-                (1, AnyRouter::Central(router)) => router.decode_into(&mut r, &mut dec_ref)?,
-                (0 | 1, _) => return Err(SnapshotError::Mismatch("router kind")),
-                _ => return Err(SnapshotError::Invalid("router tag")),
-            }
-        }
-
-        if claims != arena.live() {
-            return Err(SnapshotError::Invalid("unreferenced flit"));
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Invalid("trailing bytes"));
-        }
-
-        self.arena = arena;
-        self.flit_wheel = flit_wheel;
-        self.credit_wheel = credit_wheel;
-        self.flit_scratch.clear();
-        self.credit_scratch.clear();
-        self.sources = sources;
-        self.sinks = sinks;
-        self.stats = stats;
-        self.delivery_log = delivery_log;
-        self.links = links;
-        self.cycle = cycle;
-        self.next_packet = next_packet;
-        self.last_progress = last_progress;
-        self.last_delivery = last_delivery;
-        self.last_credit = last_credit;
-        self.busy_since = busy_since;
-        self.audit_enqueued = audit_enqueued;
-        self.audit_ejected = audit_ejected;
-        // The activity sets are not serialised (so sparse and dense
-        // engines write byte-identical images); the restored routers
-        // and sources fully determine them.
-        self.activity.recompute(&self.routers, &self.sources);
+        let coord = image::restore_image(&mut [self], bytes)?;
+        debug_assert!(coord.flits.is_empty() && coord.credits.is_empty());
         Ok(())
     }
 }
@@ -2572,16 +2228,86 @@ mod tests {
         assert_eq!(restored.snapshot(), image);
     }
 
+    /// Restores `image` into one engine and into a 2-shard partition
+    /// of a fresh 2-VC network, returning both results.
+    fn restore_at_one_and_two_shards(image: &[u8]) -> [Result<(), SnapshotError>; 2] {
+        let one = vc_net(2, 8).restore(image);
+        let spec = vc_net(2, 8).spec().clone();
+        let mut a = Network::new_shard(spec.clone(), models(64), 0, &[0, 8, 16]);
+        let mut b = Network::new_shard(spec, models(64), 1, &[0, 8, 16]);
+        let two = image::restore_image(&mut [&mut a, &mut b], image).map(|_| ());
+        [one, two]
+    }
+
     #[test]
-    fn restore_rejects_wrong_version() {
-        let net = vc_net(2, 8);
-        let mut image = net.snapshot();
-        image[0] ^= 0xFF; // version field is first
-        let err = vc_net(2, 8).restore(&image).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::snapshot::SnapshotError::WrongVersion(_)
-        ));
+    fn restore_rejects_every_out_of_range_wheel_index_at_one_and_two_shards() {
+        let mut net = vc_net(2, 8);
+        drive_uniform(&mut net, 60, 42);
+        let (n, ports, vcs) = (16u64, 5u64, 2u64);
+        let image = net.snapshot();
+        assert_eq!(restore_at_one_and_two_shards(&image), [Ok(()), Ok(())]);
+
+        // One link arrival and one ejection on the flit wheel, found in
+        // the image by their flits' bytes (payloads are unique).
+        let mut arrivals = net.flit_wheel.slots.iter().flatten();
+        let link = arrivals
+            .clone()
+            .find(|a| !a.to_sink)
+            .expect("a link arrival");
+        let eject = arrivals.find(|a| a.to_sink).expect("an ejection");
+        for arrival in [link, eject] {
+            let flit = net.arena.get(arrival.flit).clone();
+            let mut bytes = ByteWriter::new();
+            image::write_flit(&flit, &mut bytes);
+            let at = image
+                .windows(bytes.len())
+                .position(|w| w == bytes.as_slice())
+                .expect("the flit is in the image");
+            let hops = flit.path.hop_count() as u64;
+            // (offset from the flit, width, first out-of-range value)
+            let fields: [(isize, usize, u64); 8] = [
+                (-9, 8, n),                         // dest
+                (-1, 1, ports),                     // in_port
+                (8, 4, u64::from(flit.packet_len)), // seq
+                (16, 8, n),                         // src
+                (24, 8, n),                         // dst
+                (32, 2, hops),                      // hop
+                (58, 1, 2),                         // vc_class
+                (59, 1, vcs),                       // target_vc
+            ];
+            for (offset, width, value) in fields {
+                let mut bad = image.clone();
+                let start = (at as isize + offset) as usize;
+                bad[start..start + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                for got in restore_at_one_and_two_shards(&bad) {
+                    assert!(
+                        matches!(got, Err(SnapshotError::Invalid(_))),
+                        "field at {offset} = {value}: {got:?}"
+                    );
+                }
+            }
+        }
+
+        // Credits: the writer copies the entry as it is.
+        let slot = (0..4)
+            .find(|&s| !net.credit_wheel.slots[s].is_empty())
+            .expect("a credit in flight");
+        let credit = net.credit_wheel.slots[slot][0];
+        for field in ["dest", "out_port", "vc"] {
+            let entry = &mut net.credit_wheel.slots[slot][0];
+            match field {
+                "dest" => entry.dest = 16,
+                "out_port" => entry.out_port = 5,
+                _ => entry.vc = 2,
+            }
+            for got in restore_at_one_and_two_shards(&net.snapshot()) {
+                assert!(
+                    matches!(got, Err(SnapshotError::Invalid(_))),
+                    "credit {field}: {got:?}"
+                );
+            }
+            net.credit_wheel.slots[slot][0] = credit;
+        }
     }
 
     #[test]

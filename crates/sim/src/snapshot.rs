@@ -1,16 +1,15 @@
 //! Binary state-snapshot primitives.
 //!
 //! The checkpoint/restore layer (`orion-ckpt`) needs the *complete*
-//! deterministic simulation state — flit arena, ring FIFOs, router
-//! VC/arbiter/credit state, energy ledger, event wheels, cycle counter
-//! — in a stable byte form, so a resumed run is bit-identical to an
-//! uninterrupted one. This module provides the low-level codec
+//! deterministic simulation state — ring FIFOs with their flits,
+//! router VC/arbiter/credit state, energy ledger, event wheels, cycle
+//! counter — in a stable byte form, so a resumed run is bit-identical
+//! to an uninterrupted one. This module provides the low-level codec
 //! ([`ByteWriter`] / [`ByteReader`], little-endian, length-prefixed)
 //! and the typed [`SnapshotError`]; each stateful module encodes its
-//! own private fields with these primitives, and
-//! [`Network::snapshot`](crate::network::Network::snapshot) /
-//! [`Network::restore`](crate::network::Network::restore) orchestrate
-//! the whole-network payload.
+//! own private fields with these primitives, and the one image codec,
+//! [`network::image`](crate::network::image), lays out the
+//! whole-network payload at any shard count.
 //!
 //! The payload deliberately excludes everything reconstructible from
 //! configuration (specs, power models, wiring, the routes flits carry
@@ -18,19 +17,15 @@
 //! the VA/SA stage scratch): a snapshot is taken and applied only at a
 //! cycle boundary, where scratch state is dead.
 //!
-//! Framing (magic, schema version, checksum, fingerprint) is the
-//! checkpoint *file* format's job, not this module's: these payloads
-//! are raw, and a corrupted payload surfaces as a typed
-//! [`SnapshotError`] — never a panic — because every decoded length,
-//! index and tag is validated against the network shape it is applied
-//! to.
+//! Framing (magic, the one schema version, checksum, fingerprint) is
+//! the checkpoint *file* format's job, not this module's: these
+//! payloads are raw and unversioned, and a corrupted payload surfaces
+//! as a typed [`SnapshotError`] — never a panic — because every decoded
+//! length, index and tag is validated against the network shape it is
+//! applied to.
 
 use std::error::Error;
 use std::fmt;
-
-/// Version byte leading every [`Network`](crate::network::Network)
-/// snapshot payload, bumped on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Error decoding or applying a state snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,8 +33,6 @@ pub const SNAPSHOT_VERSION: u32 = 5;
 pub enum SnapshotError {
     /// The payload ended before the declared structure was complete.
     Truncated,
-    /// The payload leads with an unknown snapshot version.
-    WrongVersion(u32),
     /// A decoded value is outside the valid range for its field.
     Invalid(&'static str),
     /// The payload's shape does not match the network it is applied to
@@ -51,9 +44,6 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot payload truncated"),
-            SnapshotError::WrongVersion(v) => {
-                write!(f, "unknown snapshot payload version {v}")
-            }
             SnapshotError::Invalid(what) => write!(f, "invalid snapshot field: {what}"),
             SnapshotError::Mismatch(what) => {
                 write!(f, "snapshot does not match this network: {what}")
